@@ -1,4 +1,4 @@
-"""Rooted Cayley-tree combinatorics and the group-word view of vertices.
+"""Rooted Cayley-tree combinatorics.
 
 A tree of branching order k has a root with k+1 neighbours while every other
 vertex has k direct successors, so the n-th sphere holds (k+1)*k**(n-1)
@@ -6,11 +6,8 @@ vertices.  Vertices are addressed by their root path (a tuple of child
 indices); nothing is materialised beyond the addresses a query touches, which
 keeps every operation O(size of the answer).
 
-Each vertex also corresponds to a reduced word over k+1 involutive
-generators: stepping to child i appends the i-th generator distinct from the
-word's last letter (all k+1 generators are available at the root).  Word
-length equals level, so the even-length subgroup splits the tree into the two
-parity classes used by bipartite couplings and period-two fields.
+The parity of a vertex's level splits the tree into the two classes used by
+bipartite couplings and period-two fields.
 """
 
 from __future__ import annotations
@@ -94,40 +91,8 @@ class TreeVertex:
         return f"TreeVertex({str(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupWord:
-    """A reduced word over the involutive generators 1..branching+1.
-
-    Reduced means no two adjacent letters agree; since every generator
-    squares to the identity, adjacent repeats would cancel.
-    """
-
-    letters: tuple[int, ...]
-    branching: int
-
-    def __post_init__(self):
-        top = self.branching + 1
-        for letter in self.letters:
-            if not 1 <= letter <= top:
-                raise ValueError(f"letter {letter} outside generator range 1..{top}")
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == b:
-                raise ValueError(f"word {self.letters} is not reduced (repeat {a})")
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
-    def parity(self) -> str:
-        """Coset of the even-length subgroup: "even" or "odd"."""
-        return "even" if len(self.letters) % 2 == 0 else "odd"
-
-    def __str__(self) -> str:
-        return "e" if not self.letters else ".".join(f"a{i}" for i in self.letters)
-
-
 def vertex_parity(x: TreeVertex) -> str:
-    # Word length equals level, so parity never needs the word itself.
+    """The parity class of ``x``: "even" or "odd" with its level."""
     return "even" if x.level % 2 == 0 else "odd"
 
 
@@ -165,25 +130,3 @@ def edges(shape: TreeShape, n: int) -> list[tuple[TreeVertex, TreeVertex]]:
                 out.append((x, y))
     return out
 
-
-def word_of_vertex(shape: TreeShape, x: TreeVertex) -> GroupWord:
-    """The reduced word reached by the root path of ``x``.
-
-    The first step maps root-child i to generator i+1.  A later step from a
-    word ending in letter L maps child i to the i-th generator distinct
-    from L, so the result is reduced by construction and the map is a
-    bijection onto reduced words.
-    """
-    letters: list[int] = []
-    for depth, index in enumerate(x.address):
-        if depth == 0:
-            if index > shape.branching:
-                raise ValueError(f"root child index {index} outside 0..{shape.branching}")
-            letters.append(index + 1)
-        else:
-            if index >= shape.branching:
-                raise ValueError(f"child index {index} outside 0..{shape.branching - 1}")
-            last = letters[-1]
-            choices = [g for g in range(1, shape.branching + 2) if g != last]
-            letters.append(choices[index])
-    return GroupWord(tuple(letters), shape.branching)

@@ -30,7 +30,7 @@ from .errors import (
     PartitionFunctionDegenerate,
     PrecisionExhausted,
 )
-from .gibbs_solver import ZVector, classify_phase, recursion_backward
+from .gibbs_solver import classify_phase, recursion_backward
 from .padic_analytic import exp_domain_min_valuation, exp_p, log_p
 from .padic_core import DEFAULT_PRECISION, PadicNumber, as_prime
 from .potts_model import (
@@ -301,7 +301,7 @@ def _suite_contraction(cfg: RunConfig) -> dict:
             for _ in range(q - 1):
                 off = Fraction(p ** (1 + rng.randrange(0, 3))) * _random_unit(rng, p)
                 comps.append(PadicNumber.from_fraction(1 + off, p, cfg.precision))
-            boundary[x] = ZVector(comps)
+            boundary[x] = PadicVector(comps)
         res = recursion_backward(shape, boundary, J, n, cfg.precision)
         offs = res.per_level_offset
         ok = all(offs[m] >= offs[m + 1] + 1 for m in range(n))

@@ -33,15 +33,14 @@ from .padic_analytic import (
     ROOT_RESIDUAL_MARGIN,
     PadicPolynomial,
     exp_domain_min_valuation,
-    exp_p,
     hensel_roots_in_disk,
     log_p,
 )
 from .padic_core import (
     DEFAULT_PRECISION,
     PadicNumber,
-    Prime,
     Valuation,
+    _vp,
     as_prime,
     rational_valuation,
 )
@@ -51,113 +50,6 @@ VERDICT_UNIQUE = "unique_by_contraction"
 VERDICT_MULTIPLE_TI = "multiple_translation_invariant"
 VERDICT_NO_EXTRA_PERIODIC = "no_periodic_beyond_translation_invariant"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class ThetaValue:
-    """An edge weight exp of an admissible coupling: a unit 1 + O(p)."""
-
-    theta: PadicNumber
-
-    def __post_init__(self):
-        t = self.theta
-        if not t.is_unit():
-            raise DomainViolation("edge weight must be a unit")
-        offset = t.distance_valuation(PadicNumber.one(t.prime, t.precision))
-        if offset < exp_domain_min_valuation(t.prime):
-            raise DomainViolation(
-                f"edge weight must be congruent to 1 to order {exp_domain_min_valuation(t.prime)}"
-            )
-
-    @classmethod
-    def from_coupling(cls, J, p, precision: int = DEFAULT_PRECISION) -> "ThetaValue":
-        x = PadicNumber.from_fraction(Fraction(J), p, precision)
-        return cls(exp_p(x))
-
-    @property
-    def prime(self) -> Prime:
-        return self.theta.prime
-
-
-class ZVector:
-    """Components of a multiplicative boundary law.
-
-    Construction does not force the components into the unit disk around 1,
-    because intermediate recursion values can step outside it when p divides
-    q; ``is_admissible`` / ``require_admissible`` make the membership check
-    explicit where it matters.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("a boundary law needs at least one component")
-        p = components[0].prime
-        if any(c.prime != p for c in components):
-            raise ValueError("mixed primes in one boundary law")
-        self.components = components
-
-    @classmethod
-    def all_ones(cls, q: int, p, precision: int = DEFAULT_PRECISION) -> "ZVector":
-        return cls(PadicNumber.one(p, precision) for _ in range(q - 1))
-
-    @classmethod
-    def from_first_component(
-        cls, z: PadicNumber, q: int, precision: int | None = None
-    ) -> "ZVector":
-        rest = precision if precision is not None else z.precision
-        ones = [PadicNumber.one(z.prime, rest) for _ in range(q - 2)]
-        return cls([z, *ones])
-
-    @classmethod
-    def from_hprime(cls, hprime: PadicVector) -> "ZVector":
-        return cls(exp_p(c) for c in hprime.components)
-
-    @property
-    def prime(self) -> Prime:
-        return self.components[0].prime
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    def offset_valuation(self) -> Valuation:
-        """Valuation of the largest-norm component of z - 1."""
-        one = PadicNumber.one(self.prime)
-        return min(c.distance_valuation(one) for c in self.components)
-
-    def is_admissible(self) -> bool:
-        return all(c.is_unit() for c in self.components) and self.offset_valuation() >= 1
-
-    def require_admissible(self) -> "ZVector":
-        if not self.is_admissible():
-            raise DomainViolation(
-                f"boundary law leaves the unit disk around 1: offset {self.offset_valuation()}"
-            )
-        return self
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i: int) -> PadicNumber:
-        return self.components[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZVector):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self.components, other.components)
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ZVector({', '.join(repr(c) for c in self.components)})"
 
 
 def h_to_hprime(h: PadicVector) -> PadicVector:
@@ -202,11 +94,7 @@ def hprime_to_h(hprime: PadicVector, q: int) -> PadicVector:
     return PadicVector(out)
 
 
-def _theta_number(theta) -> PadicNumber:
-    return theta.theta if isinstance(theta, ThetaValue) else theta
-
-
-def f_map_z(z: ZVector, theta, q: int) -> ZVector:
+def f_map_z(z: PadicVector, theta: PadicNumber, q: int) -> PadicVector:
     """One child's multiplicative factor of the recursion.
 
     Component i maps to 1 + (theta - 1)(z_i - 1) / D with the shared
@@ -215,14 +103,13 @@ def f_map_z(z: ZVector, theta, q: int) -> ZVector:
     a unit so is D, and the offset from 1 gains at least the valuation of
     theta - 1.
     """
-    th = _theta_number(theta)
-    p = th.prime
+    p = theta.prime
     if z.dimension != q - 1:
         raise ValueError(f"boundary law needs {q - 1} components for q={q}")
-    one = PadicNumber.one(p, th.precision)
-    th_offset = th - one
+    one = PadicNumber.one(p, theta.precision)
+    th_offset = theta - one
     offsets = [c - PadicNumber.one(p, c.precision) for c in z.components]
-    denom = th_offset + PadicNumber.from_fraction(q, p, th.precision)
+    denom = th_offset + PadicNumber.from_fraction(q, p, theta.precision)
     for off in offsets:
         denom = denom + off
     try:
@@ -235,8 +122,8 @@ def f_map_z(z: ZVector, theta, q: int) -> ZVector:
         ) from exc
     out = []
     for off in offsets:
-        out.append(PadicNumber.one(p, th.precision) + th_offset * off * inv)
-    return ZVector(out)
+        out.append(PadicNumber.one(p, theta.precision) + th_offset * off * inv)
+    return PadicVector(out)
 
 
 @dataclass(frozen=True)
@@ -248,7 +135,7 @@ class RecursionResult:
     root first and the final entry describes the boundary data itself).
     """
 
-    root_z: ZVector
+    root_z: PadicVector
     per_level_offset: list
 
 
@@ -263,11 +150,11 @@ def recursion_backward(
 
     Each parent's law is the product over its children of the single-edge
     factor.  ``boundary_z`` maps every vertex of the n-th sphere to its
-    ZVector.
+    law.
     """
     if n < 1:
         raise ValueError("recursion needs at least one level")
-    laws: dict[TreeVertex, ZVector] = {}
+    laws: dict[TreeVertex, PadicVector] = {}
     offsets: list[Valuation] = [Valuation(None)] * (n + 1)
     level_vertices = sphere(shape, n)
     for x in level_vertices:
@@ -276,15 +163,15 @@ def recursion_backward(
     offsets[n] = min(laws[x].offset_valuation() for x in level_vertices)
 
     for m in range(n - 1, -1, -1):
-        next_laws: dict[TreeVertex, ZVector] = {}
+        next_laws: dict[TreeVertex, PadicVector] = {}
         for x in sphere(shape, m):
-            product: ZVector | None = None
+            product: PadicVector | None = None
             for y in direct_successors(shape, x):
                 factor = f_map_z(laws[y], J.theta_for_edge(x, y, precision), J.q)
                 if product is None:
                     product = factor
                 else:
-                    product = ZVector(
+                    product = PadicVector(
                         a * b for a, b in zip(product.components, factor.components)
                     )
             assert product is not None
@@ -341,14 +228,14 @@ def _json_value(v):
         return str(v)
     if isinstance(v, PadicNumber):
         return v.render()
-    if isinstance(v, ZVector):
+    if isinstance(v, PadicVector):
         return _witness_json(v)
     if isinstance(v, (list, tuple)):
         return [_json_value(x) for x in v]
     return v
 
 
-def _witness_json(z: ZVector) -> dict:
+def _witness_json(z: PadicVector) -> dict:
     one = PadicNumber.one(z.prime)
     comps = []
     for c in z.components:
@@ -361,7 +248,7 @@ def _witness_json(z: ZVector) -> dict:
     return {"components": comps}
 
 
-def _witness_sort_key(z: ZVector):
+def _witness_sort_key(z: PadicVector):
     one = PadicNumber.one(z.prime)
     key = []
     for c in z.components:
@@ -370,8 +257,13 @@ def _witness_sort_key(z: ZVector):
     return key
 
 
-def _residual_offset(a: ZVector, b: ZVector) -> Valuation:
+def _residual_offset(a: PadicVector, b: PadicVector) -> Valuation:
     return min(x.distance_valuation(y) for x, y in zip(a.components, b.components))
+
+
+def _law_from_first_component(z: PadicNumber, q: int, precision: int) -> PadicVector:
+    """The law (z, 1, ..., 1) with q - 1 components."""
+    return PadicVector([z, *(PadicNumber.one(z.prime, precision) for _ in range(q - 2))])
 
 
 def _mobius_step(z: PadicNumber, theta: PadicNumber, q: int) -> PadicNumber:
@@ -386,8 +278,8 @@ def _mobius_step(z: PadicNumber, theta: PadicNumber, q: int) -> PadicNumber:
 
 
 def solve_k1_bipartite(
-    theta1,
-    theta2,
+    theta1: PadicNumber,
+    theta2: PadicNumber,
     q: int,
     precision: int = DEFAULT_PRECISION,
 ) -> PhaseReport:
@@ -399,17 +291,15 @@ def solve_k1_bipartite(
     root is a Gibbs witness only if its offset from 1 has valuation >= 1,
     which for 1-q means exactly that p divides q.
     """
-    t1 = _theta_number(theta1)
-    t2 = _theta_number(theta2)
-    p = t1.prime
-    alpha_num = t1 * t2 + PadicNumber.from_fraction(q - 1, p, t1.precision)
-    alpha_den = t1 + t2 + PadicNumber.from_fraction(q - 2, p, t1.precision)
+    p = theta1.prime
+    alpha_num = theta1 * theta2 + PadicNumber.from_fraction(q - 1, p, theta1.precision)
+    alpha_den = theta1 + theta2 + PadicNumber.from_fraction(q - 2, p, theta1.precision)
     try:
         alpha = alpha_num / alpha_den
     except (DivisionByZero, PrecisionExhausted) as exc:
         raise DenominatorDegenerate("composite coupling parameter degenerate") from exc
 
-    one_minus = (t1 - 1) * (t2 - 1)
+    one_minus = (theta1 - 1) * (theta2 - 1)
     degenerate = one_minus.is_zero  # exactly when one coupling is exactly zero
     roots = [PadicNumber.one(p, precision)]
     if not degenerate:
@@ -420,13 +310,11 @@ def solve_k1_bipartite(
     pairs = {}
     for root in roots:
         offset = root.distance_valuation(PadicNumber.one(p, precision))
-        vec = ZVector.from_first_component(root, q, precision)
+        vec = _law_from_first_component(root, q, precision)
         if offset >= 1:
-            partner = ZVector(
-                [_mobius_step(c, t2, q) for c in vec.components]
-            )
+            partner = PadicVector(_mobius_step(c, theta2, q) for c in vec.components)
             # one full period must return the root
-            back = ZVector([_mobius_step(c, t1, q) for c in partner.components])
+            back = PadicVector(_mobius_step(c, theta1, q) for c in partner.components)
             residual = _residual_offset(back, vec)
             if residual < precision - ROOT_RESIDUAL_MARGIN:
                 raise DomainViolation(
@@ -464,7 +352,7 @@ def solve_k1_bipartite(
 
 
 def translation_invariant_cubic(
-    theta,
+    theta: PadicNumber,
     q: int,
     precision: int = DEFAULT_PRECISION,
 ) -> PhaseReport:
@@ -475,18 +363,17 @@ def translation_invariant_cubic(
     coefficients sum to zero, so 1 is always a root; the remaining disk
     roots are found by Hensel search.
     """
-    th = _theta_number(theta)
-    p = th.prime
-    one = PadicNumber.one(p, th.precision)
-    u = th - one  # offset of the edge weight from 1
-    c3 = PadicNumber.one(p, th.precision)
-    c2 = PadicNumber.from_fraction(2 * q - 3, p, th.precision) - u * u
-    c1 = u * u + PadicNumber.from_fraction(q * q - 4 * q + 3, p, th.precision)
-    c0 = PadicNumber.from_fraction(-((q - 1) ** 2), p, th.precision)
+    p = theta.prime
+    one = PadicNumber.one(p, theta.precision)
+    u = theta - one  # offset of the edge weight from 1
+    c3 = PadicNumber.one(p, theta.precision)
+    c2 = PadicNumber.from_fraction(2 * q - 3, p, theta.precision) - u * u
+    c1 = u * u + PadicNumber.from_fraction(q * q - 4 * q + 3, p, theta.precision)
+    c0 = PadicNumber.from_fraction(-((q - 1) ** 2), p, theta.precision)
     cubic = PadicPolynomial((c0, c1, c2, c3))
     roots = hensel_roots_in_disk(cubic, PadicNumber.one(p, precision), 1)
 
-    witnesses = [ZVector.from_first_component(r, q, precision) for r in roots]
+    witnesses = [_law_from_first_component(r, q, precision) for r in roots]
     witnesses.sort(key=_witness_sort_key)
     try:
         at_one = str(cubic.evaluate(PadicNumber.one(p, precision)).norm_valuation())
@@ -517,7 +404,7 @@ def translation_invariant_cubic(
 
 
 def period2_k2_analysis(
-    theta,
+    theta: PadicNumber,
     q: int,
     precision: int = DEFAULT_PRECISION,
 ) -> PhaseReport:
@@ -531,23 +418,22 @@ def period2_k2_analysis(
     quadratic root is only accepted after the full two-step cycle closes on
     it.
     """
-    th = _theta_number(theta)
-    p = th.prime
+    p = theta.prime
     if p.value < 3:
         raise DomainViolation("the alternating-pair analysis needs an odd prime")
     if q % p.value != 0:
         raise DomainViolation("the alternating-pair analysis targets q divisible by p")
-    P = lambda n: PadicNumber.from_fraction(n, p, th.precision)  # noqa: E731
+    P = lambda n: PadicNumber.from_fraction(n, p, theta.precision)  # noqa: E731
 
-    a = (th * th + th + P(q - 2)) ** 2
+    a = (theta * theta + theta + P(q - 2)) ** 2
     b = (
-        th**4
-        + P(4 * (q - 1)) * th**3
-        + P(q * q + 6 * q - 12) * th * th
-        + P(2 * (5 * q * q - 18 * q + 16)) * th
+        theta**4
+        + P(4 * (q - 1)) * theta**3
+        + P(q * q + 6 * q - 12) * theta * theta
+        + P(2 * (5 * q * q - 18 * q + 16)) * theta
         + P(2 * q**3 - 13 * q * q + 26 * q - 17)
     )
-    c = (th * P(q - 1) + (th + P(q - 2)) ** 2) ** 2
+    c = (theta * P(q - 1) + (theta + P(q - 2)) ** 2) ** 2
 
     va, vb, vc = (x.norm_valuation() for x in (a, b, c))
     quad = PadicPolynomial((c, b, a))
@@ -556,10 +442,10 @@ def period2_k2_analysis(
     witnesses = []
     cycles = []
     for r in roots:
-        vec = ZVector.from_first_component(r, q, precision)
-        partner_first = _mobius_step(r, th, q) ** 2
-        partner = ZVector.from_first_component(partner_first, q, precision)
-        back_first = _mobius_step(partner_first, th, q) ** 2
+        vec = _law_from_first_component(r, q, precision)
+        partner_first = _mobius_step(r, theta, q) ** 2
+        partner = _law_from_first_component(partner_first, q, precision)
+        back_first = _mobius_step(partner_first, theta, q) ** 2
         closure = back_first.distance_valuation(r)
         witnesses.append(vec)
         cycles.append(
@@ -602,11 +488,7 @@ def period2_k2_analysis(
 def _two_adic_threshold(q: int, j_valuation) -> bool:
     if j_valuation is None:  # zero coupling
         return False
-    s = q
-    m = 0
-    while s % 2 == 0:
-        s //= 2
-        m += 1
+    m = _vp(q, 2)
     if m == 2:
         return j_valuation == 2
     if m >= 3:
@@ -677,7 +559,7 @@ def classify_phase(
 
 
 def witness_boundary_field(
-    witness: ZVector, q: int, precision: int | None = None
+    witness: PadicVector, q: int, precision: int | None = None
 ) -> BoundaryField:
     """The constant boundary field whose one-site weight ratios equal ``witness``.
 

@@ -17,7 +17,7 @@ from .errors import DomainViolation, LiftStall, PrecisionExhausted
 from .padic_core import (
     PadicNumber,
     Prime,
-    Valuation,
+    _vp,
     as_prime,
     rational_valuation,
     residue_of_rational,
@@ -35,43 +35,6 @@ def exp_domain_min_valuation(p: int | Prime) -> int:
     return 2 if as_prime(p).value == 2 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergenceDisk:
-    """Domain of one of the two series: ``kind`` is "exp" or "log".
-
-    The exp disk is centered at 0, the log disk at 1, both with the radius
-    forced by convergence of the respective series.
-    """
-
-    prime: Prime
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("exp", "log"):
-            raise ValueError(f"unknown disk kind {self.kind!r}")
-
-    def contains(self, x: PadicNumber) -> bool:
-        if self.kind == "exp":
-            return x.valuation_at_least(exp_domain_min_valuation(self.prime))
-        return x.distance_valuation(1) >= Valuation(1)
-
-
-def exp_domain(p: int | Prime) -> ConvergenceDisk:
-    return ConvergenceDisk(as_prime(p), "exp")
-
-
-def log_domain(p: int | Prime) -> ConvergenceDisk:
-    return ConvergenceDisk(as_prime(p), "log")
-
-
-def _vp_int(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def exp_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     """Sum of x**n / n! over n >= 0, defined on the exp disk.
 
@@ -85,7 +48,7 @@ def exp_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     n_rel = x.precision if precision is None else precision
     if x.is_zero:
         return PadicNumber.one(p, n_rel)
-    if not exp_domain(p).contains(x):
+    if not x.valuation_at_least(exp_domain_min_valuation(p)):
         raise DomainViolation(
             f"exp argument needs valuation >= {exp_domain_min_valuation(p)}, "
             f"got {x.norm_valuation()}"
@@ -103,11 +66,11 @@ def exp_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     n = 1
     while True:
         # every term from n on has valuation >= n*vx - (n-1)/(p-1)
-        if Fraction(n) * vx - Fraction(n - 1, pv - 1) >= k:
+        if (n * vx - k) * (pv - 1) >= n - 1:
             break
-        term_v += vx - _vp_int(n, pv)
-        unit_n = n // pv ** _vp_int(n, pv)
-        term_u = term_u * ux * pow(unit_n, -1, modulus) % modulus
+        j = _vp(n, pv)
+        term_v += vx - j
+        term_u = term_u * ux * pow(n // pv**j, -1, modulus) % modulus
         if term_v < k:
             total = (total + term_u * pv**term_v) % modulus
         n += 1
@@ -129,7 +92,7 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
         if x.known_abs is None:
             return PadicNumber.zero(p, n_rel)
         raise PrecisionExhausted(bound=x.known_abs)
-    if not log_domain(p).contains(x):
+    if x.distance_valuation(1) < 1:
         raise DomainViolation(
             f"log argument needs valuation(x - 1) >= 1, got "
             f"{x.distance_valuation(1)}"
@@ -159,7 +122,7 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
         if n * vt - (digits - 1) >= k:
             break
         power = power * t_res % guard
-        j = _vp_int(n, pv)
+        j = _vp(n, pv)
         term = power // pv**j * pow(n // pv**j, -1, modulus) % modulus
         if n % 2 == 0:
             term = -term
@@ -269,9 +232,18 @@ def hensel_roots_in_disk(
     target = n_rel - ROOT_RESIDUAL_MARGIN
     depth_cap = 2 * n_rel
     base_coeffs = [c.value for c in f.coefficients]
-    found: list[tuple[Fraction, int]] = []  # (value, digits known past offset)
+    found: list[tuple[Fraction, int | None]] = []  # (value, digits known past offset)
 
-    def descend(prefix: int, depth: int):
+    # Depth-first over residue branches, children in residue order, on an
+    # explicit stack: a repeated residue refines one digit per level down to
+    # depth 2N, which at high precision is past the interpreter's frame limit.
+    work: list[tuple] = [("branch", 0, 0)]  # ("branch", prefix, depth) | ("root", value, known)
+    while work:
+        item = work.pop()
+        if item[0] == "root":
+            found.append(item[1:])
+            continue
+        _, prefix, depth = item
         a = center.value + Fraction(pv) ** min_valuation_offset * prefix
         b = Fraction(pv) ** (min_valuation_offset + depth)
         g = _shifted_coefficients(base_coeffs, a, b)
@@ -279,6 +251,7 @@ def hensel_roots_in_disk(
         norm = [c / Fraction(pv) ** content for c in g]
         norm_mod_p = [residue_of_rational(c, p, 1) for c in norm]
         deriv_mod_p = [(j * c) % pv for j, c in enumerate(norm_mod_p)][1:] or [0]
+        children = []
         for r in range(pv):
             if _poly_eval_int(norm_mod_p, r, pv) != 0:
                 continue
@@ -286,26 +259,23 @@ def hensel_roots_in_disk(
                 w = _newton_lift(norm, r, p, n_rel + min_valuation_offset + depth + 8)
                 res = _lift_digits(norm, w, p)
                 known = None if res is None else min_valuation_offset + depth + res
-                found.append((a + b * w, known))
+                children.append(("root", a + b * w, known))
             elif depth + 1 > depth_cap:
                 raise LiftStall(
                     f"residue branch at digits {prefix + r * pv**depth} "
                     f"did not separate within depth {depth_cap}"
                 )
             else:
-                descend(prefix + r * pv**depth, depth + 1)
-
-    descend(0, 0)
+                children.append(("branch", prefix + r * pv**depth, depth + 1))
+        work.extend(reversed(children))
 
     roots: list[PadicNumber] = []
     seen: list[Fraction] = []
-    for value, lift_known in sorted(
-        found, key=lambda rv: _root_sort_key(rv[0], center.value, pv, min_valuation_offset)
-    ):
+    for value, lift_known in sorted(found, key=lambda rv: _root_sort_key(rv[0], center.value, p)):
         residual = rational_valuation(f.evaluate_fraction(value), p)
         if residual is not None and residual < target:
             continue
-        if any(_agree(value, s, pv, target) for s in seen):
+        if any(_agree(value, s, p, target) for s in seen):
             continue
         seen.append(value)
         known = lift_known
@@ -349,15 +319,15 @@ def _lift_digits(norm: list[Fraction], w: int, p: Prime) -> int | None:
     return rational_valuation(_poly_eval_fraction(norm, Fraction(w)), p)
 
 
-def _agree(a: Fraction, b: Fraction, pv: int, digits: int) -> bool:
-    v = rational_valuation(a - b, Prime(pv))
+def _agree(a: Fraction, b: Fraction, p: Prime, digits: int) -> bool:
+    v = rational_valuation(a - b, p)
     return v is None or v >= digits
 
 
-def _root_sort_key(value: Fraction, center: Fraction, pv: int, offset: int):
+def _root_sort_key(value: Fraction, center: Fraction, p: Prime):
     diff = value - center
-    v = rational_valuation(diff, Prime(pv))
+    v = rational_valuation(diff, p)
     if v is None:
         return (1, 0, 0)
-    unit = diff / Fraction(pv) ** v
-    return (0, v, residue_of_rational(unit, Prime(pv), 12))
+    unit = diff / Fraction(p.value) ** v
+    return (0, v, residue_of_rational(unit, p, 12))

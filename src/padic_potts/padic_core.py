@@ -121,6 +121,15 @@ class Valuation:
         return f"Valuation({self.exponent})"
 
 
+def _vp(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
     """p-adic valuation of an exact rational; None for zero.
 
@@ -131,17 +140,7 @@ def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
     x = Fraction(x)
     if x == 0:
         return None
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % pv == 0:
-        num //= pv
-        v += 1
-    if v:
-        return v
-    while den % pv == 0:
-        den //= pv
-        v -= 1
-    return v
+    return _vp(x.numerator, pv) or -_vp(x.denominator, pv)
 
 
 def residue_of_rational(x: Fraction | int, p: int | Prime, k: int) -> int:
@@ -208,19 +207,6 @@ class PadicNumber:
         self._val = val
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(
-        cls,
-        numerator: int,
-        denominator: int,
-        p: int | Prime,
-        precision: int = DEFAULT_PRECISION,
-    ) -> "PadicNumber":
-        """Exact embedding of numerator/denominator into Q_p."""
-        if denominator == 0:
-            raise DivisionByZero("rational with zero denominator")
-        return cls(Fraction(numerator, denominator), p, precision)
 
     @classmethod
     def from_fraction(

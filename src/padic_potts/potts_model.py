@@ -33,6 +33,7 @@ from .padic_core import (
     PadicNumber,
     Prime,
     Valuation,
+    _vp,
     as_prime,
     rational_valuation,
 )
@@ -50,7 +51,13 @@ SpinLabel = int  # labels 1..q; the vector embedding only ever enters via spin_p
 
 
 class PadicVector:
-    """A tuple of same-prime PadicNumbers under the sup norm."""
+    """A tuple of same-prime PadicNumbers: a boundary field or a boundary law.
+
+    Fields are additive (``in_exp_domain``), laws multiplicative
+    (``offset_valuation`` from the all-ones law).  Construction forces
+    neither disk, because recursion values can leave the unit disk around 1
+    when p divides q.
+    """
 
     __slots__ = ("components",)
 
@@ -83,13 +90,14 @@ class PadicVector:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def sup_norm_valuation(self) -> Valuation:
-        # sup of norms = min of valuations.
-        return min(c.norm_valuation() for c in self.components)
-
     def in_exp_domain(self) -> bool:
         bound = exp_domain_min_valuation(self.prime)
         return all(c.is_zero or int(c.norm_valuation()) >= bound for c in self.components)
+
+    def offset_valuation(self) -> Valuation:
+        """Valuation of the largest-norm component of z - 1."""
+        one = PadicNumber.one(self.prime)
+        return min(c.distance_valuation(one) for c in self.components)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -99,26 +107,6 @@ class PadicVector:
 
     def __getitem__(self, i: int) -> PadicNumber:
         return self.components[i]
-
-    def __add__(self, other: "PadicVector") -> "PadicVector":
-        self._match(other)
-        return PadicVector(a + b for a, b in zip(self.components, other.components))
-
-    def __sub__(self, other: "PadicVector") -> "PadicVector":
-        self._match(other)
-        return PadicVector(a - b for a, b in zip(self.components, other.components))
-
-    def __neg__(self) -> "PadicVector":
-        return PadicVector(-c for c in self.components)
-
-    def scale(self, factor) -> "PadicVector":
-        return PadicVector(c * factor for c in self.components)
-
-    def _match(self, other: "PadicVector") -> None:
-        if not isinstance(other, PadicVector):
-            raise TypeError(f"expected PadicVector, got {type(other).__name__}")
-        if len(self) != len(other):
-            raise ValueError(f"dimension mismatch {len(self)} vs {len(other)}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadicVector):
@@ -354,14 +342,6 @@ def _guard(q: int, vertex_count: int) -> None:
         )
 
 
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 class _LevelWeights:
     """Unit residues mod p**B for every edge and boundary site of one ball.
 
@@ -381,8 +361,8 @@ class _LevelWeights:
         precision: int,
         extra_digits: int = 0,
     ):
-        p = int(J.prime.value)
-        self.prime = p
+        p = J.prime.value
+        self.prime = J.prime
         self.q = J.q
         self.vertices = ball(shape, n)
         _guard(self.q, len(self.vertices))
@@ -409,8 +389,6 @@ class _LevelWeights:
         self.modulus = p**bound
         self.edge_residues = [(i, j, th.residue(bound)) for i, j, th in thetas]
         self.site_residues = [(i, [w.residue(bound) for w in table]) for i, table in site_exps]
-        self.boundary_start = len(self.vertices) - len(sphere(shape, n))
-
 
     def weight(self, cfg: tuple) -> int:
         w = 1
@@ -435,7 +413,7 @@ class _LevelWeights:
                 f"partition sum vanishes mod {self.prime}**{self.modulus_exponent}; "
                 "its valuation cannot be resolved at this precision"
             )
-        return _vp(residue, self.prime)
+        return _vp(residue, self.prime.value)
 
 
 def _shift_hint(shape: TreeShape, q: int, p: int, n: int) -> int:
@@ -459,8 +437,7 @@ def _weights_resolving_partition(
     residue always resolves the valuation with the full requested precision
     to spare.
     """
-    p = int(J.prime.value)
-    extra = 2 * _shift_hint(shape, J.q, p, n)
+    extra = 2 * _shift_hint(shape, J.q, J.prime.value, n)
     for _ in range(2):
         system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra)
         z_res = system.partition_residue()
@@ -490,19 +467,16 @@ def finite_measure(
 
 def _residue_quotient(w_res: int, z_res: int, zeta: int, system: _LevelWeights) -> PadicNumber:
     # w / Z with both known mod p**B: quotient certain to B - 2*zeta digits.
-    p = system.prime
+    prime = system.prime
+    p = prime.value
     B = system.modulus_exponent
     known = B - 2 * zeta
     unit = z_res // p**zeta
     inv = pow(unit, -1, p ** (B - zeta))
     value = Fraction(w_res * inv % p ** (B - zeta), p**zeta)
-    n_rel = max(1, known - rational_valuation_or_zero(value, p))
-    return PadicNumber(value, Prime(p), n_rel, known_abs=known)
-
-
-def rational_valuation_or_zero(x: Fraction, p: int) -> int:
-    v = rational_valuation(x, Prime(p))
-    return 0 if v is None else v
+    v = rational_valuation(value, prime)
+    n_rel = max(1, known - (0 if v is None else v))
+    return PadicNumber(value, prime, n_rel, known_abs=known)
 
 
 def finite_measure_table(
@@ -556,7 +530,7 @@ def compatibility_check(
     """
     if n < 1:
         raise ValueError("compatibility needs n >= 1")
-    p = int(J.prime.value)
+    p = J.prime.value
     q = J.q
     threshold = precision - COMPAT_MARGIN
     extra = _shift_hint(shape, q, p, n) + _shift_hint(shape, q, p, n - 1)
@@ -675,6 +649,7 @@ def measure_norm_profile(
         z_res = system.partition_residue()
         zeta = system.partition_valuation(z_res)
         spins = range(1, system.q + 1)
+        pv = system.prime.value
         vals = set()
         for cfg in itertools.product(spins, repeat=len(system.vertices)):
             w = system.weight(cfg)
@@ -683,7 +658,7 @@ def measure_norm_profile(
                     "a configuration weight vanished to the working modulus",
                     bound=system.modulus_exponent,
                 )
-            vals.add(_vp(w, system.prime) - zeta)
+            vals.add(_vp(w, pv) - zeta)
         rows.append(NormProfileRow(level=n, min_valuation=min(vals), max_valuation=max(vals)))
     return rows
 

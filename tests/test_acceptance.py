@@ -13,8 +13,6 @@ from fractions import Fraction
 from padic_potts.cayley_tree import TreeShape, sphere
 from padic_potts.gibbs_solver import (
     VERDICT_MULTIPLE_TI,
-    ThetaValue,
-    ZVector,
     period2_k2_analysis,
     recursion_backward,
     solve_k1_bipartite,
@@ -100,7 +98,7 @@ def test_03_recursion_contracts():
         boundary = {}
         for x in leaves:
             off = 3 ** rng.randrange(1, 4) * _unit_fraction(rng, 3)
-            boundary[x] = ZVector([PadicNumber.from_fraction(1 + off, 3, N)])
+            boundary[x] = PadicVector([PadicNumber.from_fraction(1 + off, 3, N)])
         start = min(b.offset_valuation() for b in boundary.values())
         got = recursion_backward(shape, boundary, J, 6, N)
         root_offset = got.root_z.offset_valuation()
@@ -117,8 +115,8 @@ def test_04_alternating_line_witnesses():
     for _ in range(20):
         J1 = 3 * _unit_fraction(rng, 3)
         J2 = 3 * _unit_fraction(rng, 3)
-        t1 = ThetaValue.from_coupling(J1, 3, precision=deep)
-        t2 = ThetaValue.from_coupling(J2, 3, precision=deep)
+        t1 = exp_p(PadicNumber.from_fraction(J1, 3, deep))
+        t2 = exp_p(PadicNumber.from_fraction(J2, 3, deep))
         report = solve_k1_bipartite(t1, t2, 3, deep)
         assert report.diagnostics["alpha_offset_valuation"] != "+inf"
         assert report.verdict == VERDICT_MULTIPLE_TI
@@ -151,7 +149,7 @@ def test_05_constant_law_root_census():
         assert lhs == rhs  # the fixed-point identity pins z = 1 exactly
 
     one = PadicNumber.one(3)
-    theta3 = ThetaValue.from_coupling(3 * _unit_fraction(rng, 3), 3)
+    theta3 = exp_p(PadicNumber.from_fraction(3 * _unit_fraction(rng, 3), 3))
     multi = translation_invariant_cubic(theta3, 3, N)
     assert multi.diagnostics["disk_root_count"] >= 2
     assert any(w[0] == one for w in multi.witnesses)  # z = 1 among them
@@ -169,7 +167,7 @@ def test_06_alternating_pair_certificate():
     for p in (3, 5):
         for _ in range(10):
             J = p * _unit_fraction(rng, p)
-            theta = ThetaValue.from_coupling(J, p)
+            theta = exp_p(PadicNumber.from_fraction(J, p))
             report = period2_k2_analysis(theta, p, N)
             diag = report.diagnostics
             leading = diag["leading_valuation"]

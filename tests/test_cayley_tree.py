@@ -1,7 +1,6 @@
 import pytest
 
 from padic_potts.cayley_tree import (
-    GroupWord,
     TreeShape,
     TreeVertex,
     ball,
@@ -9,7 +8,6 @@ from padic_potts.cayley_tree import (
     edges,
     sphere,
     vertex_parity,
-    word_of_vertex,
 )
 
 
@@ -95,30 +93,6 @@ class TestEdges:
 
 
 class TestWords:
-    def test_root_is_empty_word(self):
-        w = word_of_vertex(TreeShape(2), TreeVertex.root())
-        assert w.length == 0
-        assert w.parity() == "even"
-
-    def test_depth_one_single_letters(self):
-        shape = TreeShape(2)
-        for v in sphere(shape, 1):
-            w = word_of_vertex(shape, v)
-            assert w.length == 1
-            assert w.parity() == "odd"
-
-    def test_injective_and_reduced_on_ball(self):
-        for k in (1, 2, 3):
-            shape = TreeShape(k, depth=5)
-            seen = set()
-            for v in ball(shape, 5):
-                w = word_of_vertex(shape, v)
-                assert w.length == v.level
-                for a, b in zip(w.letters, w.letters[1:]):
-                    assert a != b  # reduced: generators are involutions
-                assert w.letters not in seen
-                seen.add(w.letters)
-
     def test_line_parity_alternates(self):
         shape = TreeShape(1)
         v = TreeVertex.root()
@@ -130,11 +104,3 @@ class TestWords:
         shape = TreeShape(2)
         for parent, child in edges(shape, 4):
             assert vertex_parity(parent) != vertex_parity(child)
-
-    def test_adjacent_repeat_rejected(self):
-        with pytest.raises(ValueError):
-            GroupWord((1, 1), 2)
-
-    def test_generator_range_checked(self):
-        with pytest.raises(ValueError):
-            GroupWord((4,), 2)  # k=2 has generators 1..3

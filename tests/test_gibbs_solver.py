@@ -13,8 +13,6 @@ from padic_potts.gibbs_solver import (
     VERDICT_MULTIPLE_TI,
     VERDICT_UNIQUE,
     RecursionResult,
-    ThetaValue,
-    ZVector,
     classify_phase,
     f_map_z,
     h_to_hprime,
@@ -44,6 +42,10 @@ def num(x, p=3, n=N):
 
 def pvec(values, p=3, n=N):
     return PadicVector.from_rationals([Fraction(v) for v in values], p, n)
+
+
+def edge_weight(J, p=3, n=N):
+    return exp_p(num(J, p, n))
 
 
 class TestFieldCoordinates:
@@ -87,29 +89,21 @@ class TestFieldCoordinates:
 
 class TestThetaValue:
     def test_from_coupling(self):
-        t = ThetaValue.from_coupling(3, 3)
-        assert t.theta.is_unit()
-        assert int(t.theta.distance_valuation(num(1))) == 1
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(DomainViolation):
-            ThetaValue(num(3))
-
-    def test_offset_zero_rejected(self):
-        with pytest.raises(DomainViolation):
-            ThetaValue(num(2))
+        t = edge_weight(3)
+        assert t.is_unit()
+        assert int(t.distance_valuation(num(1))) == 1
 
     def test_two_adic_coupling_needs_extra_digit(self):
         with pytest.raises(DomainViolation):
-            ThetaValue.from_coupling(2, 2)
-        t = ThetaValue.from_coupling(4, 2)
-        assert int(t.theta.distance_valuation(num(1, p=2))) == 2
+            edge_weight(2, p=2)
+        t = edge_weight(4, p=2)
+        assert int(t.distance_valuation(num(1, p=2))) == 2
 
 
 class TestOneChildMap:
     def test_all_ones_is_fixed(self):
-        theta = ThetaValue.from_coupling(3, 3)
-        z = ZVector.all_ones(3, 3, N)
+        theta = edge_weight(3)
+        z = pvec([1, 1])
         out = f_map_z(z, theta, 3)
         assert all(c == num(1) for c in out.components)
 
@@ -125,15 +119,15 @@ class TestOneChildMap:
             if total + th == 0:
                 continue
             done += 1
-            out = f_map_z(ZVector([num(z) for z in zs]), num(th), q)
+            out = f_map_z(PadicVector([num(z) for z in zs]), num(th), q)
             for i, z in enumerate(zs):
                 expect = ((th - 1) * z + total + 1) / (total + th)
                 assert out[i] == num(expect)
 
     def test_contraction_when_q_is_a_unit(self, rng):
         for p, q in ((3, 2), (5, 2), (5, 3), (7, 4)):
-            theta = ThetaValue.from_coupling(p, p)
-            gain = theta.theta.distance_valuation(PadicNumber.one(p))
+            theta = edge_weight(p, p)
+            gain = theta.distance_valuation(PadicNumber.one(p))
             for _ in range(60):
                 comps = []
                 for _ in range(q - 1):
@@ -142,7 +136,7 @@ class TestOneChildMap:
                     while unit % p == 0:
                         unit = rng.randrange(1, p**3)
                     comps.append(PadicNumber.from_fraction(1 + Fraction(unit * p**k), p, N))
-                z = ZVector(comps)
+                z = PadicVector(comps)
                 out = f_map_z(z, theta, q)
                 for before, after in zip(z.components, out.components):
                     v_in = before.distance_valuation(PadicNumber.one(p))
@@ -150,14 +144,14 @@ class TestOneChildMap:
                     assert v_out >= v_in + gain
 
     def test_dimension_guard(self):
-        theta = ThetaValue.from_coupling(3, 3)
+        theta = edge_weight(3)
         with pytest.raises(ValueError):
-            f_map_z(ZVector.all_ones(3, 3, N), theta, 4)
+            f_map_z(pvec([1, 1]), theta, 4)
 
     def test_degenerate_denominator(self):
         # offsets sum to -(theta - 1) - q exactly
         theta = num(4)
-        z = ZVector([num(-5), num(1)])
+        z = PadicVector([num(-5), num(1)])
         with pytest.raises(DenominatorDegenerate):
             f_map_z(z, theta, 3)
 
@@ -166,7 +160,7 @@ class TestBackwardRecursion:
     def test_all_ones_boundary_stays_trivial(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
-        boundary = {x: ZVector.all_ones(2, 3, N) for x in sphere(shape, 3)}
+        boundary = {x: pvec([1]) for x in sphere(shape, 3)}
         got = recursion_backward(shape, boundary, J, 3, N)
         assert isinstance(got, RecursionResult)
         assert all(c == num(1) for c in got.root_z.components)
@@ -177,7 +171,7 @@ class TestBackwardRecursion:
         # k + 1 = 3 children contribute a 3-fold product at p = 3
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
-        z0 = ZVector([num(4)])
+        z0 = PadicVector([num(4)])
         boundary = {x: z0 for x in sphere(shape, 4)}
         got = recursion_backward(shape, boundary, J, 4, N)
         assert [int(v) for v in got.per_level_offset] == [6, 4, 3, 2, 1]
@@ -193,8 +187,8 @@ class TestBackwardRecursion:
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
         leaves = sphere(shape, 2)
-        boundary = {x: ZVector([num(4)]) for x in leaves[:-1]}
-        boundary[leaves[-1]] = ZVector([num(10)])  # offset 2 instead of 1
+        boundary = {x: PadicVector([num(4)]) for x in leaves[:-1]}
+        boundary[leaves[-1]] = PadicVector([num(10)])  # offset 2 instead of 1
         got = recursion_backward(shape, boundary, J, 2, N)
         assert int(got.per_level_offset[2]) == 1
         assert int(got.per_level_offset[0]) >= 3
@@ -215,7 +209,7 @@ class TestUniquenessCertificate:
 
 class TestAlternatingLine:
     def test_divisible_q_finds_two_laws(self):
-        theta = ThetaValue.from_coupling(3, 3)
+        theta = edge_weight(3)
         report = solve_k1_bipartite(theta, theta, 3, N)
         assert report.verdict == VERDICT_MULTIPLE_TI
         assert len(report.witnesses) == 2
@@ -232,14 +226,14 @@ class TestAlternatingLine:
         assert report.diagnostics["paired_laws"]
 
     def test_distinct_couplings_compose(self):
-        t1 = ThetaValue.from_coupling(3, 3)
-        t2 = ThetaValue.from_coupling(9, 3)
+        t1 = edge_weight(3)
+        t2 = edge_weight(9)
         report = solve_k1_bipartite(t1, t2, 3, N)
         assert report.verdict == VERDICT_MULTIPLE_TI
         assert len(report.witnesses) == 2
 
     def test_unit_q_rejects_nontrivial_root(self):
-        theta = ThetaValue.from_coupling(3, 3)
+        theta = edge_weight(3)
         report = solve_k1_bipartite(theta, theta, 2, N)
         assert report.verdict == VERDICT_UNIQUE
         assert len(report.witnesses) == 1
@@ -257,7 +251,7 @@ class TestConstantLawCubic:
     def _roots_satisfy_fixed_point(self, report, theta, q):
         # independent residual check through the defining quotient:
         # a constant law solves (theta*z + q - 1)^2 = z*(z + theta + q - 2)^2
-        th = theta.theta
+        th = theta
         p = th.prime
         for w in report.witnesses:
             z = w[0]
@@ -266,14 +260,14 @@ class TestConstantLawCubic:
             assert lhs.distance_valuation(rhs) >= 20
 
     def test_three_states_three_laws(self):
-        theta = ThetaValue.from_coupling(3, 3)
+        theta = edge_weight(3)
         report = translation_invariant_cubic(theta, 3, N)
         assert report.verdict == VERDICT_MULTIPLE_TI
         assert report.diagnostics["disk_root_count"] == 3
         self._roots_satisfy_fixed_point(report, theta, 3)
 
     def test_two_states_only_trivial(self):
-        theta = ThetaValue.from_coupling(3, 3)
+        theta = edge_weight(3)
         report = translation_invariant_cubic(theta, 2, N)
         assert report.verdict == VERDICT_UNIQUE
         assert report.diagnostics["disk_root_count"] == 1
@@ -281,7 +275,7 @@ class TestConstantLawCubic:
 
     def test_one_is_always_a_root(self):
         # coefficients sum to zero, so the value at 1 cancels entirely
-        theta = ThetaValue.from_coupling(9, 3)
+        theta = edge_weight(9)
         report = translation_invariant_cubic(theta, 3, N)
         val = report.diagnostics["value_at_one_valuation"]
         assert val.startswith(">=")
@@ -354,12 +348,12 @@ def _v3(x):
 
 class TestAlternatingPairQuadratic:
     def test_needs_odd_prime(self):
-        theta = ThetaValue.from_coupling(4, 2)
+        theta = edge_weight(4, 2)
         with pytest.raises(DomainViolation):
             period2_k2_analysis(theta, 4, N)
 
     def test_needs_divisible_q(self):
-        theta = ThetaValue.from_coupling(3, 3)
+        theta = edge_weight(3)
         with pytest.raises(DomainViolation):
             period2_k2_analysis(theta, 2, N)
 
@@ -396,7 +390,7 @@ class TestAlternatingPairQuadratic:
             assert _v3(a) == 2
 
     def test_true_behavior_two_cycles_found(self):
-        theta = ThetaValue.from_coupling(3, 3)
+        theta = edge_weight(3)
         report = period2_k2_analysis(theta, 3, N)
         assert report.verdict == VERDICT_INCONCLUSIVE
         diag = report.diagnostics
@@ -405,7 +399,7 @@ class TestAlternatingPairQuadratic:
         assert diag["constant_valuation"] == "2"
         assert diag["disk_root_count"] == 2
         assert len(report.witnesses) == 2
-        th = theta.theta
+        th = theta
         for w, cyc in zip(report.witnesses, diag["cycles"]):
             z = w[0]
             partner = (
@@ -479,7 +473,7 @@ class TestWitnessField:
     def test_orientation(self):
         # the reconstructed field must reproduce the witness through the
         # one-site weight ratios exp(pairing(h, s) - pairing(h, q))
-        z = ZVector([num(-2), num(4)])
+        z = PadicVector([num(-2), num(4)])
         field = witness_boundary_field(z, 3, precision=48)
         h = field.field_at(TreeVertex.root())
         for i in (1, 2):
@@ -487,17 +481,17 @@ class TestWitnessField:
             assert ratio.distance_valuation(z[i - 1]) >= 25
 
     def test_trivial_witness_gives_zero_field(self):
-        field = witness_boundary_field(ZVector.all_ones(3, 3, N), 3)
+        field = witness_boundary_field(pvec([1, 1]), 3)
         h = field.field_at(TreeVertex.root())
         assert all(c.is_zero for c in h.components)
 
     def test_two_adic_offset_gate(self):
-        z = ZVector([PadicNumber.from_fraction(3, 2, N)])
+        z = PadicVector([PadicNumber.from_fraction(3, 2, N)])
         with pytest.raises(DomainViolation):
             witness_boundary_field(z, 2)
 
     def test_two_state_reconstruction_refused(self):
-        z = ZVector([num(4)])
+        z = PadicVector([num(4)])
         with pytest.raises(NotInvertible):
             witness_boundary_field(z, 2)
 
@@ -506,7 +500,7 @@ class TestWitnessField:
         # enumeration accepts between spheres; the whole pipeline runs deep
         # because the enumeration widens its modulus with volume
         deep = 72
-        theta = ThetaValue.from_coupling(3, 3, precision=deep)
+        theta = edge_weight(3, 3, deep)
         report = translation_invariant_cubic(theta, 3, deep)
         nontrivial = next(
             w for w in report.witnesses if w.offset_valuation() != Valuation(None)
@@ -522,7 +516,7 @@ class TestWitnessField:
         # solves the two-child equation, so marginalizing down to the root
         # alone over-absorbs exactly one edge factor
         deep = 72
-        theta = ThetaValue.from_coupling(3, 3, precision=deep)
+        theta = edge_weight(3, 3, deep)
         report = translation_invariant_cubic(theta, 3, deep)
         nontrivial = next(
             w for w in report.witnesses if w.offset_valuation() != Valuation(None)

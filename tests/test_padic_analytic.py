@@ -4,16 +4,13 @@ import pytest
 
 from padic_potts.errors import DomainViolation, LiftStall
 from padic_potts.padic_analytic import (
-    ConvergenceDisk,
     PadicPolynomial,
-    exp_domain,
     exp_domain_min_valuation,
     exp_p,
     hensel_roots_in_disk,
-    log_domain,
     log_p,
 )
-from padic_potts.padic_core import PadicNumber, as_prime
+from padic_potts.padic_core import PadicNumber
 
 from conftest import exp_domain_fraction
 
@@ -29,17 +26,13 @@ class TestDomains:
         assert exp_domain_min_valuation(7) == 1
 
     def test_disk_membership(self):
-        exp3 = exp_domain(3)
-        assert exp3.contains(num(3, 3))
-        assert exp3.contains(num(0, 3))
-        assert not exp3.contains(num(1, 3))
-        log3 = log_domain(3)
-        assert log3.contains(num(4, 3))
-        assert not log3.contains(num(2, 3))
-
-    def test_disk_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ConvergenceDisk(as_prime(3), "tan")
+        exp_p(num(3, 3))
+        exp_p(num(0, 3))
+        with pytest.raises(DomainViolation):
+            exp_p(num(1, 3))
+        log_p(num(4, 3))
+        with pytest.raises(DomainViolation):
+            log_p(num(2, 3))
 
     def test_exp_rejects_outside(self):
         with pytest.raises(DomainViolation):
@@ -197,6 +190,13 @@ class TestHensel:
         f = PadicPolynomial((num(1, 3, 12), num(-2, 3, 12), num(1, 3, 12)))  # (z-1)^2
         with pytest.raises(LiftStall):
             hensel_roots_in_disk(f, PadicNumber.one(3, 12), 0)
+
+    def test_double_root_stalls_at_high_precision(self):
+        # one refinement level per digit down to depth 2N = 1200 must not
+        # exhaust the interpreter stack
+        f = PadicPolynomial(tuple(num(c, 3, 600) for c in (1, -2, 1)))  # (z-1)^2
+        with pytest.raises(LiftStall):
+            hensel_roots_in_disk(f, PadicNumber.one(3, 600), 0)
 
     def test_root_residuals_certified(self, rng):
         p = 5
