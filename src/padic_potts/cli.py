@@ -135,7 +135,7 @@ class RunConfig:
             raise ConfigError(f"couplings JSON at line {exc.lineno}: {exc.msg}") from exc
         try:
             J = coupling_from_json(doc)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"couplings field invalid: {exc}") from exc
         if self.p is not None and J.prime.value != self.p:
             raise ConfigError("couplings prime disagrees with --p")
@@ -410,11 +410,16 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_compat_check(cfg: RunConfig) -> int:
+    if cfg.n < 1:
+        raise ConfigError("compat-check needs n >= 1")
     J = cfg.coupling()
     field = cfg.boundary_field(J)
     k = cfg.branching()
     shape = TreeShape(k, depth=max(cfg.n + 1, 2))
-    report = compatibility_check(shape, field, J, cfg.n, cfg.precision)
+    try:
+        report = compatibility_check(shape, field, J, cfg.n, cfg.precision)
+    except KeyError as exc:  # a per-edge coupling table that misses an edge of the ball
+        raise ConfigError(exc.args[0]) from exc
     doc = {
         "command": "compat-check",
         "p": J.prime.value,
@@ -437,7 +442,10 @@ def cmd_norm_profile(cfg: RunConfig) -> int:
     field = cfg.boundary_field(J)
     k = cfg.branching()
     shape = TreeShape(k, depth=max(cfg.n + 1, 2))
-    rows = measure_norm_profile(shape, field, J, cfg.n, cfg.precision)
+    try:
+        rows = measure_norm_profile(shape, field, J, cfg.n, cfg.precision)
+    except KeyError as exc:  # a per-edge coupling table that misses an edge of the ball
+        raise ConfigError(exc.args[0]) from exc
     doc = {
         "command": "norm-profile",
         "p": J.prime.value,

@@ -3,15 +3,19 @@
 Couplings sit on edges, boundary fields on the outermost sphere, and every
 finite-volume weight is the p-adic exponential of a sum that admissibility
 keeps inside the exponential's convergence disk.  Since such exponentials are
-units, all enumeration runs over unit residues modulo p**B for a working
+units, all arithmetic runs on unit residues modulo p**B for a working
 exponent B a little above the requested precision; partition functions and
 marginal sums are therefore exact integers mod p**B, and every reported
 valuation is certain unless stated as a lower bound.
 
-The compatibility checker is deliberately the dumb oracle: it enumerates
-every configuration of the larger ball and compares marginal sums against the
-smaller ball's measure, term by term.  Nothing here knows about the recursion
-the solver module implements, which is what makes the cross-check meaningful.
+A weight is a product of edge and boundary-site factors, so sums over
+configurations factorise along the tree: one leaf-to-root sum-product pass
+gives the partition sum, and the same pass stopped one sphere short gives the
+marginal of the n-ball measure on the (n-1)-ball.  The compatibility checker
+compares those marginals with the smaller ball's measure, configuration by
+configuration.  The pass is exact integer arithmetic, not the boundary-law
+recursion the solver module implements, which is what makes the cross-check
+meaningful.
 """
 
 from __future__ import annotations
@@ -191,7 +195,9 @@ class CouplingField:
         try:
             return self.values[(str(parent), str(child))]
         except KeyError:
-            raise KeyError(f"no coupling listed for edge {parent} -> {child}") from None
+            raise KeyError(
+                f"no coupling listed for edge {str(parent)!r} -> {str(child)!r}"
+            ) from None
 
     def theta_for_edge(
         self, parent: TreeVertex, child: TreeVertex, precision: int = DEFAULT_PRECISION
@@ -332,14 +338,17 @@ def hamiltonian(
 
 
 # ---------------------------------------------------------------------------
-# Enumeration engine
+# Measure engine
 
 
-def _guard(q: int, vertex_count: int) -> None:
-    if q**vertex_count > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(
-            f"{q}**{vertex_count} configurations exceed the guard of {ENUMERATION_GUARD} terms"
-        )
+def _guard(q: int, count: int, configurations: bool = True) -> None:
+    """Refuse to touch more than ENUMERATION_GUARD terms: q**count of them in a
+    sum over the configurations of ``count`` vertices, q*count in the tree pass."""
+    # q >= 2, so capping the exponent at the guard's bit length changes no verdict
+    terms = q ** min(count, ENUMERATION_GUARD.bit_length()) if configurations else q * count
+    if terms > ENUMERATION_GUARD:
+        what = f"{q}**{count} configurations" if configurations else f"{q}*{count} tree-pass terms"
+        raise EnumerationTooLarge(f"{what} exceed the guard of {ENUMERATION_GUARD} terms")
 
 
 class _LevelWeights:
@@ -364,8 +373,8 @@ class _LevelWeights:
         p = J.prime.value
         self.prime = J.prime
         self.q = J.q
+        _guard(self.q, shape.ball_size(n), configurations=False)
         self.vertices = ball(shape, n)
-        _guard(self.q, len(self.vertices))
         index = {v: i for i, v in enumerate(self.vertices)}
 
         work = precision + extra_digits
@@ -377,35 +386,47 @@ class _LevelWeights:
                 (index[x], [exp_p(spin_pairing(vec, s), precision=work) for s in range(1, self.q + 1)])
             )
 
-        bound = work + MODULUS_HEADROOM
-        for _, _, th in thetas:
-            if th.known_abs is not None:
-                bound = min(bound, th.known_abs)
-        for _, table in site_exps:
-            for w in table:
-                if w.known_abs is not None:
-                    bound = min(bound, w.known_abs)
+        exps = [th for _, _, th in thetas] + [w for _, table in site_exps for w in table]
+        known = [e.known_abs for e in exps if e.known_abs is not None]
+        bound = min([work + MODULUS_HEADROOM, *known])
         self.modulus_exponent = bound
         self.modulus = p**bound
         self.edge_residues = [(i, j, th.residue(bound)) for i, j, th in thetas]
-        self.site_residues = [(i, [w.residue(bound) for w in table]) for i, table in site_exps]
+        self.site_residues = {i: [w.residue(bound) for w in table] for i, table in site_exps}
 
-    def weight(self, cfg: tuple) -> int:
+    def weight(self, cfg: tuple, sites: dict | None = None) -> int:
+        """Residue of one configuration's weight; ``sites`` replaces the site tables."""
         w = 1
         M = self.modulus
         for i, j, th in self.edge_residues:
             if cfg[i] == cfg[j]:
                 w = w * th % M
-        for i, table in self.site_residues:
+        for i, table in (self.site_residues if sites is None else sites).items():
             w = w * table[cfg[i] - 1] % M
         return w
 
+    def messages(self, level: int) -> dict:
+        """Sum-product messages of the vertices at ``level``, keyed by index.
+
+        m_v(s) is the weight of the branch below v summed over its spins,
+        with v held at spin s: m_v(s) = site_v(s) * prod over children c of
+        (sum_t m_c(t) + (theta_vc - 1) * m_c(s)).  A ball lists parents
+        before children, so the edges taken in reverse fold every child
+        before its parent.
+        """
+        M = self.modulus
+        ones = [1] * self.q
+        msg = dict(self.site_residues)
+        for i, j, th in reversed(self.edge_residues):
+            if self.vertices[i].level < level:
+                break
+            child = msg.pop(j)
+            total = sum(child)
+            msg[i] = [m * (total + (th - 1) * c) % M for m, c in zip(msg.get(i, ones), child)]
+        return msg
+
     def partition_residue(self) -> int:
-        spins = range(1, self.q + 1)
-        total = 0
-        for cfg in itertools.product(spins, repeat=len(self.vertices)):
-            total = (total + self.weight(cfg)) % self.modulus
-        return total
+        return sum(self.messages(0)[0]) % self.modulus
 
     def partition_valuation(self, residue: int) -> int:
         if residue == 0:
@@ -418,9 +439,7 @@ class _LevelWeights:
 
 def _shift_hint(shape: TreeShape, q: int, p: int, n: int) -> int:
     # Expected valuation of the n-ball partition sum: one v_p(q) per vertex.
-    k = shape.branching
-    count = 1 + sum((k + 1) * k ** (m - 1) for m in range(1, n + 1))
-    return _vp(q, p) * count
+    return _vp(q, p) * shape.ball_size(n)
 
 
 def _weights_resolving_partition(
@@ -458,7 +477,8 @@ def finite_measure(
 ) -> PadicNumber:
     """The normalized weight of ``cfg`` in the n-ball ensemble.
 
-    Full enumeration on every call; meant as an oracle, not a fast path.
+    The partition sum comes from one tree pass, so a call costs q terms per
+    vertex of the ball rather than one per configuration.
     """
     system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
     w_res = system.weight(tuple(cfg.spin_at(v) for v in system.vertices))
@@ -486,13 +506,16 @@ def finite_measure_table(
     n: int,
     precision: int = DEFAULT_PRECISION,
 ):
-    """All configuration weights at once: list of (spins tuple, measure)."""
+    """All configuration weights at once: list of (spins tuple, measure).
+
+    It returns one entry per configuration, so it visits all q**|B_n| of them.
+    """
+    _guard(J.q, shape.ball_size(n))
     system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
-    spins = range(1, system.q + 1)
-    out = []
-    for cfg in itertools.product(spins, repeat=len(system.vertices)):
-        out.append((cfg, _residue_quotient(system.weight(cfg), z_res, zeta, system)))
-    return out
+    return [
+        (cfg, _residue_quotient(system.weight(cfg), z_res, zeta, system))
+        for cfg in itertools.product(range(1, system.q + 1), repeat=len(system.vertices))
+    ]
 
 
 @dataclass(frozen=True)
@@ -502,7 +525,10 @@ class CompatibilityReport:
     ``max_discrepancy_valuation`` is the valuation of the largest-norm
     discrepancy found (so larger is better); when ``resolved`` is False every
     discrepancy vanished to the working modulus and the figure is only a
-    certified lower bound.
+    certified lower bound.  ``terms_enumerated`` is q**|B_n|, the number of
+    n-ball configurations the marginals sum over; the tree pass folds their
+    outer sphere, so the check itself visits the q**|B_{n-1}| configurations
+    of the smaller ball.
     """
 
     holds: bool
@@ -520,72 +546,38 @@ def compatibility_check(
     n: int,
     precision: int = DEFAULT_PRECISION,
 ) -> CompatibilityReport:
-    """Brute-force test that the n-ball measure marginalizes to the smaller one.
+    """Test that the n-ball measure marginalizes to the smaller one.
 
-    For every configuration of the inner ball the checker sums the larger
-    measure over all outer-sphere spins and compares with the smaller
-    measure, clearing denominators: the compared quantity is
-    marginal * Z_{n-1} - weight_{n-1} * Z_n, a p-adic integer known modulo
-    the working modulus.
+    Both partition sums come from the tree pass.  Summing the n-ball weight
+    over the outer-sphere spins leaves the (n-1)-ball weight with each
+    sphere-(n-1) site table replaced by that vertex's message folded from its
+    children.  For every configuration of the smaller ball the checker
+    compares that marginal with the smaller measure, clearing denominators:
+    the compared quantity is marginal * Z_{n-1} - weight_{n-1} * Z_n, a
+    p-adic integer known modulo the working modulus.
     """
     if n < 1:
         raise ValueError("compatibility needs n >= 1")
     p = J.prime.value
     q = J.q
+    _guard(q, shape.ball_size(n - 1))
     threshold = precision - COMPAT_MARGIN
     extra = _shift_hint(shape, q, p, n) + _shift_hint(shape, q, p, n - 1)
+
+    def _zeta(residue: int, which: str) -> int:
+        if residue == 0:
+            raise PartitionFunctionDegenerate(
+                f"{which} partition sum vanishes mod {p}**{B}; valuation unresolved"
+            )
+        return _vp(residue, p)
 
     for _ in range(2):
         outer = _LevelWeights(shape, h, J, n, precision, extra_digits=extra)
         inner = _LevelWeights(shape, h, J, n - 1, precision, extra_digits=extra)
         B = min(outer.modulus_exponent, inner.modulus_exponent)
         M = p**B
-        inner_count = len(inner.vertices)
-        tail_count = len(outer.vertices) - inner_count
-        _guard(q, len(outer.vertices))
-
-        # edges wholly inside the smaller ball are constant across the tail
-        # loop; hoisting them is plain subexpression reuse, not a shortcut
-        # through the marginal sum itself.
-        base_edges = [(i, j, t) for i, j, t in outer.edge_residues if j < inner_count]
-        tail_edges = [(i, j, t) for i, j, t in outer.edge_residues if j >= inner_count]
-        sites = outer.site_residues
-
-        spins = range(1, q + 1)
-        tails = list(itertools.product(spins, repeat=tail_count))
-        z_outer = 0
-        z_inner = 0
-        marginals = []
-        inner_weights = []
-        for inner_cfg in itertools.product(spins, repeat=inner_count):
-            base = 1
-            for i, j, th in base_edges:
-                if inner_cfg[i] == inner_cfg[j]:
-                    base = base * th % M
-            marg = 0
-            for tail in tails:
-                cfg = inner_cfg + tail
-                w = base
-                for i, j, th in tail_edges:
-                    if cfg[i] == cfg[j]:
-                        w = w * th % M
-                for i, table in sites:
-                    w = w * table[cfg[i] - 1] % M
-                marg += w
-            marg %= M
-            w_in = inner.weight(inner_cfg) % M
-            marginals.append(marg)
-            inner_weights.append(w_in)
-            z_outer = (z_outer + marg) % M
-            z_inner = (z_inner + w_in) % M
-
-        def _zeta(residue: int, which: str) -> int:
-            if residue == 0:
-                raise PartitionFunctionDegenerate(
-                    f"{which} partition sum vanishes mod {p}**{B}; valuation unresolved"
-                )
-            return _vp(residue, p)
-
+        z_outer = outer.partition_residue() % M
+        z_inner = inner.partition_residue() % M
         shift = _zeta(z_outer, "outer") + _zeta(z_inner, "inner")
         if B - shift >= threshold:
             break
@@ -597,19 +589,14 @@ def compatibility_check(
             bound=B - shift,
         )
 
+    folded = outer.messages(n - 1)
     worst: Valuation | None = None
     resolved_worst = True
-    for marg, w_in in zip(marginals, inner_weights):
-        diff = (marg * z_inner - w_in * z_outer) % M
-        if diff == 0:
-            val = Valuation(B - shift)
-            exact = False
-        else:
-            val = Valuation(_vp(diff, p) - shift)
-            exact = True
+    for cfg in itertools.product(range(1, q + 1), repeat=len(inner.vertices)):
+        diff = (inner.weight(cfg, folded) * z_inner - inner.weight(cfg) * z_outer) % M
+        val = Valuation((B if diff == 0 else _vp(diff, p)) - shift)
         if worst is None or val < worst:
-            worst = val
-            resolved_worst = exact
+            worst, resolved_worst = val, diff != 0
     assert worst is not None
     return CompatibilityReport(
         holds=worst >= threshold,
@@ -637,29 +624,25 @@ def measure_norm_profile(
 ) -> list[NormProfileRow]:
     """Extremes of the measure's valuation per level, as a boundedness probe.
 
-    Each weight is a unit, so a configuration's valuation is the weight's
-    minus the partition function's; the profile records the min and max over
-    all configurations level by level (they coincide exactly when every
-    weight is a unit, which this model guarantees, but the scan does not
-    assume it).
+    A configuration's weight is a product of edge and site residues.  When
+    every one of them is a unit, so is every weight, and each
+    configuration's valuation is minus the partition function's: the min and
+    max of a row coincide.  The profile checks every factor rather than
+    assume it, and takes the partition valuation from the tree pass.
     """
+    _guard(J.q, shape.ball_size(n_max), configurations=False)
+    pv = J.prime.value
     rows = []
     for n in range(n_max + 1):
         system = _LevelWeights(shape, h, J, n, precision)
-        z_res = system.partition_residue()
-        zeta = system.partition_valuation(z_res)
-        spins = range(1, system.q + 1)
-        pv = system.prime.value
-        vals = set()
-        for cfg in itertools.product(spins, repeat=len(system.vertices)):
-            w = system.weight(cfg)
-            if w == 0:
-                raise PrecisionExhausted(
-                    "a configuration weight vanished to the working modulus",
-                    bound=system.modulus_exponent,
-                )
-            vals.add(_vp(w, pv) - zeta)
-        rows.append(NormProfileRow(level=n, min_valuation=min(vals), max_valuation=max(vals)))
+        zeta = system.partition_valuation(system.partition_residue())
+        edge_factors = (t for _, _, t in system.edge_residues)
+        if any(f % pv == 0 for f in itertools.chain(edge_factors, *system.site_residues.values())):
+            raise PrecisionExhausted(
+                "a configuration weight vanished to the working modulus",
+                bound=system.modulus_exponent,
+            )
+        rows.append(NormProfileRow(level=n, min_valuation=-zeta, max_valuation=-zeta))
     return rows
 
 
@@ -668,10 +651,11 @@ def measure_norm_profile(
 
 
 def _fraction_from_text(text) -> Fraction:
-    if isinstance(text, str):
-        return Fraction(text)
-    if isinstance(text, int):
-        return Fraction(text)
+    if isinstance(text, (str, int)):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {text!r} has a zero denominator") from None
     raise ValueError(f"rationals must be given as strings like '3/4', got {text!r}")
 
 
@@ -689,6 +673,12 @@ def coupling_from_json(doc: dict) -> CouplingField:
         raw = doc["values"]
     except KeyError as missing:
         raise ValueError(f"coupling document lacks field {missing}") from None
+    kind = {"homogeneous": dict, "bipartite": dict, "per_edge": list}.get(pattern)
+    if kind is None:
+        raise ValueError(f"unknown coupling pattern {pattern!r}")
+    if not isinstance(raw, kind):
+        shape = "an array" if kind is list else "an object"
+        raise ValueError(f"{pattern} coupling values must be a JSON {shape}, got {raw!r}")
     if pattern == "homogeneous":
         return CouplingField.homogeneous(_fraction_from_text(raw["J"]), p, q)
     if pattern == "bipartite":
@@ -698,14 +688,11 @@ def coupling_from_json(doc: dict) -> CouplingField:
             p,
             q,
         )
-    if pattern == "per_edge":
-        table = {}
-        for parent, child, value in raw:
-            table[(TreeVertex.from_string(parent), TreeVertex.from_string(child))] = (
-                _fraction_from_text(value)
-            )
-        return CouplingField.per_edge(table, p, q)
-    raise ValueError(f"unknown coupling pattern {pattern!r}")
+    table = {
+        (TreeVertex.from_string(x), TreeVertex.from_string(y)): _fraction_from_text(value)
+        for x, y, value in raw
+    }
+    return CouplingField.per_edge(table, p, q)
 
 
 def boundary_field_from_json(
@@ -715,8 +702,12 @@ def boundary_field_from_json(
 
     The root is the empty address "" and unlisted vertices stay at zero.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("a field document must map addresses to component lists")
     out = BoundaryField(q, p, precision=precision)
     for address, values in doc.items():
+        if not isinstance(values, list):
+            raise ValueError(f"field at {address!r} must be a list of components, got {values!r}")
         if len(values) != q - 1:
             raise ValueError(
                 f"field at {address!r} must list {q - 1} components, got {len(values)}"

@@ -151,6 +151,37 @@ class TestCompatCheck:
         assert code == 4
         assert "guard" in err
 
+    def test_zero_field_holds_at_n3(self, capsys):
+        # the inner loop visits 3**10 configurations; the larger ball's
+        # 3**22 lies past the enumeration guard
+        code, out, _ = run(capsys, "compat-check", "--k", "2", "--n", "3")
+        assert code == 0
+        doc = parse(out)
+        assert doc["holds"] is True
+        assert doc["terms"] == 3**22
+
+    @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
+    def test_guard_refuses_huge_balls_at_once(self, capsys, command):
+        code, out, err = run(capsys, command, "--k", "2", "--n", "40")
+        assert code == 4
+        assert out == ""
+        assert "guard" in err
+
+    def test_depth_zero_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "compat-check", "--n", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error:")
+
+    def test_per_edge_table_missing_an_edge(self, capsys):
+        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": [["", "0", "3"]]}
+        code, out, err = run(
+            capsys, "compat-check", "--k", "1", "--n", "1", "--couplings", json.dumps(doc)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "config error: no coupling listed for edge '' -> '1'\n"
+
     def test_inadmissible_field_is_domain_error(self, capsys, tmp_path):
         field = tmp_path / "field.json"
         field.write_text(json.dumps({"": ["1", "0"]}))
@@ -167,6 +198,13 @@ class TestNormProfile:
         assert doc["bounded_so_far"] is False
         assert [r["min_valuation"] for r in doc["rows"]] == ["-1", "-4", "-10"]
 
+    def test_three_states_at_n3(self, capsys):
+        code, out, _ = run(capsys, "norm-profile", "--n", "3")
+        assert code == 0
+        rows = parse(out)["rows"]
+        assert [r["min_valuation"] for r in rows] == ["-1", "-4", "-10", "-22"]
+        assert [r["max_valuation"] for r in rows] == ["-1", "-4", "-10", "-22"]
+
     def test_two_states_bounded(self, capsys):
         code, out, _ = run(capsys, "norm-profile", "--q", "2", "--n", "2")
         assert code == 0
@@ -178,6 +216,36 @@ class TestNormProfile:
         _, first, _ = run(capsys, "norm-profile", "--n", "1")
         _, second, _ = run(capsys, "norm-profile", "--n", "1")
         assert first == second
+
+
+BAD_COUPLINGS = {
+    "zero denominator": {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/0"}},
+    "values as a list": {"pattern": "homogeneous", "p": 3, "q": 3, "values": ["3"]},
+}
+BAD_FIELDS = {
+    "zero denominator": {"": ["1/0", "0"]},
+    "document as a list": [["3", "0"]],
+    "components as a string": {"": "30"},
+}
+
+
+@pytest.mark.parametrize(
+    "couplings,field",
+    [(doc, None) for doc in BAD_COUPLINGS.values()] + [(None, doc) for doc in BAD_FIELDS.values()],
+    ids=[f"couplings {name}" for name in BAD_COUPLINGS] + [f"field {name}" for name in BAD_FIELDS],
+)
+def test_malformed_documents_are_config_errors(capsys, tmp_path, couplings, field):
+    argv = ["compat-check", "--n", "1"]
+    if couplings is not None:
+        argv += ["--couplings", json.dumps(couplings)]
+    if field is not None:
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field))
+        argv += ["--field", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:")
 
 
 class TestFlagValidation:

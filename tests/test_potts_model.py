@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import exp_domain_fraction
 
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball, edges
 from padic_potts.errors import DomainViolation, EnumerationTooLarge
-from padic_potts.padic_analytic import exp_p
+from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
 from padic_potts.padic_core import PadicNumber
 from padic_potts.potts_model import (
     BoundaryField,
@@ -19,6 +21,7 @@ from padic_potts.potts_model import (
     finite_measure_table,
     hamiltonian,
     measure_norm_profile,
+    _LevelWeights,
     spin_pairing,
 )
 
@@ -97,15 +100,16 @@ class TestHamiltonian:
 
 class TestFiniteMeasure:
     def test_sum_is_one(self):
-        shape = TreeShape(1)
-        J = CouplingField.homogeneous(Fraction(3), P, 3)
-        h = BoundaryField.zero(3, P, N)
-        table = finite_measure_table(shape, h, J, 1, N)
-        assert len(table) == 27
-        total = table[0][1]
-        for _, m in table[1:]:
-            total = total + m
-        assert total == PadicNumber.from_fraction(Fraction(1), P, total.precision)
+        for k, q, n, p in [(1, 3, 1, 3), (2, 2, 1, 3), (1, 2, 2, 2), (1, 4, 1, 2), (3, 3, 1, 5)]:
+            shape = TreeShape(k)
+            J = CouplingField.homogeneous(Fraction(p ** exp_domain_min_valuation(p)), p, q)
+            h = BoundaryField.zero(q, p, N)
+            table = finite_measure_table(shape, h, J, n, N)
+            assert len(table) == q ** shape.ball_size(n)
+            total = table[0][1]
+            for _, m in table[1:]:
+                total = total + m
+            assert total == PadicNumber.from_fraction(Fraction(1), p, total.precision)
 
     def test_weight_ratios_follow_agreement_count(self):
         # on the 3-vertex line with h = 0 the measure ratio of two
@@ -150,6 +154,73 @@ class TestFiniteMeasure:
         h = BoundaryField.zero(2, P, N)
         for _, m in finite_measure_table(shape, h, J, 1, N):
             assert m.norm_valuation() == 0
+
+
+# Brute force over every configuration: the oracle for the tree pass.
+ORACLE_LIMIT = 10**5
+
+
+def _oracle_sizes():
+    """Every (k, q, n) whose ball has at most ORACLE_LIMIT configurations."""
+    for k in (1, 2, 3):
+        for q in (2, 3, 4, 5):
+            n = 0
+            while q ** TreeShape(k, depth=n).ball_size(n) <= ORACLE_LIMIT:
+                yield k, q, n
+                n += 1
+
+
+def _field(kind, shape, n, q, p, rng):
+    def draw():
+        return PadicVector.from_rationals(
+            [exp_domain_fraction(rng, p) for _ in range(q - 1)], p, N
+        )
+
+    if kind == "zero":
+        return BoundaryField.zero(q, p, N)
+    if kind == "constant":
+        return BoundaryField.constant(draw(), q)
+    if kind == "parity":
+        return BoundaryField.by_parity(draw(), draw(), q)
+    return BoundaryField(q, p, {x: draw() for x in ball(shape, n)}, N)
+
+
+def _brute_sums(system, inner_count):
+    """Sums of ``weight`` over every configuration, one per spin assignment
+    of the first ``inner_count`` vertices (so one sum in all when it is 0)."""
+    spins = range(1, system.q + 1)
+    tails = list(itertools.product(spins, repeat=len(system.vertices) - inner_count))
+    return [
+        sum(system.weight(head + tail) for tail in tails) % system.modulus
+        for head in itertools.product(spins, repeat=inner_count)
+    ]
+
+
+@pytest.mark.parametrize("field_kind", ("zero", "constant", "parity", "random"))
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("k,q,n", list(_oracle_sizes()))
+def test_tree_pass_matches_brute_force(k, q, n, p, field_kind):
+    # the partition residue, and the marginals compatibility_check forms from
+    # the messages folded onto the (n-1)-sphere, equal the configuration sums
+    rng = random.Random(f"{k}-{q}-{n}-{p}-{field_kind}")
+    shape = TreeShape(k, depth=n)
+    J = CouplingField.bipartite(exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q)
+    h = _field(field_kind, shape, n, q, p, rng)
+    outer = _LevelWeights(shape, h, J, n, N)
+    if n == 0:
+        assert outer.partition_residue() == _brute_sums(outer, 0)[0]
+        return
+    inner = _LevelWeights(shape, h, J, n - 1, N)
+    brute = _brute_sums(outer, len(inner.vertices))
+    assert outer.partition_residue() == sum(brute) % outer.modulus
+    M = p ** min(outer.modulus_exponent, inner.modulus_exponent)
+    folded = outer.messages(n - 1)
+    spins = range(1, q + 1)
+    tree = [
+        inner.weight(cfg, folded) % M
+        for cfg in itertools.product(spins, repeat=len(inner.vertices))
+    ]
+    assert tree == [m % M for m in brute]
 
 
 class TestCompatibility:
