@@ -12,10 +12,10 @@ A weight is a product of edge and boundary-site factors, so sums over
 configurations factorise along the tree: one leaf-to-root sum-product pass
 gives the partition sum, and the same pass stopped one sphere short gives the
 marginal of the n-ball measure on the (n-1)-ball.  The compatibility checker
-compares those marginals with the smaller ball's measure, configuration by
-configuration.  The pass is exact integer arithmetic, not the boundary-law
-recursion the solver module implements, which is what makes the cross-check
-meaningful.
+compares those marginals with the smaller ball's measure at one base
+configuration and its one-spin changes, where the worst discrepancy lies.
+The pass is exact integer arithmetic, not the boundary-law recursion the
+solver module implements, which is what makes the cross-check meaningful.
 """
 
 from __future__ import annotations
@@ -272,11 +272,6 @@ class BoundaryField:
         got = self._table.get(vertex)
         return self._default if got is None else got
 
-    def assigned_vertices(self):
-        if isinstance(self._table, _ParityTable):
-            return []
-        return sorted(self._table, key=lambda v: (v.level, v.address))
-
 
 class _ParityTable:
     """Mapping view that answers by vertex parity instead of by vertex."""
@@ -428,14 +423,6 @@ class _LevelWeights:
     def partition_residue(self) -> int:
         return sum(self.messages(0)[0]) % self.modulus
 
-    def partition_valuation(self, residue: int) -> int:
-        if residue == 0:
-            raise PartitionFunctionDegenerate(
-                f"partition sum vanishes mod {self.prime}**{self.modulus_exponent}; "
-                "its valuation cannot be resolved at this precision"
-            )
-        return _vp(residue, self.prime.value)
-
 
 def _shift_hint(shape: TreeShape, q: int, p: int, n: int) -> int:
     # Expected valuation of the n-ball partition sum: one v_p(q) per vertex.
@@ -460,7 +447,12 @@ def _weights_resolving_partition(
     for _ in range(2):
         system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra)
         z_res = system.partition_residue()
-        zeta = system.partition_valuation(z_res)
+        if z_res == 0:
+            raise PartitionFunctionDegenerate(
+                f"partition sum vanishes mod {system.prime}**{system.modulus_exponent}; "
+                "its valuation cannot be resolved at this precision"
+            )
+        zeta = _vp(z_res, system.prime.value)
         if system.modulus_exponent - 2 * zeta >= precision:
             return system, z_res, zeta
         extra = 2 * zeta
@@ -526,9 +518,8 @@ class CompatibilityReport:
     discrepancy found (so larger is better); when ``resolved`` is False every
     discrepancy vanished to the working modulus and the figure is only a
     certified lower bound.  ``terms_enumerated`` is q**|B_n|, the number of
-    n-ball configurations the marginals sum over; the tree pass folds their
-    outer sphere, so the check itself visits the q**|B_{n-1}| configurations
-    of the smaller ball.
+    n-ball configurations the marginals sum over; the check itself weighs
+    1 + |S_{n-1}|*(q-1) candidates for the worst of them.
     """
 
     holds: bool
@@ -551,10 +542,12 @@ def compatibility_check(
     Both partition sums come from the tree pass.  Summing the n-ball weight
     over the outer-sphere spins leaves the (n-1)-ball weight with each
     sphere-(n-1) site table replaced by that vertex's message folded from its
-    children.  For every configuration of the smaller ball the checker
-    compares that marginal with the smaller measure, clearing denominators:
-    the compared quantity is marginal * Z_{n-1} - weight_{n-1} * Z_n, a
-    p-adic integer known modulo the working modulus.
+    children.  Clearing denominators, a configuration's discrepancy is
+    marginal * Z_{n-1} - weight_{n-1} * Z_n.  Its edge and site factors are
+    units, so it has the valuation of x(s) - Z_n, x(s) = Z_{n-1} * prod_v
+    r_v(s_v) over v in S_{n-1}, r_v = message / site table.  With a base s0
+    of least-valuation r_v(s0_v), telescoping and the strong triangle
+    inequality put the worst valuation at s0 or one spin away from it.
     """
     if n < 1:
         raise ValueError("compatibility needs n >= 1")
@@ -589,20 +582,23 @@ def compatibility_check(
             bound=B - shift,
         )
 
-    folded = outer.messages(n - 1)
-    worst: Valuation | None = None
-    resolved_worst = True
-    for cfg in itertools.product(range(1, q + 1), repeat=len(inner.vertices)):
-        diff = (inner.weight(cfg, folded) * z_inner - inner.weight(cfg) * z_outer) % M
-        val = Valuation((B if diff == 0 else _vp(diff, p)) - shift)
-        if worst is None or val < worst:
-            worst, resolved_worst = val, diff != 0
-    assert worst is not None
+    def cap(x: int) -> int:
+        return B if x % M == 0 else _vp(x, p)
+
+    # base is x(s0) and base_val its valuation; base_val + least_flip is the
+    # least valuation of x(s) - x(s0) over the one-vertex changes s of s0
+    base, base_val, least_flip = z_inner, cap(z_inner), B
+    for i, msg in outer.messages(n - 1).items():
+        r = [m * pow(site, -1, M) % M for m, site in zip(msg, inner.site_residues[i])]
+        r0 = min(r, key=cap)
+        base, base_val = base * r0 % M, base_val + cap(r0)
+        least_flip = min(least_flip, *(cap(x - r0) - cap(r0) for x in r))
+    worst = min(cap(base - z_outer), base_val + least_flip)
     return CompatibilityReport(
-        holds=worst >= threshold,
-        max_discrepancy_valuation=worst,
+        holds=worst - shift >= threshold,
+        max_discrepancy_valuation=Valuation(worst - shift),
         threshold=threshold,
-        resolved=resolved_worst,
+        resolved=worst < B,
         level=n,
         terms_enumerated=q ** len(outer.vertices),
     )
@@ -628,14 +624,14 @@ def measure_norm_profile(
     every one of them is a unit, so is every weight, and each
     configuration's valuation is minus the partition function's: the min and
     max of a row coincide.  The profile checks every factor rather than
-    assume it, and takes the partition valuation from the tree pass.
+    assume it, and takes each partition valuation from the tree pass with the
+    extra working digits ``finite_measure`` takes.
     """
     _guard(J.q, shape.ball_size(n_max), configurations=False)
     pv = J.prime.value
     rows = []
     for n in range(n_max + 1):
-        system = _LevelWeights(shape, h, J, n, precision)
-        zeta = system.partition_valuation(system.partition_residue())
+        system, _, zeta = _weights_resolving_partition(shape, h, J, n, precision)
         edge_factors = (t for _, _, t in system.edge_residues)
         if any(f % pv == 0 for f in itertools.chain(edge_factors, *system.site_residues.values())):
             raise PrecisionExhausted(
@@ -688,10 +684,11 @@ def coupling_from_json(doc: dict) -> CouplingField:
             p,
             q,
         )
-    table = {
-        (TreeVertex.from_string(x), TreeVertex.from_string(y)): _fraction_from_text(value)
-        for x, y, value in raw
-    }
+    table = {}
+    for x, y, value in raw:
+        if not (isinstance(x, str) and isinstance(y, str)):
+            raise ValueError(f"edge addresses must be strings like '0.1', got {x!r} -> {y!r}")
+        table[TreeVertex.from_string(x), TreeVertex.from_string(y)] = _fraction_from_text(value)
     return CouplingField.per_edge(table, p, q)
 
 

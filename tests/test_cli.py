@@ -160,6 +160,15 @@ class TestCompatCheck:
         assert doc["holds"] is True
         assert doc["terms"] == 3**22
 
+    def test_two_states_hold_at_n4(self, capsys):
+        # 2**22 configurations of the 3-ball, but the check weighs only the
+        # one-spin changes of one base on its sphere
+        code, out, _ = run(capsys, "compat-check", "--q", "2", "--n", "4")
+        assert code == 0
+        doc = parse(out)
+        assert doc["holds"] is True
+        assert doc["terms"] == 2**46
+
     @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
     def test_guard_refuses_huge_balls_at_once(self, capsys, command):
         code, out, err = run(capsys, command, "--k", "2", "--n", "40")
@@ -205,6 +214,16 @@ class TestNormProfile:
         assert [r["min_valuation"] for r in rows] == ["-1", "-4", "-10", "-22"]
         assert [r["max_valuation"] for r in rows] == ["-1", "-4", "-10", "-22"]
 
+    def test_three_states_at_n4(self, capsys):
+        # v_3(Z_4) = |B_4| = 46 lies past the 35-digit modulus the level would
+        # have without the extra working digits finite_measure takes
+        code, out, _ = run(capsys, "norm-profile", "--k", "2", "--n", "4")
+        assert code == 0
+        rows = parse(out)["rows"]
+        want = ["-1", "-4", "-10", "-22", "-46"]
+        assert [r["min_valuation"] for r in rows] == want
+        assert [r["max_valuation"] for r in rows] == want
+
     def test_two_states_bounded(self, capsys):
         code, out, _ = run(capsys, "norm-profile", "--q", "2", "--n", "2")
         assert code == 0
@@ -221,6 +240,7 @@ class TestNormProfile:
 BAD_COUPLINGS = {
     "zero denominator": {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/0"}},
     "values as a list": {"pattern": "homogeneous", "p": 3, "q": 3, "values": ["3"]},
+    "numeric edge address": {"pattern": "per_edge", "p": 3, "q": 3, "values": [[1, 2, "3"]]},
 }
 BAD_FIELDS = {
     "zero denominator": {"": ["1/0", "0"]},

@@ -511,6 +511,22 @@ class TestWitnessField:
         rep = compatibility_check(shape, field, J, 2, N)
         assert rep.holds
 
+    def test_both_nontrivial_laws_compatible_at_n3(self):
+        # claim (ii) between the 2- and 3-balls: each nontrivial constant law
+        # gives a consistent family.  At precision 72 the first law's field
+        # leaves too few digits past the partition valuations at n = 3
+        deep = 120
+        theta = edge_weight(3, 3, deep)
+        report = translation_invariant_cubic(theta, 3, deep)
+        nontrivial = [w for w in report.witnesses if w.offset_valuation() < deep]
+        assert len(nontrivial) == 2
+        shape = TreeShape(2)
+        J = CouplingField.homogeneous(Fraction(3), 3, 3)
+        for witness in nontrivial:
+            field = witness_boundary_field(witness, 3, precision=deep)
+            rep = compatibility_check(shape, field, J, 3, N)
+            assert rep.holds
+
     def test_constant_law_fails_at_the_root_marginal(self):
         # the root of the full tree has k + 1 = 3 children while the law
         # solves the two-child equation, so marginalizing down to the root

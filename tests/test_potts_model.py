@@ -6,11 +6,19 @@ import pytest
 from conftest import exp_domain_fraction
 
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball, edges
-from padic_potts.errors import DomainViolation, EnumerationTooLarge
+from padic_potts.errors import (
+    DomainViolation,
+    EnumerationTooLarge,
+    PadicError,
+    PartitionFunctionDegenerate,
+    PrecisionExhausted,
+)
 from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
-from padic_potts.padic_core import PadicNumber
+from padic_potts.padic_core import PadicNumber, Valuation, _vp
 from padic_potts.potts_model import (
+    COMPAT_MARGIN,
     BoundaryField,
+    CompatibilityReport,
     Configuration,
     CouplingField,
     PadicVector,
@@ -22,6 +30,7 @@ from padic_potts.potts_model import (
     hamiltonian,
     measure_norm_profile,
     _LevelWeights,
+    _shift_hint,
     spin_pairing,
 )
 
@@ -170,10 +179,10 @@ def _oracle_sizes():
                 n += 1
 
 
-def _field(kind, shape, n, q, p, rng):
+def _field(kind, shape, n, q, p, rng, spread=3):
     def draw():
         return PadicVector.from_rationals(
-            [exp_domain_fraction(rng, p) for _ in range(q - 1)], p, N
+            [exp_domain_fraction(rng, p, spread) for _ in range(q - 1)], p, N
         )
 
     if kind == "zero":
@@ -221,6 +230,112 @@ def test_tree_pass_matches_brute_force(k, q, n, p, field_kind):
         for cfg in itertools.product(spins, repeat=len(inner.vertices))
     ]
     assert tree == [m % M for m in brute]
+
+
+def _coupling(kind, shape, n, q, p, rng):
+    if kind == "homogeneous":
+        return CouplingField.homogeneous(exp_domain_fraction(rng, p), p, q)
+    if kind == "bipartite":
+        return CouplingField.bipartite(
+            exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q
+        )
+    return CouplingField.per_edge({e: exp_domain_fraction(rng, p) for e in edges(shape, n)}, p, q)
+
+
+def _brute_compatibility(shape, h, J, n, precision):
+    """compatibility_check with the worst discrepancy taken over every
+    configuration of the (n-1)-ball instead of the one-spin changes of a base."""
+    p = J.prime.value
+    q = J.q
+    threshold = precision - COMPAT_MARGIN
+    extra = _shift_hint(shape, q, p, n) + _shift_hint(shape, q, p, n - 1)
+
+    def _zeta(residue: int, which: str) -> int:
+        if residue == 0:
+            raise PartitionFunctionDegenerate(
+                f"{which} partition sum vanishes mod {p}**{B}; valuation unresolved"
+            )
+        return _vp(residue, p)
+
+    for _ in range(2):
+        outer = _LevelWeights(shape, h, J, n, precision, extra_digits=extra)
+        inner = _LevelWeights(shape, h, J, n - 1, precision, extra_digits=extra)
+        B = min(outer.modulus_exponent, inner.modulus_exponent)
+        M = p**B
+        z_outer = outer.partition_residue() % M
+        z_inner = inner.partition_residue() % M
+        shift = _zeta(z_outer, "outer") + _zeta(z_inner, "inner")
+        if B - shift >= threshold:
+            break
+        extra = shift
+    else:
+        raise PrecisionExhausted(
+            f"working modulus {p}**{B} cannot certify discrepancies to valuation "
+            f"{threshold} past the partition valuations",
+            bound=B - shift,
+        )
+
+    folded = outer.messages(n - 1)
+    worst = None
+    resolved_worst = True
+    for cfg in itertools.product(range(1, q + 1), repeat=len(inner.vertices)):
+        diff = (inner.weight(cfg, folded) * z_inner - inner.weight(cfg) * z_outer) % M
+        val = Valuation((B if diff == 0 else _vp(diff, p)) - shift)
+        if worst is None or val < worst:
+            worst, resolved_worst = val, diff != 0
+    return CompatibilityReport(
+        holds=worst >= threshold,
+        max_discrepancy_valuation=worst,
+        threshold=threshold,
+        resolved=resolved_worst,
+        level=n,
+        terms_enumerated=q ** len(outer.vertices),
+    )
+
+
+def _compat_outcomes(shape, h, J, n, precision=N):
+    def outcome(check):
+        try:
+            return check(shape, h, J, n, precision)
+        except PadicError as err:
+            return type(err), str(err)
+
+    return outcome(compatibility_check), outcome(_brute_compatibility)
+
+
+FIELD_KINDS = ("zero", "constant", "parity", "random")
+# every coupling pattern at every prime, and every field kind at every size;
+# the sizes are those whose (n-1)-ball the brute force can afford
+COMPAT_CASES = [
+    (p, coupling, FIELD_KINDS[(i + j) % len(FIELD_KINDS)])
+    for i, p in enumerate((2, 3, 5))
+    for j, coupling in enumerate(("homogeneous", "bipartite", "per_edge"))
+]
+
+
+@pytest.mark.parametrize("p,coupling_kind,field_kind", COMPAT_CASES)
+@pytest.mark.parametrize("k,q,n", [(k, q, n + 1) for k, q, n in _oracle_sizes()])
+def test_compatibility_matches_brute_force(k, q, n, p, coupling_kind, field_kind):
+    rng = random.Random(f"compat-{k}-{q}-{n}-{p}-{coupling_kind}-{field_kind}")
+    shape = TreeShape(k, depth=n)
+    J = _coupling(coupling_kind, shape, n, q, p, rng)
+    h = _field(field_kind, shape, n, q, p, rng)
+    fast, brute = _compat_outcomes(shape, h, J, n)
+    assert fast == brute
+
+
+@pytest.mark.parametrize("case", range(100))
+@pytest.mark.parametrize("p,q", [(5, 5), (3, 6)])
+def test_compatibility_base_spins_at_p_dividing_q(p, q, case):
+    # random fields of valuation 1-2 under a coupling of valuation 1, where
+    # the spin of least valuation varies between sphere vertices: a base
+    # fixed at spin 1 instead of that spin fails cases 0, 37 and 43 at (3, 6)
+    rng = random.Random(f"{p}-{q}-{case}")
+    shape = TreeShape(3, depth=2)
+    J = CouplingField.homogeneous(exp_domain_fraction(rng, p, 1), p, q)
+    h = _field("random", shape, 2, q, p, rng, spread=2)
+    fast, brute = _compat_outcomes(shape, h, J, 2, precision=16)
+    assert fast == brute
 
 
 class TestCompatibility:
