@@ -3,8 +3,9 @@
 A tree of branching order k has a root with k+1 neighbours while every other
 vertex has k direct successors, so the n-th sphere holds (k+1)*k**(n-1)
 vertices.  Vertices are addressed by their root path (a tuple of child
-indices); nothing is materialised beyond the addresses a query touches, which
-keeps every operation O(size of the answer).
+indices).  A ball is listed by one level-order walk that makes each level
+from the one before it; nothing is materialised beyond the addresses a query
+touches, which keeps every operation O(size of the answer).
 
 The parity of a vertex's level splits the tree into the two classes used by
 bipartite couplings and period-two fields.
@@ -17,20 +18,17 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class TreeShape:
-    """Branching order and working depth of a finite tree slice."""
+    """Branching order of a Cayley tree; balls of any radius are cut from it."""
 
     branching: int
-    depth: int = 12
 
     def __post_init__(self):
         if not isinstance(self.branching, int) or self.branching < 1:
             raise ValueError(f"branching order must be an integer >= 1, got {self.branching!r}")
-        if not isinstance(self.depth, int) or self.depth < 0:
-            raise ValueError(f"depth must be a nonnegative integer, got {self.depth!r}")
 
     def _check_level(self, n: int) -> None:
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"level {n} outside 0..{self.depth}")
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
 
     def sphere_size(self, n: int) -> int:
         self._check_level(n)
@@ -102,31 +100,35 @@ def direct_successors(shape: TreeShape, x: TreeVertex) -> list[TreeVertex]:
     return [x.child(i) for i in range(count)]
 
 
-def sphere(shape: TreeShape, n: int) -> list[TreeVertex]:
-    """All vertices at distance n from the root, in address order."""
+def ball_with_edges(shape: TreeShape, n: int) -> tuple[list[TreeVertex], list[tuple[int, int]]]:
+    """The n-ball in level order, with the (parent index, child index) pair of
+    every edge.
+
+    One walk: the children of the ball's first |B_{n-1}| vertices, taken in
+    order, are its later levels, so each level is made from the one before it
+    and the walk creates one vertex per vertex of the ball.
+    """
     shape._check_level(n)
-    level = [TreeVertex.root()]
-    for _ in range(n):
-        level = [y for x in level for y in direct_successors(shape, x)]
-    return level
+    vertices = [TreeVertex.root()]
+    pairs: list[tuple[int, int]] = []
+    for i in range(shape.ball_size(n - 1) if n else 0):
+        for y in direct_successors(shape, vertices[i]):
+            pairs.append((i, len(vertices)))
+            vertices.append(y)
+    return vertices, pairs
 
 
 def ball(shape: TreeShape, n: int) -> list[TreeVertex]:
-    """All vertices within distance n of the root, level by level."""
-    shape._check_level(n)
-    out: list[TreeVertex] = []
-    for m in range(n + 1):
-        out.extend(sphere(shape, m))
-    return out
+    """All vertices within distance n of the root, level by level in address order."""
+    return ball_with_edges(shape, n)[0]
+
+
+def sphere(shape: TreeShape, n: int) -> list[TreeVertex]:
+    """All vertices at distance n from the root, in address order."""
+    return ball(shape, n)[-shape.sphere_size(n):]
 
 
 def edges(shape: TreeShape, n: int) -> list[tuple[TreeVertex, TreeVertex]]:
-    """All (parent, child) nearest-neighbour pairs inside the n-ball."""
-    shape._check_level(n)
-    out: list[tuple[TreeVertex, TreeVertex]] = []
-    for m in range(n):
-        for x in sphere(shape, m):
-            for y in direct_successors(shape, x):
-                out.append((x, y))
-    return out
-
+    """All (parent, child) nearest-neighbour pairs inside the n-ball, in level order."""
+    vertices, pairs = ball_with_edges(shape, n)
+    return [(vertices[i], vertices[j]) for i, j in pairs]

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cayley_tree import TreeShape, sphere
+from .cayley_tree import TreeShape
 from .errors import (
     DenominatorDegenerate,
     DomainViolation,
@@ -290,19 +290,23 @@ def _suite_contraction(cfg: RunConfig) -> dict:
     n = cfg.n if cfg.n >= 1 else 4
     total = cfg.checks if cfg.checks is not None else 25
     J = CouplingField.homogeneous(Fraction(p), p, q)
-    shape = TreeShape(k, depth=max(n, 2))
-    passed = 0
-    first_failure = None
-    samples = []
-    for i in range(total):
-        boundary = {}
-        for x in sphere(shape, n):
+    shape = TreeShape(k)
+
+    class RandomLaws:
+        # a fresh law for each sphere vertex the recursion reads, in its
+        # reading order, so nothing is drawn before its guard has passed
+        def __getitem__(self, vertex) -> PadicVector:
             comps = []
             for _ in range(q - 1):
                 off = Fraction(p ** (1 + rng.randrange(0, 3))) * _random_unit(rng, p)
                 comps.append(PadicNumber.from_fraction(1 + off, p, cfg.precision))
-            boundary[x] = PadicVector(comps)
-        res = recursion_backward(shape, boundary, J, n, cfg.precision)
+            return PadicVector(comps)
+
+    passed = 0
+    first_failure = None
+    samples = []
+    for i in range(total):
+        res = recursion_backward(shape, RandomLaws(), J, n, cfg.precision)
         offs = res.per_level_offset
         ok = all(offs[m] >= offs[m + 1] + 1 for m in range(n))
         if ok:
@@ -415,7 +419,7 @@ def cmd_compat_check(cfg: RunConfig) -> int:
     J = cfg.coupling()
     field = cfg.boundary_field(J)
     k = cfg.branching()
-    shape = TreeShape(k, depth=max(cfg.n + 1, 2))
+    shape = TreeShape(k)
     try:
         report = compatibility_check(shape, field, J, cfg.n, cfg.precision)
     except KeyError as exc:  # a per-edge coupling table that misses an edge of the ball
@@ -441,7 +445,7 @@ def cmd_norm_profile(cfg: RunConfig) -> int:
     J = cfg.coupling()
     field = cfg.boundary_field(J)
     k = cfg.branching()
-    shape = TreeShape(k, depth=max(cfg.n + 1, 2))
+    shape = TreeShape(k)
     try:
         rows = measure_norm_profile(shape, field, J, cfg.n, cfg.precision)
     except KeyError as exc:  # a per-edge coupling table that misses an edge of the ball

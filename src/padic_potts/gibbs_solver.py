@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cayley_tree import TreeShape, TreeVertex, direct_successors, sphere
+from .cayley_tree import TreeShape, TreeVertex, ball_with_edges
 from .errors import (
     DenominatorDegenerate,
     DivisionByZero,
@@ -44,7 +44,7 @@ from .padic_core import (
     as_prime,
     rational_valuation,
 )
-from .potts_model import BoundaryField, CouplingField, PadicVector
+from .potts_model import BoundaryField, CouplingField, PadicVector, _guard
 
 VERDICT_UNIQUE = "unique_by_contraction"
 VERDICT_MULTIPLE_TI = "multiple_translation_invariant"
@@ -150,36 +150,28 @@ def recursion_backward(
 
     Each parent's law is the product over its children of the single-edge
     factor.  ``boundary_z`` maps every vertex of the n-th sphere to its
-    law.
+    law; it is read once per vertex, in address order, after the guard on
+    the ball's size has passed.
     """
     if n < 1:
         raise ValueError("recursion needs at least one level")
-    laws: dict[TreeVertex, PadicVector] = {}
-    offsets: list[Valuation] = [Valuation(None)] * (n + 1)
-    level_vertices = sphere(shape, n)
-    for x in level_vertices:
-        law = boundary_z[x]
-        laws[x] = law
-    offsets[n] = min(laws[x].offset_valuation() for x in level_vertices)
-
-    for m in range(n - 1, -1, -1):
-        next_laws: dict[TreeVertex, PadicVector] = {}
-        for x in sphere(shape, m):
-            product: PadicVector | None = None
-            for y in direct_successors(shape, x):
-                factor = f_map_z(laws[y], J.theta_for_edge(x, y, precision), J.q)
-                if product is None:
-                    product = factor
-                else:
-                    product = PadicVector(
-                        a * b for a, b in zip(product.components, factor.components)
-                    )
-            assert product is not None
-            next_laws[x] = product
-        laws = next_laws
-        offsets[m] = min(law.offset_valuation() for law in laws.values())
-    root_law = laws[TreeVertex.root()]
-    return RecursionResult(root_z=root_law, per_level_offset=offsets)
+    _guard(J.q, shape.ball_size(n), configurations=False)
+    vertices, pairs = ball_with_edges(shape, n)
+    outer = shape.ball_size(n - 1)
+    laws: list = [None] * outer + [boundary_z[x] for x in vertices[outer:]]
+    # a ball lists parents before children, so the edges taken in reverse
+    # fold every child's law before its parent's
+    for i, j in reversed(pairs):
+        factor = f_map_z(laws[j], J.theta_for_edge(vertices[i], vertices[j], precision), J.q)
+        if laws[i] is not None:
+            factor = PadicVector(a * b for a, b in zip(factor, laws[i]))
+        laws[i] = factor
+    starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
+    offsets = [
+        min(law.offset_valuation() for law in laws[starts[m] : starts[m + 1]])
+        for m in range(n + 1)
+    ]
+    return RecursionResult(root_z=laws[0], per_level_offset=offsets)
 
 
 @dataclass(frozen=True)

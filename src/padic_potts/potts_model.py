@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cayley_tree import TreeShape, TreeVertex, ball, edges, sphere, vertex_parity
+from .cayley_tree import TreeShape, TreeVertex, ball_with_edges, edges, vertex_parity
 from .errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -234,15 +234,18 @@ class BoundaryField:
     def assign(self, vertex: TreeVertex, vec: PadicVector) -> None:
         if isinstance(self._table, _ParityTable):
             raise ValueError("a parity-patterned field does not take per-vertex entries")
+        self._table[vertex] = self._checked(vec, vertex or "root")
+
+    def _checked(self, vec: PadicVector, where) -> PadicVector:
         if vec.dimension != self.q - 1:
             raise ValueError(f"field vector must have {self.q - 1} components, got {vec.dimension}")
         if vec.prime != self.prime:
             raise ValueError("field vector prime does not match")
         if not vec.in_exp_domain():
             raise DomainViolation(
-                f"field at {vertex or 'root'} leaves the exponential domain at p={self.prime}"
+                f"field at {where} leaves the exponential domain at p={self.prime}"
             )
-        self._table[vertex] = vec
+        return vec
 
     @classmethod
     def zero(cls, q: int, p, precision: int = DEFAULT_PRECISION) -> "BoundaryField":
@@ -258,14 +261,9 @@ class BoundaryField:
     @classmethod
     def by_parity(cls, even: PadicVector, odd: PadicVector, q: int) -> "BoundaryField":
         out = cls(q, even.prime, precision=max(c.precision for c in even.components))
-        if odd.dimension != even.dimension:
-            raise ValueError("parity vectors must share a dimension")
-        for vec in (even, odd):
-            if vec.dimension != q - 1:
-                raise ValueError(f"field vector must have {q - 1} components")
-            if not vec.in_exp_domain():
-                raise DomainViolation("parity field vector leaves the exponential domain")
-        out._table = _ParityTable(even, odd)
+        out._table = _ParityTable(
+            out._checked(even, "even levels"), out._checked(odd, "odd levels")
+        )
         return out
 
     def field_at(self, vertex: TreeVertex) -> PadicVector:
@@ -369,16 +367,16 @@ class _LevelWeights:
         self.prime = J.prime
         self.q = J.q
         _guard(self.q, shape.ball_size(n), configurations=False)
-        self.vertices = ball(shape, n)
-        index = {v: i for i, v in enumerate(self.vertices)}
+        vertices, pairs = ball_with_edges(shape, n)
+        self.vertices = vertices
 
         work = precision + extra_digits
-        thetas = [(index[x], index[y], J.theta_for_edge(x, y, work)) for x, y in edges(shape, n)]
+        thetas = [(i, j, J.theta_for_edge(vertices[i], vertices[j], work)) for i, j in pairs]
         site_exps = []
-        for x in sphere(shape, n):
-            vec = h.field_at(x)
+        for i in range(len(vertices) - shape.sphere_size(n), len(vertices)):
+            vec = h.field_at(vertices[i])
             site_exps.append(
-                (index[x], [exp_p(spin_pairing(vec, s), precision=work) for s in range(1, self.q + 1)])
+                (i, [exp_p(spin_pairing(vec, s), precision=work) for s in range(1, self.q + 1)])
             )
 
         exps = [th for _, _, th in thetas] + [w for _, table in site_exps for w in table]

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from padic_potts.cayley_tree import (
     TreeShape,
     TreeVertex,
     ball,
+    ball_with_edges,
     direct_successors,
     edges,
     sphere,
@@ -11,16 +14,34 @@ from padic_potts.cayley_tree import (
 )
 
 
+def _addresses_in_level_order(k: int, n: int) -> list[tuple[int, ...]]:
+    """Every address of the n-ball, sorted by (level, address): the root has
+    k+1 children and every other vertex k."""
+    out = [()]
+    for m in range(1, n + 1):
+        out.extend(itertools.product(range(k + 1), *[range(k)] * (m - 1)))
+    return sorted(out, key=lambda a: (len(a), a))
+
+
 class TestShape:
     def test_counts_match_closed_forms(self):
         for k in (1, 2, 3):
-            shape = TreeShape(k, depth=8)
+            shape = TreeShape(k)
             assert len(sphere(shape, 0)) == 1
             for n in range(1, 9):
                 want = (k + 1) * k ** (n - 1)
                 assert len(sphere(shape, n)) == want == shape.sphere_size(n)
                 assert len(ball(shape, n)) == shape.ball_size(n)
                 assert shape.ball_size(n) == sum(shape.sphere_size(m) for m in range(n + 1))
+            # the walk's order against a separate enumeration of the addresses
+            for n in range(6):
+                got = ball(shape, n)
+                assert [v.address for v in got] == _addresses_in_level_order(k, n)
+                assert sphere(shape, n) == got[-shape.sphere_size(n):]
+                assert edges(shape, n) == [(v.parent(), v) for v in got[1:]]
+                vertices, pairs = ball_with_edges(shape, n)
+                assert vertices == got
+                assert [(vertices[i], vertices[j]) for i, j in pairs] == edges(shape, n)
 
     def test_k2_small_values(self):
         shape = TreeShape(2)
@@ -34,9 +55,12 @@ class TestShape:
         assert len(direct_successors(shape, TreeVertex.root())) == 2
 
     def test_depth_guard(self):
-        shape = TreeShape(2, depth=3)
+        shape = TreeShape(2)
+        for query in (sphere, ball, edges, ball_with_edges):
+            with pytest.raises(ValueError):
+                query(shape, -1)
         with pytest.raises(ValueError):
-            sphere(shape, 4)
+            shape.ball_size(-1)
 
     def test_invalid_branching(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,14 @@ class TestVerify:
         assert code == 0
         assert parse(out)["ok"] is True
 
+    def test_contraction_guard_refuses_huge_balls(self, capsys):
+        # the 40-ball has 3 * 2**40 - 2 vertices; the guard refuses it before
+        # any level is built or any boundary law drawn
+        code, out, err = run(capsys, "verify", "--suite", "contraction", "--k", "2", "--n", "40")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("enumeration guard:")
+
     def test_contraction_refuses_divisible_q(self, capsys):
         code, _, err = run(
             capsys, "verify", "--suite", "contraction", "--q", "3", "--p", "3"

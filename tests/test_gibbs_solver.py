@@ -6,6 +6,7 @@ from padic_potts.cayley_tree import TreeShape, TreeVertex, sphere
 from padic_potts.errors import (
     DenominatorDegenerate,
     DomainViolation,
+    EnumerationTooLarge,
     NotInvertible,
 )
 from padic_potts.gibbs_solver import (
@@ -181,6 +182,13 @@ class TestBackwardRecursion:
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
         with pytest.raises(ValueError):
             recursion_backward(shape, {}, J, 0, N)
+
+    def test_guard_refuses_huge_balls(self):
+        # the guard runs before the walk, so no level of the 40-ball is built
+        # and no boundary law is read
+        J = CouplingField.homogeneous(Fraction(3), 3, 2)
+        with pytest.raises(EnumerationTooLarge):
+            recursion_backward(TreeShape(2), {}, J, 40, N)
 
     def test_mixed_boundary_floor(self):
         # the reported offset per level is the worst over the sphere

@@ -174,7 +174,7 @@ def _oracle_sizes():
     for k in (1, 2, 3):
         for q in (2, 3, 4, 5):
             n = 0
-            while q ** TreeShape(k, depth=n).ball_size(n) <= ORACLE_LIMIT:
+            while q ** TreeShape(k).ball_size(n) <= ORACLE_LIMIT:
                 yield k, q, n
                 n += 1
 
@@ -212,7 +212,7 @@ def test_tree_pass_matches_brute_force(k, q, n, p, field_kind):
     # the partition residue, and the marginals compatibility_check forms from
     # the messages folded onto the (n-1)-sphere, equal the configuration sums
     rng = random.Random(f"{k}-{q}-{n}-{p}-{field_kind}")
-    shape = TreeShape(k, depth=n)
+    shape = TreeShape(k)
     J = CouplingField.bipartite(exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q)
     h = _field(field_kind, shape, n, q, p, rng)
     outer = _LevelWeights(shape, h, J, n, N)
@@ -317,7 +317,7 @@ COMPAT_CASES = [
 @pytest.mark.parametrize("k,q,n", [(k, q, n + 1) for k, q, n in _oracle_sizes()])
 def test_compatibility_matches_brute_force(k, q, n, p, coupling_kind, field_kind):
     rng = random.Random(f"compat-{k}-{q}-{n}-{p}-{coupling_kind}-{field_kind}")
-    shape = TreeShape(k, depth=n)
+    shape = TreeShape(k)
     J = _coupling(coupling_kind, shape, n, q, p, rng)
     h = _field(field_kind, shape, n, q, p, rng)
     fast, brute = _compat_outcomes(shape, h, J, n)
@@ -331,7 +331,7 @@ def test_compatibility_base_spins_at_p_dividing_q(p, q, case):
     # the spin of least valuation varies between sphere vertices: a base
     # fixed at spin 1 instead of that spin fails cases 0, 37 and 43 at (3, 6)
     rng = random.Random(f"{p}-{q}-{case}")
-    shape = TreeShape(3, depth=2)
+    shape = TreeShape(3)
     J = CouplingField.homogeneous(exp_domain_fraction(rng, p, 1), p, q)
     h = _field("random", shape, 2, q, p, rng, spread=2)
     fast, brute = _compat_outcomes(shape, h, J, 2, precision=16)
@@ -378,7 +378,7 @@ class TestCompatibility:
             assert rep.holds
 
     def test_guard_triggers(self):
-        shape = TreeShape(2, depth=6)
+        shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         with pytest.raises(EnumerationTooLarge):
             compatibility_check(shape, BoundaryField.zero(3, P, N), J, 5, N)
@@ -502,6 +502,15 @@ class TestBoundaryField:
         field = BoundaryField.zero(3, P, N)
         with pytest.raises(DomainViolation):
             field.assign(TreeVertex.root(), vec([1, 0]))
+
+    def test_parity_vectors_are_validated_like_assigned_ones(self):
+        # the odd-level vector lives over 5, the field over 3
+        with pytest.raises(ValueError, match="prime"):
+            BoundaryField.by_parity(vec([3, 0]), PadicVector.from_rationals([5, 0], 5, N), 3)
+        with pytest.raises(ValueError):
+            BoundaryField.by_parity(vec([3, 0]), PadicVector.zero(1, P, N), 3)
+        with pytest.raises(DomainViolation):
+            BoundaryField.by_parity(vec([3, 0]), vec([1, 0]), 3)
 
     def test_constant_covers_all_vertices(self):
         v = vec([3, 9])
