@@ -38,7 +38,9 @@ class TreeShape:
 
     def ball_size(self, n: int) -> int:
         self._check_level(n)
-        return 1 + sum(self.sphere_size(m) for m in range(1, n + 1))
+        k = self.branching
+        # the root, then k + 1 times the geometric sum 1 + k + ... + k**(n-1)
+        return 1 + (k + 1) * ((k**n - 1) // (k - 1) if k > 1 else n)
 
 
 @dataclass(frozen=True, slots=True)

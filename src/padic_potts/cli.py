@@ -118,21 +118,22 @@ class RunConfig:
         return self.k if self.k is not None else default
 
     def coupling(self) -> CouplingField:
-        """The coupling from --couplings, or a homogeneous default J = p."""
-        p, q = self.prime(), self.states()
+        """The coupling from --couplings, or the default coupling."""
         if self.coupling_text is None:
-            return CouplingField.homogeneous(Fraction(p), p, q)
+            return _default_coupling(self.prime(), self.states())
         text = self.coupling_text.strip()
         if not text.startswith("{"):
             try:
                 with open(text, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read couplings file: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"couplings JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal past the int-string limit
+            raise ConfigError(f"couplings JSON: {exc}") from exc
         try:
             J = coupling_from_json(doc)
         except (KeyError, ValueError, TypeError) as exc:
@@ -146,7 +147,7 @@ class RunConfig:
     def boundary_field(self, J: CouplingField) -> BoundaryField:
         """The field from --field, or the zero field."""
         if self.field_path is None:
-            return BoundaryField.zero(J.q, J.prime, self.precision)
+            return BoundaryField.zero(J.q, J.prime)
         try:
             with open(self.field_path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -154,10 +155,18 @@ class RunConfig:
             raise ConfigError(f"cannot read field file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"field JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal past the int-string limit, or bad UTF-8
+            raise ConfigError(f"field JSON: {exc}") from exc
         try:
-            return boundary_field_from_json(doc, J.q, J.prime, self.precision)
+            return boundary_field_from_json(doc, J.q, J.prime)
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"field file invalid: {exc}") from exc
+
+
+def _default_coupling(p: int, q: int) -> CouplingField:
+    """Homogeneous J = p**v with v the least valuation the exponential admits:
+    J = p at odd p, J = 4 at p = 2."""
+    return CouplingField.homogeneous(Fraction(p ** exp_domain_min_valuation(p)), p, q)
 
 
 def _emit(doc: dict, out: str | None):
@@ -289,7 +298,7 @@ def _suite_contraction(cfg: RunConfig) -> dict:
         raise ConfigError("the contraction suite needs q not divisible by p")
     n = cfg.n if cfg.n >= 1 else 4
     total = cfg.checks if cfg.checks is not None else 25
-    J = CouplingField.homogeneous(Fraction(p), p, q)
+    J = _default_coupling(p, q)
     shape = TreeShape(k)
 
     class RandomLaws:
@@ -332,7 +341,7 @@ def _suite_compat(cfg: RunConfig) -> dict:
 
     shape2 = TreeShape(2)
     J = CouplingField.homogeneous(Fraction(3), 3, 3)
-    zero = BoundaryField.zero(3, 3, N)
+    zero = BoundaryField.zero(3, 3)
     rep = compatibility_check(shape2, zero, J, 2, N)
     checks.append(
         {
@@ -348,7 +357,7 @@ def _suite_compat(cfg: RunConfig) -> dict:
     shape1 = TreeShape(1)
     even = PadicVector.from_rationals([Fraction(3), Fraction(0)], 3, N)
     odd = PadicVector.zero(2, 3, N)
-    alternating = BoundaryField.by_parity(even, odd, 3)
+    alternating = BoundaryField.by_parity(even, odd)
     rep2 = compatibility_check(shape1, alternating, J, 2, N)
     checks.append(
         {
@@ -399,12 +408,12 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
 def cmd_classify(cfg: RunConfig) -> int:
     J = cfg.coupling()
-    p, q, k = J.prime.value, J.q, cfg.branching()
-    report = classify_phase(p, q, k, J, cfg.precision)
+    k = cfg.branching()
+    report = classify_phase(k, J, cfg.precision)
     doc = {
         "command": "classify",
-        "p": p,
-        "q": q,
+        "p": J.prime.value,
+        "q": J.q,
         "k": k,
         "precision": cfg.precision,
         "report": report.to_json(),
@@ -482,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--couplings",
         default=None,
-        help="coupling JSON, inline or a file path (default: homogeneous J = p)",
+        help="coupling JSON, inline or a file path (default: homogeneous J = p, "
+        "or J = 4 at p = 2)",
     )
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
 

@@ -70,16 +70,16 @@ def h_to_hprime(h: PadicVector) -> PadicVector:
     return PadicVector(out)
 
 
-def hprime_to_h(hprime: PadicVector, q: int) -> PadicVector:
+def hprime_to_h(hprime: PadicVector) -> PadicVector:
     """Inverse of the complement-sum map; defined only for q >= 3.
 
-    For q = 2 the complement sum is identically zero and carries no
-    information, so inversion is refused rather than guessed.
+    q is one more than the vector's dimension.  For q = 2 the complement sum
+    is identically zero and carries no information, so inversion is refused
+    rather than guessed.
     """
+    q = hprime.dimension + 1
     if q == 2:
         raise NotInvertible("the two-state complement-sum map collapses to zero")
-    if hprime.dimension != q - 1:
-        raise ValueError(f"expected {q - 1} components, got {hprime.dimension}")
     # written so component k never subtracts a copy of itself (which would
     # cancel past every known digit): the self term carries the exact factor
     # (3 - q)/(q - 2), zero at q = 3
@@ -155,7 +155,7 @@ def recursion_backward(
     """
     if n < 1:
         raise ValueError("recursion needs at least one level")
-    _guard(J.q, shape.ball_size(n), configurations=False)
+    _guard(J.q, shape, n, configurations=False)
     vertices, pairs = ball_with_edges(shape, n)
     outer = shape.ball_size(n - 1)
     laws: list = [None] * outer + [boundary_z[x] for x in vertices[outer:]]
@@ -211,20 +211,8 @@ class PhaseReport:
             "verdict": self.verdict,
             "certificate": self.certificate,
             "witnesses": [_witness_json(w) for w in self.witnesses],
-            "diagnostics": {k: _json_value(v) for k, v in sorted(self.diagnostics.items())},
+            "diagnostics": self.diagnostics,
         }
-
-
-def _json_value(v):
-    if isinstance(v, Valuation):
-        return str(v)
-    if isinstance(v, PadicNumber):
-        return v.render()
-    if isinstance(v, PadicVector):
-        return _witness_json(v)
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    return v
 
 
 def _witness_json(z: PadicVector) -> dict:
@@ -488,18 +476,10 @@ def _two_adic_threshold(q: int, j_valuation) -> bool:
     return False
 
 
-def classify_phase(
-    p,
-    q: int,
-    k: int,
-    J: CouplingField,
-    precision: int = DEFAULT_PRECISION,
-) -> PhaseReport:
-    """Dispatch to the strongest applicable analysis for (p, q, k, J)."""
-    prime = as_prime(p)
-    if prime != J.prime or q != J.q:
-        raise ValueError("classification parameters disagree with the coupling field")
-
+def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION) -> PhaseReport:
+    """Dispatch to the strongest applicable analysis for branching k and the
+    coupling J, which carries p and q."""
+    prime, q = J.prime, J.q
     cert = uniqueness_certificate(prime, q)
     if cert.applies:
         return PhaseReport(VERDICT_UNIQUE, [], cert.reason, {"q_unit": True})
@@ -550,10 +530,9 @@ def classify_phase(
     )
 
 
-def witness_boundary_field(
-    witness: PadicVector, q: int, precision: int | None = None
-) -> BoundaryField:
-    """The constant boundary field whose one-site weight ratios equal ``witness``.
+def witness_boundary_field(witness: PadicVector, precision: int | None = None) -> BoundaryField:
+    """The constant boundary field whose one-site weight ratios equal ``witness``,
+    over q = ``witness.dimension`` + 1 spin states.
 
     The field's complement-sum coordinates are minus the componentwise log of
     the witness: with that orientation the finite-volume measures built from
@@ -576,5 +555,4 @@ def witness_boundary_field(
                 "exponent at this prime"
             )
     hprime = PadicVector(-log_p(c, precision=precision) for c in witness.components)
-    h = hprime_to_h(hprime, q)
-    return BoundaryField.constant(h, q)
+    return BoundaryField.constant(hprime_to_h(hprime))

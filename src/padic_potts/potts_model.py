@@ -2,7 +2,9 @@
 
 Couplings sit on edges, boundary fields on the outermost sphere, and every
 finite-volume weight is the p-adic exponential of a sum that admissibility
-keeps inside the exponential's convergence disk.  Since such exponentials are
+keeps inside the exponential's convergence disk.  A field gives each vertex
+its own vector or, failing that, the vector of its level's parity; p and q
+come with the coupling and the field, which must agree on them.  Since such exponentials are
 units, all arithmetic runs on unit residues modulo p**B for a working
 exponent B a little above the requested precision; partition functions and
 marginal sums are therefore exact integers mod p**B, and every reported
@@ -21,6 +23,7 @@ solver module implements, which is what makes the cross-check meaningful.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -211,30 +214,32 @@ class CouplingField:
 
 
 class BoundaryField:
-    """Vertex-to-vector assignment h; unlisted vertices default to zero.
+    """Vertex-to-vector assignment h over q - 1 components.
 
-    Every explicitly assigned vector must lie componentwise in the
+    Each vertex reads its own entry if one was assigned, and otherwise the
+    default of its level's parity: an (even levels, odd levels) pair, zero
+    unless set.  So a constant field is a pair of equal vectors, a
+    period-two field a pair of different ones, and a sparse field file is
+    entries over the zero pair.  Every vector must lie componentwise in the
     exponential's convergence disk, which is what keeps all weights
     well-defined units.
     """
 
-    __slots__ = ("q", "prime", "precision", "_table", "_default")
+    __slots__ = ("q", "prime", "_pair", "_table")
 
-    def __init__(self, q: int, p, assignment=None, precision: int = DEFAULT_PRECISION):
+    def __init__(self, q: int, p, assignment=None):
         if q < 2:
             raise ValueError(f"need at least two spin states, got q={q}")
         self.q = q
         self.prime = as_prime(p)
-        self.precision = precision
-        self._default = PadicVector.zero(q - 1, self.prime, precision)
+        zero = PadicVector.zero(q - 1, self.prime)
+        self._pair = (zero, zero)
         self._table: dict[TreeVertex, PadicVector] = {}
         for vertex, vec in (assignment or {}).items():
             self.assign(vertex, vec)
 
     def assign(self, vertex: TreeVertex, vec: PadicVector) -> None:
-        if isinstance(self._table, _ParityTable):
-            raise ValueError("a parity-patterned field does not take per-vertex entries")
-        self._table[vertex] = self._checked(vec, vertex or "root")
+        self._table[vertex] = self._checked(vec, str(vertex) or "root")
 
     def _checked(self, vec: PadicVector, where) -> PadicVector:
         if vec.dimension != self.q - 1:
@@ -248,54 +253,22 @@ class BoundaryField:
         return vec
 
     @classmethod
-    def zero(cls, q: int, p, precision: int = DEFAULT_PRECISION) -> "BoundaryField":
-        return cls(q, p, precision=precision)
+    def zero(cls, q: int, p) -> "BoundaryField":
+        return cls(q, p)
 
     @classmethod
-    def constant(cls, vec: PadicVector, q: int) -> "BoundaryField":
-        out = cls(q, vec.prime, precision=max(c.precision for c in vec.components))
-        out.assign(TreeVertex.root(), vec)
-        out._default = vec
-        return out
+    def constant(cls, vec: PadicVector) -> "BoundaryField":
+        return cls.by_parity(vec, vec)
 
     @classmethod
-    def by_parity(cls, even: PadicVector, odd: PadicVector, q: int) -> "BoundaryField":
-        out = cls(q, even.prime, precision=max(c.precision for c in even.components))
-        out._table = _ParityTable(
-            out._checked(even, "even levels"), out._checked(odd, "odd levels")
-        )
+    def by_parity(cls, even: PadicVector, odd: PadicVector) -> "BoundaryField":
+        out = cls(even.dimension + 1, even.prime)
+        out._pair = (out._checked(even, "even levels"), out._checked(odd, "odd levels"))
         return out
 
     def field_at(self, vertex: TreeVertex) -> PadicVector:
         got = self._table.get(vertex)
-        return self._default if got is None else got
-
-
-class _ParityTable:
-    """Mapping view that answers by vertex parity instead of by vertex."""
-
-    __slots__ = ("even", "odd")
-
-    def __init__(self, even: PadicVector, odd: PadicVector):
-        self.even = even
-        self.odd = odd
-
-    def get(self, vertex: TreeVertex, default=None):
-        return self.even if vertex_parity(vertex) == "even" else self.odd
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A total spin assignment on some ball, spins labelled 1..q."""
-
-    assignment: dict
-
-    def spin_at(self, vertex: TreeVertex) -> SpinLabel:
-        return self.assignment[vertex]
-
-    @classmethod
-    def from_spins(cls, mapping) -> "Configuration":
-        return cls(dict(mapping))
+        return self._pair[vertex.level % 2] if got is None else got
 
 
 def spin_pairing(h: PadicVector, s: SpinLabel) -> PadicNumber:
@@ -317,7 +290,7 @@ def spin_pairing(h: PadicVector, s: SpinLabel) -> PadicNumber:
 
 def hamiltonian(
     shape: TreeShape,
-    cfg: Configuration,
+    cfg: dict[TreeVertex, SpinLabel],
     J: CouplingField,
     n: int,
     precision: int = DEFAULT_PRECISION,
@@ -325,7 +298,7 @@ def hamiltonian(
     """Minus the coupling sum over agreeing edges of the n-ball, exactly."""
     total = Fraction(0)
     for x, y in edges(shape, n):
-        if cfg.spin_at(x) == cfg.spin_at(y):
+        if cfg[x] == cfg[y]:
             total += J.coupling_for_edge(x, y)
     return PadicNumber.from_fraction(-total, J.prime, precision)
 
@@ -334,14 +307,28 @@ def hamiltonian(
 # Measure engine
 
 
-def _guard(q: int, count: int, configurations: bool = True) -> None:
-    """Refuse to touch more than ENUMERATION_GUARD terms: q**count of them in a
-    sum over the configurations of ``count`` vertices, q*count in the tree pass."""
-    # q >= 2, so capping the exponent at the guard's bit length changes no verdict
-    terms = q ** min(count, ENUMERATION_GUARD.bit_length()) if configurations else q * count
-    if terms > ENUMERATION_GUARD:
-        what = f"{q}**{count} configurations" if configurations else f"{q}*{count} tree-pass terms"
-        raise EnumerationTooLarge(f"{what} exceed the guard of {ENUMERATION_GUARD} terms")
+def _guard(q: int, shape: TreeShape, n: int, configurations: bool = True) -> None:
+    """Refuse to touch more than ENUMERATION_GUARD terms: q**|B_n| of them in a
+    sum over the configurations of the n-ball, q*|B_n| in the tree pass.
+
+    A refused size with more than the d digits an int may print is named by
+    its depth instead, and from n = 4d on (k > 1, so |B_n| > 2**n > 10**d)
+    it is not even formed.
+    """
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    count = None if shape.branching > 1 and n >= 4 * digits else shape.ball_size(n)
+    if count is not None:
+        # q >= 2, so capping the exponent at the guard's bit length changes no verdict
+        terms = q ** min(count, ENUMERATION_GUARD.bit_length()) if configurations else q * count
+        if terms <= ENUMERATION_GUARD:
+            return
+        if count < 10**digits:
+            what = f"{q}**{count} configurations" if configurations else f"{q}*{count} tree-pass terms"
+            raise EnumerationTooLarge(f"{what} exceed the guard of {ENUMERATION_GUARD} terms")
+    raise EnumerationTooLarge(
+        f"the {n}-ball has more than 10**{digits} vertices, past the guard of "
+        f"{ENUMERATION_GUARD} terms"
+    )
 
 
 class _LevelWeights:
@@ -363,10 +350,15 @@ class _LevelWeights:
         precision: int,
         extra_digits: int = 0,
     ):
+        if (h.prime, h.q) != (J.prime, J.q):
+            raise ValueError(
+                f"field over p={h.prime}, q={h.q} does not match the coupling's "
+                f"p={J.prime}, q={J.q}"
+            )
         p = J.prime.value
         self.prime = J.prime
         self.q = J.q
-        _guard(self.q, shape.ball_size(n), configurations=False)
+        _guard(self.q, shape, n, configurations=False)
         vertices, pairs = ball_with_edges(shape, n)
         self.vertices = vertices
 
@@ -459,19 +451,19 @@ def _weights_resolving_partition(
 
 def finite_measure(
     shape: TreeShape,
-    cfg: Configuration,
+    cfg: dict[TreeVertex, SpinLabel],
     h: BoundaryField,
     J: CouplingField,
     n: int,
     precision: int = DEFAULT_PRECISION,
 ) -> PadicNumber:
-    """The normalized weight of ``cfg`` in the n-ball ensemble.
+    """The normalized weight of the spins ``cfg`` in the n-ball ensemble.
 
     The partition sum comes from one tree pass, so a call costs q terms per
     vertex of the ball rather than one per configuration.
     """
     system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
-    w_res = system.weight(tuple(cfg.spin_at(v) for v in system.vertices))
+    w_res = system.weight(tuple(cfg[v] for v in system.vertices))
     return _residue_quotient(w_res, z_res, zeta, system)
 
 
@@ -500,7 +492,7 @@ def finite_measure_table(
 
     It returns one entry per configuration, so it visits all q**|B_n| of them.
     """
-    _guard(J.q, shape.ball_size(n))
+    _guard(J.q, shape, n)
     system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
     return [
         (cfg, _residue_quotient(system.weight(cfg), z_res, zeta, system))
@@ -551,7 +543,7 @@ def compatibility_check(
         raise ValueError("compatibility needs n >= 1")
     p = J.prime.value
     q = J.q
-    _guard(q, shape.ball_size(n - 1))
+    _guard(q, shape, n - 1)
     threshold = precision - COMPAT_MARGIN
     extra = _shift_hint(shape, q, p, n) + _shift_hint(shape, q, p, n - 1)
 
@@ -625,7 +617,7 @@ def measure_norm_profile(
     assume it, and takes each partition valuation from the tree pass with the
     extra working digits ``finite_measure`` takes.
     """
-    _guard(J.q, shape.ball_size(n_max), configurations=False)
+    _guard(J.q, shape, n_max, configurations=False)
     pv = J.prime.value
     rows = []
     for n in range(n_max + 1):
@@ -663,7 +655,10 @@ def coupling_from_json(doc: dict) -> CouplingField:
     try:
         pattern = doc["pattern"]
         p = as_prime(doc["p"])
-        q = int(doc["q"])
+        q = doc["q"]
+        if isinstance(q, float):  # int() would truncate it, or overflow at infinity
+            raise ValueError(f"q must be an integer, got {q!r}")
+        q = int(q)
         raw = doc["values"]
     except KeyError as missing:
         raise ValueError(f"coupling document lacks field {missing}") from None
@@ -690,16 +685,14 @@ def coupling_from_json(doc: dict) -> CouplingField:
     return CouplingField.per_edge(table, p, q)
 
 
-def boundary_field_from_json(
-    doc: dict, q: int, p, precision: int = DEFAULT_PRECISION
-) -> BoundaryField:
+def boundary_field_from_json(doc: dict, q: int, p) -> BoundaryField:
     """Build a BoundaryField from {"address": ["num/den", ...], ...}.
 
     The root is the empty address "" and unlisted vertices stay at zero.
     """
     if not isinstance(doc, dict):
         raise ValueError("a field document must map addresses to component lists")
-    out = BoundaryField(q, p, precision=precision)
+    out = BoundaryField(q, p)
     for address, values in doc.items():
         if not isinstance(values, list):
             raise ValueError(f"field at {address!r} must be a list of components, got {values!r}")
@@ -707,8 +700,6 @@ def boundary_field_from_json(
             raise ValueError(
                 f"field at {address!r} must list {q - 1} components, got {len(values)}"
             )
-        vec = PadicVector.from_rationals(
-            [_fraction_from_text(v) for v in values], out.prime, precision
-        )
+        vec = PadicVector.from_rationals([_fraction_from_text(v) for v in values], out.prime)
         out.assign(TreeVertex.from_string(address), vec)
     return out

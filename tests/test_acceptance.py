@@ -131,7 +131,7 @@ def test_04_alternating_line_witnesses():
         assert nontrivial[0] == PadicNumber.from_fraction(-2, 3, deep)
         assert nontrivial.offset_valuation() >= 1
 
-        field = witness_boundary_field(nontrivial, 3, precision=deep)
+        field = witness_boundary_field(nontrivial, precision=deep)
         Jfield = CouplingField.bipartite(J1, J2, 3, 3)
         rep = compatibility_check(shape, field, Jfield, 2, N)
         assert rep.holds
@@ -199,7 +199,7 @@ def test_07_marginal_consistency_oracle():
     t0 = time.monotonic()
     shape = TreeShape(2)
     J = CouplingField.homogeneous(Fraction(3), 3, 3)
-    rep = compatibility_check(shape, BoundaryField.zero(3, 3, N), J, 2, N)
+    rep = compatibility_check(shape, BoundaryField.zero(3, 3), J, 2, N)
     elapsed = time.monotonic() - t0
     assert rep.holds
     assert rep.max_discrepancy_valuation >= N - 4
@@ -211,7 +211,6 @@ def test_07_marginal_consistency_oracle():
     even = BoundaryField.by_parity(
         PadicVector.from_rationals([Fraction(3), Fraction(0)], 3, N),
         PadicVector.zero(2, 3, N),
-        3,
     )
     bad = compatibility_check(line, even, Jline, 2, N)
     assert not bad.holds
@@ -229,8 +228,8 @@ def test_08_norm_boundedness_split():
     shape = TreeShape(2)
     J2 = CouplingField.homogeneous(Fraction(3), 3, 2)
     J3 = CouplingField.homogeneous(Fraction(3), 3, 3)
-    rows2 = measure_norm_profile(shape, BoundaryField.zero(2, 3, N), J2, 2, N)
-    rows3 = measure_norm_profile(shape, BoundaryField.zero(3, 3, N), J3, 2, N)
+    rows2 = measure_norm_profile(shape, BoundaryField.zero(2, 3), J2, 2, N)
+    rows3 = measure_norm_profile(shape, BoundaryField.zero(3, 3), J3, 2, N)
     assert all(r.min_valuation >= 0 for r in rows2)
     assert any(r.min_valuation < 0 for r in rows3)
     _report(

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padic_potts.cli import main
 
@@ -47,6 +53,13 @@ class TestVerify:
         assert code == 4
         assert out == ""
         assert err.startswith("enumeration guard:")
+
+    def test_contraction_at_two_uses_an_admissible_default_coupling(self, capsys):
+        # J = 4 at p = 2, where J = p would leave the exponential's disk
+        code, out, err = run(capsys, "verify", "--suite", "contraction", "--p", "2", "--q", "3")
+        assert (code, err) == (0, "")
+        suite = parse(out)["suites"][0]
+        assert suite["passed"] == suite["checks"] == 25
 
     def test_contraction_refuses_divisible_q(self, capsys):
         code, _, err = run(
@@ -101,6 +114,14 @@ class TestClassify:
         _, first, _ = run(capsys, "classify")
         _, second, _ = run(capsys, "classify")
         assert first == second
+
+    def test_default_coupling_at_two(self, capsys):
+        # J = 4 has valuation 2, so the two-adic threshold table applies
+        code, out, err = run(capsys, "classify", "--p", "2", "--q", "4")
+        assert (code, err) == (0, "")
+        report = parse(out)["report"]
+        assert report["verdict"] == "multiple_translation_invariant"
+        assert report["diagnostics"] == {"coupling_valuation": "2"}
 
     def test_composite_modulus_rejected(self, capsys):
         code, _, err = run(capsys, "classify", "--p", "4")
@@ -206,6 +227,18 @@ class TestCompatCheck:
         assert code == 2
         assert "domain violation" in err
 
+    def test_inadmissible_root_field_names_the_root(self, capsys, tmp_path):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"": ["1", "0"]}))
+        code, out, err = run(capsys, "compat-check", "--n", "1", "--field", str(field))
+        assert (code, out) == (2, "")
+        assert err == "domain violation: field at root leaves the exponential domain at p=3\n"
+
+    def test_default_coupling_at_two(self, capsys):
+        code, out, err = run(capsys, "compat-check", "--p", "2", "--q", "3", "--n", "2")
+        assert (code, err) == (0, "")
+        assert parse(out)["holds"] is True
+
 
 class TestNormProfile:
     def test_three_states_unbounded(self, capsys):
@@ -239,6 +272,12 @@ class TestNormProfile:
         assert doc["bounded_so_far"] is True
         assert all(r["min_valuation"] == "0" for r in doc["rows"])
 
+    def test_default_coupling_at_two(self, capsys):
+        # p = q = 2: v_2(Z_n) = |B_n|, one digit per vertex of the ball
+        code, out, err = run(capsys, "norm-profile", "--p", "2", "--q", "2", "--n", "2")
+        assert (code, err) == (0, "")
+        assert [r["min_valuation"] for r in parse(out)["rows"]] == ["-1", "-4", "-10"]
+
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run(capsys, "norm-profile", "--n", "1")
         _, second, _ = run(capsys, "norm-profile", "--n", "1")
@@ -249,6 +288,8 @@ BAD_COUPLINGS = {
     "zero denominator": {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/0"}},
     "values as a list": {"pattern": "homogeneous", "p": 3, "q": 3, "values": ["3"]},
     "numeric edge address": {"pattern": "per_edge", "p": 3, "q": 3, "values": [[1, 2, "3"]]},
+    "infinite q": {"pattern": "homogeneous", "p": 3, "q": float("inf"), "values": {"J": "3"}},
+    "fractional q": {"pattern": "homogeneous", "p": 3, "q": 3.5, "values": {"J": "3"}},
 }
 BAD_FIELDS = {
     "zero denominator": {"": ["1/0", "0"]},
@@ -276,6 +317,34 @@ def test_malformed_documents_are_config_errors(capsys, tmp_path, couplings, fiel
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize("n", ["20000", str(10**9)])
+@pytest.mark.parametrize(
+    "command",
+    [["compat-check"], ["norm-profile"], ["verify", "--suite", "contraction"]],
+    ids=["compat-check", "norm-profile", "contraction"],
+)
+def test_guard_refuses_deep_balls_at_once(capsys, command, n):
+    # |B_n| has more digits than an int may print; the guard refuses the
+    # ball by its depth without forming that count
+    code, out, err = run(capsys, *command, "--k", "2", "--n", n)
+    assert (code, out) == (4, "")
+    assert err.startswith("enumeration guard:")
+
+
+@pytest.mark.parametrize("flag", ["--couplings", "--field"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"q": ' + b"9" * 5000 + b"}", b"\xff\xfe{}"],
+    ids=["integer past the digit limit", "not UTF-8"],
+)
+def test_undecodable_files_are_config_errors(capsys, tmp_path, flag, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "compat-check", "--n", "1", flag, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("config error:")
+
+
 class TestFlagValidation:
     def test_precision_floor(self, capsys):
         code, _, err = run(capsys, "classify", "--precision", "4")
@@ -286,3 +355,69 @@ class TestFlagValidation:
         code, _, err = run(capsys, "norm-profile", "--n", "-1")
         assert code == 1
         assert "config error" in err
+
+
+# Random JSON documents for --couplings and --field: any shape, any atom.
+_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["3", "9", "4", "9/2", "-6/5", "0", "1/0", "1e3", "x", ""]),
+)
+_VALUES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["J", "even_to_odd", "odd_to_even", "x"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_ADDRESSES = st.sampled_from(["", "0", "1", "2", "0.1", "1.0", "0.0", "-1", "a", "0..1", "1.", " 0"])
+_EDGE_ROWS = st.lists(
+    st.one_of(st.tuples(_ADDRESSES, _ADDRESSES, _VALUES).map(list), _VALUES), max_size=4
+)
+_COUPLINGS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "pattern": st.sampled_from(["homogeneous", "bipartite", "per_edge", "bogus"]),
+            "p": st.one_of(st.sampled_from([2, 3, 5]), _VALUES),
+            "q": st.one_of(st.sampled_from([2, 3, 4, 6]), _VALUES),
+            "values": st.one_of(_VALUES, _EDGE_ROWS),
+        }
+    ),
+    _VALUES,
+)
+_FIELDS = st.one_of(
+    st.dictionaries(_ADDRESSES, st.one_of(st.lists(_ATOMS, max_size=3), _VALUES), max_size=4),
+    _VALUES,
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    command=st.sampled_from(["compat-check", "norm-profile", "classify"]),
+    k=st.integers(1, 2),
+    n=st.integers(0, 2),
+    couplings=st.one_of(st.none(), _COUPLINGS),
+    field=st.one_of(st.none(), _FIELDS),
+)
+def test_random_json_documents_exit_in_range(command, k, n, couplings, field):
+    argv = [command, "--k", str(k), "--n", str(n)]
+    if couplings is not None:
+        argv.append("--couplings=" + json.dumps(couplings))  # a document may start with "-"
+    with tempfile.TemporaryDirectory() as tmp:
+        if field is not None and command != "classify":
+            path = os.path.join(tmp, "field.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(field, fh)
+            argv += ["--field", path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in range(5)

@@ -67,7 +67,7 @@ class TestFieldCoordinates:
         for q in (3, 4, 5):
             for _ in range(20):
                 h = pvec([3 * rng.randrange(-20, 21) for _ in range(q - 1)])
-                back = hprime_to_h(h_to_hprime(h), q)
+                back = hprime_to_h(h_to_hprime(h))
                 assert back == h
 
     def test_two_states_collapse_to_zero(self):
@@ -77,15 +77,11 @@ class TestFieldCoordinates:
 
     def test_two_states_not_invertible(self):
         with pytest.raises(NotInvertible):
-            hprime_to_h(pvec([3]), 2)
+            hprime_to_h(pvec([3]))
 
     def test_zero_maps_to_zero(self):
-        h = hprime_to_h(PadicVector.zero(3, 3, N), 4)
+        h = hprime_to_h(PadicVector.zero(3, 3, N))
         assert all(c.is_zero for c in h.components)
-
-    def test_dimension_checked(self):
-        with pytest.raises(ValueError):
-            hprime_to_h(pvec([3, 9]), 4)
 
 
 class TestThetaValue:
@@ -423,26 +419,19 @@ class TestAlternatingPairQuadratic:
 class TestClassification:
     def test_unit_q_short_circuits(self):
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
-        report = classify_phase(3, 2, 5, J, N)
+        report = classify_phase(5, J, N)
         assert report.verdict == VERDICT_UNIQUE
         assert report.diagnostics == {"q_unit": True}
 
-    def test_parameter_mismatch(self):
-        J = CouplingField.homogeneous(Fraction(3), 3, 3)
-        with pytest.raises(ValueError):
-            classify_phase(5, 3, 1, J, N)
-        with pytest.raises(ValueError):
-            classify_phase(3, 4, 1, J, N)
-
     def test_line_dispatch(self):
         J = CouplingField.homogeneous(Fraction(3), 3, 3)
-        report = classify_phase(3, 3, 1, J, N)
+        report = classify_phase(1, J, N)
         assert report.verdict == VERDICT_MULTIPLE_TI
         assert len(report.witnesses) == 2
 
     def test_order_two_merges_both_analyses(self):
         J = CouplingField.homogeneous(Fraction(3), 3, 3)
-        report = classify_phase(3, 3, 2, J, N)
+        report = classify_phase(2, J, N)
         assert report.verdict == VERDICT_MULTIPLE_TI
         assert len(report.witnesses) == 5  # 3 constant + 2 alternating
         assert report.diagnostics["alternating_verdict"] == VERDICT_INCONCLUSIVE
@@ -458,21 +447,21 @@ class TestClassification:
         ]
         for q, Jval, verdict in rows:
             J = CouplingField.homogeneous(Jval, 2, q)
-            report = classify_phase(2, q, 2, J, N)
+            report = classify_phase(2, J, N)
             assert report.verdict == verdict, (q, Jval)
             assert report.witnesses == []
             assert "coupling_valuation" in report.diagnostics
 
     def test_uncovered_combination(self):
         J = CouplingField.homogeneous(Fraction(3), 3, 3)
-        report = classify_phase(3, 3, 3, J, N)
+        report = classify_phase(3, J, N)
         assert report.verdict == VERDICT_INCONCLUSIVE
 
     def test_json_round_trip(self):
         import json
 
         J = CouplingField.homogeneous(Fraction(3), 3, 3)
-        doc = classify_phase(3, 3, 2, J, N).to_json()
+        doc = classify_phase(2, J, N).to_json()
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text)["verdict"] == VERDICT_MULTIPLE_TI
 
@@ -482,26 +471,26 @@ class TestWitnessField:
         # the reconstructed field must reproduce the witness through the
         # one-site weight ratios exp(pairing(h, s) - pairing(h, q))
         z = PadicVector([num(-2), num(4)])
-        field = witness_boundary_field(z, 3, precision=48)
+        field = witness_boundary_field(z, precision=48)
         h = field.field_at(TreeVertex.root())
         for i in (1, 2):
             ratio = exp_p(spin_pairing(h, i) - spin_pairing(h, 3))
             assert ratio.distance_valuation(z[i - 1]) >= 25
 
     def test_trivial_witness_gives_zero_field(self):
-        field = witness_boundary_field(pvec([1, 1]), 3)
+        field = witness_boundary_field(pvec([1, 1]))
         h = field.field_at(TreeVertex.root())
         assert all(c.is_zero for c in h.components)
 
     def test_two_adic_offset_gate(self):
         z = PadicVector([PadicNumber.from_fraction(3, 2, N)])
         with pytest.raises(DomainViolation):
-            witness_boundary_field(z, 2)
+            witness_boundary_field(z)
 
     def test_two_state_reconstruction_refused(self):
         z = PadicVector([num(4)])
         with pytest.raises(NotInvertible):
-            witness_boundary_field(z, 2)
+            witness_boundary_field(z)
 
     def test_end_to_end_compatibility(self):
         # a verified constant law must reconstruct to a field the direct
@@ -513,7 +502,7 @@ class TestWitnessField:
         nontrivial = next(
             w for w in report.witnesses if w.offset_valuation() != Valuation(None)
         )
-        field = witness_boundary_field(nontrivial, 3, precision=deep)
+        field = witness_boundary_field(nontrivial, precision=deep)
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 3)
         rep = compatibility_check(shape, field, J, 2, N)
@@ -531,7 +520,7 @@ class TestWitnessField:
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 3)
         for witness in nontrivial:
-            field = witness_boundary_field(witness, 3, precision=deep)
+            field = witness_boundary_field(witness, precision=deep)
             rep = compatibility_check(shape, field, J, 3, N)
             assert rep.holds
 
@@ -545,7 +534,7 @@ class TestWitnessField:
         nontrivial = next(
             w for w in report.witnesses if w.offset_valuation() != Valuation(None)
         )
-        field = witness_boundary_field(nontrivial, 3, precision=deep)
+        field = witness_boundary_field(nontrivial, precision=deep)
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 3)
         rep = compatibility_check(shape, field, J, 1, N)

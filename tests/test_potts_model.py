@@ -19,7 +19,6 @@ from padic_potts.potts_model import (
     COMPAT_MARGIN,
     BoundaryField,
     CompatibilityReport,
-    Configuration,
     CouplingField,
     PadicVector,
     boundary_field_from_json,
@@ -68,7 +67,7 @@ class TestHamiltonian:
     def test_constant_configuration_counts_every_edge(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        cfg = Configuration.from_spins({v: 1 for v in ball(shape, 1)})
+        cfg = {v: 1 for v in ball(shape, 1)}
         got = hamiltonian(shape, cfg, J, 1, N)
         assert got == PadicNumber.from_fraction(Fraction(-9), P, N)  # -3J, J=3
 
@@ -78,20 +77,18 @@ class TestHamiltonian:
         spins = {}
         for i, v in enumerate(ball(shape, 1)):
             spins[v] = i + 1  # 4 vertices, labels 1..4, never equal on an edge
-        cfg = Configuration.from_spins(spins)
-        assert hamiltonian(shape, cfg, J, 1, N).is_zero
+        assert hamiltonian(shape, spins, J, 1, N).is_zero
 
     def test_recount_oracle(self, rng):
         shape = TreeShape(2)
         J = CouplingField.bipartite(Fraction(3), Fraction(9, 2), P, 3)
         for _ in range(25):
             spins = {v: rng.randrange(1, 4) for v in ball(shape, 2)}
-            cfg = Configuration.from_spins(spins)
             total = Fraction(0)
             for parent, child in edges(shape, 2):
                 if spins[parent] == spins[child]:
                     total -= J.coupling_for_edge(parent, child)
-            got = hamiltonian(shape, cfg, J, 2, N)
+            got = hamiltonian(shape, spins, J, 2, N)
             if total == 0:
                 assert got.is_zero
             else:
@@ -103,7 +100,7 @@ class TestHamiltonian:
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         for _ in range(10):
             spins = {v: rng.randrange(1, 4) for v in ball(shape, 1)}
-            h = hamiltonian(shape, Configuration.from_spins(spins), J, 1, N)
+            h = hamiltonian(shape, spins, J, 1, N)
             assert h.is_zero or h.norm_valuation() >= 1
 
 
@@ -112,7 +109,7 @@ class TestFiniteMeasure:
         for k, q, n, p in [(1, 3, 1, 3), (2, 2, 1, 3), (1, 2, 2, 2), (1, 4, 1, 2), (3, 3, 1, 5)]:
             shape = TreeShape(k)
             J = CouplingField.homogeneous(Fraction(p ** exp_domain_min_valuation(p)), p, q)
-            h = BoundaryField.zero(q, p, N)
+            h = BoundaryField.zero(q, p)
             table = finite_measure_table(shape, h, J, n, N)
             assert len(table) == q ** shape.ball_size(n)
             total = table[0][1]
@@ -125,13 +122,13 @@ class TestFiniteMeasure:
         # configurations is theta^(difference in agreeing edges)
         shape = TreeShape(1)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
-        h = BoundaryField.zero(2, P, N)
+        h = BoundaryField.zero(2, P)
         theta = J.theta_for_edge(TreeVertex.root(), TreeVertex.root().child(0), N)
         verts = ball(shape, 1)
-        all_same = Configuration.from_spins({v: 1 for v in verts})
+        all_same = {v: 1 for v in verts}
         spins = {v: 1 for v in verts}
         spins[verts[-1]] = 2
-        one_off = Configuration.from_spins(spins)
+        one_off = spins
         mu_same = finite_measure(shape, all_same, h, J, 1, N)
         mu_off = finite_measure(shape, one_off, h, J, 1, N)
         ratio = mu_same / mu_off
@@ -144,15 +141,13 @@ class TestFiniteMeasure:
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         h_vec = vec([3, 9])
         swapped_vec = vec([9, 3])
-        h = BoundaryField.constant(h_vec, 3)
-        h_swapped = BoundaryField.constant(swapped_vec, 3)
+        h = BoundaryField.constant(h_vec)
+        h_swapped = BoundaryField.constant(swapped_vec)
         swap = {1: 2, 2: 1, 3: 3}
         for spins in itertools.product((1, 2, 3), repeat=3):
             verts = ball(shape, 1)
-            cfg = Configuration.from_spins(dict(zip(verts, spins)))
-            cfg_swapped = Configuration.from_spins(
-                dict(zip(verts, (swap[s] for s in spins)))
-            )
+            cfg = dict(zip(verts, spins))
+            cfg_swapped = dict(zip(verts, (swap[s] for s in spins)))
             a = finite_measure(shape, cfg, h, J, 1, N)
             b = finite_measure(shape, cfg_swapped, h_swapped, J, 1, N)
             assert a == b
@@ -160,7 +155,7 @@ class TestFiniteMeasure:
     def test_measure_values_unit_norm_when_q_unit(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
-        h = BoundaryField.zero(2, P, N)
+        h = BoundaryField.zero(2, P)
         for _, m in finite_measure_table(shape, h, J, 1, N):
             assert m.norm_valuation() == 0
 
@@ -186,12 +181,12 @@ def _field(kind, shape, n, q, p, rng, spread=3):
         )
 
     if kind == "zero":
-        return BoundaryField.zero(q, p, N)
+        return BoundaryField.zero(q, p)
     if kind == "constant":
-        return BoundaryField.constant(draw(), q)
+        return BoundaryField.constant(draw())
     if kind == "parity":
-        return BoundaryField.by_parity(draw(), draw(), q)
-    return BoundaryField(q, p, {x: draw() for x in ball(shape, n)}, N)
+        return BoundaryField.by_parity(draw(), draw())
+    return BoundaryField(q, p, {x: draw() for x in ball(shape, n)})
 
 
 def _brute_sums(system, inner_count):
@@ -342,14 +337,14 @@ class TestCompatibility:
     def test_zero_field_holds_n1(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        rep = compatibility_check(shape, BoundaryField.zero(3, P, N), J, 1, N)
+        rep = compatibility_check(shape, BoundaryField.zero(3, P), J, 1, N)
         assert rep.holds
         assert rep.max_discrepancy_valuation >= rep.threshold
 
     def test_zero_field_holds_n2_full_budget(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        rep = compatibility_check(shape, BoundaryField.zero(3, P, N), J, 2, N)
+        rep = compatibility_check(shape, BoundaryField.zero(3, P), J, 2, N)
         assert rep.holds
         assert rep.terms_enumerated < 10**5
 
@@ -358,7 +353,7 @@ class TestCompatibility:
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         even = vec([3, 0])
         odd = PadicVector.zero(2, P, N)
-        field = BoundaryField.by_parity(even, odd, 3)
+        field = BoundaryField.by_parity(even, odd)
         for n, worst in ((1, -3), (2, -3)):
             rep = compatibility_check(shape, field, J, n, N)
             assert not rep.holds
@@ -372,23 +367,40 @@ class TestCompatibility:
         J = CouplingField.homogeneous(Fraction(3), P, 2)
         even = vec([3])
         odd = PadicVector.zero(1, P, N)
-        field = BoundaryField.by_parity(even, odd, 2)
+        field = BoundaryField.by_parity(even, odd)
         for n in (1, 2):
             rep = compatibility_check(shape, field, J, n, N)
             assert rep.holds
+
+    def test_field_over_another_prime_is_refused(self):
+        # at the parent this returned a resolved holds=False at valuation 1
+        shape = TreeShape(2)
+        J = CouplingField.homogeneous(Fraction(3), P, 3)
+        field = BoundaryField.constant(vec([5, 0], p=5))
+        with pytest.raises(ValueError, match="does not match the coupling"):
+            compatibility_check(shape, field, J, 2, N)
+
+    def test_field_with_another_q_is_refused(self):
+        # at the parent compat returned holds=False at -6 and the profile rows
+        shape = TreeShape(2)
+        J = CouplingField.homogeneous(Fraction(3), P, 3)
+        field = BoundaryField.constant(vec([3, 0, 0]))
+        for run in (compatibility_check, measure_norm_profile):
+            with pytest.raises(ValueError, match="does not match the coupling"):
+                run(shape, field, J, 2, N)
 
     def test_guard_triggers(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         with pytest.raises(EnumerationTooLarge):
-            compatibility_check(shape, BoundaryField.zero(3, P, N), J, 5, N)
+            compatibility_check(shape, BoundaryField.zero(3, P), J, 5, N)
 
 
 class TestNormProfile:
     def test_two_states_stay_bounded(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
-        rows = measure_norm_profile(shape, BoundaryField.zero(2, P, N), J, 2, N)
+        rows = measure_norm_profile(shape, BoundaryField.zero(2, P), J, 2, N)
         assert [(r.level, int(r.min_valuation), int(r.max_valuation)) for r in rows] == [
             (0, 0, 0),
             (1, 0, 0),
@@ -398,7 +410,7 @@ class TestNormProfile:
     def test_three_states_blow_up(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        rows = measure_norm_profile(shape, BoundaryField.zero(3, P, N), J, 2, N)
+        rows = measure_norm_profile(shape, BoundaryField.zero(3, P), J, 2, N)
         assert [(r.level, int(r.min_valuation), int(r.max_valuation)) for r in rows] == [
             (0, -1, -1),
             (1, -4, -4),
@@ -408,7 +420,7 @@ class TestNormProfile:
     def test_single_level_profile(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        rows = measure_norm_profile(shape, BoundaryField.zero(3, P, N), J, 0, N)
+        rows = measure_norm_profile(shape, BoundaryField.zero(3, P), J, 0, N)
         assert len(rows) == 1
         assert rows[0].level == 0
 
@@ -481,7 +493,7 @@ class TestJsonIngestion:
 
     def test_field_document(self):
         doc = {"": ["3", "0"], "0": ["9/2", "3"]}
-        field = boundary_field_from_json(doc, 3, P, N)
+        field = boundary_field_from_json(doc, 3, P)
         at_root = field.field_at(TreeVertex.root())
         assert at_root[0] == PadicNumber.from_fraction(Fraction(3), P, N)
         unlisted = field.field_at(TreeVertex.root().child(2))
@@ -489,30 +501,39 @@ class TestJsonIngestion:
 
     def test_field_document_rejects_inadmissible(self):
         with pytest.raises(DomainViolation):
-            boundary_field_from_json({"": ["1", "0"]}, 3, P, N)
+            boundary_field_from_json({"": ["1", "0"]}, 3, P)
 
 
 class TestBoundaryField:
     def test_assign_validates_dimension(self):
-        field = BoundaryField.zero(3, P, N)
+        field = BoundaryField.zero(3, P)
         with pytest.raises(ValueError):
             field.assign(TreeVertex.root(), PadicVector.zero(3, P, N))
 
     def test_assign_validates_domain(self):
-        field = BoundaryField.zero(3, P, N)
+        field = BoundaryField.zero(3, P)
         with pytest.raises(DomainViolation):
             field.assign(TreeVertex.root(), vec([1, 0]))
 
     def test_parity_vectors_are_validated_like_assigned_ones(self):
         # the odd-level vector lives over 5, the field over 3
         with pytest.raises(ValueError, match="prime"):
-            BoundaryField.by_parity(vec([3, 0]), PadicVector.from_rationals([5, 0], 5, N), 3)
+            BoundaryField.by_parity(vec([3, 0]), PadicVector.from_rationals([5, 0], 5, N))
         with pytest.raises(ValueError):
-            BoundaryField.by_parity(vec([3, 0]), PadicVector.zero(1, P, N), 3)
+            BoundaryField.by_parity(vec([3, 0]), PadicVector.zero(1, P, N))
         with pytest.raises(DomainViolation):
-            BoundaryField.by_parity(vec([3, 0]), vec([1, 0]), 3)
+            BoundaryField.by_parity(vec([3, 0]), vec([1, 0]))
+
+    def test_entries_override_the_parity_pair(self):
+        even, odd, entry = vec([3, 0]), vec([0, 3]), vec([9, 9])
+        field = BoundaryField.by_parity(even, odd)
+        field.assign(TreeVertex.from_string("0.1"), entry)
+        assert field.field_at(TreeVertex.root()) == even
+        assert field.field_at(TreeVertex.from_string("0")) == odd
+        assert field.field_at(TreeVertex.from_string("1.0")) == even
+        assert field.field_at(TreeVertex.from_string("0.1")) == entry
 
     def test_constant_covers_all_vertices(self):
         v = vec([3, 9])
-        field = BoundaryField.constant(v, 3)
+        field = BoundaryField.constant(v)
         assert field.field_at(TreeVertex.from_string("0.1.0")) == v
