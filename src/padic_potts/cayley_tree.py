@@ -42,6 +42,12 @@ class TreeShape:
         # the root, then k + 1 times the geometric sum 1 + k + ... + k**(n-1)
         return 1 + (k + 1) * ((k**n - 1) // (k - 1) if k > 1 else n)
 
+    def __contains__(self, x: "TreeVertex") -> bool:
+        """Whether ``x`` names a vertex of this tree: the root's children are
+        0..k, every other vertex's 0..k-1."""
+        k = self.branching
+        return not x.address or (x.address[0] <= k and all(i < k for i in x.address[1:]))
+
 
 @dataclass(frozen=True, slots=True)
 class TreeVertex:

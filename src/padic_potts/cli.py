@@ -14,6 +14,7 @@ lift, exhausted precision), 4 enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -145,7 +146,7 @@ class RunConfig:
         return J
 
     def boundary_field(self, J: CouplingField) -> BoundaryField:
-        """The field from --field, or the zero field."""
+        """The field from --field on the --k tree, or the zero field."""
         if self.field_path is None:
             return BoundaryField.zero(J.q, J.prime)
         try:
@@ -158,7 +159,7 @@ class RunConfig:
         except ValueError as exc:  # an integer literal past the int-string limit, or bad UTF-8
             raise ConfigError(f"field JSON: {exc}") from exc
         try:
-            return boundary_field_from_json(doc, J.q, J.prime)
+            return boundary_field_from_json(doc, J.q, J.prime, TreeShape(self.branching()))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"field file invalid: {exc}") from exc
 
@@ -480,7 +481,9 @@ def cmd_norm_profile(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=None, help="prime modulus")
     common.add_argument("--q", type=int, default=None, help="number of spin states")
@@ -522,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
         if args.command == "verify":

@@ -23,18 +23,40 @@ from .errors import DivisionByZero, PrecisionExhausted
 DEFAULT_PRECISION = 32
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    """Deterministic primality for n below ``_MR_EXACT_BELOW``.
+
+    Raises:
+        ValueError: for larger n, where the test would no longer be a proof.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"{n} is past {_MR_EXACT_BELOW}, the bound below which primality is decided"
+        )
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no factor up to 41, so none up to sqrt(n)
+        return n > 1
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 

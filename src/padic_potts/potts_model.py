@@ -223,9 +223,15 @@ class BoundaryField:
     entries over the zero pair.  Every vector must lie componentwise in the
     exponential's convergence disk, which is what keeps all weights
     well-defined units.
+
+    The q site exponentials of a vector are computed once per distinct
+    vector and working precision, as ``CouplingField`` does for edge
+    exponentials.  The cache is keyed by the vector's exact components, never
+    by vertex or level, so an ``assign`` after a measure call cannot serve a
+    stale table.
     """
 
-    __slots__ = ("q", "prime", "_pair", "_table")
+    __slots__ = ("q", "prime", "_pair", "_table", "_site_cache")
 
     def __init__(self, q: int, p, assignment=None):
         if q < 2:
@@ -235,6 +241,7 @@ class BoundaryField:
         zero = PadicVector.zero(q - 1, self.prime)
         self._pair = (zero, zero)
         self._table: dict[TreeVertex, PadicVector] = {}
+        self._site_cache: dict[tuple, list[PadicNumber]] = {}
         for vertex, vec in (assignment or {}).items():
             self.assign(vertex, vec)
 
@@ -269,6 +276,17 @@ class BoundaryField:
     def field_at(self, vertex: TreeVertex) -> PadicVector:
         got = self._table.get(vertex)
         return self._pair[vertex.level % 2] if got is None else got
+
+    def site_exponentials(self, vertex: TreeVertex, precision: int) -> list[PadicNumber]:
+        """exp of ``spin_pairing(field_at(vertex), s)`` for s = 1..q, cached
+        per distinct field vector and precision."""
+        vec = self.field_at(vertex)
+        key = (tuple((c.value, c.known_abs) for c in vec), precision)
+        table = self._site_cache.get(key)
+        if table is None:
+            table = [exp_p(spin_pairing(vec, s), precision=precision) for s in range(1, self.q + 1)]
+            self._site_cache[key] = table
+        return table
 
 
 def spin_pairing(h: PadicVector, s: SpinLabel) -> PadicNumber:
@@ -335,10 +353,13 @@ class _LevelWeights:
     """Unit residues mod p**B for every edge and boundary site of one ball.
 
     B is clamped to the least absolute precision carried by any of the
-    exponentials involved, so every residue is certain.  The partition sum of
-    a ball loses one factor of |q|_p per vertex, so callers that must resolve
-    quantities past that loss ask for extra working digits up front;
-    ``shift_hint`` provides the standard estimate.
+    exponentials involved, so every residue is certain.  The exponentials come
+    from the coupling's and the field's caches, which compute them once per
+    distinct coupling or field vector at the working precision.
+
+    The partition sum of a ball loses one factor of |q|_p per vertex, so
+    callers that must resolve quantities past that loss ask for extra working
+    digits up front; ``shift_hint`` provides the standard estimate.
     """
 
     def __init__(
@@ -364,12 +385,8 @@ class _LevelWeights:
 
         work = precision + extra_digits
         thetas = [(i, j, J.theta_for_edge(vertices[i], vertices[j], work)) for i, j in pairs]
-        site_exps = []
-        for i in range(len(vertices) - shape.sphere_size(n), len(vertices)):
-            vec = h.field_at(vertices[i])
-            site_exps.append(
-                (i, [exp_p(spin_pairing(vec, s), precision=work) for s in range(1, self.q + 1)])
-            )
+        sphere = range(len(vertices) - shape.sphere_size(n), len(vertices))
+        site_exps = [(i, h.site_exponentials(vertices[i], work)) for i in sphere]
 
         exps = [th for _, _, th in thetas] + [w for _, table in site_exps for w in table]
         known = [e.known_abs for e in exps if e.known_abs is not None]
@@ -685,10 +702,13 @@ def coupling_from_json(doc: dict) -> CouplingField:
     return CouplingField.per_edge(table, p, q)
 
 
-def boundary_field_from_json(doc: dict, q: int, p) -> BoundaryField:
+def boundary_field_from_json(
+    doc: dict, q: int, p, shape: TreeShape | None = None
+) -> BoundaryField:
     """Build a BoundaryField from {"address": ["num/den", ...], ...}.
 
     The root is the empty address "" and unlisted vertices stay at zero.
+    Given a ``shape``, every address must name one of its vertices.
     """
     if not isinstance(doc, dict):
         raise ValueError("a field document must map addresses to component lists")
@@ -701,5 +721,12 @@ def boundary_field_from_json(doc: dict, q: int, p) -> BoundaryField:
                 f"field at {address!r} must list {q - 1} components, got {len(values)}"
             )
         vec = PadicVector.from_rationals([_fraction_from_text(v) for v in values], out.prime)
-        out.assign(TreeVertex.from_string(address), vec)
+        vertex = TreeVertex.from_string(address)
+        if shape is not None and vertex not in shape:
+            k = shape.branching
+            raise ValueError(
+                f"field address {address!r} names no vertex of the k={k} tree, whose root "
+                f"has children 0..{k} and every other vertex children 0..{k - 1}"
+            )
+        out.assign(vertex, vec)
     return out

@@ -101,6 +101,16 @@ class TestVertex:
                 assert y.parent() == x
                 assert y.level == 3
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_membership_matches_the_ball(self, k):
+        shape = TreeShape(k)
+        inside = set(_addresses_in_level_order(k, 3))
+        candidates = itertools.chain.from_iterable(
+            itertools.product(range(k + 2), repeat=m) for m in range(4)
+        )
+        for address in candidates:
+            assert (TreeVertex(address) in shape) == (address in inside)
+
 
 class TestEdges:
     def test_every_edge_joins_adjacent_levels(self):

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padic_potts.cli import main
+from padic_potts import potts_model
+from padic_potts.cayley_tree import TreeShape, ball
+from padic_potts.cli import SUITES, main
+from padic_potts.padic_analytic import exp_p
 
 
 def run(capsys, *argv):
@@ -128,6 +131,16 @@ class TestClassify:
         assert code == 1
         assert "not prime" in err
 
+    def test_mersenne_prime_61_answers(self, capsys):
+        code, out, err = run(capsys, "classify", "--p", str(2**61 - 1))
+        assert (code, err) == (0, "")
+        assert parse(out)["p"] == 2**61 - 1
+
+    def test_modulus_past_the_primality_bound_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--p", str(2**89 - 1))
+        assert (code, out) == (1, "")
+        assert err.startswith("config error:") and "past" in err
+
     def test_inline_and_file_couplings_agree(self, capsys, tmp_path):
         doc = {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3"}}
         text = json.dumps(doc)
@@ -238,6 +251,42 @@ class TestCompatCheck:
         code, out, err = run(capsys, "compat-check", "--p", "2", "--q", "3", "--n", "2")
         assert (code, err) == (0, "")
         assert parse(out)["holds"] is True
+
+    @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
+    def test_field_address_off_the_tree_is_a_config_error(self, capsys, tmp_path, command):
+        # at k = 1 the root has children 0 and 1, every other vertex child 0
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"7.3": ["3", "0"]}))
+        code, out, err = run(capsys, command, "--k", "1", "--n", "1", "--field", str(field))
+        assert (code, out) == (1, "")
+        assert err.startswith("config error:")
+        assert "'7.3'" in err and "k=1" in err
+
+    def test_field_address_past_the_ball_is_accepted(self, capsys, tmp_path):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"1.0.0.0": ["3", "0"]}))
+        with_field = run(capsys, "compat-check", "--k", "1", "--n", "1", "--field", str(field))
+        assert with_field == run(capsys, "compat-check", "--k", "1", "--n", "1")
+
+    def test_constant_field_pays_one_table_per_precision(self, capsys, tmp_path, monkeypatch):
+        # the same vector at every vertex of the 2-ball, as distinct objects:
+        # at most q site exponentials per working precision, plus the thetas
+        site_precisions, theta_calls = [], []
+
+        def counting_exp(x, precision=None):
+            (theta_calls if precision is None else site_precisions).append(precision)
+            return exp_p(x, precision)
+
+        monkeypatch.setattr(potts_model, "exp_p", counting_exp)
+        addresses = [str(v) for v in ball(TreeShape(2), 2)]
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({a: ["3", "9/2"] for a in addresses}))
+        code, out, err = run(capsys, "compat-check", "--k", "2", "--n", "2", "--field", str(field))
+        assert code in (0, 1) and err == ""  # a constant field need not be consistent
+        assert parse(out)["n"] == 2
+        assert 1 <= len(set(site_precisions)) <= 2
+        calls = len(site_precisions) + len(theta_calls)
+        assert calls <= 3 * len(set(site_precisions)) + len(theta_calls)
 
 
 class TestNormProfile:
@@ -421,3 +470,118 @@ def test_random_json_documents_exit_in_range(command, k, n, couplings, field):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in range(5)
+
+
+# Argv fuzzing: real subcommands and flags, bogus tokens and missing values,
+# small numbers.  Values naming a file are placeholders "@name" that the test
+# points at files it writes; --out only ever names the null device.
+_COUPLING_TEXTS = [
+    json.dumps({"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3"}}),
+    json.dumps({"pattern": "homogeneous", "p": 2, "q": 2, "values": {"J": "4"}}),
+    json.dumps(
+        {
+            "pattern": "bipartite",
+            "p": 5,
+            "q": 3,
+            "values": {"even_to_odd": "5", "odd_to_even": "-10/3"},
+        }
+    ),
+    json.dumps({"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/3"}}),
+    "{",
+    "@missing",
+]
+_FIELD_DOCS = {
+    "sparse": {"": ["3", "0"], "0.1": ["9", "-3/2"]},
+    "offtree": {"7.3": ["3", "0"]},
+    "short": {"0": ["3"]},
+}
+_COMMON_VALUES = {
+    "--p": st.sampled_from(["2", "3", "5", "7", "0", "1", "4", "9", "-3"]),
+    "--q": st.integers(-1, 5).map(str),
+    "--k": st.integers(-1, 3).map(str),
+    "--n": st.integers(-1, 3).map(str),
+    "--precision": st.integers(-1, 32).map(str),
+    "--seed": st.integers(-1, 5).map(str),
+    "--couplings": st.sampled_from(_COUPLING_TEXTS),
+    "--out": st.just(os.devnull),
+}
+_FIELD_VALUES = {"--field": st.sampled_from(["@" + name for name in _FIELD_DOCS] + ["@missing"])}
+_VERIFY_VALUES = {"--suite": st.sampled_from(SUITES), "--checks": st.integers(-1, 3).map(str)}
+_FLAG_VALUES = {  # per subcommand; None stands for a missing or bogus subcommand
+    "verify": {**_COMMON_VALUES, **_VERIFY_VALUES},
+    "classify": _COMMON_VALUES,
+    "compat-check": {**_COMMON_VALUES, **_FIELD_VALUES},
+    "norm-profile": {**_COMMON_VALUES, **_FIELD_VALUES},
+    None: {**_COMMON_VALUES, **_FIELD_VALUES, **_VERIFY_VALUES},
+}
+
+
+def _flags(values):
+    return st.lists(
+        st.sampled_from(sorted(values)).flatmap(lambda f: values[f].map(lambda v: [f, v])),
+        max_size=5,
+    )
+
+
+_BOGUS = st.sampled_from(
+    ["--bogus", "frobnicate", "-x", "--", "", "3", "--p=", "--k=abc", "--help", "--suite"]
+)
+# a token or pair that spoils the argv; a third of the argvs get one
+_SPOILERS = st.one_of(
+    st.sampled_from(sorted(set(_FLAG_VALUES[None]) - {"--out"})).map(lambda f: [f]),  # no value
+    _BOGUS.map(lambda t: [t]),
+    st.sampled_from(
+        [["--p", "x"], ["--suite", "bogus"], ["--field", "@sparse"], ["--checks", "2"]]
+    ),
+)
+
+
+@st.composite
+def _argvs(draw):
+    commands = ["verify", "classify", "compat-check", "norm-profile"]
+    command = draw(st.sampled_from([*commands, *commands, "bogus", None]))
+    head = [] if command is None else [command]
+    if command == "verify":
+        # a suite and a bounded --checks, which later items may override
+        head += ["--suite", draw(st.sampled_from(SUITES)), "--checks", str(draw(st.integers(1, 3)))]
+    items = draw(_flags(_FLAG_VALUES.get(command, _FLAG_VALUES[None])))
+    if draw(st.integers(0, 2)) == 0:
+        items.insert(draw(st.integers(0, len(items))), draw(_SPOILERS))
+    return head + [t for item in items for t in item]
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(argv=_argvs())
+def test_random_argv_exits_in_range_and_repeats(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"@missing": os.path.join(tmp, "missing.json")}
+        for name, doc in _FIELD_DOCS.items():
+            paths["@" + name] = os.path.join(tmp, name + ".json")
+            with open(paths["@" + name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        argv = [paths.get(t, t) for t in argv]
+        first = _outcome(argv)
+        assert _outcome(argv) == first  # the shared parser carries nothing between calls
+    code, out, err = first
+    if code == ("SystemExit", 2):
+        assert "usage:" in err
+    elif code == ("SystemExit", 0):
+        assert out.startswith("usage:")  # --help
+    else:
+        assert code in range(5)

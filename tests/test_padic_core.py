@@ -8,6 +8,7 @@ from padic_potts.errors import DivisionByZero, PrecisionExhausted
 from padic_potts.padic_core import (
     PadicNumber,
     Valuation,
+    _is_prime,
     as_prime,
     rational_valuation,
 )
@@ -24,6 +25,35 @@ class TestPrime:
         for bad in (0, 1, 4, 6, 9, 91):
             with pytest.raises(ValueError):
                 as_prime(bad)
+
+    def test_agrees_with_a_sieve_below_ten_to_the_five(self):
+        limit = 10**5
+        sieve = [False, False] + [True] * (limit - 2)
+        for f in range(2, int(limit**0.5) + 1):
+            if sieve[f]:
+                sieve[f * f :: f] = [False] * len(range(f * f, limit, f))
+        assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+            3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        ],
+    )
+    def test_strong_pseudoprimes_rejected(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            as_prime(n)
+
+    def test_large_primes_accepted(self):
+        for p in (2**31 - 1, 2**61 - 1, 10**9 + 7):
+            assert as_prime(p).value == p
+
+    def test_past_the_deterministic_range_is_refused(self):
+        # 2**89 - 1 is prime, but past the bound where 13 bases decide primality
+        with pytest.raises(ValueError, match="past"):
+            as_prime(2**89 - 1)
 
 
 class TestValuation:

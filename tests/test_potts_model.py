@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import exp_domain_fraction
 
-from padic_potts.cayley_tree import TreeShape, TreeVertex, ball, edges
+from padic_potts.cayley_tree import TreeShape, TreeVertex, ball, edges, sphere
 from padic_potts.errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -17,6 +17,7 @@ from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
 from padic_potts.padic_core import PadicNumber, Valuation, _vp
 from padic_potts.potts_model import (
     COMPAT_MARGIN,
+    MODULUS_HEADROOM,
     BoundaryField,
     CompatibilityReport,
     CouplingField,
@@ -503,6 +504,18 @@ class TestJsonIngestion:
         with pytest.raises(DomainViolation):
             boundary_field_from_json({"": ["1", "0"]}, 3, P)
 
+    @pytest.mark.parametrize(
+        "k,address", [(1, "2"), (1, "7.3"), (1, "0.1"), (2, "3"), (2, "0.2"), (3, "1.0.3")]
+    )
+    def test_field_address_off_the_tree_is_refused(self, k, address):
+        with pytest.raises(ValueError, match=rf"field address '{address}' .* k={k} tree"):
+            boundary_field_from_json({address: ["3", "0"]}, 3, P, TreeShape(k))
+
+    def test_field_address_past_the_ball_is_accepted(self):
+        deep = "1.0.0.0.0.0"
+        field = boundary_field_from_json({deep: ["3", "0"]}, 3, P, TreeShape(1))
+        assert field.field_at(TreeVertex.from_string(deep)) == vec([3, 0])
+
 
 class TestBoundaryField:
     def test_assign_validates_dimension(self):
@@ -537,3 +550,78 @@ class TestBoundaryField:
         v = vec([3, 9])
         field = BoundaryField.constant(v)
         assert field.field_at(TreeVertex.from_string("0.1.0")) == v
+
+
+def _direct_site_rows(system, h, J, shape, n, work):
+    """The site residues and modulus exponent of ``system`` computed the
+    uncached way: one exp_p per sphere site and spin, and per edge."""
+    thetas = [J.theta_for_edge(x, y, work) for x, y in edges(shape, n)]
+    tables = {
+        i: [exp_p(spin_pairing(h.field_at(v), s), precision=work) for s in range(1, h.q + 1)]
+        for i, v in enumerate(system.vertices)
+        if v.level == n
+    }
+    known = [e.known_abs for e in thetas + [w for t in tables.values() for w in t]]
+    bound = min([work + MODULUS_HEADROOM, *(b for b in known if b is not None)])
+    return {i: [w.residue(bound) for w in t] for i, t in tables.items()}, bound
+
+
+class TestSiteTableCache:
+    """The site tables are cached per distinct field vector and precision.
+
+    The brute-force oracle reads the same tables as the tree pass, so it
+    cannot see a wrong cache key; these tests recompute every row directly.
+    """
+
+    @pytest.mark.parametrize("q", (2, 3))
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_rows_equal_direct_exponentials(self, k, p, q):
+        rng = random.Random(f"site-cache-{k}-{p}-{q}")
+        shape, n = TreeShape(k), 3
+
+        def draw():
+            return PadicVector.from_rationals(
+                [exp_domain_fraction(rng, p) for _ in range(q - 1)], p, N
+            )
+
+        def copy(v, known_abs=None):
+            # equal in value, a distinct object; inexact when known_abs is set
+            return PadicVector(PadicNumber(c.value, p, N + 7, known_abs) for c in v)
+
+        even, odd = draw(), draw()
+        h = BoundaryField.by_parity(even, odd)
+        for i, v in enumerate(ball(shape, n)):
+            pick = i % 6
+            if pick == 0:
+                h.assign(v, copy(even))
+            elif pick == 1:
+                h.assign(v, copy(odd))
+            elif pick == 2:
+                h.assign(v, draw())
+            elif pick == 3:
+                h.assign(v, copy(even, known_abs=N - 2))
+        J = CouplingField.bipartite(exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q)
+
+        def check_every_level():
+            for m in range(n + 1):
+                for extra in (0, 5):
+                    system = _LevelWeights(shape, h, J, m, N, extra_digits=extra)
+                    rows, bound = _direct_site_rows(system, h, J, shape, m, N + extra)
+                    assert system.modulus_exponent == bound
+                    assert system.site_residues == rows
+
+        check_every_level()
+        # entries assigned after the tables were cached must be read afresh
+        for v in sphere(shape, n)[:3] + sphere(shape, n - 1)[:2]:
+            h.assign(v, draw() if rng.random() < 0.5 else copy(odd))
+        check_every_level()
+
+    def test_one_table_per_distinct_vector_and_precision(self):
+        h = BoundaryField.by_parity(vec([3, 9]), vec([0, 3]))
+        for x in sphere(TreeShape(2), 2):
+            h.assign(x, vec([3, 9]))
+        root, entry, odd = (TreeVertex.from_string(a) for a in ("", "1.1", "0"))
+        assert h.site_exponentials(entry, N) is h.site_exponentials(root, N)
+        assert h.site_exponentials(entry, N) is not h.site_exponentials(entry, N + 1)
+        assert h.site_exponentials(entry, N) is not h.site_exponentials(odd, N)
