@@ -136,7 +136,7 @@ class RunConfig:
         except ValueError as exc:  # an integer literal past the int-string limit
             raise ConfigError(f"couplings JSON: {exc}") from exc
         try:
-            J = coupling_from_json(doc)
+            J = coupling_from_json(doc, TreeShape(self.branching()))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"couplings field invalid: {exc}") from exc
         if self.p is not None and J.prime.value != self.p:

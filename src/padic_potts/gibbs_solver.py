@@ -222,7 +222,7 @@ def _witness_json(z: PadicVector) -> dict:
         comps.append(
             {
                 "offset_valuation": str(c.distance_valuation(one)),
-                "digits": list(c.unit_digits[:8]),
+                "digits": list(c.leading_digits(8)),
             }
         )
     return {"components": comps}
@@ -233,7 +233,7 @@ def _witness_sort_key(z: PadicVector):
     key = []
     for c in z.components:
         off = c.distance_valuation(one)
-        key.append((off.exponent is None, off.exponent or 0, tuple(c.unit_digits[:8])))
+        key.append((off.exponent is None, off.exponent or 0, c.leading_digits(8)))
     return key
 
 

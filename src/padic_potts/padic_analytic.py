@@ -3,6 +3,9 @@
 The two series are evaluated in modular integer arithmetic: a term with
 valuation at or above the absolute target contributes nothing representable,
 so the sum runs only until every remaining term provably clears the target.
+The partial sum is kept as a fraction num/den mod p**k whose denominator is
+the product of the unit parts of the term divisors, so a series pays a few
+modular products per term and one modular inverse in all.
 Truncation bounds use v(n!) = (n - digitsum_p(n)) / (p - 1), estimated from
 above by (n - 1) / (p - 1), and v(n) <= log_p(n).
 """
@@ -60,21 +63,27 @@ def exp_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     modulus = pv**k
     ux = residue_of_rational(x.value / Fraction(pv) ** vx, p, k)
 
-    total = 1  # n = 0 term
+    # sum = num / den with den the product of the unit parts of 1..n, so the
+    # n-th term x**n / n! is ux**n * p**term_v over den
+    num = den = 1  # n = 0 term
     term_v = 0
-    term_u = 1
+    ux_n = 1
     n = 1
     while True:
         # every term from n on has valuation >= n*vx - (n-1)/(p-1)
         if (n * vx - k) * (pv - 1) >= n - 1:
             break
         j = _vp(n, pv)
+        u = n // pv**j
         term_v += vx - j
-        term_u = term_u * ux * pow(n // pv**j, -1, modulus) % modulus
+        ux_n = ux_n * ux % modulus
+        num *= u
         if term_v < k:
-            total = (total + term_u * pv**term_v) % modulus
+            num += ux_n * pv**term_v
+        num %= modulus
+        den = den * u % modulus
         n += 1
-    return PadicNumber.from_residue(total, p, k, n_rel)
+    return PadicNumber.from_residue(num * pow(den, -1, modulus) % modulus, p, k, n_rel)
 
 
 def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
@@ -111,7 +120,8 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     t_res = residue_of_rational(t, p, k + slack)
     modulus = pv**k
 
-    total = 0
+    # sum = num / den with den the product of the unit parts of 1..n
+    num, den = 0, 1
     power = 1  # t**n residue mod guard
     n = 1
     while True:
@@ -123,12 +133,12 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
             break
         power = power * t_res % guard
         j = _vp(n, pv)
-        term = power // pv**j * pow(n // pv**j, -1, modulus) % modulus
-        if n % 2 == 0:
-            term = -term
-        total = (total + term) % modulus
+        u = n // pv**j
+        term = power // pv**j * den
+        num = (num * u + (term if n % 2 else -term)) % modulus
+        den = den * u % modulus
         n += 1
-    return PadicNumber.from_residue(total, p, k, n_rel)
+    return PadicNumber.from_residue(num * pow(den, -1, modulus) % modulus, p, k, n_rel)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Exact p-adic scalar arithmetic at bounded working precision.
 
-A number is stored as an exact rational representative together with an
-absolute precision bound: the ideal value it stands for is congruent to the
+A number is stored as a rational representative together with an absolute
+precision bound: the ideal value it stands for is congruent to the
 representative modulo p**known_abs.  Values built directly from rationals are
-exact (no bound); series evaluations and other approximations carry a finite
-bound.  All arithmetic is exact on the representatives, so valuations below
-the bound are certain, and a result whose representative collapses into the
-uncertain range raises PrecisionExhausted instead of pretending to be zero.
+exact (no bound) and keep their rational as it is; series evaluations and
+other approximations carry a finite bound and keep only the canonical
+representative r / p**e of their class mod p**known_abs (p**e the p-part of
+the denominator, 0 <= r < p**(known_abs + e)), so the digits nobody knows
+are never carried.  Arithmetic on the representatives is exact, and
+congruent operands give congruent results, so valuations below the bound are
+certain, and a result whose representative collapses into the uncertain
+range raises PrecisionExhausted instead of pretending to be zero.
 
 The canonical digit expansion x = p**v * (d0 + d1*p + ...) with d0 != 0 is
 derived on demand from the representative.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import DivisionByZero, PrecisionExhausted
 
@@ -78,9 +82,23 @@ class Prime:
         return str(self.value)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _cached_prime(p: int) -> Prime:
+    return Prime(p)
+
+
 def as_prime(p: int | Prime) -> Prime:
-    """Coerce an int (or pass through a Prime) to a validated Prime."""
-    return p if isinstance(p, Prime) else Prime(p)
+    """Coerce an int (or pass through a Prime) to a validated Prime.
+
+    Each int is validated once.  The cache is typed, so 2.0 and True are keys
+    of their own and are refused as before; a refusal is never cached.
+    """
+    if isinstance(p, Prime):
+        return p
+    try:
+        return _cached_prime(p)
+    except TypeError:  # unhashable, so not an int: let Prime refuse it
+        return Prime(p)
 
 
 @total_ordering
@@ -153,14 +171,17 @@ def _vp(n: int, p: int) -> int:
 
 
 def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
-    """p-adic valuation of an exact rational; None for zero.
+    """p-adic valuation of an exact rational; None for zero."""
+    return _fraction_valuation(Fraction(x), as_prime(p).value)
+
+
+def _fraction_valuation(x: Fraction, pv: int) -> int | None:
+    """Valuation of x at the prime pv; None for zero.
 
     Works off the reduced numerator and denominator, so at most one of the
     two carries a power of p.
     """
-    pv = as_prime(p).value
-    x = Fraction(x)
-    if x == 0:
+    if not x:
         return None
     return _vp(x.numerator, pv) or -_vp(x.denominator, pv)
 
@@ -194,7 +215,9 @@ class PadicNumber:
     Attributes:
         prime: the prime p.
         precision: count N of significant digits past the leading one.
-        value: exact rational representative of the number.
+        value: the exact rational when exact; when inexact, the canonical
+            representative mod p**known_abs, r / p**e with p**e the p-part of
+            the denominator and 0 <= r < p**(known_abs + e).
         known_abs: absolute precision bound, or None when the representative
             is the ideal value itself.  When finite, only the congruence
             class of ``value`` modulo p**known_abs is meaningful.
@@ -217,11 +240,25 @@ class PadicNumber:
         value = Fraction(value)
         if precision < 1:
             raise ValueError("precision must be a positive digit count")
-        val = rational_valuation(value, prime)
+        self._set(value, prime, precision, known_abs, _fraction_valuation(value, prime.value))
+
+    @classmethod
+    def _make(
+        cls, value: Fraction, prime: Prime, precision: int, known_abs: int | None, val: int | None
+    ) -> "PadicNumber":
+        """An arithmetic result: operands already hold a valid prime and
+        precision, and ``val`` is the valuation of ``value``."""
+        out = cls.__new__(cls)
+        out._set(value, prime, precision, known_abs, val)
+        return out
+
+    def _set(self, value, prime, precision, known_abs, val):
+        # the one place an inexact value is checked and reduced
         if known_abs is not None:
             if val is None or val >= known_abs:
                 raise PrecisionExhausted(bound=known_abs)
             precision = min(precision, known_abs - val)
+            value = _canonical(value, prime.value, known_abs, val)
         self.prime = prime
         self.precision = precision
         self.value = value
@@ -283,11 +320,16 @@ class PadicNumber:
 
         Zero has an empty digit sequence.
         """
+        return self.leading_digits(self.precision)
+
+    def leading_digits(self, m: int) -> tuple[int, ...]:
+        """The first m digits of the unit part (all ``precision`` of them when
+        m is larger), computed mod p**m only; () for zero."""
         if self._val is None:
             return ()
+        m = min(m, self.precision)
         unit = self.value / Fraction(self.prime.value) ** self._val
-        r = residue_of_rational(unit, self.prime, self.precision)
-        return digits_of_residue(r, self.prime, self.precision)
+        return digits_of_residue(residue_of_rational(unit, self.prime, m), self.prime, m)
 
     def residue(self, k: int) -> int:
         """The representative reduced mod p**k (requires valuation >= 0).
@@ -320,13 +362,15 @@ class PadicNumber:
         k = _min_bound(self.known_abs, other.known_abs)
         n = min(self.precision, other.precision)
         if self.is_zero and other.is_zero:
-            return PadicNumber(Fraction(0), self.prime, n)
-        return PadicNumber(self.value + other.value, self.prime, n, known_abs=k)
+            return PadicNumber._make(Fraction(0), self.prime, n, None, None)
+        value = self.value + other.value
+        val = _fraction_valuation(value, self.prime.value)
+        return PadicNumber._make(value, self.prime, n, k, val)
 
     def neg(self) -> "PadicNumber":
         if self.is_zero:
             return self
-        return PadicNumber(-self.value, self.prime, self.precision, known_abs=self.known_abs)
+        return PadicNumber._make(-self.value, self.prime, self.precision, self.known_abs, self._val)
 
     def sub(self, other: "PadicNumber") -> "PadicNumber":
         return self.add(other.neg())
@@ -336,18 +380,18 @@ class PadicNumber:
         n = min(self.precision, other.precision)
         if self.is_zero or other.is_zero:
             # an exact zero factor annihilates even approximate ones
-            return PadicNumber(Fraction(0), self.prime, n)
+            return PadicNumber._make(Fraction(0), self.prime, n, None, None)
         k = _min_bound(
             None if other.known_abs is None else self._val + other.known_abs,
             None if self.known_abs is None else other._val + self.known_abs,
         )
-        return PadicNumber(self.value * other.value, self.prime, n, known_abs=k)
+        return PadicNumber._make(self.value * other.value, self.prime, n, k, self._val + other._val)
 
     def inverse(self) -> "PadicNumber":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
         k = None if self.known_abs is None else self.known_abs - 2 * self._val
-        return PadicNumber(1 / self.value, self.prime, self.precision, known_abs=k)
+        return PadicNumber._make(1 / self.value, self.prime, self.precision, k, -self._val)
 
     def div(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
@@ -412,7 +456,7 @@ class PadicNumber:
         diff = self.value - other.value
         if k is None:
             return diff == 0
-        v = rational_valuation(diff, self.prime)
+        v = _fraction_valuation(diff, self.prime.value)
         return v is None or v >= k
 
     __hash__ = None
@@ -434,7 +478,7 @@ class PadicNumber:
         other = self._coerce(other)
         self._check_same_prime(other)
         k = _min_bound(self.known_abs, other.known_abs)
-        v = rational_valuation(self.value - other.value, self.prime)
+        v = _fraction_valuation(self.value - other.value, self.prime.value)
         if v is None or (k is not None and v >= k):
             return Valuation(k)
         return Valuation(v)
@@ -464,6 +508,22 @@ class PadicNumber:
             f"PadicNumber({self.value!r}, prime={self.prime.value}, "
             f"precision={self.precision}{tail})"
         )
+
+
+def _canonical(x: Fraction, pv: int, known_abs: int, val: int) -> Fraction:
+    """The representative r / p**e of x mod p**known_abs, with p**e the p-part
+    of x's denominator and 0 <= r < p**(known_abs + e).
+
+    Requires val = v(x) < known_abs, so r keeps x's valuation.
+    """
+    e = max(0, -val)
+    pe, mod = pv**e, pv ** (known_abs + e)
+    num, den = x.numerator, x.denominator
+    if den != pe:
+        num *= pow(den // pe, -1, mod)
+    elif 0 <= num < mod:
+        return x
+    return Fraction(num % mod, pe)
 
 
 def _min_bound(a: int | None, b: int | None) -> int | None:

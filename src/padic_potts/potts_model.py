@@ -662,12 +662,15 @@ def _fraction_from_text(text) -> Fraction:
     raise ValueError(f"rationals must be given as strings like '3/4', got {text!r}")
 
 
-def coupling_from_json(doc: dict) -> CouplingField:
+def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingField:
     """Build a CouplingField from its JSON form.
 
     {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3/1"}}
     {"pattern": "bipartite", ..., "values": {"even_to_odd": "3", "odd_to_even": "6"}}
     {"pattern": "per_edge", ..., "values": [["", "0", "3"], ["0", "0.0", "6"]]}
+
+    Given a ``shape``, every per-edge row must name an edge of its tree: the
+    child a vertex of it, and the parent that child's parent.
     """
     try:
         pattern = doc["pattern"]
@@ -698,7 +701,13 @@ def coupling_from_json(doc: dict) -> CouplingField:
     for x, y, value in raw:
         if not (isinstance(x, str) and isinstance(y, str)):
             raise ValueError(f"edge addresses must be strings like '0.1', got {x!r} -> {y!r}")
-        table[TreeVertex.from_string(x), TreeVertex.from_string(y)] = _fraction_from_text(value)
+        parent, child = TreeVertex.from_string(x), TreeVertex.from_string(y)
+        if shape is not None and (
+            child.is_root or child not in shape or child.parent() != parent
+        ):
+            k = shape.branching
+            raise ValueError(f"per-edge row {x!r} -> {y!r} names no edge of the k={k} tree")
+        table[parent, child] = _fraction_from_text(value)
     return CouplingField.per_edge(table, p, q)
 
 

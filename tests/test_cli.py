@@ -233,6 +233,25 @@ class TestCompatCheck:
         assert out == ""
         assert err == "config error: no coupling listed for edge '' -> '1'\n"
 
+    @pytest.mark.parametrize("command", ["compat-check", "norm-profile", "classify"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["7", "7.3", "9"],  # the child is no vertex of the k = 1 tree
+            ["1", "0.0", "9"],  # a vertex of the tree, but 0's child, not 1's
+            ["", "", "9"],  # the root is nobody's child
+        ],
+    )
+    def test_per_edge_row_off_the_tree_is_a_config_error(self, capsys, command, row):
+        values = [["", "0", "3"], ["", "1", "3"], row]
+        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": values}
+        code, out, err = run(capsys, command, "--k", "1", "--couplings", json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"config error: couplings field invalid: per-edge row {row[0]!r} -> "
+            f"{row[1]!r} names no edge of the k=1 tree\n"
+        )
+
     def test_inadmissible_field_is_domain_error(self, capsys, tmp_path):
         field = tmp_path / "field.json"
         field.write_text(json.dumps({"": ["1", "0"]}))

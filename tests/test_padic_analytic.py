@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from padic_potts.padic_analytic import (
     hensel_roots_in_disk,
     log_p,
 )
-from padic_potts.padic_core import PadicNumber
+from padic_potts.padic_core import PadicNumber, _vp, residue_of_rational
 
 from conftest import exp_domain_fraction
 
@@ -99,6 +100,92 @@ class TestExpLog:
         deep = exp_p(num(3, 3, 16), precision=40)
         assert deep.known_abs > shallow.known_abs
         assert deep.residue(12) == 204349
+
+
+# The series loops as first written, with one modular inverse per term: the
+# oracles of the num/den loops in padic_analytic, which must give the same
+# residue, known_abs and precision.
+
+
+def _exp_p_per_term(x: PadicNumber, precision: int | None = None) -> PadicNumber:
+    p = x.prime
+    pv = p.value
+    n_rel = x.precision if precision is None else precision
+    if x.is_zero:
+        return PadicNumber.one(p, n_rel)
+    vx = int(x.norm_valuation())
+    k = vx + n_rel + 2
+    if x.known_abs is not None:
+        k = min(k, x.known_abs)
+    modulus = pv**k
+    ux = residue_of_rational(x.value / Fraction(pv) ** vx, p, k)
+    total, term_v, term_u, n = 1, 0, 1, 1
+    while (n * vx - k) * (pv - 1) < n - 1:
+        j = _vp(n, pv)
+        term_v += vx - j
+        term_u = term_u * ux * pow(n // pv**j, -1, modulus) % modulus
+        if term_v < k:
+            total = (total + term_u * pv**term_v) % modulus
+        n += 1
+    return PadicNumber.from_residue(total, p, k, n_rel)
+
+
+def _log_p_per_term(x: PadicNumber, precision: int | None = None) -> PadicNumber:
+    p = x.prime
+    pv = p.value
+    n_rel = x.precision if precision is None else precision
+    t = x.value - 1
+    vt = int((x - 1).norm_valuation())
+    k = vt + n_rel + 2
+    if x.known_abs is not None:
+        k = min(k, x.known_abs)
+    slack = 1
+    while pv**slack <= k:
+        slack += 1
+    guard = pv ** (k + slack)
+    t_res = residue_of_rational(t, p, k + slack)
+    modulus = pv**k
+    total, power, n = 0, 1, 1
+    while True:
+        digits = 1
+        while pv**digits <= n:
+            digits += 1
+        if n * vt - (digits - 1) >= k:
+            break
+        power = power * t_res % guard
+        j = _vp(n, pv)
+        term = power // pv**j * pow(n // pv**j, -1, modulus) % modulus
+        total = (total + (term if n % 2 else -term)) % modulus
+        n += 1
+    return PadicNumber.from_residue(total, p, k, n_rel)
+
+
+def _series_arguments(p: int, n_rel: int):
+    """Exact and inexact x = p**v * unit at the first two valuations the
+    exponential admits."""
+    rng = random.Random(f"series:{p}:{n_rel}")
+    vmin = exp_domain_min_valuation(p)
+    for v in (vmin, vmin + 1):
+        unit = Fraction(rng.randrange(p ** (n_rel + 4)) * p + 1, rng.randrange(10**6) * p + 1)
+        x = Fraction(p) ** v * unit
+        yield PadicNumber(x, p, n_rel)
+        yield PadicNumber(x, p, n_rel, known_abs=v + n_rel // 2 + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n_rel", [8, 32, 128, 512])
+def test_series_match_the_per_term_inverse_loops(p, n_rel):
+    for x in _series_arguments(p, n_rel):
+        for new, old in (
+            (exp_p(x), _exp_p_per_term(x)),
+            (log_p(x + 1), _log_p_per_term(x + 1)),
+            (log_p(exp_p(x)), _log_p_per_term(_exp_p_per_term(x))),
+        ):
+            assert (new.value, new.known_abs, new.precision) == (
+                old.value,
+                old.known_abs,
+                old.precision,
+            )
 
 
 class TestPolynomial:

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,13 @@ class TestPrime:
         for p in (2**31 - 1, 2**61 - 1, 10**9 + 7):
             assert as_prime(p).value == p
 
+    def test_construction_is_cached_by_value_and_type(self):
+        assert as_prime(7) is as_prime(7)
+        as_prime(2)
+        for bad in (2.0, True, 3.0, [3]):
+            with pytest.raises(ValueError, match="not prime"):
+                as_prime(bad)
+
     def test_past_the_deterministic_range_is_refused(self):
         # 2**89 - 1 is prime, but past the bound where 13 bases decide primality
         with pytest.raises(ValueError, match="past"):
@@ -95,6 +105,81 @@ class TestFromRational:
         assert x.unit_digits == (2, 2, 2, 2)
         # reassemble: 1 + (2 + 2*3 + 2*9 + 2*27) = 81
         assert (1 + sum(d * 3**i for i, d in enumerate(x.unit_digits))) % 3**4 == 0
+
+
+class TestLeadingDigits:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            PadicNumber(0, 3, 10),
+            PadicNumber(Fraction(8, 3), 2, 10),
+            PadicNumber(Fraction(-7, 45), 3, 12),
+            PadicNumber(Fraction(250, 3), 5, 9),
+            PadicNumber(Fraction(1 + 7**20, 7**3), 7, 30, known_abs=5),
+            PadicNumber(Fraction(9, 11), 3, 40, known_abs=6),
+        ],
+    )
+    def test_prefix_of_the_unit_digits(self, x):
+        for m in range(x.precision + 4):
+            assert x.leading_digits(m) == x.unit_digits[:m]
+
+
+def _fresh(rng, p, n_rel):
+    """An inexact operand as an unreduced (value, known_abs) pair."""
+    v = rng.randrange(-2, 3)
+    return unit_fraction(rng, p, n_rel) * Fraction(p) ** v, v + rng.randrange(n_rel // 2, n_rel)
+
+
+class TestBoundedRepresentatives:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_chain_keeps_the_representative_canonical(self, p):
+        """A 200-step mul/inverse/add chain on inexact operands matches the same
+        chain on unreduced Fractions, while its representative stays bounded."""
+        rng = random.Random(f"chain:{p}")
+        n_rel = 128
+        X, K = _fresh(rng, p, n_rel)  # unreduced value and bound of the chain
+        x = PadicNumber(X, p, n_rel, known_abs=K)
+        P = x.precision
+        exhausted = grown = 0
+        for _ in range(200):
+            op = rng.choice(("mul", "inverse", "add", "cancel"))
+            Y, KY = _fresh(rng, p, n_rel)
+            if op == "cancel":  # an operand agreeing with -X to m digits
+                m = rng.randrange(rational_valuation(X, p), K + 3)
+                Y, KY = -X + Fraction(p) ** m * unit_fraction(rng, p), K + 3
+            y = PadicNumber(Y, p, n_rel, known_abs=KY)
+            vx, vy = rational_valuation(X, p), rational_valuation(Y, p)
+            if op != "inverse":
+                P = min(P, y.precision)
+            if op == "mul":
+                X, K = X * Y, min(vx + KY, vy + K)
+                run = partial(x.mul, y)
+            elif op == "inverse":
+                X, K = 1 / X, K - 2 * vx
+                run = x.inverse
+            else:
+                X, K = X + Y, min(K, KY)
+                run = partial(x.add, y)
+            v = rational_valuation(X, p)
+            if v is None or v >= K:
+                with pytest.raises(PrecisionExhausted):
+                    run()
+                exhausted += 1
+                X, K = _fresh(rng, p, n_rel)
+                x = PadicNumber(X, p, n_rel, known_abs=K)
+                P = x.precision
+                continue
+            x = run()
+            e = max(0, -v)
+            num, den = x.value.numerator, x.value.denominator
+            assert (x.norm_valuation(), x.known_abs) == (v, K)
+            P = min(P, K - v)
+            assert x.precision == P
+            assert den == p**e and 0 <= num < p ** (K + e)
+            assert num.bit_length() <= (K + e) * math.log2(p) + 1
+            assert x == PadicNumber(X, p, n_rel, known_abs=K)
+            grown = max(grown, X.numerator.bit_length() + X.denominator.bit_length())
+        assert exhausted and grown > 4 * n_rel * math.log2(p)
 
 
 class TestArithmetic:

@@ -492,6 +492,16 @@ class TestJsonIngestion:
                 {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/2"}}
             )
 
+    def test_per_edge_rows_checked_against_a_shape(self):
+        values = [["", "3", "3"], ["3", "3.1", "6"]]
+        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": values}
+        J = coupling_from_json(doc)  # no shape: any well-formed rows
+        assert J.coupling_for_edge(TreeVertex.root(), TreeVertex.root().child(3)) == 3
+        J = coupling_from_json(doc, TreeShape(3))  # the root has children 0..3
+        assert J.coupling_for_edge(TreeVertex((3,)), TreeVertex((3, 1))) == 6
+        with pytest.raises(ValueError, match="'' -> '3' names no edge of the k=2 tree"):
+            coupling_from_json(doc, TreeShape(2))
+
     def test_field_document(self):
         doc = {"": ["3", "0"], "0": ["9/2", "3"]}
         field = boundary_field_from_json(doc, 3, P)
