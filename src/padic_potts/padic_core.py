@@ -82,7 +82,7 @@ class Prime:
         return str(self.value)
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(typed=True)
 def _cached_prime(p: int) -> Prime:
     return Prime(p)
 

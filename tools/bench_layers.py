@@ -5,7 +5,7 @@
 Each ``--tree NAME=PATH`` is a checkout root, recorded under NAME with its
 commit and the line count of ``src/padic_potts/*.py`` (never its path).  Its
 ``src`` is imported in a fresh interpreter per round, and the trees take
-turns for ``--rounds`` rounds, so that a slow stretch of a shared host falls
+turns for ROUNDS rounds, so that a slow stretch of a shared host falls
 on all of them alike.  Each entry is the median time of one call over every
 round's ``timeit`` repeats.  Standard library only.
 """
@@ -23,6 +23,7 @@ import sys
 import timeit
 from fractions import Fraction
 
+ROUNDS = 3  # fresh interpreters per tree, taken in turns
 REPEATS = 5  # timeit repeats per round and tree
 
 
@@ -98,7 +99,6 @@ def _tree_meta(tree: str) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", required=True, help="NAME=PATH of a checkout root")
-    ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--measure", help=argparse.SUPPRESS)  # child mode: one tree's src
     args = ap.parse_args()
     if args.measure:
@@ -107,7 +107,7 @@ def main() -> int:
         return 0
     trees = dict(t.split("=", 1) for t in args.tree)
     samples: dict = {name: {} for name in trees}
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for name, path in trees.items():
             run = subprocess.run(
                 [sys.executable, __file__, "--tree", name, "--measure", path],
