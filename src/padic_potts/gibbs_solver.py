@@ -108,21 +108,19 @@ def f_map_z(z: PadicVector, theta: PadicNumber, q: int) -> PadicVector:
         raise ValueError(f"boundary law needs {q - 1} components for q={q}")
     one = PadicNumber.one(p, theta.precision)
     th_offset = theta - one
-    offsets = [c - PadicNumber.one(p, c.precision) for c in z.components]
+    offsets = [c - one for c in z.components]
     denom = th_offset + PadicNumber.from_fraction(q, p, theta.precision)
     for off in offsets:
         denom = denom + off
     try:
-        inv = denom.inverse()
+        scale = th_offset * denom.inverse()
     except DivisionByZero as exc:
         raise DenominatorDegenerate("recursion denominator is exactly zero") from exc
     except PrecisionExhausted as exc:
         raise DenominatorDegenerate(
             "recursion denominator is indistinguishable from zero at working precision"
         ) from exc
-    out = []
-    for off in offsets:
-        out.append(PadicNumber.one(p, theta.precision) + th_offset * off * inv)
+    out = [one + scale * off for off in offsets]
     return PadicVector(out)
 
 

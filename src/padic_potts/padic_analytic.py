@@ -61,7 +61,7 @@ def exp_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     if x.known_abs is not None:
         k = min(k, x.known_abs)
     modulus = pv**k
-    ux = residue_of_rational(x.value / Fraction(pv) ** vx, p, k)
+    ux = x._unit_mod(k) % modulus
 
     # sum = num / den with den the product of the unit parts of 1..n, so the
     # n-th term x**n / n! is ux**n * p**term_v over den
@@ -96,19 +96,12 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     p = x.prime
     pv = p.value
     n_rel = x.precision if precision is None else precision
-    t = x.value - 1
-    if t == 0:
-        if x.known_abs is None:
-            return PadicNumber.zero(p, n_rel)
-        raise PrecisionExhausted(bound=x.known_abs)
-    if x.distance_valuation(1) < 1:
-        raise DomainViolation(
-            f"log argument needs valuation(x - 1) >= 1, got "
-            f"{x.distance_valuation(1)}"
-        )
-    vt = rational_valuation(t, p)
-    if x.known_abs is not None and vt >= x.known_abs:
-        raise PrecisionExhausted(bound=x.known_abs)
+    t = x - 1  # raises PrecisionExhausted when x - 1 is 0 + O(p**known_abs)
+    if t.is_zero:
+        return PadicNumber.zero(p, n_rel)
+    vt = t._val
+    if vt < 1:
+        raise DomainViolation(f"log argument needs valuation(x - 1) >= 1, got {vt}")
     k = vt + n_rel + 2
     if x.known_abs is not None:
         k = min(k, x.known_abs)
@@ -117,7 +110,7 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     while pv**slack <= k:
         slack += 1
     guard = pv ** (k + slack)
-    t_res = residue_of_rational(t, p, k + slack)
+    t_res = t._unit_mod(k + slack) * pv**vt % guard
     modulus = pv**k
 
     # sum = num / den with den the product of the unit parts of 1..n
@@ -302,24 +295,29 @@ def hensel_roots_in_disk(
     return roots
 
 
-def _poly_eval_int(coeffs_mod_p: list[int], r: int, pv: int) -> int:
+def _poly_eval_int(coeffs: list[int], x: int, mod: int) -> int:
+    """Horner evaluation of integer coefficients at x, mod ``mod``."""
     out = 0
-    for c in reversed(coeffs_mod_p):
-        out = (out * r + c) % pv
+    for c in reversed(coeffs):
+        out = (out * x + c) % mod
     return out
 
 
 def _newton_lift(norm: list[Fraction], r: int, p: Prime, digits: int) -> int:
-    """Lift a simple residue root of a content-free polynomial to Z/p**digits."""
+    """Lift a simple residue root of a content-free polynomial to Z/p**digits.
+
+    The coefficients and their derivative are reduced mod p**digits once;
+    each doubling step then evaluates both by Horner mod p**prec.
+    """
     pv = p.value
-    deriv = [j * c for j, c in enumerate(norm)][1:]
+    coeffs = [residue_of_rational(c, p, digits) for c in norm]
+    deriv = [j * c for j, c in enumerate(coeffs)][1:]
     w = r
     prec = 1
     while prec < digits:
         prec = min(2 * prec, digits)
         mod = pv**prec
-        fw = residue_of_rational(_poly_eval_fraction(norm, Fraction(w)), p, prec)
-        dw = residue_of_rational(_poly_eval_fraction(deriv, Fraction(w)), p, prec)
+        fw, dw = _poly_eval_int(coeffs, w, mod), _poly_eval_int(deriv, w, mod)
         w = (w - fw * pow(dw, -1, mod)) % mod
     return w
 

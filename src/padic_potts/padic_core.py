@@ -1,19 +1,17 @@
 """Exact p-adic scalar arithmetic at bounded working precision.
 
-A number is stored as a rational representative together with an absolute
-precision bound: the ideal value it stands for is congruent to the
-representative modulo p**known_abs.  Values built directly from rationals are
-exact (no bound) and keep their rational as it is; series evaluations and
-other approximations carry a finite bound and keep only the canonical
-representative r / p**e of their class mod p**known_abs (p**e the p-part of
-the denominator, 0 <= r < p**(known_abs + e)), so the digits nobody knows
-are never carried.  Arithmetic on the representatives is exact, and
-congruent operands give congruent results, so valuations below the bound are
-certain, and a result whose representative collapses into the uncertain
-range raises PrecisionExhausted instead of pretending to be zero.
-
-The canonical digit expansion x = p**v * (d0 + d1*p + ...) with d0 != 0 is
-derived on demand from the representative.
+Values built directly from rationals are exact and keep their rational.
+Series evaluations and other approximations carry an absolute bound
+known_abs: the ideal value is only known modulo p**known_abs.  They are kept
+in the capped-relative form of Caruso, "Computations with p-adic numbers"
+(arXiv:1701.06794, sec. 2), as integers: the valuation v and the unit
+residue u mod p**(known_abs - v).  Sums align by an integer shift and reduce
+once, products multiply units, an inverse is one modular inverse, and the
+digits nobody knows are never carried.  Congruent operands give congruent
+results, so valuations below the bound are certain, and a result that
+cancels into the uncertain range raises PrecisionExhausted instead of
+pretending to be zero.  The digit expansion p**v * (d0 + d1*p + ...) with
+d0 != 0 is read off u.
 """
 
 from __future__ import annotations
@@ -111,40 +109,25 @@ class Valuation:
 
     exponent: int | None
 
-    @classmethod
-    def infinite(cls) -> "Valuation":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.exponent is None
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        return self.exponent == other.exponent
+        other = _as_valuation(other)
+        return NotImplemented if other is None else self.exponent == other.exponent
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
+        other = _as_valuation(other)
+        if other is None:
             return NotImplemented
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        return self.exponent < other.exponent
+        if self.exponent is None:
+            return False  # +infinity is below nothing
+        return other.exponent is None or self.exponent < other.exponent
 
     def __hash__(self):
         return hash(self.exponent)
 
     def __add__(self, other: "Valuation | int") -> "Valuation":
-        if isinstance(other, int):
-            other = Valuation(other)
-        if self.is_infinite or other.is_infinite:
-            return Valuation.infinite()
+        other = _as_valuation(other)
+        if self.exponent is None or other.exponent is None:
+            return Valuation(None)
         return Valuation(self.exponent + other.exponent)
 
     __radd__ = __add__
@@ -161,12 +144,35 @@ class Valuation:
         return f"Valuation({self.exponent})"
 
 
+def _as_valuation(x) -> Valuation | None:
+    """x as a Valuation (ints are finite valuations); None for anything else."""
+    return Valuation(x) if isinstance(x, int) else x if isinstance(x, Valuation) else None
+
+
 def _vp(n: int, p: int) -> int:
-    """Exponent of the prime p in the nonzero integer n."""
+    """Exponent of the prime p in the nonzero integer n.
+
+    Peels up to 8 factors one at a time (the common case), then divides by
+    p, p**2, p**4, ... while they divide and takes the rest back down by
+    halves, so a valuation of 500 costs about 18 divisions, not 500.
+    """
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == 8:
+            break
+    else:
+        return v
+    powers = [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 
@@ -176,11 +182,7 @@ def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
 
 
 def _fraction_valuation(x: Fraction, pv: int) -> int | None:
-    """Valuation of x at the prime pv; None for zero.
-
-    Works off the reduced numerator and denominator, so at most one of the
-    two carries a power of p.
-    """
+    """Valuation of x at the prime pv, None for zero (x is in lowest terms)."""
     if not x:
         return None
     return _vp(x.numerator, pv) or -_vp(x.denominator, pv)
@@ -199,71 +201,75 @@ def residue_of_rational(x: Fraction | int, p: int | Prime, k: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def digits_of_residue(r: int, p: int | Prime, k: int) -> tuple[int, ...]:
-    """Base-p digits (least significant first) of r, padded to length k."""
-    pv = as_prime(p).value
-    out = []
-    for _ in range(k):
-        r, d = divmod(r, pv)
-        out.append(d)
-    return tuple(out)
-
-
 class PadicNumber:
     """A p-adic number carried to N significant base-p digits.
 
     Attributes:
         prime: the prime p.
         precision: count N of significant digits past the leading one.
-        value: the exact rational when exact; when inexact, the canonical
-            representative mod p**known_abs, r / p**e with p**e the p-part of
-            the denominator and 0 <= r < p**(known_abs + e).
-        known_abs: absolute precision bound, or None when the representative
-            is the ideal value itself.  When finite, only the congruence
-            class of ``value`` modulo p**known_abs is meaningful.
+        known_abs: absolute precision bound, or None for an exact value.
+        value: the rational when exact; when inexact, u * p**v (derived).
 
-    The constructor normalizes: the effective precision is clamped so that
-    valuation + precision never exceeds the absolute bound, and a value whose
-    representative cannot be told apart from zero raises PrecisionExhausted.
+    An exact value keeps its rational.  An inexact one is stored in
+    capped-relative form, as integers: its valuation v and its unit residue
+    u mod p**r, with 0 < u < p**r and r = known_abs - v, for the ideal value
+    p**v * u + O(p**known_abs).  Construction clamps the precision so that
+    valuation + precision never exceeds the absolute bound, and a value that
+    cannot be told apart from zero raises PrecisionExhausted.
     """
 
-    __slots__ = ("prime", "precision", "value", "known_abs", "_val")
+    __slots__ = ("prime", "precision", "known_abs", "_val", "_frac", "_unit")
 
-    def __init__(
-        self,
-        value: Fraction | int,
-        prime: int | Prime,
-        precision: int = DEFAULT_PRECISION,
-        known_abs: int | None = None,
-    ):
+    def __new__(cls, value: Fraction | int, prime: int | Prime,
+                precision: int = DEFAULT_PRECISION, known_abs: int | None = None):
         prime = as_prime(prime)
-        value = Fraction(value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
         if precision < 1:
             raise ValueError("precision must be a positive digit count")
-        self._set(value, prime, precision, known_abs, _fraction_valuation(value, prime.value))
+        pv = prime.value
+        val = _fraction_valuation(value, pv)
+        exact = cls._exact(value, prime, precision, val)
+        if known_abs is None:
+            return exact
+        if val is None or val >= known_abs:
+            raise PrecisionExhausted(bound=known_abs)
+        s = exact._unit_mod(known_abs - val) % pv ** (known_abs - val)
+        return cls._inexact(s, val, known_abs, prime, precision)
 
     @classmethod
-    def _make(
-        cls, value: Fraction, prime: Prime, precision: int, known_abs: int | None, val: int | None
-    ) -> "PadicNumber":
-        """An arithmetic result: operands already hold a valid prime and
-        precision, and ``val`` is the valuation of ``value``."""
-        out = cls.__new__(cls)
-        out._set(value, prime, precision, known_abs, val)
+    def _exact(cls, value: Fraction, prime: Prime, precision: int, val: int | None):
+        """An exact value; ``val`` is the valuation of ``value``."""
+        out = object.__new__(cls)
+        out.prime, out.precision, out.known_abs = prime, precision, None
+        out._val, out._frac, out._unit = val, value, None
         return out
 
-    def _set(self, value, prime, precision, known_abs, val):
-        # the one place an inexact value is checked and reduced
-        if known_abs is not None:
-            if val is None or val >= known_abs:
-                raise PrecisionExhausted(bound=known_abs)
-            precision = min(precision, known_abs - val)
-            value = _canonical(value, prime.value, known_abs, val)
-        self.prime = prime
-        self.precision = precision
-        self.value = value
-        self.known_abs = known_abs
-        self._val = val
+    @classmethod
+    def _inexact(cls, s: int, v0: int, k: int, prime: Prime, precision: int):
+        """p**v0 * s + O(p**k), for 0 <= s < p**(k - v0): the one place an
+        inexact value is checked and put in capped-relative form."""
+        if s == 0:
+            raise PrecisionExhausted(bound=k)
+        pv = prime.value
+        if s % pv == 0:
+            w = _vp(s, pv)
+            s, v0 = s // pv**w, v0 + w
+        out = object.__new__(cls)
+        out.prime, out.known_abs, out._val, out._frac, out._unit = prime, k, v0, None, s
+        out.precision = precision if precision < k - v0 else k - v0
+        return out
+
+    def _unit_mod(self, m: int) -> int:
+        """An integer congruent mod p**m to p**-v * value (self nonzero)."""
+        if self._unit is not None:
+            return self._unit
+        pv, num, den = self.prime.value, self._frac.numerator, self._frac.denominator
+        if self._val > 0:
+            num //= pv**self._val
+        elif self._val < 0:
+            den //= pv**-self._val
+        return num if den == 1 else num * pow(den, -1, pv**m)
 
     # -- constructors ------------------------------------------------------
 
@@ -291,6 +297,13 @@ class PadicNumber:
     # -- structure ---------------------------------------------------------
 
     @property
+    def value(self) -> Fraction:
+        if self._unit is None:
+            return self._frac
+        v, pv = self._val, self.prime.value
+        return Fraction(self._unit * pv**v) if v >= 0 else Fraction(self._unit, pv**-v)
+
+    @property
     def is_zero(self) -> bool:
         """True only for the exact zero element."""
         return self._val is None
@@ -305,21 +318,14 @@ class PadicNumber:
 
     def norm(self) -> Fraction:
         """|x|_p as an exact rational."""
-        if self._val is None:
-            return Fraction(0)
-        if self._val >= 0:
-            return Fraction(1, self.prime.value**self._val)
-        return Fraction(self.prime.value ** (-self._val))
+        return Fraction(0) if self._val is None else Fraction(self.prime.value) ** -self._val
 
     def is_unit(self) -> bool:
         return self._val == 0
 
     @property
     def unit_digits(self) -> tuple[int, ...]:
-        """Digits of the unit part, length == precision, leading digit nonzero.
-
-        Zero has an empty digit sequence.
-        """
+        """Digits of the unit part, length == precision, leading digit nonzero; () for zero."""
         return self.leading_digits(self.precision)
 
     def leading_digits(self, m: int) -> tuple[int, ...]:
@@ -328,8 +334,12 @@ class PadicNumber:
         if self._val is None:
             return ()
         m = min(m, self.precision)
-        unit = self.value / Fraction(self.prime.value) ** self._val
-        return digits_of_residue(residue_of_rational(unit, self.prime, m), self.prime, m)
+        pv = self.prime.value
+        r, out = self._unit_mod(m) % pv**m, []
+        for _ in range(m):
+            r, d = divmod(r, pv)
+            out.append(d)
+        return tuple(out)
 
     def residue(self, k: int) -> int:
         """The representative reduced mod p**k (requires valuation >= 0).
@@ -342,12 +352,15 @@ class PadicNumber:
             )
         if self._val is None:
             return 0
-        return residue_of_rational(self.value, self.prime, k)
+        if self._val < 0:
+            raise ValueError("rational has negative valuation, no residue mod p**k")
+        pv = self.prime.value
+        return self._unit_mod(k) * pv**self._val % pv**k
 
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_prime(self, other: "PadicNumber"):
-        if self.prime != other.prime:
+        if self.prime is not other.prime and self.prime != other.prime:
             raise ValueError(f"mixed primes {self.prime} and {other.prime}")
 
     def _coerce(self, other) -> "PadicNumber | None":
@@ -357,73 +370,89 @@ class PadicNumber:
             return PadicNumber(Fraction(other), self.prime, self.precision)
         return None
 
-    def add(self, other: "PadicNumber") -> "PadicNumber":
-        self._check_same_prime(other)
+    def _aligned_sum(self, other: "PadicNumber", sign: int) -> tuple[int, int, int]:
+        """(s, v0, k) with self + sign*other = p**v0 * s + O(p**k) and
+        0 <= s < p**(k - v0): k the shared bound (an operand is inexact) and
+        v0 the least valuation, so the operands align by an integer shift."""
+        a, b, sa, sb = self, other, 1, sign
+        if a._val is None or (b._val is not None and b._val < a._val):
+            a, b, sa, sb = b, a, sign, 1
+        pv, v0 = self.prime.value, a._val  # an inexact operand is never zero
         k = _min_bound(self.known_abs, other.known_abs)
+        r = k - v0
+        s = sa * a._unit_mod(r)
+        if b._val is not None and b._val - v0 < r:
+            shift = b._val - v0
+            s += sb * b._unit_mod(r - shift) * pv**shift
+        return s % pv**r, v0, k
+
+    def _sum(self, other: "PadicNumber", sign: int) -> "PadicNumber":
+        self._check_same_prime(other)
         n = min(self.precision, other.precision)
-        if self.is_zero and other.is_zero:
-            return PadicNumber._make(Fraction(0), self.prime, n, None, None)
-        value = self.value + other.value
-        val = _fraction_valuation(value, self.prime.value)
-        return PadicNumber._make(value, self.prime, n, k, val)
+        if self.known_abs is None and other.known_abs is None:
+            value = self._frac + other._frac if sign > 0 else self._frac - other._frac
+            val = _fraction_valuation(value, self.prime.value)
+            return PadicNumber._exact(value, self.prime, n, val)
+        return PadicNumber._inexact(*self._aligned_sum(other, sign), self.prime, n)
+
+    def add(self, other: "PadicNumber") -> "PadicNumber":
+        return self._sum(other, 1)
+
+    def sub(self, other: "PadicNumber") -> "PadicNumber":
+        return self._sum(other, -1)
 
     def neg(self) -> "PadicNumber":
         if self.is_zero:
             return self
-        return PadicNumber._make(-self.value, self.prime, self.precision, self.known_abs, self._val)
-
-    def sub(self, other: "PadicNumber") -> "PadicNumber":
-        return self.add(other.neg())
+        if self.known_abs is None:
+            return PadicNumber._exact(-self._frac, self.prime, self.precision, self._val)
+        s = self.prime.value ** (self.known_abs - self._val) - self._unit
+        return PadicNumber._inexact(s, self._val, self.known_abs, self.prime, self.precision)
 
     def mul(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
         n = min(self.precision, other.precision)
         if self.is_zero or other.is_zero:
             # an exact zero factor annihilates even approximate ones
-            return PadicNumber._make(Fraction(0), self.prime, n, None, None)
-        k = _min_bound(
-            None if other.known_abs is None else self._val + other.known_abs,
-            None if self.known_abs is None else other._val + self.known_abs,
+            return PadicNumber._exact(Fraction(0), self.prime, n, None)
+        v = self._val + other._val
+        if self.known_abs is None and other.known_abs is None:
+            return PadicNumber._exact(self._frac * other._frac, self.prime, n, v)
+        # a product keeps the lesser relative precision r = known_abs - v
+        r = _min_bound(
+            None if self.known_abs is None else self.known_abs - self._val,
+            None if other.known_abs is None else other.known_abs - other._val,
         )
-        return PadicNumber._make(self.value * other.value, self.prime, n, k, self._val + other._val)
+        s = self._unit_mod(r) * other._unit_mod(r) % self.prime.value**r
+        return PadicNumber._inexact(s, v, v + r, self.prime, n)
 
     def inverse(self) -> "PadicNumber":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        k = None if self.known_abs is None else self.known_abs - 2 * self._val
-        return PadicNumber._make(1 / self.value, self.prime, self.precision, k, -self._val)
+        if self.known_abs is None:
+            return PadicNumber._exact(1 / self._frac, self.prime, self.precision, -self._val)
+        r = self.known_abs - self._val
+        s = pow(self._unit, -1, self.prime.value**r)
+        return PadicNumber._inexact(s, -self._val, r - self._val, self.prime, self.precision)
 
     def div(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
         return self.mul(other.inverse())
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self.add(other)
+    def _operator(method, reflected=False):  # makes the operators below; not a method
+        def op(self, other):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            return method(other, self) if reflected else method(self, other)
 
-    __radd__ = __add__
+        return op
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self.sub(other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other.sub(self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self.mul(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self.div(other)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other.div(self)
+    __add__ = __radd__ = _operator(add)
+    __sub__, __rsub__ = _operator(sub), _operator(sub, reflected=True)
+    __mul__ = __rmul__ = _operator(mul)
+    __truediv__, __rtruediv__ = _operator(div), _operator(div, reflected=True)
+    del _operator
 
     def __neg__(self):
         return self.neg()
@@ -433,9 +462,7 @@ class PadicNumber:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = PadicNumber(Fraction(1), self.prime, self.precision)
-        base = self
-        e = exponent
+        out, base, e = PadicNumber(Fraction(1), self.prime, self.precision), self, exponent
         while e:
             if e & 1:
                 out = out.mul(base)
@@ -452,22 +479,17 @@ class PadicNumber:
             return NotImplemented
         if self.prime != other.prime:
             return False
-        k = _min_bound(self.known_abs, other.known_abs)
-        diff = self.value - other.value
-        if k is None:
-            return diff == 0
-        v = _fraction_valuation(diff, self.prime.value)
-        return v is None or v >= k
+        if self.known_abs is None and other.known_abs is None:
+            return self._frac == other._frac
+        return self._aligned_sum(other, -1)[0] == 0
 
     __hash__ = None
 
     def valuation_at_least(self, k: int) -> bool:
         """Soundly decide whether the ideal value has valuation >= k."""
-        if self._val is None:
-            return True
         if self.known_abs is not None and k > self.known_abs:
             return False
-        return self._val >= k
+        return self._val is None or self._val >= k
 
     def distance_valuation(self, other) -> Valuation:
         """Sound lower bound for valuation(self - other).
@@ -477,11 +499,11 @@ class PadicNumber:
         """
         other = self._coerce(other)
         self._check_same_prime(other)
-        k = _min_bound(self.known_abs, other.known_abs)
-        v = _fraction_valuation(self.value - other.value, self.prime.value)
-        if v is None or (k is not None and v >= k):
-            return Valuation(k)
-        return Valuation(v)
+        pv = self.prime.value
+        if self.known_abs is None and other.known_abs is None:
+            return Valuation(_fraction_valuation(self._frac - other._frac, pv))
+        s, v0, k = self._aligned_sum(other, -1)
+        return Valuation(k if s == 0 else v0 + _vp(s, pv))
 
     # -- rendering ---------------------------------------------------------
 
@@ -499,36 +521,13 @@ class PadicNumber:
         body = " + ".join(terms)
         return f"{p}^{self._val} * ({body}) + O({p}^{self._val + self.precision})"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         tail = "" if self.known_abs is None else f", known_abs={self.known_abs}"
-        return (
-            f"PadicNumber({self.value!r}, prime={self.prime.value}, "
-            f"precision={self.precision}{tail})"
-        )
-
-
-def _canonical(x: Fraction, pv: int, known_abs: int, val: int) -> Fraction:
-    """The representative r / p**e of x mod p**known_abs, with p**e the p-part
-    of x's denominator and 0 <= r < p**(known_abs + e).
-
-    Requires val = v(x) < known_abs, so r keeps x's valuation.
-    """
-    e = max(0, -val)
-    pe, mod = pv**e, pv ** (known_abs + e)
-    num, den = x.numerator, x.denominator
-    if den != pe:
-        num *= pow(den // pe, -1, mod)
-    elif 0 <= num < mod:
-        return x
-    return Fraction(num % mod, pe)
+        return (f"PadicNumber({self.value!r}, prime={self.prime.value}, "
+                f"precision={self.precision}{tail})")
 
 
 def _min_bound(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)

@@ -1,0 +1,21 @@
+"""The layer-timing tool's entries still run against the present API."""
+
+import importlib.util
+import json
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+
+
+def test_every_layer_entry_runs_once():
+    spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    entries = tool._entries()
+    names = {name for name, _, _ in entries}
+    assert {"PadicNumber.inverse", "exp_p", "f_map_z", "hensel_roots_in_disk"} <= names
+    keys = set()
+    for name, params, fn in entries:
+        keys.add(json.dumps([name, params], sort_keys=True))
+        fn()
+    assert len(keys) == len(entries)  # no two entries share a record key

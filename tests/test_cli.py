@@ -37,6 +37,19 @@ class TestVerify:
         assert doc["suites"][0]["checks"] == 60
         assert doc["suites"][0]["passed"] == 60
 
+    def test_exp_log_cancellation_is_a_certified_distance(self, capsys):
+        # check 16 draws x = 400/11 and y = -400/11, so exp(x) * exp(y) agrees
+        # with 1 at every known digit: log of it and log exp(x) + log exp(y)
+        # are both 0 + O(2**38), and their distance is certified to 38 >= N - 2
+        code, out, err = run(
+            capsys, "verify", "--suite", "exp-log", "--checks", "60",
+            "--seed", "815857961", "--precision", "32", "--p", "2",
+        )
+        assert (code, err) == (0, "")
+        doc = parse(out)
+        assert doc["ok"] is True
+        assert doc["suites"][0]["passed"] == 60
+
     def test_product_distance_suite(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "product-distance", "--checks", "40"

@@ -6,12 +6,14 @@ import pytest
 from padic_potts.errors import DomainViolation, LiftStall
 from padic_potts.padic_analytic import (
     PadicPolynomial,
+    _newton_lift,
+    _poly_eval_fraction,
     exp_domain_min_valuation,
     exp_p,
     hensel_roots_in_disk,
     log_p,
 )
-from padic_potts.padic_core import PadicNumber, _vp, residue_of_rational
+from padic_potts.padic_core import PadicNumber, _vp, as_prime, residue_of_rational
 
 from conftest import exp_domain_fraction
 
@@ -302,3 +304,49 @@ def _eval_mod(coeffs, z, p, k):
     num_, den = total.numerator, total.denominator
     assert den % p != 0
     return (num_ * pow(den, -1, mod)) % mod
+
+
+def _newton_lift_on_fractions(norm, r, p, digits):
+    """The Newton lift as first written, evaluating the Fraction polynomial
+    and its derivative at every doubling step: the oracle of the integer
+    Horner lift."""
+    pv = p.value
+    deriv = [j * c for j, c in enumerate(norm)][1:]
+    w, prec = r, 1
+    while prec < digits:
+        prec = min(2 * prec, digits)
+        mod = pv**prec
+        fw = residue_of_rational(_poly_eval_fraction(norm, Fraction(w)), p, prec)
+        dw = residue_of_rational(_poly_eval_fraction(deriv, Fraction(w)), p, prec)
+        w = (w - fw * pow(dw, -1, mod)) % mod
+    return w
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_newton_lift_matches_the_fraction_evaluation(p):
+    """Random content-free polynomials of degree 1-9 with p-integral
+    coefficients: every simple residue root lifts to the same w."""
+    rng = random.Random(f"newton:{p}")
+    prime = as_prime(p)
+    lifted = 0
+    for degree in range(1, 10):
+        for _ in range(6):
+            norm = [
+                Fraction(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**3) * p + 1)
+                * p ** rng.randrange(0, 3)
+                for _ in range(degree + 1)
+            ]
+            norm[rng.randrange(degree + 1)] = Fraction(rng.randrange(1, p), p + 1)  # content 0
+            f_mod = [residue_of_rational(c, p, 1) for c in norm]
+            for r in range(p):
+                at_r = sum(c * r**i for i, c in enumerate(f_mod)) % p
+                slope = sum(i * c * r ** (i - 1) for i, c in enumerate(f_mod) if i) % p
+                if at_r or not slope:
+                    continue
+                for digits in (1, 2, 3, 8, 33, 130):
+                    w = _newton_lift(norm, r, prime, digits)
+                    assert w == _newton_lift_on_fractions(norm, r, prime, digits)
+                    at_w = _poly_eval_fraction(norm, Fraction(w))
+                    assert residue_of_rational(at_w, p, digits) == 0
+                lifted += 1
+    assert lifted >= 20

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_potts.errors import DivisionByZero, PrecisionExhausted
+from padic_potts.errors import DivisionByZero, PadicError, PrecisionExhausted
 from padic_potts.padic_core import (
     PadicNumber,
     Valuation,
     _is_prime,
+    _vp,
     as_prime,
     rational_valuation,
 )
@@ -303,3 +304,234 @@ class TestEquality:
         a = PadicNumber.from_fraction(Fraction(1), 3, 20)
         b = PadicNumber.from_fraction(Fraction(1 + 2 * 3**5), 3, 20)
         assert a.distance_valuation(b) == 5
+
+
+# The scalar kernel as it stood on Fraction representatives, one valuation
+# loop and one modular inverse per reduction: the oracle of the capped-relative
+# integer kernel, which must agree with it on every valuation, precision,
+# bound, representative and error.
+
+
+def _vp_loop(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _oracle_valuation(x: Fraction, p: int) -> int | None:
+    if not x:
+        return None
+    return _vp_loop(x.numerator, p) or -_vp_loop(x.denominator, p)
+
+
+def _oracle_bound(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+class _FractionPadic:
+    """An exact value keeps its rational; an inexact one the canonical
+    representative r / p**e of its class mod p**known_abs (p**e the p-part of
+    the denominator, 0 <= r < p**(known_abs + e))."""
+
+    def __init__(self, value, p: int, precision: int, known_abs: int | None = None):
+        value = Fraction(value)
+        val = _oracle_valuation(value, p)
+        if known_abs is not None:
+            if val is None or val >= known_abs:
+                raise PrecisionExhausted(bound=known_abs)
+            precision = min(precision, known_abs - val)
+            e = max(0, -val)
+            mod = p ** (known_abs + e)
+            num = value.numerator * pow(value.denominator // p**e, -1, mod)
+            value = Fraction(num % mod, p**e)
+        self.value, self.p, self.precision, self.known_abs, self.val = (
+            value, p, precision, known_abs, val
+        )
+
+    def key(self):
+        return (self.val, self.precision, self.known_abs, self.value)
+
+    def add(self, o):
+        k = _oracle_bound(self.known_abs, o.known_abs)
+        return _FractionPadic(self.value + o.value, self.p, min(self.precision, o.precision), k)
+
+    def neg(self):
+        if self.val is None:
+            return self
+        return _FractionPadic(-self.value, self.p, self.precision, self.known_abs)
+
+    def sub(self, o):
+        return self.add(o.neg())
+
+    def mul(self, o):
+        n = min(self.precision, o.precision)
+        if self.val is None or o.val is None:
+            return _FractionPadic(0, self.p, n)
+        k = _oracle_bound(
+            None if o.known_abs is None else self.val + o.known_abs,
+            None if self.known_abs is None else o.val + self.known_abs,
+        )
+        return _FractionPadic(self.value * o.value, self.p, n, k)
+
+    def inverse(self):
+        if self.val is None:
+            raise DivisionByZero("inverse of zero")
+        k = None if self.known_abs is None else self.known_abs - 2 * self.val
+        return _FractionPadic(1 / self.value, self.p, self.precision, k)
+
+    def div(self, o):
+        return self.mul(o.inverse())
+
+    def pow(self, e: int):
+        if e < 0:
+            return self.inverse().pow(-e)
+        out, base = _FractionPadic(1, self.p, self.precision), self
+        while e:
+            if e & 1:
+                out = out.mul(base)
+            e >>= 1
+            if e:
+                base = base.mul(base)
+        return out
+
+    def eq(self, o):
+        k = _oracle_bound(self.known_abs, o.known_abs)
+        diff = self.value - o.value
+        if k is None:
+            return diff == 0
+        v = _oracle_valuation(diff, self.p)
+        return v is None or v >= k
+
+    def distance_valuation(self, o):
+        k = _oracle_bound(self.known_abs, o.known_abs)
+        v = _oracle_valuation(self.value - o.value, self.p)
+        return Valuation(k if v is None or (k is not None and v >= k) else v)
+
+    def valuation_at_least(self, k):
+        if self.val is None:
+            return True
+        if self.known_abs is not None and k > self.known_abs:
+            return False
+        return self.val >= k
+
+    def residue(self, k):
+        if self.known_abs is not None and k > self.known_abs:
+            raise PrecisionExhausted(
+                f"residue mod p**{k} exceeds known precision", bound=self.known_abs
+            )
+        if self.val is None:
+            return 0
+        if self.value.denominator % self.p == 0:
+            raise ValueError("rational has negative valuation, no residue mod p**k")
+        return self.value.numerator * pow(self.value.denominator, -1, self.p**k) % self.p**k
+
+    def leading_digits(self, m):
+        if self.val is None:
+            return ()
+        m = min(m, self.precision)
+        unit = self.value / Fraction(self.p) ** self.val
+        r = unit.numerator * pow(unit.denominator, -1, self.p**m) % self.p**m
+        return tuple(r // self.p**i % self.p for i in range(m))
+
+
+def _outcome(run):
+    """(comparable outcome, result): the result's (valuation, precision,
+    known_abs, value) or plain answer, or its error's type, text and bound."""
+    try:
+        got = run()
+    except (PadicError, ValueError) as exc:
+        return ("raises", type(exc), str(exc), getattr(exc, "bound", None)), None
+    if isinstance(got, PadicNumber):
+        v = None if got.is_zero else int(got.norm_valuation())
+        return ("number", v, got.precision, got.known_abs, got.value), got
+    if isinstance(got, _FractionPadic):
+        return ("number", *got.key()), got
+    return ("answer", got), None
+
+
+def _operand(rng, p: int, n_rel: int):
+    """A fresh (kernel, oracle) pair: exact zero, a small integer, or p**v
+    times a unit, exact or known to a random bound."""
+    kind = rng.choice(("zero", "small", "exact", "inexact", "inexact"))
+    if kind == "zero":
+        x, known = Fraction(0), None
+    elif kind == "small":
+        x, known = Fraction(rng.choice((1, -1, 2, p, p + 1, p * p - 1))), None
+    else:
+        v = rng.randrange(-3, 4)
+        x = unit_fraction(rng, p, rng.choice((4, 8, n_rel // 2 + 2))) * Fraction(p) ** v
+        known = v + rng.randrange(1, n_rel + 4) if kind == "inexact" else None
+    return PadicNumber(x, p, n_rel, known_abs=known), _FractionPadic(x, p, n_rel, known)
+
+
+def _near(rng, other: "_FractionPadic", sign: int, n_rel: int):
+    """An operand equal to sign * other up to p**m, m about other's known
+    digits, so other + or - it cancels nearly or wholly."""
+    p = other.p
+    top = other.val + n_rel if other.known_abs is None else other.known_abs
+    m = rng.choice((rng.randrange(other.val, top + 3), top + rng.randrange(-3, 3)))
+    x = sign * other.value + Fraction(p) ** m * unit_fraction(rng, p)
+    known = rng.choice((None, top, top + rng.randrange(-2, 3)))
+    if known is not None and (rational_valuation(x, p) or 0) >= known:
+        known = None
+    return PadicNumber(x, p, n_rel, known_abs=known), _FractionPadic(x, p, n_rel, known)
+
+
+_BINARY = ("add", "sub", "mul", "div", "eq", "distance_valuation")
+_UNARY = ("neg", "inverse", "pow", "valuation_at_least", "residue", "leading_digits")
+
+
+def _calls(rng, op: str, n_rel: int, a, oa, b, ob):
+    """The kernel call and the oracle call of one step."""
+    if op == "eq":
+        return (lambda: a == b), (lambda: oa.eq(ob))
+    if op in _BINARY:
+        return (lambda: getattr(a, op)(b)), (lambda: getattr(oa, op)(ob))
+    if op == "pow":
+        e = rng.randrange(-3, 4)
+        return (lambda: a**e), (lambda: oa.pow(e))
+    if op in ("neg", "inverse"):
+        return getattr(a, op), getattr(oa, op)
+    k = rng.randrange(0, n_rel + 6)
+    return (lambda: getattr(a, op)(k)), (lambda: getattr(oa, op)(k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n_rel", [8, 32, 128, 512])
+def test_kernel_matches_the_fraction_oracle(p, n_rel):
+    """Random chains of every kernel operation over exact and inexact operands,
+    near-total cancellation included, agree step by step with the oracle."""
+    rng = random.Random(f"oracle:{p}:{n_rel}")
+    pool = [_operand(rng, p, n_rel) for _ in range(6)]
+    kinds = set()
+    for _ in range(250):
+        a, oa = rng.choice(pool) if rng.random() < 0.8 else _operand(rng, p, n_rel)
+        b, ob = rng.choice(pool) if rng.random() < 0.5 else _operand(rng, p, n_rel)
+        op = rng.choice(_BINARY + _UNARY)
+        if op in _BINARY and oa.val is not None and rng.random() < 0.3:
+            b, ob = _near(rng, oa, 1 if op in ("sub", "eq", "distance_valuation") else -1, n_rel)
+        run, oracle = _calls(rng, op, n_rel, a, oa, b, ob)
+        (got, result), (want, expected) = _outcome(run), _outcome(oracle)
+        assert got == want, (op, a, b)
+        kinds.add((op, got[0]))
+        if result is not None and not (
+            result.is_exact and result.value.numerator.bit_length() > 16 * n_rel
+        ):  # chain the result on, unless an exact value grows without bound
+            pool[rng.randrange(len(pool))] = (result, expected)
+    assert {("add", "raises"), ("sub", "raises")} & kinds  # cancellation was reached
+    assert {("add", "number"), ("inverse", "number"), ("residue", "answer")} <= kinds
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**61 - 1])
+def test_vp_matches_the_one_at_a_time_loop(p):
+    rng = random.Random(f"vp:{p}")
+    # every v up to 2000 at small p; at p = 2**61 - 1 that is a 122,000-bit
+    # integer, and the loop pays v divisions of it, so every 100th v there
+    for v in range(0, 2001, 1 if p < 100 else 100):
+        unit = rng.randrange(1, 10**9)
+        while unit % p == 0:
+            unit += 1
+        x = rng.choice((1, -1)) * unit * p**v
+        assert _vp(x, p) == _vp_loop(x, p) == v

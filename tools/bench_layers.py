@@ -31,9 +31,9 @@ def _entries():
     """(name, params, callable) for every timed layer; built from fixed inputs."""
     import random
 
-    from padic_potts.cayley_tree import TreeShape, ball_with_edges
-    from padic_potts.gibbs_solver import recursion_backward
-    from padic_potts.padic_analytic import exp_p, log_p
+    from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
+    from padic_potts.gibbs_solver import f_map_z, recursion_backward
+    from padic_potts.padic_analytic import PadicPolynomial, exp_p, hensel_roots_in_disk, log_p
     from padic_potts.padic_core import PadicNumber
     from padic_potts.potts_model import CouplingField, PadicVector
 
@@ -66,6 +66,26 @@ def _entries():
     out.append(
         ("recursion_backward", {"p": p, "q": q, "k": 3, "n": n, "N": 32},
          lambda: recursion_backward(shape, laws, J, n, 32))
+    )
+    # one child's factor where the contraction suite's k = 2, n = 6 run meets
+    # it, at the sphere (p = 5, q = 3, J = 5): drawn laws 1 + 5**j * unit
+    theta5 = exp_p(PadicNumber(5, 5, 32))
+    z5 = PadicVector([PadicNumber(1 + 5 ** (1 + i) * Fraction(7 * i + 3, 11), 5) for i in range(2)])
+    out.append(("f_map_z", {"p": 5, "q": 3, "J": 5, "N": 32}, lambda: f_map_z(z5, theta5, 3)))
+    # classify's constant-law search at k = 2, p = q = 3, J = 3, N = 512: the
+    # cubic z**3 + (3 - u**2) z**2 + u**2 z - 4 in u = theta - 1, built as
+    # translation_invariant_cubic builds it, over the disk around 1
+    theta3 = CouplingField.homogeneous(Fraction(3), 3, 3).theta_for_edge(
+        TreeVertex.root(), TreeVertex.root().child(0), 512
+    )
+    def P(c):
+        return PadicNumber(c, 3, theta3.precision)
+
+    u = theta3 - P(1)
+    cubic = PadicPolynomial((P(-4), u * u + P(0), P(3) - u * u, P(1)))
+    out.append(
+        ("hensel_roots_in_disk", {"p": 3, "q": 3, "k": 2, "J": 3, "N": 512},
+         lambda: hensel_roots_in_disk(cubic, PadicNumber(1, 3, 512), 1))
     )
     return out
 
