@@ -220,6 +220,9 @@ class PadicNumber:
 
     __slots__ = ("prime", "precision", "known_abs", "_val", "_frac", "_unit")
 
+    def __reduce__(self):  # copy and pickle rebuild through the public constructor
+        return PadicNumber, (self.value, self.prime.value, self.precision, self.known_abs)
+
     def __new__(cls, value: Fraction | int, prime: int | Prime,
                 precision: int = DEFAULT_PRECISION, known_abs: int | None = None):
         prime = as_prime(prime)
@@ -388,7 +391,7 @@ class PadicNumber:
 
     def _sum(self, other: "PadicNumber", sign: int) -> "PadicNumber":
         self._check_same_prime(other)
-        n = min(self.precision, other.precision)
+        n = self.precision if self.precision < other.precision else other.precision
         if self.known_abs is None and other.known_abs is None:
             value = self._frac + other._frac if sign > 0 else self._frac - other._frac
             val = _fraction_valuation(value, self.prime.value)
@@ -411,7 +414,7 @@ class PadicNumber:
 
     def mul(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
-        n = min(self.precision, other.precision)
+        n = self.precision if self.precision < other.precision else other.precision
         if self.is_zero or other.is_zero:
             # an exact zero factor annihilates even approximate ones
             return PadicNumber._exact(Fraction(0), self.prime, n, None)
@@ -419,10 +422,8 @@ class PadicNumber:
         if self.known_abs is None and other.known_abs is None:
             return PadicNumber._exact(self._frac * other._frac, self.prime, n, v)
         # a product keeps the lesser relative precision r = known_abs - v
-        r = _min_bound(
-            None if self.known_abs is None else self.known_abs - self._val,
-            None if other.known_abs is None else other.known_abs - other._val,
-        )
+        r = _min_bound(None if self.known_abs is None else self.known_abs - self._val,
+                       None if other.known_abs is None else other.known_abs - other._val)
         s = self._unit_mod(r) * other._unit_mod(r) % self.prime.value**r
         return PadicNumber._inexact(s, v, v + r, self.prime, n)
 
@@ -441,7 +442,8 @@ class PadicNumber:
 
     def _operator(method, reflected=False):  # makes the operators below; not a method
         def op(self, other):
-            other = self._coerce(other)
+            if type(other) is not PadicNumber:
+                other = self._coerce(other)
             if other is None:
                 return NotImplemented
             return method(other, self) if reflected else method(self, other)
@@ -452,10 +454,8 @@ class PadicNumber:
     __sub__, __rsub__ = _operator(sub), _operator(sub, reflected=True)
     __mul__ = __rmul__ = _operator(mul)
     __truediv__, __rtruediv__ = _operator(div), _operator(div, reflected=True)
+    __neg__ = neg
     del _operator
-
-    def __neg__(self):
-        return self.neg()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

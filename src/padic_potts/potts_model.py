@@ -73,7 +73,7 @@ class PadicVector:
         if not components:
             raise ValueError("vector needs at least one component")
         p = components[0].prime
-        if any(c.prime != p for c in components):
+        if any(c.prime is not p and c.prime != p for c in components):
             raise ValueError("mixed primes in one vector")
         object.__setattr__(self, "components", components)
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import partial
@@ -181,6 +183,18 @@ class TestBoundedRepresentatives:
             assert x == PadicNumber(X, p, n_rel, known_abs=K)
             grown = max(grown, X.numerator.bit_length() + X.denominator.bit_length())
         assert exhausted and grown > 4 * n_rel * math.log2(p)
+
+
+def test_copy_and_pickle_keep_the_number():
+    for x in (
+        PadicNumber(Fraction(5, 9), 3, 12, known_abs=4),
+        PadicNumber(Fraction(2, 7), 5, 8),
+        PadicNumber(0, 2),
+    ):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert (y.norm_valuation(), y.precision, y.known_abs, y.value) == (
+                x.norm_valuation(), x.precision, x.known_abs, x.value
+            )
 
 
 class TestArithmetic:
