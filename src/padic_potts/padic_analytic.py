@@ -3,9 +3,13 @@
 The two series are evaluated in modular integer arithmetic: a term with
 valuation at or above the absolute target contributes nothing representable,
 so the sum runs only until every remaining term provably clears the target.
-The partial sum is kept as a fraction num/den mod p**k whose denominator is
-the product of the unit parts of the term divisors, so a series pays a few
-modular products per term and one modular inverse in all.
+The terms, their powers of p and the unit parts of their divisors depend
+only on (p, valuation, k), so a bounded cache plans them once per triple as
+blocks of about sqrt(terms) terms with small integer coefficients (Smith,
+Math. Comp. 52 (1989)).  A call computes the first m powers of the unit
+residue, sums each block as big-by-small products, folds the blocks into
+num/den mod p**k by two full-width products each and pays one modular
+inverse: the same sum mod p**k as a term-by-term loop.
 Truncation bounds use v(n!) = (n - digitsum_p(n)) / (p - 1), estimated from
 above by (n - 1) / (p - 1), and v(n) <= log_p(n).
 """
@@ -15,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import DomainViolation, LiftStall, PrecisionExhausted
 from .padic_core import (
@@ -28,6 +34,10 @@ from .padic_core import (
 
 # residual digits a root may miss at the working precision and still verify
 ROOT_RESIDUAL_MARGIN = 4
+
+# series plans kept, one per (series, p, valuation, k); an op meets a few
+PLAN_CACHE_SIZE = 64
+_MIN_BLOCK = 8  # below this many terms a series is one block
 
 
 def exp_domain_min_valuation(p: int | Prime) -> int:
@@ -56,34 +66,13 @@ def exp_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
             f"exp argument needs valuation >= {exp_domain_min_valuation(p)}, "
             f"got {x.norm_valuation()}"
         )
-    vx = int(x.norm_valuation())
+    vx = x._val
     k = vx + n_rel + 2
     if x.known_abs is not None:
         k = min(k, x.known_abs)
     modulus = pv**k
-    ux = x._unit_mod(k) % modulus
-
-    # sum = num / den with den the product of the unit parts of 1..n, so the
-    # n-th term x**n / n! is ux**n * p**term_v over den
-    num = den = 1  # n = 0 term
-    term_v = 0
-    ux_n = 1
-    n = 1
-    while True:
-        # every term from n on has valuation >= n*vx - (n-1)/(p-1)
-        if (n * vx - k) * (pv - 1) >= n - 1:
-            break
-        j = _vp(n, pv)
-        u = n // pv**j
-        term_v += vx - j
-        ux_n = ux_n * ux % modulus
-        num *= u
-        if term_v < k:
-            num += ux_n * pv**term_v
-        num %= modulus
-        den = den * u % modulus
-        n += 1
-    return PadicNumber.from_residue(num * pow(den, -1, modulus) % modulus, p, k, n_rel)
+    total = _blocked_sum(x._unit_mod(k) % modulus, 1, _series_plan(False, pv, vx, k), modulus)
+    return PadicNumber.from_residue(total, p, k, n_rel)
 
 
 def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
@@ -105,33 +94,76 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     k = vt + n_rel + 2
     if x.known_abs is not None:
         k = min(k, x.known_abs)
-    # dividing a term by n = p^j * unit consumes j guard digits
-    slack = 1
-    while pv**slack <= k:
-        slack += 1
-    guard = pv ** (k + slack)
-    t_res = t._unit_mod(k + slack) * pv**vt % guard
     modulus = pv**k
+    ut = t._unit_mod(k) % modulus
+    total = _blocked_sum(ut, ut, _series_plan(True, pv, vt, k), modulus)
+    return PadicNumber.from_residue(total, p, k, n_rel)
 
-    # sum = num / den with den the product of the unit parts of 1..n
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _series_plan(log: bool, pv: int, v: int, k: int) -> tuple:
+    """The exp (or log) series at an argument of valuation v, mod p**k, in blocks.
+
+    The n-th term is u**n * p**e_n / D_n for the argument's unit residue u:
+    for exp (n >= 0) e_n = n*v - v_p(n!) and D_n is the product of the unit
+    parts of 1..n; for log (n >= 1) e_n = n*v - v_p(n) and D_n = -(-1)**n
+    times the unit part of n.  With E the least e_n from a block's first n = s
+    on, the terms from s on sum to u**s * p**E / D_(s-1) * R (exp; log
+    without D_(s-1)), R = (sum_r u**r * c_r + F * u**m * R') / W and R' that
+    of the next block.  W is the product of the block's new units, c_r is
+    p**(e_(s+r) - E) times W over the units up to s+r (log: over that of
+    s+r alone) and F = p**(E' - E), times W for log.  Returns p**E of the
+    first block and the blocks' (c, W, F), the last block first.
+    """
+    terms = []  # (e_n, the unit that term n brings into D_n)
+    if log:
+        n = digits = 1
+        while True:
+            # v(t**n / n) >= n*v - (digits_p(n) - 1), nondecreasing since v >= 1
+            while pv**digits <= n:
+                digits += 1
+            if n * v - (digits - 1) >= k:
+                break
+            j = _vp(n, pv)
+            terms.append((n * v - j, n // pv**j if n % 2 else -(n // pv**j)))
+            n += 1
+    else:
+        terms.append((0, 1))
+        # every term from n on has valuation >= n*v - (n-1)/(p-1)
+        while (len(terms) * v - k) * (pv - 1) < len(terms) - 1:
+            n = len(terms)
+            j = _vp(n, pv)
+            terms.append((terms[-1][0] + v - j, n // pv**j))
+    m = max(_MIN_BLOCK, math.isqrt(len(terms)))
+    blocks, least, above = [], k, None
+    for s in reversed(range(0, len(terms), m)):
+        chunk = terms[s:s + m]
+        least = min(least, *(e for e, _ in chunk))
+        w = rest = math.prod(d for _, d in chunk)
+        coeffs = []
+        for e, d in chunk:
+            rest = w // d if log else rest // d
+            coeffs.append(rest * pv ** (e - least))
+        f = 1 if above is None else pv ** (above - least) * (w if log else 1)
+        blocks.append((tuple(coeffs), w, f))
+        above = least
+    return pv**least, tuple(blocks)
+
+
+def _blocked_sum(u: int, y: int, plan: tuple, modulus: int) -> int:
+    """y times a series plan evaluated at u, mod ``modulus``: u**0 .. u**(m-1)
+    once, each block as one sum of big-by-small products, folded into num/den
+    by two full-width products per block, and one modular inverse in all."""
+    first, blocks = plan
+    powers = [1]
+    for _ in range(len(blocks[-1][0]) - 1):
+        powers.append(powers[-1] * u % modulus)
+    u_m = powers[-1] * u % modulus
     num, den = 0, 1
-    power = 1  # t**n residue mod guard
-    n = 1
-    while True:
-        # v(t**n / n) >= n*vt - (digits_p(n) - 1), nondecreasing since vt >= 1
-        digits = 1
-        while pv**digits <= n:
-            digits += 1
-        if n * vt - (digits - 1) >= k:
-            break
-        power = power * t_res % guard
-        j = _vp(n, pv)
-        u = n // pv**j
-        term = power // pv**j * den
-        num = (num * u + (term if n % 2 else -term)) % modulus
-        den = den * u % modulus
-        n += 1
-    return PadicNumber.from_residue(num * pow(den, -1, modulus) % modulus, p, k, n_rel)
+    for coeffs, w, f in blocks:
+        num = (sum(map(mul, powers, coeffs)) * den + f * u_m * num) % modulus
+        den = den * w % modulus
+    return y * first * num * pow(den, -1, modulus) % modulus
 
 
 @dataclass(frozen=True)

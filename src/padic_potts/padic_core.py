@@ -287,7 +287,11 @@ class PadicNumber:
         cls, residue: int, p: int | Prime, known_abs: int, precision: int = DEFAULT_PRECISION
     ) -> "PadicNumber":
         """Wrap an integer known only modulo p**known_abs (series output)."""
-        return cls(Fraction(residue), p, precision, known_abs=known_abs)
+        prime = as_prime(p)
+        if precision < 1:
+            raise ValueError("precision must be a positive digit count")
+        s = residue % prime.value**known_abs if known_abs > 0 else 0
+        return cls._inexact(s, 0, known_abs, prime, precision)
 
     @classmethod
     def zero(cls, p: int | Prime, precision: int = DEFAULT_PRECISION) -> "PadicNumber":

@@ -13,9 +13,13 @@ def test_every_layer_entry_runs_once():
     spec.loader.exec_module(tool)
     entries = tool._entries()
     names = {name for name, _, _ in entries}
-    assert {"PadicNumber.inverse", "exp_p", "f_map_z", "hensel_roots_in_disk"} <= names
+    assert {
+        "PadicNumber.inverse", "exp_p", "f_map_z", "hensel_roots_in_disk", "exp_p.cold_plan",
+        "log_p.cold_plan", "_LevelWeights", "_LevelWeights.partition_residue",
+    } <= names
     keys = set()
     for name, params, fn in entries:
         keys.add(json.dumps([name, params], sort_keys=True))
         fn()
     assert len(keys) == len(entries)  # no two entries share a record key
+    assert tool._speed().sample_ms() > 0  # the reference kernel every record is scaled by

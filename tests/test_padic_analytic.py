@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from padic_potts.errors import DomainViolation, LiftStall
+from padic_potts.errors import DomainViolation, LiftStall, PrecisionExhausted
 from padic_potts.padic_analytic import (
+    PLAN_CACHE_SIZE,
     PadicPolynomial,
+    _MIN_BLOCK,
     _newton_lift,
     _poly_eval_fraction,
+    _series_plan,
     exp_domain_min_valuation,
     exp_p,
     hensel_roots_in_disk,
@@ -104,9 +107,10 @@ class TestExpLog:
         assert deep.residue(12) == 204349
 
 
-# The series loops as first written, with one modular inverse per term: the
-# oracles of the num/den loops in padic_analytic, which must give the same
-# residue, known_abs and precision.
+# The series loops as first written, with one modular inverse per term, and
+# their successors that keep the partial sum as num/den mod p**k and pay a
+# few full-width products per term: the oracles of the blocked evaluation in
+# padic_analytic, which must give the same residue, known_abs and precision.
 
 
 def _exp_p_per_term(x: PadicNumber, precision: int | None = None) -> PadicNumber:
@@ -162,6 +166,71 @@ def _log_p_per_term(x: PadicNumber, precision: int | None = None) -> PadicNumber
     return PadicNumber.from_residue(total, p, k, n_rel)
 
 
+def _exp_p_num_den(x: PadicNumber, precision: int | None = None) -> PadicNumber:
+    p = x.prime
+    pv = p.value
+    n_rel = x.precision if precision is None else precision
+    if x.is_zero:
+        return PadicNumber.one(p, n_rel)
+    vx = int(x.norm_valuation())
+    k = vx + n_rel + 2
+    if x.known_abs is not None:
+        k = min(k, x.known_abs)
+    modulus = pv**k
+    ux = x._unit_mod(k) % modulus
+    # den is the product of the unit parts of 1..n, so the n-th term
+    # x**n / n! is ux**n * p**term_v over den
+    num = den = 1
+    term_v, ux_n, n = 0, 1, 1
+    while (n * vx - k) * (pv - 1) < n - 1:
+        j = _vp(n, pv)
+        u = n // pv**j
+        term_v += vx - j
+        ux_n = ux_n * ux % modulus
+        num *= u
+        if term_v < k:
+            num += ux_n * pv**term_v
+        num %= modulus
+        den = den * u % modulus
+        n += 1
+    return PadicNumber.from_residue(num * pow(den, -1, modulus) % modulus, p, k, n_rel)
+
+
+def _log_p_num_den(x: PadicNumber, precision: int | None = None) -> PadicNumber:
+    p = x.prime
+    pv = p.value
+    n_rel = x.precision if precision is None else precision
+    t = x - 1
+    if t.is_zero:
+        return PadicNumber.zero(p, n_rel)
+    vt = t._val
+    k = vt + n_rel + 2
+    if x.known_abs is not None:
+        k = min(k, x.known_abs)
+    # dividing a term by n = p^j * unit consumes j guard digits
+    slack = 1
+    while pv**slack <= k:
+        slack += 1
+    guard = pv ** (k + slack)
+    t_res = t._unit_mod(k + slack) * pv**vt % guard
+    modulus = pv**k
+    num, den, power, n = 0, 1, 1, 1
+    while True:
+        digits = 1
+        while pv**digits <= n:
+            digits += 1
+        if n * vt - (digits - 1) >= k:
+            break
+        power = power * t_res % guard
+        j = _vp(n, pv)
+        u = n // pv**j
+        term = power // pv**j * den
+        num = (num * u + (term if n % 2 else -term)) % modulus
+        den = den * u % modulus
+        n += 1
+    return PadicNumber.from_residue(num * pow(den, -1, modulus) % modulus, p, k, n_rel)
+
+
 def _series_arguments(p: int, n_rel: int):
     """Exact and inexact x = p**v * unit at the first two valuations the
     exponential admits."""
@@ -188,6 +257,79 @@ def test_series_match_the_per_term_inverse_loops(p, n_rel):
                 old.known_abs,
                 old.precision,
             )
+
+
+def _outcome(f, x, precision=None):
+    """(value, known_abs, precision) of f(x), or the error's type, text and bound."""
+    try:
+        r = f(x, precision)
+    except PrecisionExhausted as e:
+        return (type(e), str(e), e.bound)
+    return (r.value, r.known_abs, r.precision)
+
+
+def _block_case(log: bool, pv: int, v: int, k: int) -> str | None:
+    """Where a series plan's term count falls against its block size m."""
+    _, blocks = _series_plan(log, pv, v, k)  # the first block is listed last
+    m, last = len(blocks[-1][0]), len(blocks[0][0])
+    if len(blocks) == 1:
+        return "below" if m < _MIN_BLOCK else None
+    return "multiple" if last == m else "past" if last == 1 else None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n_rel", [1, 2, 3, 8, 32, 128, 300, 512])
+def test_blocked_series_match_the_num_den_loops(p, n_rel):
+    # exact arguments, inexact ones whose known_abs caps k below v + N + 2,
+    # and precision overrides, at every valuation from vmin to vmin + 4
+    rng = random.Random(f"blocked:{p}:{n_rel}")
+    vmin = exp_domain_min_valuation(p)
+    for v in range(vmin, vmin + 5):
+        unit = Fraction(rng.randrange(1, p ** (n_rel + 4)) * p + 1, rng.randrange(10**6) * p + 1)
+        x = Fraction(p) ** v * unit * rng.choice((1, -1))
+        args = [
+            (PadicNumber(x, p, n_rel), None),
+            (PadicNumber(x, p, n_rel, known_abs=v + rng.randrange(1, n_rel + 2)), None),
+            (PadicNumber(x, p, n_rel), n_rel + rng.randrange(1, 40)),
+            (PadicNumber(x, p, n_rel, known_abs=v + n_rel + 1), 2 * n_rel),
+        ]
+        for a, precision in args:
+            assert _outcome(exp_p, a, precision) == _outcome(_exp_p_num_den, a, precision)
+            assert _outcome(log_p, a + 1, precision) == _outcome(_log_p_num_den, a + 1, precision)
+            e = exp_p(a, precision)
+            assert _outcome(log_p, e) == _outcome(_log_p_num_den, e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("log", [False, True], ids=["exp", "log"])
+def test_blocked_series_at_block_boundaries(p, log):
+    # term counts below one block, at an exact multiple of m and one past it,
+    # reached through the precision override k = v + precision + 2
+    rng = random.Random(f"boundaries:{p}:{log}")
+    vmin = exp_domain_min_valuation(p)
+    found = {}
+    for v in range(vmin, vmin + 8):
+        for k in range(v + 3, 700, v):
+            case = _block_case(log, p, v, k)
+            if case is not None:
+                found.setdefault(case, []).append((v, k))
+    assert set(found) == {"below", "multiple", "past"}
+    f, oracle = (log_p, _log_p_num_den) if log else (exp_p, _exp_p_num_den)
+    for cases in found.values():
+        for v, k in cases[:3] + cases[-3:]:
+            unit = Fraction(rng.randrange(1, p**k) * p + 1, rng.randrange(10**6) * p + 1)
+            x = PadicNumber(Fraction(p) ** v * unit, p, 8)
+            arg = x + 1 if log else x
+            assert _outcome(f, arg, k - v - 2) == _outcome(oracle, arg, k - v - 2)
+
+
+def test_plan_cache_is_bounded_by_a_fixed_constant():
+    info = _series_plan.cache_info()
+    assert type(PLAN_CACHE_SIZE) is int and info.maxsize == PLAN_CACHE_SIZE
+    for k in range(4, 4 + 2 * PLAN_CACHE_SIZE):
+        exp_p(PadicNumber(Fraction(3), 3, 8), precision=k)
+        assert _series_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+    assert _series_plan.cache_info().currsize == PLAN_CACHE_SIZE
 
 
 class TestPolynomial:

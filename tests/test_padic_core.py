@@ -197,6 +197,36 @@ def test_copy_and_pickle_keep_the_number():
             )
 
 
+def _built(make, *args):
+    """(valuation, precision, known_abs, value) of a construction, or its error."""
+    try:
+        x = make(*args)
+    except (PadicError, ValueError) as e:
+        return (type(e), str(e), getattr(e, "bound", None))
+    return (x.norm_valuation(), x.precision, x.known_abs, x.value)
+
+
+def test_from_residue_matches_the_public_constructor():
+    rng = random.Random("from_residue")
+    for p in (2, 3, 5, 7):
+        for k in (-1, 0, 1, 2, 5, 35, 131):
+            residues = [0, 1, -1, p**max(k, 0), -(p ** max(k, 0)) + 1]
+            for j in range(k + 2):  # residues divisible by p, up to past p**k
+                residues.append(p**j * (rng.randrange(1, p**8) * p + rng.randrange(1, p)))
+            residues += [rng.randrange(-(p ** (k + 3)), p ** (k + 3)) for _ in range(8)]
+            for r in residues:
+                for n in (0, 1, 8, 32, 200):
+                    assert _built(PadicNumber.from_residue, r, p, k, n) == _built(
+                        lambda *a: PadicNumber(Fraction(a[0]), a[1], a[3], known_abs=a[2]),
+                        r, p, k, n,
+                    )
+    with pytest.raises(PrecisionExhausted) as err:
+        PadicNumber.from_residue(0, 3, 35, 32)
+    assert err.value.bound == 35
+    with pytest.raises(ValueError):
+        PadicNumber.from_residue(5, 4, 10, 8)
+
+
 class TestArithmetic:
     def test_additive_inverse_is_exact_zero(self):
         one = PadicNumber.one(3)

@@ -7,13 +7,17 @@ commit and the line count of ``src/padic_potts/*.py`` (never its path).  Its
 ``src`` is imported in a fresh interpreter per round, and the trees take
 turns for ROUNDS rounds, so that a slow stretch of a shared host falls
 on all of them alike.  Each entry is the median time of one call over every
-round's ``timeit`` repeats.  Standard library only.
+round's ``timeit`` repeats, raw and scaled to the speed at which the
+benchmark's reference kernel (``perfbench/speed.py``, timed around every
+entry) takes ``speed.REF_MS``, so that records made on different days
+compare.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import importlib.util
 import json
 import os
 import platform
@@ -25,17 +29,21 @@ from fractions import Fraction
 
 ROUNDS = 3  # fresh interpreters per tree, taken in turns
 REPEATS = 5  # timeit repeats per round and tree
+KERNEL_SAMPLES = 5  # reference-kernel timings before and after each entry
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _entries():
     """(name, params, callable) for every timed layer; built from fixed inputs."""
     import random
 
+    from padic_potts import padic_analytic
     from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
     from padic_potts.gibbs_solver import f_map_z, recursion_backward
     from padic_potts.padic_analytic import PadicPolynomial, exp_p, hensel_roots_in_disk, log_p
     from padic_potts.padic_core import PadicNumber
-    from padic_potts.potts_model import CouplingField, PadicVector
+    from padic_potts.potts_model import BoundaryField, CouplingField, PadicVector, _LevelWeights
 
     out = []
     # inexact N = 128 operands as a computation leaves them: quotients and
@@ -53,6 +61,19 @@ def _entries():
         out.append(("exp_p", {"p": p, "N": n_rel, "x": "3 * 12345/678"}, lambda x=x: exp_p(x)))
         y = x + 1
         out.append(("log_p", {"p": p, "N": n_rel, "x": "1 + 3 * 12345/678"}, lambda y=y: log_p(y)))
+    # the same series with the plan cache cleared inside the call (a tree
+    # without a plan cache computes every call cold)
+    plans = getattr(padic_analytic, "_series_plan", None)
+    def cold(series, arg):
+        if plans is not None:
+            plans.cache_clear()
+        return series(arg)
+
+    x = PadicNumber(Fraction(3 * 12345, 678), p, 128)
+    out.append(("exp_p.cold_plan", {"p": p, "N": 128, "x": "3 * 12345/678"},
+                lambda: cold(exp_p, x)))
+    out.append(("log_p.cold_plan", {"p": p, "N": 128, "x": "1 + 3 * 12345/678"},
+                lambda y=x + 1: cold(log_p, y)))
     # the contraction suite's recursion at k = 3, n = 5 (p = 3, q = 2, J = 3)
     shape, q, n = TreeShape(3), 2, 5
     rng = random.Random(0)
@@ -87,18 +108,49 @@ def _entries():
         ("hensel_roots_in_disk", {"p": 3, "q": 3, "k": 2, "J": 3, "N": 512},
          lambda: hensel_roots_in_disk(cubic, PadicNumber(1, 3, 512), 1))
     )
+    # the weight tables and the partition sum of a compat-check ball at
+    # k = 2, n = 2 (p = q = 3, J = 3, a period-two field), the tables built
+    # with fresh coupling and field caches as one CLI op builds them
+    def vec(*cs):
+        return PadicVector([PadicNumber(Fraction(c), 3) for c in cs])
+
+    even, odd, shape = vec(Fraction(3, 7), 9), vec(Fraction(-6, 5), 3), TreeShape(2)
+    def tables():
+        h = BoundaryField.by_parity(even, odd)
+        return _LevelWeights(shape, h, CouplingField.homogeneous(Fraction(3), 3, 3), 2, 32)
+
+    params = {"p": 3, "q": 3, "k": 2, "n": 2, "N": 32, "field": "parity"}
+    out.append(("_LevelWeights", params, tables))
+    system = tables()
+    out.append(("_LevelWeights.partition_residue", params, system.partition_residue))
     return out
 
 
+def _speed():
+    """The benchmark's reference kernel, ``perfbench/speed.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "speed", os.path.join(ROOT, "perfbench", "speed.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _measure() -> dict:
-    """Seconds per call for every entry, REPEATS samples each."""
-    result = {}
+    """Seconds per call for every entry, REPEATS samples each, raw and scaled
+    by REF_MS over the median reference-kernel time around the entry."""
+    speed = _speed()
+    result, kernel_ms = {}, []
     for name, params, fn in _entries():
         timer = timeit.Timer(fn)
         number, _ = timer.autorange()
+        near = [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
         samples = [t / number for t in timer.repeat(REPEATS, number)]
-        result[json.dumps([name, params], sort_keys=True)] = samples
-    return result
+        near += [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
+        factor = speed.REF_MS / statistics.median(near)
+        result[json.dumps([name, params], sort_keys=True)] = {
+            "raw": samples, "scaled": [t * factor for t in samples]}
+        kernel_ms += near
+    return {"kernel_ms": statistics.median(kernel_ms), "entries": result}
 
 
 def _tree_meta(tree: str) -> dict:
@@ -127,29 +179,38 @@ def main() -> int:
         return 0
     trees = dict(t.split("=", 1) for t in args.tree)
     samples: dict = {name: {} for name in trees}
+    kernel_ms: dict = {name: [] for name in trees}
     for _ in range(ROUNDS):
         for name, path in trees.items():
             run = subprocess.run(
                 [sys.executable, __file__, "--tree", name, "--measure", path],
                 capture_output=True, text=True, check=True,
             )
-            for key, values in json.loads(run.stdout).items():
-                samples[name].setdefault(key, []).extend(values)
+            measured = json.loads(run.stdout)
+            kernel_ms[name].append(measured["kernel_ms"])
+            for key, values in measured["entries"].items():
+                for kind, times in values.items():
+                    samples[name].setdefault(key, {}).setdefault(kind, []).extend(times)
+    speed = _speed()
     doc = {
         "command": "python3 tools/bench_layers.py " + " ".join(f"--tree {n}=..." for n in trees),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
         "unit": "s per call",
+        "median_scaled": f"median at the speed where perfbench/speed.py's kernel takes "
+                         f"REF_MS = {speed.REF_MS} ms",
         "runs": [],
     }
     for name, path in trees.items():
         entries = []
         for key, values in samples[name].items():
             layer, params = json.loads(key)
-            median = statistics.median(values)
-            reps = len(values)
-            entries.append({"name": layer, "params": params, "median": median, "reps": reps})
-        doc["runs"].append({"tree": name, **_tree_meta(path), "entries": entries})
+            entries.append({
+                "name": layer, "params": params, "median": statistics.median(values["raw"]),
+                "median_scaled": statistics.median(values["scaled"]), "reps": len(values["raw"]),
+            })
+        doc["runs"].append({"tree": name, **_tree_meta(path), "kernel_ms": kernel_ms[name],
+                            "entries": entries})
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
