@@ -8,8 +8,8 @@ commit and the line count of ``src/padic_potts/*.py`` (never its path).  Its
 turns for ROUNDS rounds, so that a slow stretch of a shared host falls
 on all of them alike.  Each entry is the median time of one call over every
 round's ``timeit`` repeats, raw and scaled to the speed at which the
-benchmark's reference kernel (``perfbench/speed.py``, timed around every
-entry) takes ``speed.REF_MS``, so that records made on different days
+benchmark's reference kernel (``perfbench/speed.py``, timed between the
+repeats) takes ``speed.REF_MS``, so that records made on different days
 compare.  Standard library only.
 """
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 ROUNDS = 3  # fresh interpreters per tree, taken in turns
 REPEATS = 5  # timeit repeats per round and tree
-KERNEL_SAMPLES = 5  # reference-kernel timings before and after each entry
+KERNEL_SAMPLES = 5  # reference-kernel timings between two timeit repeats
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -137,19 +137,28 @@ def _speed():
 
 def _measure() -> dict:
     """Seconds per call for every entry, REPEATS samples each, raw and scaled
-    by REF_MS over the median reference-kernel time around the entry."""
+    by REF_MS over the median reference-kernel time on both sides of the
+    sample, so that a slow stretch of the host cancels out of the scaled
+    figure."""
     speed = _speed()
     result, kernel_ms = {}, []
+
+    def kernel():
+        near = [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
+        kernel_ms.extend(near)
+        return near
+
     for name, params, fn in _entries():
         timer = timeit.Timer(fn)
         number, _ = timer.autorange()
-        near = [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
-        samples = [t / number for t in timer.repeat(REPEATS, number)]
-        near += [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
-        factor = speed.REF_MS / statistics.median(near)
-        result[json.dumps([name, params], sort_keys=True)] = {
-            "raw": samples, "scaled": [t * factor for t in samples]}
-        kernel_ms += near
+        raw, scaled, before = [], [], kernel()
+        for _ in range(REPEATS):
+            t = timer.timeit(number) / number
+            after = kernel()
+            raw.append(t)
+            scaled.append(t * speed.REF_MS / statistics.median(before + after))
+            before = after
+        result[json.dumps([name, params], sort_keys=True)] = {"raw": raw, "scaled": scaled}
     return {"kernel_ms": statistics.median(kernel_ms), "entries": result}
 
 
