@@ -35,7 +35,8 @@ from .padic_core import (
 # residual digits a root may miss at the working precision and still verify
 ROOT_RESIDUAL_MARGIN = 4
 
-# series plans kept, one per (series, p, valuation, k); a CLI op meets ten at most
+# series plans kept, one per (series, p, valuation, k); one op of any perfbench
+# workload meets ten at most
 PLAN_CACHE_SIZE = 16
 _MIN_BLOCK = 8  # below this many terms a series is one block
 
