@@ -267,7 +267,7 @@ def hensel_roots_in_disk(
     k_f = f.known_abs()
     target = n_rel - ROOT_RESIDUAL_MARGIN
     depth_cap = 2 * n_rel
-    base_coeffs = [c.value for c in f.coefficients]
+    base_coeffs, c0 = [c.value for c in f.coefficients], center.value
     found: list[tuple[Fraction, int | None]] = []  # (value, digits known past offset)
 
     # Depth-first over residue branches, children in residue order, on an
@@ -280,7 +280,7 @@ def hensel_roots_in_disk(
             found.append(item[1:])
             continue
         _, prefix, depth = item
-        a = center.value + Fraction(pv) ** min_valuation_offset * prefix
+        a = c0 + Fraction(pv) ** min_valuation_offset * prefix
         b = Fraction(pv) ** (min_valuation_offset + depth)
         g = _shifted_coefficients(base_coeffs, a, b)
         content = min(v for c in g if (v := rational_valuation(c, p)) is not None)
@@ -307,7 +307,7 @@ def hensel_roots_in_disk(
 
     roots: list[PadicNumber] = []
     seen: list[Fraction] = []
-    for value, lift_known in sorted(found, key=lambda rv: _root_sort_key(rv[0], center.value, p)):
+    for value, lift_known in sorted(found, key=lambda rv: _root_sort_key(rv[0], c0, p)):
         residual = rational_valuation(f.evaluate_fraction(value), p)
         if residual is not None and residual < target:
             continue

@@ -1,12 +1,14 @@
 """Exact p-adic scalar arithmetic at bounded working precision.
 
-Values built directly from rationals are exact and keep their rational.
-Series evaluations and other approximations carry an absolute bound
-known_abs: the ideal value is only known modulo p**known_abs.  They are kept
-in the capped-relative form of Caruso, "Computations with p-adic numbers"
-(arXiv:1701.06794, sec. 2), as integers: the valuation v and the unit
-residue u mod p**(known_abs - v).  Sums align by an integer shift and reduce
-once, products multiply units, an inverse is one modular inverse, and the
+Every value is kept as integers: its valuation v and a unit part.  Values
+built directly from rationals are exact: the unit part is a reduced pair of
+p-free integers a/b (b > 0), for the value p**v * a/b.  Series evaluations
+and other approximations carry an absolute bound known_abs: the ideal value
+is only known modulo p**known_abs.  They are kept in the capped-relative form
+of Caruso, "Computations with p-adic numbers" (arXiv:1701.06794, sec. 2):
+the unit residue u mod p**(known_abs - v).  Sums align by an integer shift
+and reduce once, products multiply units (exact ones with cross-gcds, as
+``fractions`` does), an inverse is a swap or one modular inverse, and the
 digits nobody knows are never carried.  Congruent operands give congruent
 results, so valuations below the bound are certain, and a result that
 cancels into the uncertain range raises PrecisionExhausted instead of
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from math import gcd
 
 from .errors import DivisionByZero, PrecisionExhausted
 
@@ -178,11 +181,7 @@ def _vp(n: int, p: int) -> int:
 
 def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
     """p-adic valuation of an exact rational; None for zero."""
-    return _fraction_valuation(Fraction(x), as_prime(p).value)
-
-
-def _fraction_valuation(x: Fraction, pv: int) -> int | None:
-    """Valuation of x at the prime pv, None for zero (x is in lowest terms)."""
+    x, pv = Fraction(x), as_prime(p).value
     if not x:
         return None
     return _vp(x.numerator, pv) or -_vp(x.denominator, pv)
@@ -208,17 +207,18 @@ class PadicNumber:
         prime: the prime p.
         precision: count N of significant digits past the leading one.
         known_abs: absolute precision bound, or None for an exact value.
-        value: the rational when exact; when inexact, u * p**v (derived).
+        value: p**v * a/b when exact, p**v * u when inexact (derived).
 
-    An exact value keeps its rational.  An inexact one is stored in
-    capped-relative form, as integers: its valuation v and its unit residue
-    u mod p**r, with 0 < u < p**r and r = known_abs - v, for the ideal value
+    Both kinds are stored as integers: the valuation v and a unit part.  An
+    exact value's is the reduced pair a/b of p-free integers with b > 0.  An
+    inexact value's is its unit residue u mod p**r (capped-relative form),
+    with 0 < u < p**r and r = known_abs - v, for the ideal value
     p**v * u + O(p**known_abs).  Construction clamps the precision so that
     valuation + precision never exceeds the absolute bound, and a value that
     cannot be told apart from zero raises PrecisionExhausted.
     """
 
-    __slots__ = ("prime", "precision", "known_abs", "_val", "_frac", "_unit")
+    __slots__ = ("prime", "precision", "known_abs", "_val", "_unit", "_den")
 
     def __reduce__(self):  # copy and pickle rebuild through the public constructor
         return PadicNumber, (self.value, self.prime.value, self.precision, self.known_abs)
@@ -226,27 +226,37 @@ class PadicNumber:
     def __new__(cls, value: Fraction | int, prime: int | Prime,
                 precision: int = DEFAULT_PRECISION, known_abs: int | None = None):
         prime = as_prime(prime)
-        if type(value) is not Fraction:
-            value = Fraction(value)
-        if precision < 1:
-            raise ValueError("precision must be a positive digit count")
-        pv = prime.value
-        val = _fraction_valuation(value, pv)
-        exact = cls._exact(value, prime, precision, val)
+        exact = cls.from_fraction(value, prime, precision)
         if known_abs is None:
             return exact
+        val = exact._val
         if val is None or val >= known_abs:
             raise PrecisionExhausted(bound=known_abs)
-        s = exact._unit_mod(known_abs - val) % pv ** (known_abs - val)
+        s = exact._unit_mod(known_abs - val) % prime.value ** (known_abs - val)
         return cls._inexact(s, val, known_abs, prime, precision)
 
     @classmethod
-    def _exact(cls, value: Fraction, prime: Prime, precision: int, val: int | None):
-        """An exact value; ``val`` is the valuation of ``value``."""
+    def _exact(cls, v: int | None, a: int, b: int, prime: Prime, precision: int):
+        """p**v * a/b for a reduced pair of p-free integers, b > 0; the exact
+        zero is (None, 0, 1)."""
         out = object.__new__(cls)
         out.prime, out.precision, out.known_abs = prime, precision, None
-        out._val, out._frac, out._unit = val, value, None
+        out._val, out._unit, out._den = v, a, b
         return out
+
+    @classmethod
+    def _ratio(cls, a: int, b: int, v: int, prime: Prime, precision: int):
+        """p**v * a/b as an exact value, for coprime a and b > 0: strips p."""
+        if not a:
+            return cls._exact(None, 0, 1, prime, precision)
+        pv = prime.value
+        if a % pv == 0:
+            w = _vp(a, pv)
+            a, v = a // pv**w, v + w
+        elif b % pv == 0:
+            w = _vp(b, pv)
+            b, v = b // pv**w, v - w
+        return cls._exact(v, a, b, prime, precision)
 
     @classmethod
     def _inexact(cls, s: int, v0: int, k: int, prime: Prime, precision: int):
@@ -259,20 +269,18 @@ class PadicNumber:
             w = _vp(s, pv)
             s, v0 = s // pv**w, v0 + w
         out = object.__new__(cls)
-        out.prime, out.known_abs, out._val, out._frac, out._unit = prime, k, v0, None, s
+        out.prime, out.known_abs, out._val, out._unit, out._den = prime, k, v0, s, 1
         out.precision = precision if precision < k - v0 else k - v0
         return out
 
+    def _key(self) -> tuple:
+        """Integers that are equal exactly when the values and bounds are."""
+        return self._val, self._unit, self._den, self.known_abs
+
     def _unit_mod(self, m: int) -> int:
         """An integer congruent mod p**m to p**-v * value (self nonzero)."""
-        if self._unit is not None:
-            return self._unit
-        pv, num, den = self.prime.value, self._frac.numerator, self._frac.denominator
-        if self._val > 0:
-            num //= pv**self._val
-        elif self._val < 0:
-            den //= pv**-self._val
-        return num if den == 1 else num * pow(den, -1, pv**m)
+        b = self._den
+        return self._unit if b == 1 else self._unit * pow(b, -1, self.prime.value**m)
 
     # -- constructors ------------------------------------------------------
 
@@ -280,7 +288,12 @@ class PadicNumber:
     def from_fraction(
         cls, x: Fraction | int, p: int | Prime, precision: int = DEFAULT_PRECISION
     ) -> "PadicNumber":
-        return cls(Fraction(x), p, precision)
+        if type(x) is not Fraction and type(x) is not int:
+            x = Fraction(x)
+        prime = as_prime(p)
+        if precision < 1:
+            raise ValueError("precision must be a positive digit count")
+        return cls._ratio(x.numerator, x.denominator, 0, prime, precision)
 
     @classmethod
     def from_residue(
@@ -295,20 +308,22 @@ class PadicNumber:
 
     @classmethod
     def zero(cls, p: int | Prime, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
-        return cls(Fraction(0), p, precision)
+        return cls.from_fraction(0, p, precision)
 
     @classmethod
     def one(cls, p: int | Prime, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
-        return cls(Fraction(1), p, precision)
+        return cls.from_fraction(1, p, precision)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def value(self) -> Fraction:
-        if self._unit is None:
-            return self._frac
         v, pv = self._val, self.prime.value
-        return Fraction(self._unit * pv**v) if v >= 0 else Fraction(self._unit, pv**-v)
+        if v is None:
+            return Fraction(0)
+        if v >= 0:
+            return Fraction(self._unit * pv**v, self._den)
+        return Fraction(self._unit, self._den * pv**-v)
 
     @property
     def is_zero(self) -> bool:
@@ -374,33 +389,40 @@ class PadicNumber:
         if isinstance(other, PadicNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return PadicNumber(Fraction(other), self.prime, self.precision)
+            return PadicNumber.from_fraction(other, self.prime, self.precision)
         return None
 
-    def _aligned_sum(self, other: "PadicNumber", sign: int) -> tuple[int, int, int]:
-        """(s, v0, k) with self + sign*other = p**v0 * s + O(p**k) and
-        0 <= s < p**(k - v0): k the shared bound (an operand is inexact) and
-        v0 the least valuation, so the operands align by an integer shift."""
+    def _aligned_sum(self, other: "PadicNumber", sign: int) -> tuple[int, int, int, int | None]:
+        """(s, d, v0, k) with self + sign*other = p**v0 * s/d + O(p**k), v0
+        the least valuation, so the operands align by an integer shift.  When
+        an operand is inexact, k is the shared bound, d = 1 and
+        0 <= s < p**(k - v0); when both are exact, k is None and s/d is the
+        cross-multiplied sum (d p-free, s = 0 for an exact zero)."""
         a, b, sa, sb = self, other, 1, sign
         if a._val is None or (b._val is not None and b._val < a._val):
             a, b, sa, sb = b, a, sign, 1
         pv, v0 = self.prime.value, a._val  # an inexact operand is never zero
         k = _min_bound(self.known_abs, other.known_abs)
+        if k is None:
+            s, d = sa * a._unit, a._den
+            if b._val is not None:
+                s, d = s * b._den + sb * b._unit * d * pv ** (b._val - v0), d * b._den
+            return s, d, v0, None
         r = k - v0
         s = sa * a._unit_mod(r)
         if b._val is not None and b._val - v0 < r:
             shift = b._val - v0
             s += sb * b._unit_mod(r - shift) * pv**shift
-        return s % pv**r, v0, k
+        return s % pv**r, 1, v0, k
 
     def _sum(self, other: "PadicNumber", sign: int) -> "PadicNumber":
         self._check_same_prime(other)
         n = self.precision if self.precision < other.precision else other.precision
-        if self.known_abs is None and other.known_abs is None:
-            value = self._frac + other._frac if sign > 0 else self._frac - other._frac
-            val = _fraction_valuation(value, self.prime.value)
-            return PadicNumber._exact(value, self.prime, n, val)
-        return PadicNumber._inexact(*self._aligned_sum(other, sign), self.prime, n)
+        s, d, v0, k = self._aligned_sum(other, sign)
+        if k is None:
+            g = gcd(s, d)
+            return PadicNumber._ratio(s // g, d // g, v0, self.prime, n)
+        return PadicNumber._inexact(s, v0, k, self.prime, n)
 
     def add(self, other: "PadicNumber") -> "PadicNumber":
         return self._sum(other, 1)
@@ -412,19 +434,23 @@ class PadicNumber:
         if self.is_zero:
             return self
         if self.known_abs is None:
-            return PadicNumber._exact(-self._frac, self.prime, self.precision, self._val)
+            return PadicNumber._exact(self._val, -self._unit, self._den, self.prime, self.precision)
         s = self.prime.value ** (self.known_abs - self._val) - self._unit
         return PadicNumber._inexact(s, self._val, self.known_abs, self.prime, self.precision)
 
     def mul(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
         n = self.precision if self.precision < other.precision else other.precision
-        if self.is_zero or other.is_zero:
+        if self._val is None or other._val is None:
             # an exact zero factor annihilates even approximate ones
-            return PadicNumber._exact(Fraction(0), self.prime, n, None)
+            return PadicNumber._exact(None, 0, 1, self.prime, n)
         v = self._val + other._val
         if self.known_abs is None and other.known_abs is None:
-            return PadicNumber._exact(self._frac * other._frac, self.prime, n, v)
+            a, b, c, d = self._unit, self._den, other._unit, other._den
+            if b != 1 or d != 1:  # cross-gcds keep the product reduced
+                g, h = gcd(a, d), gcd(c, b)
+                a, b, c, d = a // g, b // h, c // h, d // g
+            return PadicNumber._exact(v, a * c, b * d, self.prime, n)
         # a product keeps the lesser relative precision r = known_abs - v
         r = _min_bound(None if self.known_abs is None else self.known_abs - self._val,
                        None if other.known_abs is None else other.known_abs - other._val)
@@ -435,7 +461,8 @@ class PadicNumber:
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
         if self.known_abs is None:
-            return PadicNumber._exact(1 / self._frac, self.prime, self.precision, -self._val)
+            a, b = (self._unit, self._den) if self._unit > 0 else (-self._unit, -self._den)
+            return PadicNumber._exact(-self._val, b, a, self.prime, self.precision)
         r = self.known_abs - self._val
         s = pow(self._unit, -1, self.prime.value**r)
         return PadicNumber._inexact(s, -self._val, r - self._val, self.prime, self.precision)
@@ -466,7 +493,7 @@ class PadicNumber:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out, base, e = PadicNumber(Fraction(1), self.prime, self.precision), self, exponent
+        out, base, e = PadicNumber._exact(0, 1, 1, self.prime, self.precision), self, exponent
         while e:
             if e & 1:
                 out = out.mul(base)
@@ -484,7 +511,7 @@ class PadicNumber:
         if self.prime != other.prime:
             return False
         if self.known_abs is None and other.known_abs is None:
-            return self._frac == other._frac
+            return self._key() == other._key()
         return self._aligned_sum(other, -1)[0] == 0
 
     __hash__ = None
@@ -503,11 +530,8 @@ class PadicNumber:
         """
         other = self._coerce(other)
         self._check_same_prime(other)
-        pv = self.prime.value
-        if self.known_abs is None and other.known_abs is None:
-            return Valuation(_fraction_valuation(self._frac - other._frac, pv))
-        s, v0, k = self._aligned_sum(other, -1)
-        return Valuation(k if s == 0 else v0 + _vp(s, pv))
+        s, _, v0, k = self._aligned_sum(other, -1)
+        return Valuation(k if s == 0 else v0 + _vp(s, self.prime.value))
 
     # -- rendering ---------------------------------------------------------
 

@@ -281,7 +281,7 @@ class BoundaryField:
         """exp of ``spin_pairing(field_at(vertex), s)`` for s = 1..q, cached
         per distinct field vector and precision."""
         vec = self.field_at(vertex)
-        key = (tuple((c.value, c.known_abs) for c in vec), precision)
+        key = (tuple(c._key() for c in vec), precision)
         table = self._site_cache.get(key)
         if table is None:
             table = [exp_p(spin_pairing(vec, s), precision=precision) for s in range(1, self.q + 1)]

@@ -16,6 +16,8 @@ def test_every_layer_entry_runs_once():
     assert {
         "PadicNumber.inverse", "exp_p", "f_map_z", "hensel_roots_in_disk", "exp_p.cold_plan",
         "log_p.cold_plan", "_LevelWeights", "_LevelWeights.partition_residue",
+        "PadicNumber.mul.exact", "PadicNumber.distance_valuation.exact",
+        "PadicNumber.from_fraction",
     } <= names
     keys = set()
     for name, params, fn in entries:

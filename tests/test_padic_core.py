@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -579,3 +580,85 @@ def test_vp_matches_the_one_at_a_time_loop(p):
             unit += 1
         x = rng.choice((1, -1)) * unit * p**v
         assert _vp(x, p) == _vp_loop(x, p) == v
+
+
+# Exact values are integer triples (valuation, a, b); their arithmetic must
+# agree with Fraction arithmetic step by step, including the reductions that
+# cancel factors other than p.
+
+_SHARED = (2, 3, 5, 6, 7, 10, 11, 14, 15, 21, 35)
+_FRACTION_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                 "div": operator.truediv}
+
+
+def _exact_draw(rng, p: int) -> Fraction:
+    """A signed rational built from factors the chain's values share, times a
+    power of p: numerators and denominators meet common factors often."""
+    num = math.prod(rng.choice(_SHARED) for _ in range(rng.randrange(0, 3)))
+    den = math.prod(rng.choice(_SHARED) for _ in range(rng.randrange(0, 3)))
+    return rng.choice((1, -1)) * Fraction(num, den) * Fraction(p) ** rng.randrange(-3, 4)
+
+
+def _exact_state(x: PadicNumber, X: Fraction, p: int):
+    """What the kernel reports about x, and what Fraction arithmetic says it should."""
+    v = rational_valuation(X, p)
+    digits = ()
+    if X:
+        unit = X / Fraction(p) ** v
+        r = unit.numerator * pow(unit.denominator, -1, p**6) % p**6
+        digits = tuple(r // p**i % p for i in range(min(6, x.precision)))
+    return (
+        (x.value.numerator, x.value.denominator, x.norm_valuation(), x.leading_digits(6)),
+        (X.numerator, X.denominator, Valuation(v), digits),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exact_chain_matches_fraction_arithmetic(p):
+    rng = random.Random(f"exact-chain:{p}")
+    N = 24
+    pool = [(PadicNumber.from_fraction(X, p, N), X) for X in (_exact_draw(rng, p) for _ in range(4))]
+    for _ in range(400):
+        (x, X), (y, Y) = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.3:
+            Y = _exact_draw(rng, p)
+            y = PadicNumber.from_fraction(Y, p, N)
+        op = rng.choice(("add", "sub", "mul", "div", "neg", "inverse", "pow"))
+        if (op == "div" and not Y) or (op == "inverse" and not X):
+            continue
+        if op == "pow":
+            e = rng.randrange(-2 if X else 0, 4)
+            z, Z = x**e, X**e
+        elif op in ("neg", "inverse"):
+            z, Z = getattr(x, op)(), -X if op == "neg" else 1 / X
+        else:
+            z, Z = getattr(x, op)(y), _FRACTION_OPS[op](X, Y)
+        got, want = _exact_state(z, Z, p)
+        assert got == want, (op, X, Y)
+        assert z.is_exact and z.is_zero == (Z == 0)
+        assert z == PadicNumber.from_fraction(Z, p, N) and z == Z
+        assert z != PadicNumber.from_fraction(Z + Fraction(p) ** 40, p, N)
+        for w, W in pool:
+            assert (z == w) == (Z == W)
+            assert z.distance_valuation(w) == Valuation(rational_valuation(Z - W, p))
+        if Z.numerator.bit_length() + Z.denominator.bit_length() < 400:
+            pool[rng.randrange(len(pool))] = (z, Z)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exact_products_cancel_shared_factors(p):
+    for a, b in ((Fraction(6, 35), Fraction(35, 6)), (Fraction(-14, 15), Fraction(15, -14)),
+                 (Fraction(p**2 * 6, 35), Fraction(35, 6 * p**2))):
+        prod = PadicNumber.from_fraction(a, p, 16) * PadicNumber.from_fraction(b, p, 16)
+        assert prod.value == 1 and prod == PadicNumber.one(p, 16)
+        assert prod.norm_valuation() == 0 and prod.leading_digits(3) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("x", [Fraction(7, 5), Fraction(-12, 35), Fraction(1, 3**4), Fraction(0)])
+def test_exact_difference_with_itself_is_the_exact_zero(x):
+    for p in (2, 3, 5, 7):
+        a = PadicNumber.from_fraction(x, p, 10)
+        for d in (a - a, a + (-a), a.sub(PadicNumber.from_fraction(x, p, 20))):
+            assert d.is_zero and d.is_exact and d.value == 0
+            assert d == PadicNumber.zero(p) and d.norm_valuation() == Valuation(None)
+        assert a.distance_valuation(a) == Valuation(None)

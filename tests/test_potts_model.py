@@ -635,3 +635,18 @@ class TestSiteTableCache:
         assert h.site_exponentials(entry, N) is h.site_exponentials(root, N)
         assert h.site_exponentials(entry, N) is not h.site_exponentials(entry, N + 1)
         assert h.site_exponentials(entry, N) is not h.site_exponentials(odd, N)
+
+
+def test_site_tables_apart_for_a_shared_numerator_or_a_shared_value():
+    """3/2 and 3/5 share their valuation and numerator, 9 and 9 + O(3**6)
+    their value: each gets its own table, equal to exp_p computed directly."""
+    h = BoundaryField.by_parity(vec([Fraction(3, 2)]), vec([Fraction(3, 5)]))
+    sites = [TreeVertex.from_string(a) for a in ("", "0", "1", "2")]
+    h.assign(sites[2], vec([9]))
+    h.assign(sites[3], PadicVector([PadicNumber(9, P, N, known_abs=6)]))
+    for v in sites:
+        got = h.site_exponentials(v, N)
+        want = [exp_p(spin_pairing(h.field_at(v), s), precision=N) for s in (1, 2)]
+        assert [(w.value, w.known_abs, w.precision) for w in got] == [
+            (w.value, w.known_abs, w.precision) for w in want
+        ]

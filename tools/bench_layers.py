@@ -56,6 +56,27 @@ def _entries():
     out.append(("PadicNumber.add", params, lambda: a.add(b)))
     out.append(("PadicNumber.mul", params, lambda: a.mul(b)))
     out.append(("PadicNumber.inverse", params, lambda: a.inverse()))
+    # exact p = 7 units of the size the product-distance suite draws
+    # (numerator below 7**8, denominator below 7**5), 8 to a product
+    def unit(top):
+        u = draw.randrange(1, top)
+        return u + 1 if u % 7 == 0 else u
+
+    def product(factors):
+        acc = PadicNumber.one(7, n_rel)
+        for f in factors:
+            acc = acc * f
+        return acc
+
+    draw = random.Random(7)
+    draws = [Fraction(unit(7**8), unit(7**5)) for _ in range(16)]
+    units = [PadicNumber.from_fraction(u, 7, n_rel) for u in draws]
+    prod_a, prod_b, seven = product(units[:8]), product(units[8:]), product(units[8:15])
+    params = {"p": 7, "N": n_rel, "operands": "products of 8 units a/b, a < 7**8, b < 7**5"}
+    out.append(("PadicNumber.mul.exact", params, lambda: seven.mul(units[15])))
+    out.append(("PadicNumber.distance_valuation.exact", params, lambda: prod_a.distance_valuation(prod_b)))
+    out.append(("PadicNumber.from_fraction", {"p": 7, "N": n_rel, "x": str(draws[0])},
+                lambda: PadicNumber.from_fraction(draws[0], 7, n_rel)))
     for n_rel in (32, 128, 512):
         x = PadicNumber(Fraction(3 * 12345, 678), p, n_rel)
         out.append(("exp_p", {"p": p, "N": n_rel, "x": "3 * 12345/678"}, lambda x=x: exp_p(x)))
