@@ -617,7 +617,8 @@ def _exact_state(x: PadicNumber, X: Fraction, p: int):
 def test_exact_chain_matches_fraction_arithmetic(p):
     rng = random.Random(f"exact-chain:{p}")
     N = 24
-    pool = [(PadicNumber.from_fraction(X, p, N), X) for X in (_exact_draw(rng, p) for _ in range(4))]
+    draws = [_exact_draw(rng, p) for _ in range(4)]
+    pool = [(PadicNumber.from_fraction(X, p, N), X) for X in draws]
     for _ in range(400):
         (x, X), (y, Y) = rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.3:

@@ -74,7 +74,8 @@ def _entries():
     prod_a, prod_b, seven = product(units[:8]), product(units[8:]), product(units[8:15])
     params = {"p": 7, "N": n_rel, "operands": "products of 8 units a/b, a < 7**8, b < 7**5"}
     out.append(("PadicNumber.mul.exact", params, lambda: seven.mul(units[15])))
-    out.append(("PadicNumber.distance_valuation.exact", params, lambda: prod_a.distance_valuation(prod_b)))
+    out.append(("PadicNumber.distance_valuation.exact", params,
+                lambda: prod_a.distance_valuation(prod_b)))
     out.append(("PadicNumber.from_fraction", {"p": 7, "N": n_rel, "x": str(draws[0])},
                 lambda: PadicNumber.from_fraction(draws[0], 7, n_rel)))
     for n_rel in (32, 128, 512):
