@@ -392,7 +392,7 @@ class PadicNumber:
             return PadicNumber.from_fraction(other, self.prime, self.precision)
         return None
 
-    def _aligned_sum(self, other: "PadicNumber", sign: int) -> tuple[int, int, int, int | None]:
+    def _aligned_sum(self, other: "PadicNumber", sign: int) -> tuple:
         """(s, d, v0, k) with self + sign*other = p**v0 * s/d + O(p**k), v0
         the least valuation, so the operands align by an integer shift.  When
         an operand is inexact, k is the shared bound, d = 1 and
