@@ -37,7 +37,6 @@ from .padic_core import DEFAULT_PRECISION, PadicNumber, Valuation, as_prime
 from .potts_model import (
     BoundaryField,
     CouplingField,
-    PadicVector,
     boundary_field_from_json,
     compatibility_check,
     coupling_from_json,
@@ -327,12 +326,12 @@ def _suite_contraction(cfg: RunConfig) -> dict:
     class RandomLaws:
         # a fresh law for each sphere vertex the recursion reads, in its
         # reading order, so nothing is drawn before its guard has passed
-        def __getitem__(self, vertex) -> PadicVector:
+        def __getitem__(self, vertex) -> tuple[PadicNumber, ...]:
             comps = []
             for _ in range(q - 1):
                 off = Fraction(p ** (1 + rng.randrange(0, 3))) * _random_unit(rng, p)
                 comps.append(PadicNumber.from_fraction(1 + off, p, cfg.precision))
-            return PadicVector(comps)
+            return tuple(comps)
 
     passed = 0
     first_failure = None
@@ -378,8 +377,8 @@ def _suite_compat(cfg: RunConfig) -> dict:
     )
 
     shape1 = TreeShape(1)
-    even = PadicVector.from_rationals([Fraction(3), Fraction(0)], 3, N)
-    odd = PadicVector.zero(2, 3, N)
+    even = (PadicNumber.from_fraction(3, 3, N), PadicNumber.zero(3, N))
+    odd = (PadicNumber.zero(3, N),) * 2
     alternating = BoundaryField.by_parity(even, odd)
     rep2 = compatibility_check(shape1, alternating, J, 2, N)
     checks.append(

@@ -44,7 +44,7 @@ from .padic_core import (
     as_prime,
     rational_valuation,
 )
-from .potts_model import BoundaryField, CouplingField, PadicVector, _guard
+from .potts_model import BoundaryField, CouplingField, _guard
 
 VERDICT_UNIQUE = "unique_by_contraction"
 VERDICT_MULTIPLE_TI = "multiple_translation_invariant"
@@ -52,32 +52,32 @@ VERDICT_NO_EXTRA_PERIODIC = "no_periodic_beyond_translation_invariant"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-def h_to_hprime(h: PadicVector) -> PadicVector:
+def h_to_hprime(h: tuple[PadicNumber, ...]) -> tuple[PadicNumber, ...]:
     """Componentwise complement sum: output i is the sum of h_j over j != i.
 
     Total for every q; the two-state case has a one-component vector whose
     complement sum is empty, so the image is exactly zero.
     """
-    if h.dimension == 1:
-        return PadicVector([PadicNumber.zero(h.prime, h.components[0].precision)])
+    if len(h) == 1:
+        return (PadicNumber.zero(h[0].prime, h[0].precision),)
     out = []
-    for i in range(h.dimension):
+    for i in range(len(h)):
         acc = None
-        for j, c in enumerate(h.components):
+        for j, c in enumerate(h):
             if j != i:
                 acc = c if acc is None else acc + c
         out.append(acc)
-    return PadicVector(out)
+    return tuple(out)
 
 
-def hprime_to_h(hprime: PadicVector) -> PadicVector:
+def hprime_to_h(hprime: tuple[PadicNumber, ...]) -> tuple[PadicNumber, ...]:
     """Inverse of the complement-sum map; defined only for q >= 3.
 
-    q is one more than the vector's dimension.  For q = 2 the complement sum
+    q is one more than the vector's length.  For q = 2 the complement sum
     is identically zero and carries no information, so inversion is refused
     rather than guessed.
     """
-    q = hprime.dimension + 1
+    q = len(hprime) + 1
     if q == 2:
         raise NotInvertible("the two-state complement-sum map collapses to zero")
     # written so component k never subtracts a copy of itself (which would
@@ -87,14 +87,14 @@ def hprime_to_h(hprime: PadicVector) -> PadicVector:
     out = []
     for k in range(q - 1):
         acc = hprime[k] * self_factor
-        for i, c in enumerate(hprime.components):
+        for i, c in enumerate(hprime):
             if i != k:
                 acc = acc + c * Fraction(1, q - 2)
         out.append(acc)
-    return PadicVector(out)
+    return tuple(out)
 
 
-def f_map_z(z: PadicVector, theta: PadicNumber, q: int) -> PadicVector:
+def f_map_z(z: tuple[PadicNumber, ...], theta: PadicNumber, q: int) -> tuple[PadicNumber, ...]:
     """One child's multiplicative factor of the recursion.
 
     Component i maps to 1 + (theta - 1)(z_i - 1) / D with the shared
@@ -104,11 +104,11 @@ def f_map_z(z: PadicVector, theta: PadicNumber, q: int) -> PadicVector:
     theta - 1.
     """
     p = theta.prime
-    if z.dimension != q - 1:
+    if len(z) != q - 1:
         raise ValueError(f"boundary law needs {q - 1} components for q={q}")
     one = PadicNumber.one(p, theta.precision)
     th_offset = theta - one
-    offsets = [c - one for c in z.components]
+    offsets = [c - one for c in z]
     denom = th_offset + PadicNumber.from_fraction(q, p, theta.precision)
     for off in offsets:
         denom = denom + off
@@ -120,8 +120,7 @@ def f_map_z(z: PadicVector, theta: PadicNumber, q: int) -> PadicVector:
         raise DenominatorDegenerate(
             "recursion denominator is indistinguishable from zero at working precision"
         ) from exc
-    out = [one + scale * off for off in offsets]
-    return PadicVector(out)
+    return tuple(one + scale * off for off in offsets)
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ class RecursionResult:
     root first and the final entry describes the boundary data itself).
     """
 
-    root_z: PadicVector
+    root_z: tuple[PadicNumber, ...]
     per_level_offset: list
 
 
@@ -148,8 +147,8 @@ def recursion_backward(
 
     Each parent's law is the product over its children of the single-edge
     factor.  ``boundary_z`` maps every vertex of the n-th sphere to its
-    law; it is read once per vertex, in address order, after the guard on
-    the ball's size has passed.
+    law, a tuple of q - 1 PadicNumbers; it is read once per vertex, in
+    address order, after the guard on the ball's size has passed.
     """
     if n < 1:
         raise ValueError("recursion needs at least one level")
@@ -162,14 +161,20 @@ def recursion_backward(
     for i, j in reversed(pairs):
         factor = f_map_z(laws[j], J.theta_for_edge(vertices[i], vertices[j], precision), J.q)
         if laws[i] is not None:
-            factor = PadicVector(a * b for a, b in zip(factor, laws[i]))
+            factor = tuple(a * b for a, b in zip(factor, laws[i]))
         laws[i] = factor
     starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
     offsets = [
-        min(law.offset_valuation() for law in laws[starts[m] : starts[m + 1]])
+        min(_offset_valuation(law) for law in laws[starts[m] : starts[m + 1]])
         for m in range(n + 1)
     ]
     return RecursionResult(root_z=laws[0], per_level_offset=offsets)
+
+
+def _offset_valuation(z: tuple[PadicNumber, ...]) -> Valuation:
+    """Valuation of the largest-norm component of z - 1."""
+    one = PadicNumber.one(z[0].prime)
+    return min(c.distance_valuation(one) for c in z)
 
 
 @dataclass(frozen=True)
@@ -213,10 +218,10 @@ class PhaseReport:
         }
 
 
-def _witness_json(z: PadicVector) -> dict:
-    one = PadicNumber.one(z.prime)
+def _witness_json(z: tuple[PadicNumber, ...]) -> dict:
+    one = PadicNumber.one(z[0].prime)
     comps = []
-    for c in z.components:
+    for c in z:
         comps.append(
             {
                 "offset_valuation": str(c.distance_valuation(one)),
@@ -226,22 +231,22 @@ def _witness_json(z: PadicVector) -> dict:
     return {"components": comps}
 
 
-def _witness_sort_key(z: PadicVector):
-    one = PadicNumber.one(z.prime)
+def _witness_sort_key(z: tuple[PadicNumber, ...]):
+    one = PadicNumber.one(z[0].prime)
     key = []
-    for c in z.components:
+    for c in z:
         off = c.distance_valuation(one)
         key.append((off.exponent is None, off.exponent or 0, c.leading_digits(8)))
     return key
 
 
-def _residual_offset(a: PadicVector, b: PadicVector) -> Valuation:
-    return min(x.distance_valuation(y) for x, y in zip(a.components, b.components))
+def _residual_offset(a: tuple[PadicNumber, ...], b: tuple[PadicNumber, ...]) -> Valuation:
+    return min(x.distance_valuation(y) for x, y in zip(a, b))
 
 
-def _law_from_first_component(z: PadicNumber, q: int, precision: int) -> PadicVector:
+def _law_from_first_component(z: PadicNumber, q: int, precision: int) -> tuple[PadicNumber, ...]:
     """The law (z, 1, ..., 1) with q - 1 components."""
-    return PadicVector([z, *(PadicNumber.one(z.prime, precision) for _ in range(q - 2))])
+    return (z, *(PadicNumber.one(z.prime, precision) for _ in range(q - 2)))
 
 
 def _mobius_step(z: PadicNumber, theta: PadicNumber, q: int) -> PadicNumber:
@@ -290,9 +295,9 @@ def solve_k1_bipartite(
         offset = root.distance_valuation(PadicNumber.one(p, precision))
         vec = _law_from_first_component(root, q, precision)
         if offset >= 1:
-            partner = PadicVector(_mobius_step(c, theta2, q) for c in vec.components)
+            partner = tuple(_mobius_step(c, theta2, q) for c in vec)
             # one full period must return the root
-            back = PadicVector(_mobius_step(c, theta1, q) for c in partner.components)
+            back = tuple(_mobius_step(c, theta1, q) for c in partner)
             residual = _residual_offset(back, vec)
             if residual < precision - ROOT_RESIDUAL_MARGIN:
                 raise DomainViolation(
@@ -528,9 +533,11 @@ def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION)
     )
 
 
-def witness_boundary_field(witness: PadicVector, precision: int | None = None) -> BoundaryField:
+def witness_boundary_field(
+    witness: tuple[PadicNumber, ...], precision: int | None = None
+) -> BoundaryField:
     """The constant boundary field whose one-site weight ratios equal ``witness``,
-    over q = ``witness.dimension`` + 1 spin states.
+    over q = ``len(witness)`` + 1 spin states.
 
     The field's complement-sum coordinates are minus the componentwise log of
     the witness: with that orientation the finite-volume measures built from
@@ -543,14 +550,14 @@ def witness_boundary_field(witness: PadicVector, precision: int | None = None) -
     (effective only for exact components); measure checks escalate their
     working modulus with volume, so reconstruct with headroom to spare.
     """
-    p = witness.prime
+    p = witness[0].prime
     need = exp_domain_min_valuation(p)
     one = PadicNumber.one(p)
-    for c in witness.components:
+    for c in witness:
         if c.distance_valuation(one) < need:
             raise DomainViolation(
                 f"witness offset below valuation {need}; its field has no admissible "
                 "exponent at this prime"
             )
-    hprime = PadicVector(-log_p(c, precision=precision) for c in witness.components)
+    hprime = tuple(-log_p(c, precision=precision) for c in witness)
     return BoundaryField.constant(hprime_to_h(hprime))

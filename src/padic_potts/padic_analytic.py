@@ -208,12 +208,6 @@ class PadicPolynomial:
             out = out.mul(z).add(c)
         return out
 
-    def evaluate_fraction(self, z: Fraction) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coefficients):
-            out = out * z + c.value
-        return out
-
     def derivative(self) -> "PadicPolynomial":
         if self.degree == 0:
             return PadicPolynomial((PadicNumber.zero(self.prime, self.precision),))
@@ -307,8 +301,11 @@ def hensel_roots_in_disk(
 
     roots: list[PadicNumber] = []
     seen: list[Fraction] = []
+    # f' as derivative() builds it: an inexact coefficient times i is reduced
+    # mod its own bound, which c.value * i would not be
+    slope_coeffs = None if k_f is None else [c.value for c in f.derivative().coefficients]
     for value, lift_known in sorted(found, key=lambda rv: _root_sort_key(rv[0], c0, p)):
-        residual = rational_valuation(f.evaluate_fraction(value), p)
+        residual = rational_valuation(_poly_eval_fraction(base_coeffs, value), p)
         if residual is not None and residual < target:
             continue
         if any(_agree(value, s, p, target) for s in seen):
@@ -317,7 +314,7 @@ def hensel_roots_in_disk(
         known = lift_known
         if k_f is not None:
             # fuzzy coefficients blur the root by their own uncertainty
-            slope = rational_valuation(f.derivative().evaluate_fraction(value), p)
+            slope = rational_valuation(_poly_eval_fraction(slope_coeffs, value), p)
             coeff_known = k_f - (slope if slope is not None else 0)
             known = coeff_known if known is None else min(known, coeff_known)
         if value == 0 and known is not None:

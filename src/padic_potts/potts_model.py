@@ -57,78 +57,6 @@ COMPAT_MARGIN = 4
 SpinLabel = int  # labels 1..q; the vector embedding only ever enters via spin_pairing
 
 
-class PadicVector:
-    """A tuple of same-prime PadicNumbers: a boundary field or a boundary law.
-
-    Fields are additive (``in_exp_domain``), laws multiplicative
-    (``offset_valuation`` from the all-ones law).  Construction forces
-    neither disk, because recursion values can leave the unit disk around 1
-    when p divides q.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("vector needs at least one component")
-        p = components[0].prime
-        if any(c.prime is not p and c.prime != p for c in components):
-            raise ValueError("mixed primes in one vector")
-        object.__setattr__(self, "components", components)
-
-    @classmethod
-    def from_rationals(cls, values, p, precision: int = DEFAULT_PRECISION) -> "PadicVector":
-        return cls(PadicNumber.from_fraction(Fraction(v), p, precision) for v in values)
-
-    @classmethod
-    def zero(cls, length: int, p, precision: int = DEFAULT_PRECISION) -> "PadicVector":
-        return cls(PadicNumber.zero(p, precision) for _ in range(length))
-
-    @property
-    def prime(self) -> Prime:
-        return self.components[0].prime
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-    def in_exp_domain(self) -> bool:
-        bound = exp_domain_min_valuation(self.prime)
-        return all(c.is_zero or int(c.norm_valuation()) >= bound for c in self.components)
-
-    def offset_valuation(self) -> Valuation:
-        """Valuation of the largest-norm component of z - 1."""
-        one = PadicNumber.one(self.prime)
-        return min(c.distance_valuation(one) for c in self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i: int) -> PadicNumber:
-        return self.components[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PadicVector):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self.components, other.components)
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(c) for c in self.components)
-        return f"PadicVector({inner})"
-
-
 def _check_coupling_admissible(value: Fraction, p: Prime) -> None:
     v = rational_valuation(value, p)
     need = exp_domain_min_valuation(p)
@@ -216,13 +144,14 @@ class CouplingField:
 class BoundaryField:
     """Vertex-to-vector assignment h over q - 1 components.
 
-    Each vertex reads its own entry if one was assigned, and otherwise the
-    default of its level's parity: an (even levels, odd levels) pair, zero
-    unless set.  So a constant field is a pair of equal vectors, a
-    period-two field a pair of different ones, and a sparse field file is
-    entries over the zero pair.  Every vector must lie componentwise in the
-    exponential's convergence disk, which is what keeps all weights
-    well-defined units.
+    A vector is a tuple of q - 1 PadicNumbers over the field's prime (any
+    sequence is accepted and stored as a tuple).  Each vertex reads its own
+    entry if one was assigned, and otherwise the default of its level's
+    parity: an (even levels, odd levels) pair, zero unless set.  So a
+    constant field is a pair of equal vectors, a period-two field a pair of
+    different ones, and a sparse field file is entries over the zero pair.
+    Every vector must lie componentwise in the exponential's convergence
+    disk, which is what keeps all weights well-defined units.
 
     The q site exponentials of a vector are computed once per distinct
     vector and working precision, as ``CouplingField`` does for edge
@@ -238,22 +167,24 @@ class BoundaryField:
             raise ValueError(f"need at least two spin states, got q={q}")
         self.q = q
         self.prime = as_prime(p)
-        zero = PadicVector.zero(q - 1, self.prime)
+        zero = (PadicNumber.zero(self.prime),) * (q - 1)
         self._pair = (zero, zero)
-        self._table: dict[TreeVertex, PadicVector] = {}
+        self._table: dict[TreeVertex, tuple[PadicNumber, ...]] = {}
         self._site_cache: dict[tuple, list[PadicNumber]] = {}
         for vertex, vec in (assignment or {}).items():
             self.assign(vertex, vec)
 
-    def assign(self, vertex: TreeVertex, vec: PadicVector) -> None:
+    def assign(self, vertex: TreeVertex, vec) -> None:
         self._table[vertex] = self._checked(vec, str(vertex) or "root")
 
-    def _checked(self, vec: PadicVector, where) -> PadicVector:
-        if vec.dimension != self.q - 1:
-            raise ValueError(f"field vector must have {self.q - 1} components, got {vec.dimension}")
-        if vec.prime != self.prime:
+    def _checked(self, vec, where) -> tuple[PadicNumber, ...]:
+        vec = tuple(vec)
+        if len(vec) != self.q - 1:
+            raise ValueError(f"field vector must have {self.q - 1} components, got {len(vec)}")
+        if any(c.prime != self.prime for c in vec):
             raise ValueError("field vector prime does not match")
-        if not vec.in_exp_domain():
+        bound = exp_domain_min_valuation(self.prime)
+        if not all(c.valuation_at_least(bound) for c in vec):
             raise DomainViolation(
                 f"field at {where} leaves the exponential domain at p={self.prime}"
             )
@@ -264,16 +195,18 @@ class BoundaryField:
         return cls(q, p)
 
     @classmethod
-    def constant(cls, vec: PadicVector) -> "BoundaryField":
+    def constant(cls, vec) -> "BoundaryField":
         return cls.by_parity(vec, vec)
 
     @classmethod
-    def by_parity(cls, even: PadicVector, odd: PadicVector) -> "BoundaryField":
-        out = cls(even.dimension + 1, even.prime)
+    def by_parity(cls, even, odd) -> "BoundaryField":
+        if not even:
+            raise ValueError("field vector needs at least one component")
+        out = cls(len(even) + 1, even[0].prime)
         out._pair = (out._checked(even, "even levels"), out._checked(odd, "odd levels"))
         return out
 
-    def field_at(self, vertex: TreeVertex) -> PadicVector:
+    def field_at(self, vertex: TreeVertex) -> tuple[PadicNumber, ...]:
         got = self._table.get(vertex)
         return self._pair[vertex.level % 2] if got is None else got
 
@@ -289,19 +222,19 @@ class BoundaryField:
         return table
 
 
-def spin_pairing(h: PadicVector, s: SpinLabel) -> PadicNumber:
+def spin_pairing(h: tuple[PadicNumber, ...], s: SpinLabel) -> PadicNumber:
     """One-site boundary exponent for spin ``s``.
 
     The first q-1 spins read off their own component; the last spin gets the
     component sum.
     """
-    q = h.dimension + 1
+    q = len(h) + 1
     if not 1 <= s <= q:
         raise ValueError(f"spin label {s} outside 1..{q}")
     if s < q:
         return h[s - 1]
     total = h[0]
-    for c in h.components[1:]:
+    for c in h[1:]:
         total = total + c
     return total
 
@@ -729,7 +662,7 @@ def boundary_field_from_json(
             raise ValueError(
                 f"field at {address!r} must list {q - 1} components, got {len(values)}"
             )
-        vec = PadicVector.from_rationals([_fraction_from_text(v) for v in values], out.prime)
+        vec = tuple(PadicNumber.from_fraction(_fraction_from_text(v), out.prime) for v in values)
         vertex = TreeVertex.from_string(address)
         if shape is not None and vertex not in shape:
             k = shape.branching

@@ -21,7 +21,6 @@ from padic_potts.potts_model import (
     BoundaryField,
     CompatibilityReport,
     CouplingField,
-    PadicVector,
     boundary_field_from_json,
     compatibility_check,
     coupling_from_json,
@@ -39,7 +38,7 @@ N = 32
 
 
 def vec(values, p=P, n=N):
-    return PadicVector.from_rationals([Fraction(v) for v in values], p, n)
+    return tuple(PadicNumber.from_fraction(Fraction(v), p, n) for v in values)
 
 
 class TestSpinPairing:
@@ -53,7 +52,7 @@ class TestSpinPairing:
         assert spin_pairing(h, 3) == h[0] + h[1]
 
     def test_zero_field(self):
-        h = PadicVector.zero(2, P, N)
+        h = vec([0, 0])
         for s in (1, 2, 3):
             assert spin_pairing(h, s).is_zero
 
@@ -177,8 +176,9 @@ def _oracle_sizes():
 
 def _field(kind, shape, n, q, p, rng, spread=3):
     def draw():
-        return PadicVector.from_rationals(
-            [exp_domain_fraction(rng, p, spread) for _ in range(q - 1)], p, N
+        return tuple(
+            PadicNumber.from_fraction(exp_domain_fraction(rng, p, spread), p, N)
+            for _ in range(q - 1)
         )
 
     if kind == "zero":
@@ -353,7 +353,7 @@ class TestCompatibility:
         shape = TreeShape(1)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         even = vec([3, 0])
-        odd = PadicVector.zero(2, P, N)
+        odd = vec([0, 0])
         field = BoundaryField.by_parity(even, odd)
         for n, worst in ((1, -3), (2, -3)):
             rep = compatibility_check(shape, field, J, n, N)
@@ -367,7 +367,7 @@ class TestCompatibility:
         shape = TreeShape(1)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
         even = vec([3])
-        odd = PadicVector.zero(1, P, N)
+        odd = vec([0])
         field = BoundaryField.by_parity(even, odd)
         for n in (1, 2):
             rep = compatibility_check(shape, field, J, n, N)
@@ -508,7 +508,7 @@ class TestJsonIngestion:
         at_root = field.field_at(TreeVertex.root())
         assert at_root[0] == PadicNumber.from_fraction(Fraction(3), P, N)
         unlisted = field.field_at(TreeVertex.root().child(2))
-        assert all(c.is_zero for c in unlisted.components)
+        assert all(c.is_zero for c in unlisted)
 
     def test_field_document_rejects_inadmissible(self):
         with pytest.raises(DomainViolation):
@@ -531,7 +531,7 @@ class TestBoundaryField:
     def test_assign_validates_dimension(self):
         field = BoundaryField.zero(3, P)
         with pytest.raises(ValueError):
-            field.assign(TreeVertex.root(), PadicVector.zero(3, P, N))
+            field.assign(TreeVertex.root(), vec([0, 0, 0]))
 
     def test_assign_validates_domain(self):
         field = BoundaryField.zero(3, P)
@@ -541,11 +541,31 @@ class TestBoundaryField:
     def test_parity_vectors_are_validated_like_assigned_ones(self):
         # the odd-level vector lives over 5, the field over 3
         with pytest.raises(ValueError, match="prime"):
-            BoundaryField.by_parity(vec([3, 0]), PadicVector.from_rationals([5, 0], 5, N))
+            BoundaryField.by_parity(vec([3, 0]), vec([5, 0], 5))
         with pytest.raises(ValueError):
-            BoundaryField.by_parity(vec([3, 0]), PadicVector.zero(1, P, N))
+            BoundaryField.by_parity(vec([3, 0]), vec([0]))
         with pytest.raises(DomainViolation):
             BoundaryField.by_parity(vec([3, 0]), vec([1, 0]))
+
+    def test_every_component_must_share_the_prime(self):
+        # the first component is over the field's prime, the second over 5
+        mixed = (vec([3])[0], vec([5], 5)[0])
+        with pytest.raises(ValueError, match="prime"):
+            BoundaryField.zero(3, P).assign(TreeVertex.root(), mixed)
+        with pytest.raises(ValueError, match="prime"):
+            BoundaryField.constant(mixed)
+        with pytest.raises(ValueError, match="prime"):
+            BoundaryField.by_parity(mixed, vec([3, 0]))
+        with pytest.raises(ValueError, match="prime"):
+            BoundaryField.by_parity(vec([3, 0]), mixed)
+
+    def test_empty_vector_is_refused(self):
+        with pytest.raises(ValueError):
+            BoundaryField.constant(())
+        with pytest.raises(ValueError):
+            BoundaryField.by_parity((), ())
+        with pytest.raises(ValueError):
+            BoundaryField.by_parity((), vec([3]))
 
     def test_entries_override_the_parity_pair(self):
         even, odd, entry = vec([3, 0]), vec([0, 3]), vec([9, 9])
@@ -591,13 +611,13 @@ class TestSiteTableCache:
         shape, n = TreeShape(k), 3
 
         def draw():
-            return PadicVector.from_rationals(
-                [exp_domain_fraction(rng, p) for _ in range(q - 1)], p, N
+            return tuple(
+                PadicNumber.from_fraction(exp_domain_fraction(rng, p), p, N) for _ in range(q - 1)
             )
 
         def copy(v, known_abs=None):
             # equal in value, a distinct object; inexact when known_abs is set
-            return PadicVector(PadicNumber(c.value, p, N + 7, known_abs) for c in v)
+            return tuple(PadicNumber(c.value, p, N + 7, known_abs) for c in v)
 
         even, odd = draw(), draw()
         h = BoundaryField.by_parity(even, odd)
@@ -643,7 +663,7 @@ def test_site_tables_apart_for_a_shared_numerator_or_a_shared_value():
     h = BoundaryField.by_parity(vec([Fraction(3, 2)]), vec([Fraction(3, 5)]))
     sites = [TreeVertex.from_string(a) for a in ("", "0", "1", "2")]
     h.assign(sites[2], vec([9]))
-    h.assign(sites[3], PadicVector([PadicNumber(9, P, N, known_abs=6)]))
+    h.assign(sites[3], (PadicNumber(9, P, N, known_abs=6),))
     for v in sites:
         got = h.site_exponentials(v, N)
         want = [exp_p(spin_pairing(h.field_at(v), s), precision=N) for s in (1, 2)]
