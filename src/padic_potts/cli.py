@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gibbs_solver import classify_phase, recursion_backward
 from .padic_analytic import exp_domain_min_valuation, exp_p, log_p
-from .padic_core import DEFAULT_PRECISION, PadicNumber, Valuation, as_prime
+from .padic_core import DEFAULT_PRECISION, PadicNumber, as_prime, render_valuation
 from .potts_model import (
     BoundaryField,
     CouplingField,
@@ -202,7 +202,7 @@ def _random_unit(rng: random.Random, p: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _certified_distance(lhs, rhs) -> Valuation:
+def _certified_distance(lhs, rhs) -> int | float:
     """The valuation of lhs() - rhs() as ``distance_valuation`` bounds it.
 
     A side that cancels past its known digits raises PrecisionExhausted: it
@@ -217,7 +217,7 @@ def _certified_distance(lhs, rhs) -> Valuation:
         except PrecisionExhausted as exc:
             if exc.bound is None:
                 raise
-            sides.append(Valuation(exc.bound))
+            sides.append(exc.bound)
     a, b = sides
     if isinstance(a, PadicNumber) and isinstance(b, PadicNumber):
         return a.distance_valuation(b)
@@ -242,25 +242,25 @@ def _suite_exp_log(cfg: RunConfig) -> dict:
         if kind == 0:
             d = exp_p(x + y).distance_valuation(exp_p(x) * exp_p(y))
             ok = d >= N - 2
-            detail = f"additive homomorphism distance {d}"
+            detail = f"additive homomorphism distance {render_valuation(d)}"
         elif kind == 1:
             z, w = exp_p(x), exp_p(y)
             d = _certified_distance(lambda: log_p(z * w), lambda: log_p(z) + log_p(w))
             ok = d >= N - 2
-            detail = f"multiplicative homomorphism distance {d}"
+            detail = f"multiplicative homomorphism distance {render_valuation(d)}"
         elif kind == 2:
             d = log_p(exp_p(x)).distance_valuation(x)
             ok = d >= N - 2
-            detail = f"log-exp round trip distance {d}"
+            detail = f"log-exp round trip distance {render_valuation(d)}"
         elif kind == 3:
             z = exp_p(x)
             d = exp_p(log_p(z)).distance_valuation(z)
             ok = d >= N - 2
-            detail = f"exp-log round trip distance {d}"
+            detail = f"exp-log round trip distance {render_valuation(d)}"
         else:
-            lhs = (exp_p(x) - PadicNumber.one(p, N)).norm_valuation()
-            ok = lhs == x.norm_valuation()
-            detail = f"isometry valuations {lhs} vs {x.norm_valuation()}"
+            lhs, rhs = (exp_p(x) - PadicNumber.one(p, N)).norm_valuation(), x.norm_valuation()
+            ok = lhs == rhs
+            detail = f"isometry valuations {render_valuation(lhs)} vs {render_valuation(rhs)}"
         if ok:
             passed += 1
             if len(samples) < 3:
@@ -299,9 +299,11 @@ def _suite_product_distance(cfg: RunConfig) -> dict:
         if ok:
             passed += 1
             if len(samples) < 3:
-                samples.append({"p": p, "factors": m, "bound": str(rhs), "got": str(lhs)})
+                samples.append({"p": p, "factors": m, "bound": render_valuation(rhs),
+                                "got": render_valuation(lhs)})
         elif first_failure is None:
-            first_failure = {"index": i, "p": p, "factors": m, "bound": str(rhs), "got": str(lhs)}
+            first_failure = {"index": i, "p": p, "factors": m, "bound": render_valuation(rhs),
+                             "got": render_valuation(lhs)}
     return {
         "suite": "product-distance",
         "checks": total,
@@ -343,9 +345,9 @@ def _suite_contraction(cfg: RunConfig) -> dict:
         if ok:
             passed += 1
             if len(samples) < 3:
-                samples.append({"offsets": [str(v) for v in offs]})
+                samples.append({"offsets": [render_valuation(v) for v in offs]})
         elif first_failure is None:
-            first_failure = {"index": i, "offsets": [str(v) for v in offs]}
+            first_failure = {"index": i, "offsets": [render_valuation(v) for v in offs]}
     return {
         "suite": "contraction",
         "checks": total,
@@ -370,7 +372,7 @@ def _suite_compat(cfg: RunConfig) -> dict:
             "name": "zero field stays consistent",
             "expected_holds": True,
             "holds": rep.holds,
-            "worst_discrepancy": str(rep.max_discrepancy_valuation),
+            "worst_discrepancy": render_valuation(rep.max_discrepancy_valuation),
             "terms": rep.terms_enumerated,
             "ok": rep.holds,
         }
@@ -386,7 +388,7 @@ def _suite_compat(cfg: RunConfig) -> dict:
             "name": "alternating field breaks consistency",
             "expected_holds": False,
             "holds": rep2.holds,
-            "worst_discrepancy": str(rep2.max_discrepancy_valuation),
+            "worst_discrepancy": render_valuation(rep2.max_discrepancy_valuation),
             "terms": rep2.terms_enumerated,
             "ok": not rep2.holds and rep2.resolved,
         }
@@ -463,7 +465,7 @@ def cmd_compat_check(cfg: RunConfig) -> int:
         "n": cfg.n,
         "precision": cfg.precision,
         "holds": report.holds,
-        "max_discrepancy_valuation": str(report.max_discrepancy_valuation),
+        "max_discrepancy_valuation": render_valuation(report.max_discrepancy_valuation),
         "threshold": report.threshold,
         "resolved": report.resolved,
         "terms": report.terms_enumerated,

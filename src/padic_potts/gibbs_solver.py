@@ -18,6 +18,7 @@ when a check fails the report says what was actually found instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .padic_analytic import (
     ROOT_RESIDUAL_MARGIN,
-    PadicPolynomial,
     exp_domain_min_valuation,
     hensel_roots_in_disk,
     log_p,
@@ -39,10 +39,10 @@ from .padic_analytic import (
 from .padic_core import (
     DEFAULT_PRECISION,
     PadicNumber,
-    Valuation,
     _vp,
     as_prime,
     rational_valuation,
+    render_valuation,
 )
 from .potts_model import BoundaryField, CouplingField, _guard
 
@@ -171,8 +171,14 @@ def recursion_backward(
     return RecursionResult(root_z=laws[0], per_level_offset=offsets)
 
 
-def _offset_valuation(z: tuple[PadicNumber, ...]) -> Valuation:
-    """Valuation of the largest-norm component of z - 1."""
+def _offset_valuation(z: tuple[PadicNumber, ...]) -> int | float:
+    """Valuation of the largest-norm component of z - 1.
+
+    Raises:
+        ValueError: for the empty law, which has no prime.
+    """
+    if not z:
+        raise ValueError("boundary law needs at least one component")
     one = PadicNumber.one(z[0].prime)
     return min(c.distance_valuation(one) for c in z)
 
@@ -224,7 +230,7 @@ def _witness_json(z: tuple[PadicNumber, ...]) -> dict:
     for c in z:
         comps.append(
             {
-                "offset_valuation": str(c.distance_valuation(one)),
+                "offset_valuation": render_valuation(c.distance_valuation(one)),
                 "digits": list(c.leading_digits(8)),
             }
         )
@@ -235,12 +241,11 @@ def _witness_sort_key(z: tuple[PadicNumber, ...]):
     one = PadicNumber.one(z[0].prime)
     key = []
     for c in z:
-        off = c.distance_valuation(one)
-        key.append((off.exponent is None, off.exponent or 0, c.leading_digits(8)))
+        key.append((c.distance_valuation(one), c.leading_digits(8)))
     return key
 
 
-def _residual_offset(a: tuple[PadicNumber, ...], b: tuple[PadicNumber, ...]) -> Valuation:
+def _residual_offset(a: tuple[PadicNumber, ...], b: tuple[PadicNumber, ...]) -> int | float:
     return min(x.distance_valuation(y) for x, y in zip(a, b))
 
 
@@ -301,7 +306,7 @@ def solve_k1_bipartite(
             residual = _residual_offset(back, vec)
             if residual < precision - ROOT_RESIDUAL_MARGIN:
                 raise DomainViolation(
-                    f"fixed-point residual only reaches valuation {residual}"
+                    f"fixed-point residual only reaches valuation {render_valuation(residual)}"
                 )
             witnesses.append(vec)
             pairs[len(witnesses) - 1] = partner
@@ -310,7 +315,7 @@ def solve_k1_bipartite(
 
     witnesses.sort(key=_witness_sort_key)
     diag = {
-        "alpha_offset_valuation": str(alpha.distance_valuation(PadicNumber.one(p))),
+        "alpha_offset_valuation": render_valuation(alpha.distance_valuation(PadicNumber.one(p))),
         "rejected_roots": [_witness_json(r) for r in rejected],
         "paired_laws": [_witness_json(pairs[i]) for i in sorted(pairs)],
     }
@@ -353,13 +358,12 @@ def translation_invariant_cubic(
     c2 = PadicNumber.from_fraction(2 * q - 3, p, theta.precision) - u * u
     c1 = u * u + PadicNumber.from_fraction(q * q - 4 * q + 3, p, theta.precision)
     c0 = PadicNumber.from_fraction(-((q - 1) ** 2), p, theta.precision)
-    cubic = PadicPolynomial((c0, c1, c2, c3))
-    roots = hensel_roots_in_disk(cubic, PadicNumber.one(p, precision), 1)
+    roots = hensel_roots_in_disk((c0, c1, c2, c3), PadicNumber.one(p, precision), 1)
 
     witnesses = [_law_from_first_component(r, q, precision) for r in roots]
     witnesses.sort(key=_witness_sort_key)
     try:
-        at_one = str(cubic.evaluate(PadicNumber.one(p, precision)).norm_valuation())
+        at_one = render_valuation((c3 + c2 + c1 + c0).norm_valuation())
     except PrecisionExhausted as exc:
         # total cancellation: the value is zero past every known digit
         at_one = f">={exc.bound}"
@@ -419,8 +423,7 @@ def period2_k2_analysis(
     c = (theta * P(q - 1) + (theta + P(q - 2)) ** 2) ** 2
 
     va, vb, vc = (x.norm_valuation() for x in (a, b, c))
-    quad = PadicPolynomial((c, b, a))
-    roots = hensel_roots_in_disk(quad, PadicNumber.one(p, precision), 1)
+    roots = hensel_roots_in_disk((c, b, a), PadicNumber.one(p, precision), 1)
 
     witnesses = []
     cycles = []
@@ -434,15 +437,15 @@ def period2_k2_analysis(
         cycles.append(
             {
                 "partner": _witness_json(partner),
-                "cycle_closure_valuation": str(closure),
-                "partner_distinct_valuation": str(partner_first.distance_valuation(r)),
+                "cycle_closure_valuation": render_valuation(closure),
+                "partner_distinct_valuation": render_valuation(partner_first.distance_valuation(r)),
             }
         )
 
     diag = {
-        "leading_valuation": str(va),
-        "middle_valuation": str(vb),
-        "constant_valuation": str(vc),
+        "leading_valuation": render_valuation(va),
+        "middle_valuation": render_valuation(vb),
+        "constant_valuation": render_valuation(vc),
         "disk_root_count": len(roots),
         "cycles": cycles,
     }
@@ -497,19 +500,20 @@ def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION)
     if k == 2 and J.pattern == "homogeneous":
         j_val = rational_valuation(J.values["J"], prime)
         if prime.value == 2:
+            diag = {"coupling_valuation": render_valuation(math.inf if j_val is None else j_val)}
             if _two_adic_threshold(q, j_val):
                 return PhaseReport(
                     VERDICT_MULTIPLE_TI,
                     [],
                     "the two-adic threshold table guarantees more than one constant "
                     "law at this coupling norm (no roots are searched at p = 2)",
-                    {"coupling_valuation": str(Valuation(j_val))},
+                    diag,
                 )
             return PhaseReport(
                 VERDICT_INCONCLUSIVE,
                 [],
                 "outside the two-adic threshold table nothing is certified",
-                {"coupling_valuation": str(Valuation(j_val))},
+                diag,
             )
         theta = J.theta_for_edge(TreeVertex.root(), TreeVertex.root().child(0), precision)
         constant = translation_invariant_cubic(theta, q, precision)
@@ -549,15 +553,14 @@ def witness_boundary_field(
     ``precision`` deepens the logarithms past the witness's display precision
     (effective only for exact components); measure checks escalate their
     working modulus with volume, so reconstruct with headroom to spare.
+    An empty witness is refused with ValueError.
     """
-    p = witness[0].prime
-    need = exp_domain_min_valuation(p)
-    one = PadicNumber.one(p)
-    for c in witness:
-        if c.distance_valuation(one) < need:
-            raise DomainViolation(
-                f"witness offset below valuation {need}; its field has no admissible "
-                "exponent at this prime"
-            )
+    offset = _offset_valuation(witness)
+    need = exp_domain_min_valuation(witness[0].prime)
+    if offset < need:
+        raise DomainViolation(
+            f"witness offset below valuation {need}; its field has no admissible "
+            "exponent at this prime"
+        )
     hprime = tuple(-log_p(c, precision=precision) for c in witness)
     return BoundaryField.constant(hprime_to_h(hprime))

@@ -17,7 +17,6 @@ above by (n - 1) / (p - 1), and v(n) <= log_p(n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -167,60 +166,6 @@ def _blocked_sum(u: int, y: int, plan: tuple, modulus: int) -> int:
     return y * first * num * pow(den, -1, modulus) % modulus
 
 
-@dataclass(frozen=True)
-class PadicPolynomial:
-    """Polynomial with p-adic coefficients, ascending degree order.
-
-    The leading coefficient must not be the exact zero; interior exact zeros
-    are fine.
-    """
-
-    coefficients: tuple[PadicNumber, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("a polynomial needs at least one coefficient")
-        primes = {c.prime for c in self.coefficients}
-        if len(primes) != 1:
-            raise ValueError("coefficients mix primes")
-        if len(self.coefficients) > 1 and self.coefficients[-1].is_zero:
-            raise ValueError("leading coefficient is zero; drop it first")
-
-    @property
-    def prime(self) -> Prime:
-        return self.coefficients[0].prime
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def precision(self) -> int:
-        return min(c.precision for c in self.coefficients)
-
-    def known_abs(self) -> int | None:
-        bounds = [c.known_abs for c in self.coefficients if c.known_abs is not None]
-        return min(bounds) if bounds else None
-
-    def evaluate(self, z: PadicNumber) -> PadicNumber:
-        out = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            out = out.mul(z).add(c)
-        return out
-
-    def derivative(self) -> "PadicPolynomial":
-        if self.degree == 0:
-            return PadicPolynomial((PadicNumber.zero(self.prime, self.precision),))
-        coeffs = tuple(
-            c.mul(PadicNumber.from_fraction(i, self.prime, c.precision))
-            for i, c in enumerate(self.coefficients)
-            if i >= 1
-        )
-        while len(coeffs) > 1 and coeffs[-1].is_zero:
-            coeffs = coeffs[:-1]
-        return PadicPolynomial(coeffs)
-
-
 def _shifted_coefficients(
     coeffs: list[Fraction], a: Fraction, b: Fraction
 ) -> list[Fraction]:
@@ -244,24 +189,36 @@ def _poly_eval_fraction(coeffs: list[Fraction], z: Fraction) -> Fraction:
 
 
 def hensel_roots_in_disk(
-    f: PadicPolynomial, center: PadicNumber, min_valuation_offset: int
+    f: tuple[PadicNumber, ...], center: PadicNumber, min_valuation_offset: int
 ) -> list[PadicNumber]:
     """All roots z of f with valuation(z - center) >= min_valuation_offset.
 
-    Walks residues digit by digit: a residue where the reduced derivative is
-    a unit is lifted by the Newton step, a repeated residue is refined one
-    digit deeper.  A branch that neither separates nor terminates within
-    depth 2N raises LiftStall.  Returned roots are verified to push the
-    residual valuation to at least N - ROOT_RESIDUAL_MARGIN and are
-    deduplicated at that same threshold.
+    ``f`` is the tuple of coefficients in ascending degree order; the roots
+    carry the least precision among them, and the least ``known_abs`` blurs
+    them.  Walks residues digit by digit: a residue where the reduced
+    derivative is a unit is lifted by the Newton step, a repeated residue is
+    refined one digit deeper.  A branch that neither separates nor
+    terminates within depth 2N raises LiftStall.  Returned roots are
+    verified to push the residual valuation to at least
+    N - ROOT_RESIDUAL_MARGIN and are deduplicated at that same threshold.
+
+    Raises:
+        ValueError: if f is empty, mixes primes, or has degree >= 1 and an
+            exact-zero leading coefficient.
     """
-    p = f.prime
+    if not f:
+        raise ValueError("a polynomial needs at least one coefficient")
+    p = f[0].prime
+    if any(c.prime != p for c in f):
+        raise ValueError("coefficients mix primes")
+    if len(f) > 1 and f[-1].is_zero:
+        raise ValueError("leading coefficient is zero; drop it first")
     pv = p.value
-    n_rel = f.precision
-    k_f = f.known_abs()
+    n_rel = min(c.precision for c in f)
+    k_f = min((c.known_abs for c in f if c.known_abs is not None), default=None)
     target = n_rel - ROOT_RESIDUAL_MARGIN
     depth_cap = 2 * n_rel
-    base_coeffs, c0 = [c.value for c in f.coefficients], center.value
+    base_coeffs, c0 = [c.value for c in f], center.value
     found: list[tuple[Fraction, int | None]] = []  # (value, digits known past offset)
 
     # Depth-first over residue branches, children in residue order, on an
@@ -301,9 +258,9 @@ def hensel_roots_in_disk(
 
     roots: list[PadicNumber] = []
     seen: list[Fraction] = []
-    # f' as derivative() builds it: an inexact coefficient times i is reduced
-    # mod its own bound, which c.value * i would not be
-    slope_coeffs = None if k_f is None else [c.value for c in f.derivative().coefficients]
+    # f' with each inexact coefficient times i reduced mod its own bound, which
+    # c.value * i would not be
+    slope_coeffs = None if k_f is None else [(c * i).value for i, c in enumerate(f) if i]
     for value, lift_known in sorted(found, key=lambda rv: _root_sort_key(rv[0], c0, p)):
         residual = rational_valuation(_poly_eval_fraction(base_coeffs, value), p)
         if residual is not None and residual < target:

@@ -18,9 +18,10 @@ d0 != 0 is read off u.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import gcd
 
 from .errors import DivisionByZero, PrecisionExhausted
@@ -102,54 +103,9 @@ def as_prime(p: int | Prime) -> Prime:
         return Prime(p)
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class Valuation:
-    """An element of Z united with +infinity, ordered the usual way.
-
-    ``exponent is None`` encodes +infinity (the valuation of zero).
-    """
-
-    exponent: int | None
-
-    def __eq__(self, other) -> bool:
-        other = _as_valuation(other)
-        return NotImplemented if other is None else self.exponent == other.exponent
-
-    def __lt__(self, other) -> bool:
-        other = _as_valuation(other)
-        if other is None:
-            return NotImplemented
-        if self.exponent is None:
-            return False  # +infinity is below nothing
-        return other.exponent is None or self.exponent < other.exponent
-
-    def __hash__(self):
-        return hash(self.exponent)
-
-    def __add__(self, other: "Valuation | int") -> "Valuation":
-        other = _as_valuation(other)
-        if self.exponent is None or other.exponent is None:
-            return Valuation(None)
-        return Valuation(self.exponent + other.exponent)
-
-    __radd__ = __add__
-
-    def __int__(self) -> int:
-        if self.exponent is None:
-            raise ValueError("infinite valuation has no integer value")
-        return self.exponent
-
-    def __str__(self) -> str:
-        return "+inf" if self.exponent is None else str(self.exponent)
-
-    def __repr__(self) -> str:
-        return f"Valuation({self.exponent})"
-
-
-def _as_valuation(x) -> Valuation | None:
-    """x as a Valuation (ints are finite valuations); None for anything else."""
-    return Valuation(x) if isinstance(x, int) else x if isinstance(x, Valuation) else None
+def render_valuation(v: int | float) -> str:
+    """A valuation as text: the integer, or ``+inf`` for zero's ``math.inf``."""
+    return "+inf" if v == math.inf else str(v)
 
 
 def _vp(n: int, p: int) -> int:
@@ -180,7 +136,11 @@ def _vp(n: int, p: int) -> int:
 
 
 def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
-    """p-adic valuation of an exact rational; None for zero."""
+    """p-adic valuation of an exact rational; None for zero.
+
+    None, not ``math.inf``: callers test for None to mean "exact" (a Hensel
+    root whose lift leaves no residual gets ``known_abs=None``).
+    """
     x, pv = Fraction(x), as_prime(p).value
     if not x:
         return None
@@ -334,9 +294,9 @@ class PadicNumber:
     def is_exact(self) -> bool:
         return self.known_abs is None
 
-    def norm_valuation(self) -> Valuation:
-        """gamma(x) with |x|_p = p**(-gamma(x)); +inf for zero."""
-        return Valuation(self._val)
+    def norm_valuation(self) -> int | float:
+        """gamma(x) with |x|_p = p**(-gamma(x)): an int, or ``math.inf`` for zero."""
+        return math.inf if self._val is None else self._val
 
     def norm(self) -> Fraction:
         """|x|_p as an exact rational."""
@@ -522,16 +482,19 @@ class PadicNumber:
             return False
         return self._val is None or self._val >= k
 
-    def distance_valuation(self, other) -> Valuation:
-        """Sound lower bound for valuation(self - other).
+    def distance_valuation(self, other) -> int | float:
+        """Sound lower bound for valuation(self - other), as an int.
 
         Exact whenever the difference is resolvable below both absolute
-        bounds; otherwise returns the shared bound itself.
+        bounds; otherwise returns the shared bound itself.  ``math.inf`` only
+        when both values are exact and equal.
         """
         other = self._coerce(other)
         self._check_same_prime(other)
         s, _, v0, k = self._aligned_sum(other, -1)
-        return Valuation(k if s == 0 else v0 + _vp(s, self.prime.value))
+        if s:
+            return v0 + _vp(s, self.prime.value)
+        return math.inf if k is None else k
 
     # -- rendering ---------------------------------------------------------
 

@@ -39,7 +39,6 @@ from .padic_core import (
     DEFAULT_PRECISION,
     PadicNumber,
     Prime,
-    Valuation,
     _vp,
     as_prime,
     rational_valuation,
@@ -463,7 +462,7 @@ class CompatibilityReport:
     """
 
     holds: bool
-    max_discrepancy_valuation: Valuation
+    max_discrepancy_valuation: int
     threshold: int
     resolved: bool
     level: int
@@ -536,7 +535,7 @@ def compatibility_check(
     worst = min(cap(base - z_outer), base_val + least_flip)
     return CompatibilityReport(
         holds=worst - shift >= threshold,
-        max_discrepancy_valuation=Valuation(worst - shift),
+        max_discrepancy_valuation=worst - shift,
         threshold=threshold,
         resolved=worst < B,
         level=n,

@@ -139,6 +139,24 @@ class TestClassify:
         assert report["verdict"] == "multiple_translation_invariant"
         assert report["diagnostics"] == {"coupling_valuation": "2"}
 
+    def test_zero_coupling_at_two_prints_infinite_valuation(self, capsys):
+        doc = json.dumps({"pattern": "homogeneous", "p": 2, "q": 8, "values": {"J": "0"}})
+        code, out, err = run(
+            capsys, "classify", "--p", "2", "--q", "8", "--k", "2", "--couplings", doc
+        )
+        assert (code, err) == (0, "")
+        assert '"coupling_valuation":"+inf"' in out
+        assert parse(out)["report"]["diagnostics"] == {"coupling_valuation": "+inf"}
+
+    def test_exact_padding_prints_infinite_offset(self, capsys):
+        # every witness at p = q = 3 is (z, 1), and the exact 1 has offset +inf
+        code, out, err = run(capsys, "classify")
+        assert (code, err) == (0, "")
+        assert '"offset_valuation":"+inf"' in out
+        witnesses = parse(out)["report"]["witnesses"]
+        assert witnesses
+        assert all(w["components"][1]["offset_valuation"] == "+inf" for w in witnesses)
+
     def test_composite_modulus_rejected(self, capsys):
         code, _, err = run(capsys, "classify", "--p", "4")
         assert code == 1

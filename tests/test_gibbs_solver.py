@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from padic_potts.gibbs_solver import (
     witness_boundary_field,
 )
 from padic_potts.padic_analytic import exp_p
-from padic_potts.padic_core import PadicNumber, Valuation
+from padic_potts.padic_core import PadicNumber
 from padic_potts.potts_model import (
     CouplingField,
     compatibility_check,
@@ -161,7 +162,7 @@ class TestBackwardRecursion:
         got = recursion_backward(shape, boundary, J, 3, N)
         assert isinstance(got, RecursionResult)
         assert all(c == num(1) for c in got.root_z)
-        assert all(v == Valuation(None) for v in got.per_level_offset)
+        assert all(v == math.inf for v in got.per_level_offset)
 
     def test_offset_ladder(self):
         # each edge gains one digit; the root gains a second one because its
@@ -217,14 +218,11 @@ class TestAlternatingLine:
         report = solve_k1_bipartite(theta, theta, 3, N)
         assert report.verdict == VERDICT_MULTIPLE_TI
         assert len(report.witnesses) == 2
-        offsets = sorted(
-            (_offset_valuation(w) for w in report.witnesses),
-            key=lambda v: (v.exponent is None, v.exponent or 0),
-        )
+        offsets = sorted(_offset_valuation(w) for w in report.witnesses)
         assert int(offsets[0]) == 1  # the 1 - q law
-        assert offsets[1] == Valuation(None)  # the trivial law
+        assert offsets[1] == math.inf  # the trivial law
         nontrivial = next(
-            w for w in report.witnesses if _offset_valuation(w) != Valuation(None)
+            w for w in report.witnesses if _offset_valuation(w) != math.inf
         )
         assert nontrivial[0] == num(-2)
         assert report.diagnostics["paired_laws"]
@@ -482,6 +480,12 @@ class TestWitnessField:
         h = field.field_at(TreeVertex.root())
         assert all(c.is_zero for c in h)
 
+    def test_empty_law_refused(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            witness_boundary_field(())
+        with pytest.raises(ValueError, match="at least one component"):
+            _offset_valuation(())
+
     def test_two_adic_offset_gate(self):
         z = (PadicNumber.from_fraction(3, 2, N),)
         with pytest.raises(DomainViolation):
@@ -500,7 +504,7 @@ class TestWitnessField:
         theta = edge_weight(3, 3, deep)
         report = translation_invariant_cubic(theta, 3, deep)
         nontrivial = next(
-            w for w in report.witnesses if _offset_valuation(w) != Valuation(None)
+            w for w in report.witnesses if _offset_valuation(w) != math.inf
         )
         field = witness_boundary_field(nontrivial, precision=deep)
         shape = TreeShape(2)
@@ -532,7 +536,7 @@ class TestWitnessField:
         theta = edge_weight(3, 3, deep)
         report = translation_invariant_cubic(theta, 3, deep)
         nontrivial = next(
-            w for w in report.witnesses if _offset_valuation(w) != Valuation(None)
+            w for w in report.witnesses if _offset_valuation(w) != math.inf
         )
         field = witness_boundary_field(nontrivial, precision=deep)
         shape = TreeShape(2)

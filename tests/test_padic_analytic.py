@@ -6,7 +6,6 @@ import pytest
 from padic_potts.errors import DomainViolation, LiftStall, PrecisionExhausted
 from padic_potts.padic_analytic import (
     PLAN_CACHE_SIZE,
-    PadicPolynomial,
     _MIN_BLOCK,
     _newton_lift,
     _poly_eval_fraction,
@@ -332,27 +331,9 @@ def test_plan_cache_is_bounded_by_a_fixed_constant():
     assert _series_plan.cache_info().currsize == PLAN_CACHE_SIZE
 
 
-class TestPolynomial:
-    def test_evaluate_matches_fraction_oracle(self, rng):
-        coeffs = [Fraction(rng.randrange(-50, 50)) for _ in range(4)]
-        coeffs[-1] = coeffs[-1] or Fraction(1)
-        f = PadicPolynomial(tuple(num(c, 5) for c in coeffs))
-        for z in (Fraction(2), Fraction(-1), Fraction(7, 3)):
-            want = sum(c * z**i for i, c in enumerate(coeffs))
-            got = f.evaluate(num(z, 5))
-            if want == 0:
-                assert got.is_zero or got.norm_valuation() >= 28
-            else:
-                assert got == num(want, 5)
-
-    def test_degree_and_leading(self):
-        f = PadicPolynomial((num(1, 3), num(2, 3)))
-        assert f.degree == 1
-
-
 class TestHensel:
     def test_linear(self):
-        f = PadicPolynomial((num(-1, 3), num(1, 3)))  # z - 1
+        f = (num(-1, 3), num(1, 3))  # z - 1
         roots = hensel_roots_in_disk(f, PadicNumber.one(3), 0)
         assert len(roots) == 1
         assert roots[0] == PadicNumber.one(3, roots[0].precision)
@@ -360,14 +341,14 @@ class TestHensel:
     def test_composed_line_map_roots(self):
         # z^2 + (q-2)z - (q-1) for q=3: roots 1 and -2, both in the disk at p=3
         q = 3
-        f = PadicPolynomial((num(-(q - 1), 3), num(q - 2, 3), num(1, 3)))
+        f = (num(-(q - 1), 3), num(q - 2, 3), num(1, 3))
         roots = hensel_roots_in_disk(f, PadicNumber.one(3), 0)
         values = sorted(r.residue(6) % 3**6 for r in roots)
         assert values == sorted((1, (-2) % 3**6))
 
     def test_q2_composed_map_keeps_only_trivial_root(self):
         # z^2 + 0*z - 1: roots 1 and -1; only 1 lies at offset >= 1
-        f = PadicPolynomial((num(-1, 3), num(0, 3), num(1, 3)))
+        f = (num(-1, 3), num(0, 3), num(1, 3))
         roots = hensel_roots_in_disk(f, PadicNumber.one(3), 1)
         assert len(roots) == 1
         assert roots[0].distance_valuation(PadicNumber.one(3)) >= 28
@@ -379,7 +360,7 @@ class TestHensel:
         c0 = -planted[0] * planted[1] * planted[2]
         c1 = planted[0] * planted[1] + planted[0] * planted[2] + planted[1] * planted[2]
         c2 = -(planted[0] + planted[1] + planted[2])
-        f = PadicPolynomial((num(c0, p), num(c1, p), num(c2, p), num(1, p)))
+        f = (num(c0, p), num(c1, p), num(c2, p), num(1, p))
         roots = hensel_roots_in_disk(f, PadicNumber.one(p), 1)
         assert sorted(r.residue(8) for r in roots) == sorted(
             PadicNumber.from_fraction(r, p, 32).residue(8) for r in planted
@@ -389,7 +370,7 @@ class TestHensel:
         # (z - 1)(z^2 + z + 1): the quadratic has no roots in Q_3,
         # so the disk search must return exactly the planted root
         p = 3
-        f = PadicPolynomial((num(-1, p), num(0, p), num(0, p), num(1, p)))  # z^3 - 1
+        f = (num(-1, p), num(0, p), num(0, p), num(1, p))  # z^3 - 1
         roots = hensel_roots_in_disk(f, PadicNumber.one(p), 1)
         assert len(roots) == 1
         assert roots[0] == PadicNumber.one(p, roots[0].precision)
@@ -400,7 +381,7 @@ class TestHensel:
         p = 3
         planted = (Fraction(1), Fraction(7))
         f_fracs = [planted[0] * planted[1], -(planted[0] + planted[1]), Fraction(1)]
-        f = PadicPolynomial(tuple(num(c, p) for c in f_fracs))
+        f = tuple(num(c, p) for c in f_fracs)
         survivors = [r for r in range(p) if _eval_mod(f_fracs, r, p, 1) == 0]
         for depth in range(1, 6):
             mod = p ** (depth + 1)
@@ -417,24 +398,39 @@ class TestHensel:
         root_residues = sorted(r.residue(4) for r in roots)
         assert root_residues == sorted({s % p**4 for s in survivors})
 
+    @pytest.mark.parametrize(
+        "coeffs, match",
+        [
+            ((), "at least one coefficient"),
+            ((num(1, 3), num(1, 5)), "mix primes"),
+            ((num(1, 3), num(0, 3)), "leading coefficient is zero"),
+        ],
+        ids=["empty", "mixed-primes", "zero-leading"],
+    )
+    def test_refusals(self, coeffs, match):
+        with pytest.raises(ValueError, match=match):
+            hensel_roots_in_disk(coeffs, PadicNumber.one(3), 0)
+
     def test_double_root_stalls(self):
-        f = PadicPolynomial((num(1, 3, 12), num(-2, 3, 12), num(1, 3, 12)))  # (z-1)^2
+        f = (num(1, 3, 12), num(-2, 3, 12), num(1, 3, 12))  # (z-1)^2
         with pytest.raises(LiftStall):
             hensel_roots_in_disk(f, PadicNumber.one(3, 12), 0)
 
     def test_double_root_stalls_at_high_precision(self):
         # one refinement level per digit down to depth 2N = 1200 must not
         # exhaust the interpreter stack
-        f = PadicPolynomial(tuple(num(c, 3, 600) for c in (1, -2, 1)))  # (z-1)^2
+        f = tuple(num(c, 3, 600) for c in (1, -2, 1))  # (z-1)^2
         with pytest.raises(LiftStall):
             hensel_roots_in_disk(f, PadicNumber.one(3, 600), 0)
 
     def test_root_residuals_certified(self, rng):
         p = 5
         a, b = Fraction(1 + 5), Fraction(1 + 2 * 25)
-        f = PadicPolynomial((num(a * b, p), num(-(a + b), p), num(1, p)))
+        f = (num(a * b, p), num(-(a + b), p), num(1, p))
         for r in hensel_roots_in_disk(f, PadicNumber.one(p), 1):
-            val = f.evaluate(r)
+            val = f[-1]
+            for c in reversed(f[:-1]):
+                val = val * r + c
             assert val.is_zero or val.norm_valuation() >= 28
 
 

@@ -14,7 +14,7 @@ from padic_potts.errors import (
     PrecisionExhausted,
 )
 from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
-from padic_potts.padic_core import PadicNumber, Valuation, _vp
+from padic_potts.padic_core import PadicNumber, _vp
 from padic_potts.potts_model import (
     COMPAT_MARGIN,
     MODULUS_HEADROOM,
@@ -276,7 +276,7 @@ def _brute_compatibility(shape, h, J, n, precision):
     resolved_worst = True
     for cfg in itertools.product(range(1, q + 1), repeat=len(inner.vertices)):
         diff = (inner.weight(cfg, folded) * z_inner - inner.weight(cfg) * z_outer) % M
-        val = Valuation((B if diff == 0 else _vp(diff, p)) - shift)
+        val = (B if diff == 0 else _vp(diff, p)) - shift
         if worst is None or val < worst:
             worst, resolved_worst = val, diff != 0
     return CompatibilityReport(

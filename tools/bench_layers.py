@@ -41,13 +41,10 @@ def _entries():
     from padic_potts import padic_analytic
     from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
     from padic_potts.gibbs_solver import f_map_z, recursion_backward
-    from padic_potts.padic_analytic import PadicPolynomial, exp_p, hensel_roots_in_disk, log_p
+    from padic_potts.padic_analytic import exp_p, hensel_roots_in_disk, log_p
     from padic_potts.padic_core import PadicNumber
     from padic_potts.potts_model import BoundaryField, CouplingField, _LevelWeights
 
-    # laws and field vectors are built as the tree under test holds them (a
-    # plain tuple, or a vector class in older trees): the type of its zero field
-    vector = type(BoundaryField.zero(2, 3).field_at(TreeVertex.root()))
     out = []
     # inexact N = 128 operands as a computation leaves them: quotients and
     # sums of series values
@@ -105,7 +102,7 @@ def _entries():
     vertices, _ = ball_with_edges(shape, n)
     def law():  # 1 + 3**j * unit, as the contraction suite draws them
         unit = 3 * rng.randrange(10**6) + 1
-        return vector([PadicNumber(1 + 3 ** rng.randrange(1, 4) * unit, p)])
+        return (PadicNumber(1 + 3 ** rng.randrange(1, 4) * unit, p),)
 
     laws = {v: law() for v in vertices[shape.ball_size(n - 1):]}
     J = CouplingField.homogeneous(Fraction(3), p, q)
@@ -116,7 +113,7 @@ def _entries():
     # one child's factor where the contraction suite's k = 2, n = 6 run meets
     # it, at the sphere (p = 5, q = 3, J = 5): drawn laws 1 + 5**j * unit
     theta5 = exp_p(PadicNumber(5, 5, 32))
-    z5 = vector([PadicNumber(1 + 5 ** (1 + i) * Fraction(7 * i + 3, 11), 5) for i in range(2)])
+    z5 = tuple(PadicNumber(1 + 5 ** (1 + i) * Fraction(7 * i + 3, 11), 5) for i in range(2))
     out.append(("f_map_z", {"p": 5, "q": 3, "J": 5, "N": 32}, lambda: f_map_z(z5, theta5, 3)))
     # classify's constant-law search at k = 2, p = q = 3, J = 3, N = 512: the
     # cubic z**3 + (3 - u**2) z**2 + u**2 z - 4 in u = theta - 1, built as
@@ -128,7 +125,11 @@ def _entries():
         return PadicNumber(c, 3, theta3.precision)
 
     u = theta3 - P(1)
-    cubic = PadicPolynomial((P(-4), u * u + P(0), P(3) - u * u, P(1)))
+    cubic = (P(-4), u * u + P(0), P(3) - u * u, P(1))
+    # trees from before the coefficient tuple take the coefficients wrapped in
+    # their PadicPolynomial class
+    if hasattr(padic_analytic, "PadicPolynomial"):
+        cubic = padic_analytic.PadicPolynomial(cubic)
     out.append(
         ("hensel_roots_in_disk", {"p": 3, "q": 3, "k": 2, "J": 3, "N": 512},
          lambda: hensel_roots_in_disk(cubic, PadicNumber(1, 3, 512), 1))
@@ -137,7 +138,7 @@ def _entries():
     # k = 2, n = 2 (p = q = 3, J = 3, a period-two field), the tables built
     # with fresh coupling and field caches as one CLI op builds them
     def vec(*cs):
-        return vector([PadicNumber(Fraction(c), 3) for c in cs])
+        return tuple(PadicNumber(Fraction(c), 3) for c in cs)
 
     even, odd, shape = vec(Fraction(3, 7), 9), vec(Fraction(-6, 5), 3), TreeShape(2)
     def tables():
