@@ -103,24 +103,35 @@ def f_map_z(z: tuple[PadicNumber, ...], theta: PadicNumber, q: int) -> tuple[Pad
     a unit so is D, and the offset from 1 gains at least the valuation of
     theta - 1.
     """
+    return _edge_map(theta, q)(z)
+
+
+def _edge_map(theta: PadicNumber, q: int):
+    """``f_map_z`` at one theta, as a function of z: 1, theta - 1 and
+    theta - 1 + q are made once, for every edge that shares theta."""
     p = theta.prime
-    if len(z) != q - 1:
-        raise ValueError(f"boundary law needs {q - 1} components for q={q}")
     one = PadicNumber.one(p, theta.precision)
     th_offset = theta - one
-    offsets = [c - one for c in z]
-    denom = th_offset + PadicNumber.from_fraction(q, p, theta.precision)
-    for off in offsets:
-        denom = denom + off
-    try:
-        scale = th_offset * denom.inverse()
-    except DivisionByZero as exc:
-        raise DenominatorDegenerate("recursion denominator is exactly zero") from exc
-    except PrecisionExhausted as exc:
-        raise DenominatorDegenerate(
-            "recursion denominator is indistinguishable from zero at working precision"
-        ) from exc
-    return tuple(one + scale * off for off in offsets)
+    shift = th_offset + PadicNumber.from_fraction(q, p, theta.precision)
+
+    def factor(z: tuple[PadicNumber, ...]) -> tuple[PadicNumber, ...]:
+        if len(z) != q - 1:
+            raise ValueError(f"boundary law needs {q - 1} components for q={q}")
+        offsets = [c - one for c in z]
+        denom = shift
+        for off in offsets:
+            denom = denom + off
+        try:
+            scale = th_offset * denom.inverse()
+        except DivisionByZero as exc:
+            raise DenominatorDegenerate("recursion denominator is exactly zero") from exc
+        except PrecisionExhausted as exc:
+            raise DenominatorDegenerate(
+                "recursion denominator is indistinguishable from zero at working precision"
+            ) from exc
+        return tuple(one + scale * off for off in offsets)
+
+    return factor
 
 
 @dataclass(frozen=True)
@@ -157,9 +168,15 @@ def recursion_backward(
     outer = shape.ball_size(n - 1)
     laws: list = [None] * outer + [boundary_z[x] for x in vertices[outer:]]
     # a ball lists parents before children, so the edges taken in reverse
-    # fold every child's law before its parent's
+    # fold every child's law before its parent's; theta, and so the edge map,
+    # is one per distinct coupling value
+    edge_maps: dict = {}
     for i, j in reversed(pairs):
-        factor = f_map_z(laws[j], J.theta_for_edge(vertices[i], vertices[j], precision), J.q)
+        coupling = J.coupling_for_edge(vertices[i], vertices[j])
+        if coupling not in edge_maps:
+            theta = J.theta_for_edge(vertices[i], vertices[j], precision)
+            edge_maps[coupling] = _edge_map(theta, J.q)
+        factor = edge_maps[coupling](laws[j])
         if laws[i] is not None:
             factor = tuple(a * b for a, b in zip(factor, laws[i]))
         laws[i] = factor

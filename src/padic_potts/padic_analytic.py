@@ -9,7 +9,8 @@ blocks of about sqrt(terms) terms with small integer coefficients (Smith,
 Math. Comp. 52 (1989)).  A call computes the first m powers of the unit
 residue, sums each block as big-by-small products, folds the blocks into
 num/den mod p**k by two full-width products each and pays one modular
-inverse: the same sum mod p**k as a term-by-term loop.
+inverse (Newton-lifted, ``padic_core._inverse_mod``): the same sum mod p**k
+as a term-by-term loop.
 Truncation bounds use v(n!) = (n - digitsum_p(n)) / (p - 1), estimated from
 above by (n - 1) / (p - 1), and v(n) <= log_p(n).
 """
@@ -25,6 +26,7 @@ from .errors import DomainViolation, LiftStall, PrecisionExhausted
 from .padic_core import (
     PadicNumber,
     Prime,
+    _inverse_mod,
     _vp,
     as_prime,
     rational_valuation,
@@ -70,8 +72,7 @@ def exp_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     k = vx + n_rel + 2
     if x.known_abs is not None:
         k = min(k, x.known_abs)
-    modulus = pv**k
-    total = _blocked_sum(x._unit_mod(k) % modulus, 1, _series_plan(False, pv, vx, k), modulus)
+    total = _blocked_sum(x._unit_mod(k), 1, _series_plan(False, pv, vx, k), pv, k)
     return PadicNumber.from_residue(total, p, k, n_rel)
 
 
@@ -94,9 +95,8 @@ def log_p(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     k = vt + n_rel + 2
     if x.known_abs is not None:
         k = min(k, x.known_abs)
-    modulus = pv**k
-    ut = t._unit_mod(k) % modulus
-    total = _blocked_sum(ut, ut, _series_plan(True, pv, vt, k), modulus)
+    ut = t._unit_mod(k)
+    total = _blocked_sum(ut, ut, _series_plan(True, pv, vt, k), pv, k)
     return PadicNumber.from_residue(total, p, k, n_rel)
 
 
@@ -150,11 +150,13 @@ def _series_plan(log: bool, pv: int, v: int, k: int) -> tuple:
     return pv**least, tuple(blocks)
 
 
-def _blocked_sum(u: int, y: int, plan: tuple, modulus: int) -> int:
-    """y times a series plan evaluated at u, mod ``modulus``: u**0 .. u**(m-1)
-    once, each block as one sum of big-by-small products, folded into num/den
-    by two full-width products per block, and one modular inverse in all."""
+def _blocked_sum(u: int, y: int, plan: tuple, pv: int, k: int) -> int:
+    """y times a series plan evaluated at u, mod p**k: u**0 .. u**(m-1) once,
+    each block as one sum of big-by-small products, folded into num/den by
+    two full-width products per block, and one modular inverse in all."""
     first, blocks = plan
+    modulus = pv**k
+    u %= modulus
     powers = [1]
     for _ in range(len(blocks[-1][0]) - 1):
         powers.append(powers[-1] * u % modulus)
@@ -163,7 +165,7 @@ def _blocked_sum(u: int, y: int, plan: tuple, modulus: int) -> int:
     for coeffs, w, f in blocks:
         num = (sum(map(mul, powers, coeffs)) * den + f * u_m * num) % modulus
         den = den * w % modulus
-    return y * first * num * pow(den, -1, modulus) % modulus
+    return y * first * num * _inverse_mod(den, pv, k) % modulus
 
 
 def _shifted_coefficients(
@@ -294,18 +296,24 @@ def _newton_lift(norm: list[Fraction], r: int, p: Prime, digits: int) -> int:
     """Lift a simple residue root of a content-free polynomial to Z/p**digits.
 
     The coefficients and their derivative are reduced mod p**digits once;
-    each doubling step then evaluates both by Horner mod p**prec.
+    each doubling step then evaluates both by Horner mod p**prec.  The
+    derivative's inverse is lifted alongside: one inverse mod p, then
+    inv <- inv(2 - f'(w) inv) per step.  A step that doubles w's digits needs
+    f'(w)**-1 only to w's old digits, which inv, one step behind w, has.  The
+    result is the unique root mod p**digits over r.
     """
     pv = p.value
     coeffs = [residue_of_rational(c, p, digits) for c in norm]
     deriv = [j * c for j, c in enumerate(coeffs)][1:]
     w = r
+    inv = pow(_poly_eval_int(deriv, r, pv), -1, pv)
     prec = 1
     while prec < digits:
         prec = min(2 * prec, digits)
         mod = pv**prec
         fw, dw = _poly_eval_int(coeffs, w, mod), _poly_eval_int(deriv, w, mod)
-        w = (w - fw * pow(dw, -1, mod)) % mod
+        inv = inv * (2 - dw * inv) % mod
+        w = (w - fw * inv) % mod
     return w
 
 

@@ -9,7 +9,11 @@ of Caruso, "Computations with p-adic numbers" (arXiv:1701.06794, sec. 2):
 the unit residue u mod p**(known_abs - v).  Sums align by an integer shift
 and reduce once, products multiply units (exact ones with cross-gcds, as
 ``fractions`` does), an inverse is a swap or one modular inverse, and the
-digits nobody knows are never carried.  Congruent operands give congruent
+digits nobody knows are never carried.  A modular inverse of a full-width
+residue is lifted by Newton steps x <- x(2 - a x), each doubling the
+digits, as Caruso lifts at growing precision; CPython's ``pow(a, -1, m)``,
+a quadratic extended Euclid, serves moduli below 2**40 and small
+denominators, where it is the faster.  Congruent operands give congruent
 results, so valuations below the bound are certain, and a result that
 cancels into the uncertain range raises PrecisionExhausted instead of
 pretending to be zero.  The digit expansion p**v * (d0 + d1*p + ...) with
@@ -133,6 +137,43 @@ def _vp(n: int, p: int) -> int:
             n //= powers[i]
             v += 1 << i
     return v
+
+
+# Moduli below 2**_POW_INVERSE_BITS take pow(a, -1, m); wider ones Newton-lift
+# an inverse mod a power of p below 2**30, one machine digit.  From a timeit
+# sweep of full-width units at p = 2, 3, 5, 7 on a 2-CPU x86-64 host
+# (CPython 3.11): pow wins up to about 38 bits (p = 2, 35 bits: 2.15 vs
+# 2.69 us; p = 7, 37 bits: 2.08 vs 2.68 us), the two are level at 40-44
+# bits, the lift wins from about 48 bits (p = 5, 56 bits: 3.69 vs 2.28 us)
+# and by 8-10x at r = 514 (p = 3: 131 vs 13 us; p = 7: 297 vs 30 us).
+_POW_INVERSE_BITS = 40
+
+
+def _inverse_mod(a: int, p: int, r: int) -> int:
+    """The inverse of the p-free integer a mod p**r: the integer in [0, p**r)
+    that ``pow(a, -1, p**r)`` returns.
+
+    If x inverts a mod p**h, x(2 - a x) inverts it mod p**(2h).  So r is
+    halved (rounding up) down to one machine digit, or to 1 for a prime
+    wider than that, pow inverts a there, and each step back squares the
+    modulus (over p when the halving rounded up).
+
+    Raises:
+        ValueError: if p divides a, as pow does.
+    """
+    width = math.log2(p)
+    if r * width <= _POW_INVERSE_BITS:
+        return pow(a, -1, p**r)
+    rounded_up = []
+    while r > 1 and r * width > 30:
+        rounded_up.append(r & 1)
+        r = (r + 1) >> 1
+    mod = p**r
+    x = pow(a, -1, mod)
+    for odd in reversed(rounded_up):
+        mod = mod * mod // p if odd else mod * mod
+        x = x * (2 - a * x) % mod
+    return x
 
 
 def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
@@ -424,7 +465,7 @@ class PadicNumber:
             a, b = (self._unit, self._den) if self._unit > 0 else (-self._unit, -self._den)
             return PadicNumber._exact(-self._val, b, a, self.prime, self.precision)
         r = self.known_abs - self._val
-        s = pow(self._unit, -1, self.prime.value**r)
+        s = _inverse_mod(self._unit, self.prime.value, r)
         return PadicNumber._inexact(s, -self._val, r - self._val, self.prime, self.precision)
 
     def div(self, other: "PadicNumber") -> "PadicNumber":

@@ -460,6 +460,57 @@ def _newton_lift_on_fractions(norm, r, p, digits):
     return w
 
 
+def _newton_lift_inverting_per_step(norm, r, p, digits):
+    """The integer Horner lift that pays pow(f'(w), -1, p**prec) at every
+    doubling step: the oracle of the lift that carries the inverse along."""
+    pv = p.value
+    coeffs = [residue_of_rational(c, p, digits) for c in norm]
+    deriv = [j * c for j, c in enumerate(coeffs)][1:]
+    w = r
+    prec = 1
+    while prec < digits:
+        prec = min(2 * prec, digits)
+        mod = pv**prec
+        fw = sum(c * w**i for i, c in enumerate(coeffs)) % mod
+        dw = sum(c * w**i for i, c in enumerate(deriv)) % mod
+        w = (w - fw * pow(dw, -1, mod)) % mod
+    return w
+
+
+def _simple_roots(rng, p, degree):
+    """A random content-free polynomial of the given degree with p-integral
+    coefficients, and its simple residue roots mod p."""
+    norm = [
+        Fraction(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**3) * p + 1)
+        * p ** rng.randrange(0, 3)
+        for _ in range(degree + 1)
+    ]
+    norm[rng.randrange(degree + 1)] = Fraction(rng.randrange(1, p), p + 1)  # content 0
+    f_mod = [residue_of_rational(c, p, 1) for c in norm]
+    roots = []
+    for r in range(p):
+        at_r = sum(c * r**i for i, c in enumerate(f_mod)) % p
+        slope = sum(i * c * r ** (i - 1) for i, c in enumerate(f_mod) if i) % p
+        if not at_r and slope:
+            roots.append(r)
+    return norm, roots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_carried_inverse_lift_matches_the_per_step_inverse(p):
+    """Random simple-root polynomials, every digit count from 1 to 600 over
+    the roots: the same residue as inverting f'(w) afresh at every step."""
+    rng = random.Random(f"carried:{p}")
+    prime = as_prime(p)
+    digits = 1
+    while digits <= 600:
+        norm, roots = _simple_roots(rng, p, rng.randrange(1, 8))
+        for r in roots[: 601 - digits]:
+            w = _newton_lift(norm, r, prime, digits)
+            assert w == _newton_lift_inverting_per_step(norm, r, prime, digits), (norm, r)
+            digits += 1
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_newton_lift_matches_the_fraction_evaluation(p):
     """Random content-free polynomials of degree 1-9 with p-integral
@@ -469,18 +520,8 @@ def test_newton_lift_matches_the_fraction_evaluation(p):
     lifted = 0
     for degree in range(1, 10):
         for _ in range(6):
-            norm = [
-                Fraction(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**3) * p + 1)
-                * p ** rng.randrange(0, 3)
-                for _ in range(degree + 1)
-            ]
-            norm[rng.randrange(degree + 1)] = Fraction(rng.randrange(1, p), p + 1)  # content 0
-            f_mod = [residue_of_rational(c, p, 1) for c in norm]
-            for r in range(p):
-                at_r = sum(c * r**i for i, c in enumerate(f_mod)) % p
-                slope = sum(i * c * r ** (i - 1) for i, c in enumerate(f_mod) if i) % p
-                if at_r or not slope:
-                    continue
+            norm, roots = _simple_roots(rng, p, degree)
+            for r in roots:
                 for digits in (1, 2, 3, 8, 33, 130):
                     w = _newton_lift(norm, r, prime, digits)
                     assert w == _newton_lift_on_fractions(norm, r, prime, digits)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from padic_potts.errors import DivisionByZero, PadicError, PrecisionExhausted
 from padic_potts.padic_core import (
+    _POW_INVERSE_BITS,
     PadicNumber,
+    _inverse_mod,
     _is_prime,
     _vp,
     as_prime,
@@ -570,6 +572,42 @@ def test_vp_matches_the_one_at_a_time_loop(p):
             unit += 1
         x = rng.choice((1, -1)) * unit * p**v
         assert _vp(x, p) == _vp_loop(x, p) == v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_inverse_mod_matches_pow(p):
+    """Every width from 1 to 600 digits, so both sides of the crossover and
+    every rounding of the halvings: the helper returns pow's integer."""
+    rng = random.Random(f"inverse:{p}")
+    assert p.bit_length() <= _POW_INVERSE_BITS < (p**600).bit_length()
+    for r in range(1, 601):
+        mod = p**r
+        unit = rng.randrange(1, mod)
+        while unit % p == 0:
+            unit = rng.randrange(1, mod)
+        wide = rng.randrange(1, 10**6)
+        for a in (unit, -unit, 1, mod - 1, -1, 1 + wide * mod, wide * mod - 1,
+                  unit + wide * mod):
+            assert _inverse_mod(a, p, r) == pow(a, -1, mod), (a, r)
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, 2**61 - 1])
+def test_inverse_mod_refuses_a_multiple_of_p_as_pow_does(p):
+    for r in (1, 2, 5, 40, 300):
+        for a in (0, p, 3 * p, p * (p**r + 1)):
+            with pytest.raises(ValueError):
+                pow(a, -1, p**r)
+            with pytest.raises(ValueError):
+                _inverse_mod(a, p, r)
+
+
+def test_inverse_mod_at_a_prime_past_one_machine_digit():
+    """A prime wider than 30 bits is inverted mod p itself, then lifted."""
+    p = 2**61 - 1
+    rng = random.Random("inverse:wide")
+    for r in (1, 2, 3, 7, 20):
+        a = rng.randrange(1, p**r)
+        assert _inverse_mod(a, p, r) == pow(a, -1, p**r)
 
 
 # Exact values are integer triples (valuation, a, b); their arithmetic must

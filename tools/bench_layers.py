@@ -10,7 +10,10 @@ on all of them alike.  Each entry is the median time of one call over every
 round's ``timeit`` repeats, raw and scaled to the speed at which the
 benchmark's reference kernel (``perfbench/speed.py``, timed between the
 repeats) takes ``speed.REF_MS``, so that records made on different days
-compare.  Standard library only.
+compare.  Each entry of a tree after the first also carries the ratio of
+its scaled median to the first tree's in every round, and their median:
+the spread of those ratios over entries whose code did not change is the
+tool's own A/A band.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import sys
 import timeit
 from fractions import Fraction
 
-ROUNDS = 3  # fresh interpreters per tree, taken in turns
+ROUNDS = 5  # fresh interpreters per tree, taken in turns
 REPEATS = 5  # timeit repeats per round and tree
 KERNEL_SAMPLES = 5  # reference-kernel timings between two timeit repeats
 
@@ -40,7 +43,7 @@ def _entries():
 
     from padic_potts import padic_analytic
     from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
-    from padic_potts.gibbs_solver import f_map_z, recursion_backward
+    from padic_potts.gibbs_solver import f_map_z, recursion_backward, solve_k1_bipartite
     from padic_potts.padic_analytic import exp_p, hensel_roots_in_disk, log_p
     from padic_potts.padic_core import PadicNumber
     from padic_potts.potts_model import BoundaryField, CouplingField, _LevelWeights
@@ -55,7 +58,13 @@ def _entries():
     params = {"p": p, "N": n_rel, "operands": "exp_p(x) / exp_p(y) + exp_p(z)"}
     out.append(("PadicNumber.add", params, lambda: a.add(b)))
     out.append(("PadicNumber.mul", params, lambda: a.mul(b)))
-    out.append(("PadicNumber.inverse", params, lambda: a.inverse()))
+    # the inverse of such a unit mod 3**(N + 3): 31 bits at N = 16, below the
+    # 40 bits where pow gives way to the Newton lift, 56 bits at N = 32 and
+    # 817 bits at N = 512
+    for n_inv in (16, 32, 128, 512):
+        e = [exp_p(PadicNumber(Fraction(3 * (7 * i + 2), 3 * i + 2), p, n_inv)) for i in range(3)]
+        c = e[0] * e[1].inverse() + e[2]
+        out.append(("PadicNumber.inverse", {**params, "N": n_inv}, lambda c=c: c.inverse()))
     # exact p = 7 units of the size the product-distance suite draws
     # (numerator below 7**8, denominator below 7**5), 8 to a product
     def unit(top):
@@ -133,6 +142,16 @@ def _entries():
     out.append(
         ("hensel_roots_in_disk", {"p": 3, "q": 3, "k": 2, "J": 3, "N": 512},
          lambda: hensel_roots_in_disk(cubic, PadicNumber(1, 3, 512), 1))
+    )
+    # classify's dearest shape, the alternating line at k = 1, p = 5, q = 10,
+    # J = 5, N = 512, with its two thetas built as classify_phase builds them
+    J5 = CouplingField.homogeneous(Fraction(5), 5, 10)
+    root = TreeVertex.root()
+    theta_a = J5.theta_for_edge(root, root.child(0), 512)
+    theta_b = J5.theta_for_edge(root.child(0), root.child(0).child(0), 512)
+    out.append(
+        ("solve_k1_bipartite", {"p": 5, "q": 10, "k": 1, "J": 5, "N": 512},
+         lambda: solve_k1_bipartite(theta_a, theta_b, 10, 512))
     )
     # the weight tables and the partition sum of a compat-check ball at
     # k = 2, n = 2 (p = q = 3, J = 3, a period-two field), the tables built
@@ -213,7 +232,7 @@ def main() -> int:
         json.dump(_measure(), sys.stdout)
         return 0
     trees = dict(t.split("=", 1) for t in args.tree)
-    samples: dict = {name: {} for name in trees}
+    rounds: dict = {name: [] for name in trees}  # each round's entries, per tree
     kernel_ms: dict = {name: [] for name in trees}
     for _ in range(ROUNDS):
         for name, path in trees.items():
@@ -223,9 +242,8 @@ def main() -> int:
             )
             measured = json.loads(run.stdout)
             kernel_ms[name].append(measured["kernel_ms"])
-            for key, values in measured["entries"].items():
-                for kind, times in values.items():
-                    samples[name].setdefault(key, {}).setdefault(kind, []).extend(times)
+            rounds[name].append(measured["entries"])
+    base = next(iter(trees))
     speed = _speed()
     doc = {
         "command": "python3 tools/bench_layers.py " + " ".join(f"--tree {n}=..." for n in trees),
@@ -234,16 +252,24 @@ def main() -> int:
         "unit": "s per call",
         "median_scaled": f"median at the speed where perfbench/speed.py's kernel takes "
                          f"REF_MS = {speed.REF_MS} ms",
+        "round_ratios": f"per round, this tree's scaled median over {base}'s in the same "
+                        f"round; median_ratio is their median",
         "runs": [],
     }
     for name, path in trees.items():
         entries = []
-        for key, values in samples[name].items():
+        for key in rounds[name][0]:
             layer, params = json.loads(key)
-            entries.append({
-                "name": layer, "params": params, "median": statistics.median(values["raw"]),
-                "median_scaled": statistics.median(values["scaled"]), "reps": len(values["raw"]),
-            })
+            raw = [t for entries_of in rounds[name] for t in entries_of[key]["raw"]]
+            scaled = [t for entries_of in rounds[name] for t in entries_of[key]["scaled"]]
+            entry = {"name": layer, "params": params, "median": statistics.median(raw),
+                     "median_scaled": statistics.median(scaled), "reps": len(raw)}
+            if name != base and key in rounds[base][0]:
+                ratios = [statistics.median(mine[key]["scaled"])
+                          / statistics.median(theirs[key]["scaled"])
+                          for mine, theirs in zip(rounds[name], rounds[base])]
+                entry.update(round_ratios=ratios, median_ratio=statistics.median(ratios))
+            entries.append(entry)
         doc["runs"].append({"tree": name, **_tree_meta(path), "kernel_ms": kernel_ms[name],
                             "entries": entries})
     json.dump(doc, sys.stdout, indent=1)
