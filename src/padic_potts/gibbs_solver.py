@@ -39,6 +39,7 @@ from .padic_analytic import (
 from .padic_core import (
     DEFAULT_PRECISION,
     PadicNumber,
+    _inverse_mod,
     _vp,
     as_prime,
     rational_valuation,
@@ -160,13 +161,47 @@ def recursion_backward(
     factor.  ``boundary_z`` maps every vertex of the n-th sphere to its
     law, a tuple of q - 1 PadicNumbers; it is read once per vertex, in
     address order, after the guard on the ball's size has passed.
+
+    In the regime of claim (i) -- q prime to p, every theta - 1 of
+    valuation >= 1, and every boundary component exactly 1 or congruent to
+    1 mod p -- every denominator is a unit and the fold runs on integers
+    (``_integer_fold``), giving the very values, bounds and precisions the
+    per-object fold gives.  A law is carried as its offsets
+    z - 1 = p**v * s + O(p**k), and PadicNumber's capped-relative rules for
+    the factor's fixed sequence of operations collapse to closed forms:
+
+    * the denominator D is known to k_D = min(K_theta, the child's bounds);
+    * the scale (theta - 1)/D has relative precision
+      r_s = min(K_theta - v_t, k_D), v_t the valuation of theta - 1;
+    * each factor is 1 + p**(v_t + v) * (scale * s mod p**r)
+      + O(p**(v_t + v + r)) with r = min(r_s, k - v);
+    * a product takes the least bound.
+
+    Each level's denominators are inverted together, with one modular
+    inverse (Montgomery's trick).  Every other input -- p dividing q, a law
+    off the disk, a zero coupling, a component of another prime or a law of
+    the wrong length -- takes the per-object fold (``_object_fold``),
+    unchanged.  Both raise the same errors in the same order: edges in
+    reverse, deepest level first.
     """
     if n < 1:
         raise ValueError("recursion needs at least one level")
     _guard(J.q, shape, n, configurations=False)
-    vertices, pairs = ball_with_edges(shape, n)
-    outer = shape.ball_size(n - 1)
-    laws: list = [None] * outer + [boundary_z[x] for x in vertices[outer:]]
+    ball = ball_with_edges(shape, n)
+    laws = [boundary_z[x] for x in ball[0][shape.ball_size(n - 1) :]]
+    result = _integer_fold(shape, ball, laws, J, n, precision)
+    if result is None:
+        result = _object_fold(shape, ball, laws, J, n, precision)
+    return result
+
+
+def _object_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
+                 precision: int) -> RecursionResult:
+    """The recursion on PadicNumbers, one edge map per coupling value, for
+    the n-ball ``ball`` (as ``ball_with_edges`` lists it) and the sphere's
+    ``laws`` in address order."""
+    vertices, pairs = ball
+    folded: list = [None] * shape.ball_size(n - 1) + laws
     # a ball lists parents before children, so the edges taken in reverse
     # fold every child's law before its parent's; theta, and so the edge map,
     # is one per distinct coupling value
@@ -176,16 +211,179 @@ def recursion_backward(
         if coupling not in edge_maps:
             theta = J.theta_for_edge(vertices[i], vertices[j], precision)
             edge_maps[coupling] = _edge_map(theta, J.q)
-        factor = edge_maps[coupling](laws[j])
-        if laws[i] is not None:
-            factor = tuple(a * b for a, b in zip(factor, laws[i]))
-        laws[i] = factor
+        factor = edge_maps[coupling](folded[j])
+        if folded[i] is not None:
+            factor = tuple(a * b for a, b in zip(factor, folded[i]))
+        folded[i] = factor
     starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
     offsets = [
-        min(_offset_valuation(law) for law in laws[starts[m] : starts[m + 1]])
+        min(_offset_valuation(law) for law in folded[starts[m] : starts[m + 1]])
         for m in range(n + 1)
     ]
-    return RecursionResult(root_z=laws[0], per_level_offset=offsets)
+    return RecursionResult(root_z=folded[0], per_level_offset=offsets)
+
+
+class _Powers(dict):
+    """p**e on demand, each power made once."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, e: int) -> int:
+        self[e] = power = self.p**e
+        return power
+
+
+def _theta_terms(theta: PadicNumber, q: int):
+    """(theta - 1, v_t, K, P, theta - 1 + q) for an inexact theta =
+    1 + p**v_t * u + O(p**K) with v_t >= 1, as the edge map's PadicNumbers
+    hold them (P is the precision of theta - 1 and of the shift); None for
+    any other theta."""
+    K = theta.known_abs
+    if K is None or theta._val != 0:
+        return None
+    p = theta.prime.value
+    t = (theta._unit - 1) % p**K
+    if not t or t % p:
+        return None
+    v = _vp(t, p)
+    return t, v, K, min(theta.precision, K - v), t + q
+
+
+def _law_offsets(law, prime, q: int):
+    """A sphere law (z_1, ..., z_{q-1}) as (t, k, P, B), with
+    z_c - 1 = t[c] / B + O(p**k[c]): B is the product of the exact
+    components' denominators, k[c] is inf for an exact component and P is
+    the least precision.  None unless the law has q - 1 components of the
+    prime ``prime``, each exactly 1 or congruent to 1 mod p."""
+    if type(law) not in (tuple, list) or len(law) != q - 1:
+        return None
+    p, B, P = prime.value, 1, math.inf
+    for c in law:
+        if type(c) is not PadicNumber or c.prime != prime or c._val != 0:
+            return None
+        if c.known_abs is None:
+            if (c._unit - c._den) % p:
+                return None
+            B *= c._den
+        elif c._unit % p != 1:
+            return None
+        P = min(P, c.precision)
+    ts, ks = [], []
+    for c in law:
+        if c.known_abs is None:
+            ts.append((c._unit - c._den) * (B // c._den))
+            ks.append(math.inf)
+        else:
+            ts.append((c._unit - 1) * B % p**c.known_abs)
+            ks.append(c.known_abs)
+    return ts, ks, P, B
+
+
+def _integer_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
+                  precision: int) -> RecursionResult | None:
+    """The recursion on integers in the regime of claim (i), level by level;
+    None outside it (see ``recursion_backward``).  Takes what
+    ``_object_fold`` takes."""
+    prime, q, k = J.prime, J.q, shape.branching
+    p = prime.value
+    if q % p == 0:
+        return None
+    vertices, pairs = ball
+    starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
+    # terms[m][i]: the theta terms of the edge above vertex i of level m + 1,
+    # looked up once per level unless the coupling is per edge
+    per_edge = J.pattern == "per_edge"
+    cached: dict = {}
+    terms = []
+    try:
+        for m in range(n):
+            lo, hi = starts[m + 1], starts[m + 2]
+            row = []
+            for j in range(lo, hi if per_edge else lo + 1):
+                parent, child = vertices[pairs[j - 1][0]], vertices[j]
+                coupling = J.coupling_for_edge(parent, child)
+                if coupling not in cached:
+                    cached[coupling] = _theta_terms(J.theta_for_edge(parent, child, precision), q)
+                row.append(cached[coupling])
+            terms.append(row if per_edge else row * (hi - lo))
+    except KeyError:  # a per-edge table missing an edge: the object fold names it
+        return None
+    if None in cached.values():
+        return None
+    # each denominator is inverted mod p**widest, widest >= its r_s
+    widest = max(K - v_t for _, v_t, K, _, _ in cached.values())
+    level = [_law_offsets(law, prime, q) for law in laws]
+    if None in level:
+        return None
+
+    inf, pw = math.inf, _Powers(p)
+    mod = pw[widest]
+    offsets: list = [inf] * (n + 1)
+    for m in range(n - 1, -1, -1):
+        row = terms[m]
+        # each child's denominator D = t_D / B and its bounds, the children
+        # taken in the object fold's order so that the first cancelled
+        # offset raises where it raises there; acc is the product of the
+        # denominators met so far (Montgomery's trick: one inverse of the
+        # product gives each one's inverse)
+        dens, acc, least = [], 1, inf
+        for (ts, ks, P, B), th in zip(reversed(level), reversed(row)):
+            _, v_t, K, P_D, shift = th
+            t_D, k_D, vals = shift * B, K, []
+            for t, kc in zip(ts, ks):
+                if t:
+                    v = _vp(t, p)
+                    t_D += t
+                    if kc < k_D:
+                        k_D = kc
+                    if kc - v < P_D:
+                        P_D = kc - v
+                elif kc == inf:  # exactly 1
+                    v = inf
+                else:
+                    raise PrecisionExhausted(bound=kc)
+                if v < least:
+                    least = v
+                vals.append(v)
+            r_s = K - v_t if K - v_t < k_D else k_D
+            dens.append((acc, t_D, r_s, P_D if P_D < P else P, vals))
+            acc = acc * t_D % mod
+        offsets[m + 1] = least
+        inv = _inverse_mod(acc, p, widest)  # of every denominator's product
+        step = k + 1 if m == 0 else k
+        parents = [([0] * (q - 1), [inf] * (q - 1)) for _ in range(len(level) // step)]
+        precisions = [inf] * len(parents)
+        for i, (before, t_D, r_s, P_D, vals) in enumerate(reversed(dens)):
+            t_th, v_t = row[i][0], row[i][1]
+            scale = t_th * before * inv  # (theta - 1) / (B * D)
+            inv = inv * t_D % mod
+            a = i // step
+            if P_D < precisions[a]:
+                precisions[a] = P_D
+            pts, pks = parents[a]
+            ts, ks = level[i][0], level[i][1]
+            for c in range(q - 1):
+                t = ts[c]
+                if not t:
+                    continue  # a factor of exactly 1
+                kc, e = ks[c], vals[c] + r_s
+                k_f = v_t + (e if e < kc else kc)
+                f = scale * t % pw[k_f]
+                if k_f < pks[c]:
+                    pks[c] = k_f
+                tp = pts[c]
+                pts[c] = (tp + f + tp * f) % pw[pks[c]]
+        level = [(ts, ks, P, 1) for (ts, ks), P in zip(parents, precisions)]
+
+    ts, ks, P, _ = level[0]
+    offsets[0] = min(_vp(t, p) if t else kc for t, kc in zip(ts, ks))
+    root = tuple(
+        PadicNumber.one(prime, P) if kc == inf else PadicNumber.from_residue(1 + t, prime, kc, P)
+        for t, kc in zip(ts, ks)
+    )
+    return RecursionResult(root_z=root, per_level_offset=offsets)
 
 
 def _offset_valuation(z: tuple[PadicNumber, ...]) -> int | float:

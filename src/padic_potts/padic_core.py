@@ -161,9 +161,11 @@ def _inverse_mod(a: int, p: int, r: int) -> int:
     Raises:
         ValueError: if p divides a, as pow does.
     """
+    if r <= _POW_INVERSE_BITS:  # else p**r > 2**r is past the crossover
+        mod = p**r
+        if mod.bit_length() <= _POW_INVERSE_BITS:
+            return pow(a, -1, mod)
     width = math.log2(p)
-    if r * width <= _POW_INVERSE_BITS:
-        return pow(a, -1, p**r)
     rounded_up = []
     while r > 1 and r * width > 30:
         rounded_up.append(r & 1)

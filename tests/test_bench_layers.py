@@ -17,7 +17,8 @@ def test_every_layer_entry_runs_once():
         "PadicNumber.inverse", "exp_p", "f_map_z", "hensel_roots_in_disk", "exp_p.cold_plan",
         "log_p.cold_plan", "_LevelWeights", "_LevelWeights.partition_residue",
         "PadicNumber.mul.exact", "PadicNumber.distance_valuation.exact",
-        "PadicNumber.from_fraction", "solve_k1_bipartite",
+        "PadicNumber.from_fraction", "solve_k1_bipartite", "recursion_backward",
+        "recursion_backward.fallback",
     } <= names
     # the inverse on both sides of the pow / Newton crossover
     assert {16, 32, 512} <= {params["N"] for name, params, _ in entries

@@ -77,6 +77,24 @@ class TestVerify:
         suite = parse(out)["suites"][0]
         assert suite["passed"] == suite["checks"] == 25
 
+    def test_contraction_offsets_run_past_the_precision(self, capsys):
+        # capped-relative bounds: at N = 8 the root's offset reaches 12 digits
+        # on a 10-level line, and the bytes are those the per-object fold
+        # printed before the recursion ran on integers
+        code, out, err = run(
+            capsys, "verify", "--suite", "contraction", "--precision", "8", "--k", "1",
+            "--n", "10", "--p", "3", "--q", "2", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"command":"verify","ok":true,"precision":8,"seed":1,"suites":[{"checks":25,'
+            '"first_failure":null,"passed":25,"samples":['
+            '{"offsets":["12","10","9","8","7","6","5","4","3","2","1"]},'
+            '{"offsets":["12","11","10","9","8","7","6","5","4","3","2"]},'
+            '{"offsets":["11","10","9","8","7","6","5","4","3","2","1"]}],'
+            '"suite":"contraction"}]}\n'
+        )
+
     def test_contraction_refuses_divisible_q(self, capsys):
         code, _, err = run(
             capsys, "verify", "--suite", "contraction", "--q", "3", "--p", "3"

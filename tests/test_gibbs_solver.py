@@ -1,20 +1,26 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import exp_domain_fraction
 
-from padic_potts.cayley_tree import TreeShape, TreeVertex, sphere
+from padic_potts import gibbs_solver
+from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges, edges, sphere
 from padic_potts.errors import (
     DenominatorDegenerate,
     DomainViolation,
     EnumerationTooLarge,
     NotInvertible,
+    PrecisionExhausted,
 )
 from padic_potts.gibbs_solver import (
     VERDICT_INCONCLUSIVE,
     VERDICT_MULTIPLE_TI,
     VERDICT_UNIQUE,
     RecursionResult,
+    _integer_fold,
+    _object_fold,
     _offset_valuation,
     classify_phase,
     f_map_z,
@@ -30,7 +36,9 @@ from padic_potts.gibbs_solver import (
 from padic_potts.padic_analytic import exp_p
 from padic_potts.padic_core import PadicNumber
 from padic_potts.potts_model import (
+    BoundaryField,
     CouplingField,
+    _LevelWeights,
     compatibility_check,
     spin_pairing,
 )
@@ -197,6 +205,189 @@ class TestBackwardRecursion:
         got = recursion_backward(shape, boundary, J, 2, N)
         assert int(got.per_level_offset[2]) == 1
         assert int(got.per_level_offset[0]) >= 3
+
+
+def _regime_component(rng, p, n_max):
+    """A boundary component in the regime of claim (i): exactly 1, an exact
+    1 + p**v * a/b, or the same known to a random absolute bound (which may
+    cancel the offset, so that the fold raises)."""
+    kind = rng.random()
+    if kind < 0.1:
+        return PadicNumber(1, p, rng.randrange(1, n_max + 1))
+    den = rng.choice([1, p * rng.randrange(1, p**4) + 1])
+    z = 1 + Fraction(p ** rng.randrange(1, 4) * rng.randrange(-p**8, p**8), den)
+    if kind < 0.5:
+        return PadicNumber(z, p, rng.randrange(1, n_max + 1))
+    return PadicNumber(z, p, rng.randrange(1, n_max + 1), known_abs=rng.randrange(4, n_max + 6))
+
+
+def _random_coupling(rng, pattern, shape, n, p, q):
+    def draw():
+        return Fraction(p ** (vmin + rng.randrange(0, 3)) * rng.randrange(1, 50),
+                        p * rng.randrange(1, 7) + 1)
+
+    vmin = 2 if p == 2 else 1
+    if pattern == "homogeneous":
+        return CouplingField.homogeneous(draw(), p, q)
+    if pattern == "bipartite":
+        return CouplingField.bipartite(draw(), draw(), p, q)
+    values = [draw() for _ in range(3)]
+    return CouplingField.per_edge({edge: rng.choice(values) for edge in edges(shape, n)}, p, q)
+
+
+def _fold_outcome(fold, *args):
+    """A fold's result, or its exception, as comparable data."""
+    try:
+        got = fold(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return ("raised", type(exc), str(exc), getattr(exc, "bound", None))
+    if got is None:
+        return None
+    root = [(c.value, c.known_abs, c.precision) for c in got.root_z]
+    return ("folded", root, list(got.per_level_offset))
+
+
+class _CountingLaws:
+    """A mapping that records every key read, in order."""
+
+    def __init__(self, laws):
+        self.laws, self.reads = laws, []
+
+    def __getitem__(self, vertex):
+        self.reads.append(vertex)
+        return self.laws[vertex]
+
+
+class TestIntegerFold:
+    """The integer pass against the per-object fold it replaces in the
+    regime of claim (i)."""
+
+    def test_matches_the_object_fold_on_random_regime_cases(self):
+        rng = random.Random(17)
+        seen = {"folded": 0, "raised": 0}
+        patterns = ("homogeneous", "bipartite", "per_edge")
+        for case in range(540):
+            p = rng.choice([2, 3, 5, 7])
+            q = rng.choice([x for x in range(2, 7) if x % p])
+            k, n, n_max = rng.randrange(1, 4), rng.randrange(1, 6), rng.randrange(8, 65)
+            shape = TreeShape(k)
+            J = _random_coupling(rng, patterns[case % 3], shape, n, p, q)
+            ball = ball_with_edges(shape, n)
+            laws = [tuple(_regime_component(rng, p, n_max) for _ in range(q - 1))
+                    for _ in range(shape.sphere_size(n))]
+            args = (shape, ball, laws, J, n, n_max)
+            got = _fold_outcome(_integer_fold, *args)
+            assert got is not None, (case, p, q, k, n)
+            assert got == _fold_outcome(_object_fold, *args), (case, p, q, k, n, J.pattern)
+            seen[got[0]] += 1
+        assert min(seen.values()) >= 50  # both outcomes are exercised
+
+    def test_first_error_is_the_object_folds(self):
+        # two leaves whose offsets cancel, to different bounds: the edges go
+        # in reverse, so the later leaf raises first, before any cancellation
+        # further up
+        shape, p = TreeShape(2), 3
+        J = CouplingField.homogeneous(Fraction(3), p, 2)
+        leaves = sphere(shape, 3)
+        laws = [(PadicNumber(1 + 3 * (i + 1), p, 16),) for i in range(len(leaves))]
+        laws[2] = (PadicNumber(1 + 3**9, p, 16, known_abs=7),)
+        laws[5] = (PadicNumber(1 + 3**9, p, 16, known_abs=8),)
+        ball = ball_with_edges(shape, 3)
+        for fold in (_integer_fold, _object_fold):
+            with pytest.raises(PrecisionExhausted) as err:
+                fold(shape, ball, laws, J, 3, 16)
+            assert err.value.bound == 8
+
+    @pytest.mark.parametrize("in_regime", [True, False])
+    def test_reads_each_sphere_law_once_in_address_order(self, in_regime, monkeypatch):
+        shape, p = TreeShape(2), 3
+        J = CouplingField.homogeneous(Fraction(3), p, 2 if in_regime else 3)
+        leaves = sphere(shape, 3)
+        laws = _CountingLaws({x: (PadicNumber(1 + 3 * (i + 1), p),) * (J.q - 1)
+                              for i, x in enumerate(leaves)})
+        folds = []
+        for name in ("_integer_fold", "_object_fold"):
+            fold = getattr(gibbs_solver, name)
+            monkeypatch.setattr(gibbs_solver, name,
+                                lambda *a, fold=fold, name=name: folds.append(name) or fold(*a))
+        recursion_backward(shape, laws, J, 3, N)
+        assert laws.reads == leaves
+        assert folds == (["_integer_fold"] if in_regime else ["_integer_fold", "_object_fold"])
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_reads_nothing_when_the_guard_refuses(self, q):
+        laws = _CountingLaws({})
+        with pytest.raises(EnumerationTooLarge):
+            recursion_backward(TreeShape(2), laws, CouplingField.homogeneous(3, 3, q), 40, N)
+        assert laws.reads == []
+
+    # Each pinned at the parent of the integer pass, which folded every input
+    # on PadicNumbers.
+    OUT_OF_REGIME = {
+        "p divides q": (
+            2, 3, (3, 3, 3), 1 + 3 * 5,
+            ["3^0 * (1 + 1*3 + 2*3^2 + 2*3^3 + 1*3^4 + 2*3^5 + 2*3^7 + 1*3^8 + 1*3^9 + "
+             "1*3^11 + 1*3^12) + O(3^13)",
+             "3^0 * (1 + 1*3 + 2*3^4 + 2*3^5 + 1*3^6 + 2*3^8 + 2*3^9) + O(3^13)"],
+            [17, 17], [1, 1, -1, 1],
+        ),
+        "an offset of valuation 0": (
+            2, 3, (3, 3, 2), 2,
+            ["3^0 * (1 + 1*3^2 + 2*3^3 + 2*3^5 + 1*3^6 + 2*3^7 + 1*3^8 + 1*3^9 + 1*3^10 + "
+             "1*3^11 + 2*3^12 + 2*3^13 + 2*3^14 + 2*3^15) + O(3^16)"],
+            [20], [2, 1, 0, 0],
+        ),
+        "a zero coupling": (
+            1, 4, (0, 5, 3), 1 + 5 * 5,
+            ["5^0 * (1) + O(5^16)", "5^0 * (1) + O(5^16)"],
+            [None, None], [math.inf, math.inf, math.inf, math.inf, 1],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_REGIME))
+    def test_out_of_regime_inputs_keep_the_object_fold(self, case):
+        k, n, coupling, fifth, rendered, known, offsets = self.OUT_OF_REGIME[case]
+        shape, J = TreeShape(k), CouplingField.homogeneous(*coupling)
+        p = J.prime.value
+        # component 0 of leaf 4 is ``fifth``; every other component is
+        # 1 + p * (leaf index + component index + 1)
+        laws = [tuple(PadicNumber(fifth if (i, c) == (4, 0) else 1 + p * (i + c + 1), p, 16)
+                      for c in range(J.q - 1))
+                for i in range(shape.sphere_size(n))]
+        ball = ball_with_edges(shape, n)
+        assert _integer_fold(shape, ball, laws, J, n, 16) is None
+        got = recursion_backward(shape, dict(zip(sphere(shape, n), laws)), J, n, 16)
+        assert [str(c) for c in got.root_z] == rendered
+        assert [c.known_abs for c in got.root_z] == known
+        assert got.per_level_offset == offsets
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_root_law_matches_the_sum_product_messages(self, k):
+        # with the field on the sphere only, a leaf's law is its site weights
+        # over the last one, and m_root(s) / m_root(q) is the root's law
+        # (Zachary 1983: the messages are the boundary-law recursion); at
+        # q = 2 the field cancels from the law, so q >= 3
+        rng = random.Random(k)
+        for p, q, n in ((3, 4, 4), (5, 3, 3), (2, 3, 3), (7, 4, 2), (3, 5, 3)):
+            if k == 3 and n > 3:
+                n = 3
+            shape = TreeShape(k)
+            J = CouplingField.homogeneous(exp_domain_fraction(rng, p), p, q)
+            h = BoundaryField.zero(q, p)
+            for x in sphere(shape, n):
+                h.assign(x, tuple(PadicNumber(exp_domain_fraction(rng, p), p, N)
+                                  for _ in range(q - 1)))
+            system = _LevelWeights(shape, h, J, n, N)
+            B, mod = system.modulus_exponent, system.modulus
+            laws = {}
+            for x in sphere(shape, n):
+                sites = h.site_exponentials(x, N)
+                laws[x] = tuple(w / sites[-1] for w in sites[:-1])
+            root = recursion_backward(shape, laws, J, n, N).root_z
+            m = system.messages(0)[0]
+            for s, z in enumerate(root):
+                assert z.known_abs >= B
+                assert z.residue(B) == m[s] * pow(m[-1], -1, mod) % mod
 
 
 class TestUniquenessCertificate:

@@ -119,6 +119,15 @@ def _entries():
         ("recursion_backward", {"p": p, "q": q, "k": 3, "n": n, "N": 32},
          lambda: recursion_backward(shape, laws, J, n, 32))
     )
+    # the same fold where p divides q (p = q = 3, k = 2, n = 4), outside the
+    # integer pass's regime: laws 1 + 3**j * unit, folded on PadicNumbers
+    shape2, n2 = TreeShape(2), 4
+    J3 = CouplingField.homogeneous(Fraction(3), p, 3)
+    laws3 = {v: law() + law() for v in ball_with_edges(shape2, n2)[0][shape2.ball_size(n2 - 1):]}
+    out.append(
+        ("recursion_backward.fallback", {"p": p, "q": 3, "k": 2, "n": n2, "N": 32},
+         lambda: recursion_backward(shape2, laws3, J3, n2, 32))
+    )
     # one child's factor where the contraction suite's k = 2, n = 6 run meets
     # it, at the sphere (p = 5, q = 3, J = 5): drawn laws 1 + 5**j * unit
     theta5 = exp_p(PadicNumber(5, 5, 32))
