@@ -125,18 +125,3 @@ def ball_with_edges(shape: TreeShape, n: int) -> tuple[list[TreeVertex], list[tu
             vertices.append(y)
     return vertices, pairs
 
-
-def ball(shape: TreeShape, n: int) -> list[TreeVertex]:
-    """All vertices within distance n of the root, level by level in address order."""
-    return ball_with_edges(shape, n)[0]
-
-
-def sphere(shape: TreeShape, n: int) -> list[TreeVertex]:
-    """All vertices at distance n from the root, in address order."""
-    return ball(shape, n)[-shape.sphere_size(n):]
-
-
-def edges(shape: TreeShape, n: int) -> list[tuple[TreeVertex, TreeVertex]]:
-    """All (parent, child) nearest-neighbour pairs inside the n-ball, in level order."""
-    vertices, pairs = ball_with_edges(shape, n)
-    return [(vertices[i], vertices[j]) for i, j in pairs]

@@ -18,7 +18,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley_tree import TreeShape
@@ -56,111 +55,76 @@ class ConfigError(Exception):
     """Bad flags or bad input files; reported on stderr with exit 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters shared by the subcommands.
+def _check_flags(args) -> None:
+    """Refuse the out-of-range flags every subcommand shares.
 
-    ``p``/``q``/``k`` keep their explicit/None distinction so suites can tell
-    a user-chosen value from a suite default.
+    ``p``/``q``/``k`` stay None when not given, so a suite can tell a chosen
+    value from its own default; each default is applied where it is read.
     """
-
-    p: int | None
-    q: int | None
-    k: int | None
-    n: int
-    precision: int
-    seed: int
-    coupling_text: str | None
-    field_path: str | None
-    out: str | None
-    checks: int | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        if args.p is not None:
-            try:
-                as_prime(args.p)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if args.q is not None and args.q < 2:
-            raise ConfigError("q must be at least 2")
-        if args.k is not None and args.k < 1:
-            raise ConfigError("k must be at least 1")
-        if args.n < 0:
-            raise ConfigError("n must be nonnegative")
-        if args.precision < 8:
-            raise ConfigError("precision below 8 digits leaves no room for slack")
-        if args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        checks = getattr(args, "checks", None)
-        if checks is not None and checks < 1:
-            raise ConfigError("checks must be positive")
-        return cls(
-            p=args.p,
-            q=args.q,
-            k=args.k,
-            n=args.n,
-            precision=args.precision,
-            seed=args.seed,
-            coupling_text=args.couplings,
-            field_path=getattr(args, "field", None),
-            out=args.out,
-            checks=checks,
-        )
-
-    def prime(self, default: int = 3) -> int:
-        return self.p if self.p is not None else default
-
-    def states(self, default: int = 3) -> int:
-        return self.q if self.q is not None else default
-
-    def branching(self, default: int = 2) -> int:
-        return self.k if self.k is not None else default
-
-    def coupling(self) -> CouplingField:
-        """The coupling from --couplings, or the default coupling."""
-        if self.coupling_text is None:
-            return _default_coupling(self.prime(), self.states())
-        text = self.coupling_text.strip()
-        if not text.startswith("{"):
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read couplings file: {exc}") from exc
+    if args.p is not None:
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"couplings JSON at line {exc.lineno}: {exc.msg}") from exc
-        except ValueError as exc:  # an integer literal past the int-string limit
-            raise ConfigError(f"couplings JSON: {exc}") from exc
-        try:
-            J = coupling_from_json(doc, TreeShape(self.branching()))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"couplings field invalid: {exc}") from exc
-        if self.p is not None and J.prime.value != self.p:
-            raise ConfigError("couplings prime disagrees with --p")
-        if self.q is not None and J.q != self.q:
-            raise ConfigError("couplings q disagrees with --q")
-        return J
+            as_prime(args.p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if args.q is not None and args.q < 2:
+        raise ConfigError("q must be at least 2")
+    if args.k is not None and args.k < 1:
+        raise ConfigError("k must be at least 1")
+    if args.n < 0:
+        raise ConfigError("n must be nonnegative")
+    if args.precision < 8:
+        raise ConfigError("precision below 8 digits leaves no room for slack")
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    if args.checks is not None and args.checks < 1:
+        raise ConfigError("checks must be positive")
 
-    def boundary_field(self, J: CouplingField) -> BoundaryField:
-        """The field from --field on the --k tree, or the zero field."""
-        if self.field_path is None:
-            return BoundaryField.zero(J.q, J.prime)
+
+def _coupling(args) -> CouplingField:
+    """The coupling from --couplings, or the default coupling."""
+    if args.couplings is None:
+        return _default_coupling(args.p or 3, args.q or 3)
+    text = args.couplings.strip()
+    if not text.startswith("{"):
         try:
-            with open(self.field_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read field file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"field JSON at line {exc.lineno}: {exc.msg}") from exc
-        except ValueError as exc:  # an integer literal past the int-string limit, or bad UTF-8
-            raise ConfigError(f"field JSON: {exc}") from exc
-        try:
-            return boundary_field_from_json(doc, J.q, J.prime, TreeShape(self.branching()))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"field file invalid: {exc}") from exc
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read couplings file: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"couplings JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise ConfigError(f"couplings JSON: {exc}") from exc
+    try:
+        J = coupling_from_json(doc, TreeShape(args.k or 2))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"couplings field invalid: {exc}") from exc
+    if args.p is not None and J.prime.value != args.p:
+        raise ConfigError("couplings prime disagrees with --p")
+    if args.q is not None and J.q != args.q:
+        raise ConfigError("couplings q disagrees with --q")
+    return J
+
+
+def _boundary_field(args, J: CouplingField) -> BoundaryField:
+    """The field from --field on the --k tree, or the zero field."""
+    if args.field is None:
+        return BoundaryField.zero(J.q, J.prime)
+    try:
+        with open(args.field, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read field file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"field JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the int-string limit, or bad UTF-8
+        raise ConfigError(f"field JSON: {exc}") from exc
+    try:
+        return boundary_field_from_json(doc, J.q, J.prime, TreeShape(args.k or 2))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"field file invalid: {exc}") from exc
 
 
 def _default_coupling(p: int, q: int) -> CouplingField:
@@ -178,28 +142,25 @@ def _emit(doc: dict, out: str | None):
             fh.write(text)
 
 
+def _p_free(rng: random.Random, p: int, top: int) -> int:
+    """A draw from [1, top), moved up to the next integer prime to p."""
+    x = rng.randrange(1, top)
+    while x % p == 0:
+        x += 1
+    return x
+
+
 def _random_exp_argument(rng: random.Random, p: int, extra: int = 3) -> Fraction:
     """A nonzero rational in the exponential domain at p."""
-    vmin = exp_domain_min_valuation(p)
-    v = vmin + rng.randrange(0, extra)
-    num = rng.randrange(1, p**6)
-    while num % p == 0:
-        num += 1
-    den = rng.randrange(1, p**4)
-    while den % p == 0:
-        den += 1
+    v = exp_domain_min_valuation(p) + rng.randrange(0, extra)
+    num = _p_free(rng, p, p**6)
+    den = _p_free(rng, p, p**4)
     sign = -1 if rng.random() < 0.5 else 1
     return Fraction(sign * num * p**v, den)
 
 
 def _random_unit(rng: random.Random, p: int) -> Fraction:
-    num = rng.randrange(1, p**8)
-    while num % p == 0:
-        num += 1
-    den = rng.randrange(1, p**5)
-    while den % p == 0:
-        den += 1
-    return Fraction(num, den)
+    return Fraction(_p_free(rng, p, p**8), _p_free(rng, p, p**5))
 
 
 def _certified_distance(lhs, rhs) -> int | float:
@@ -224,51 +185,25 @@ def _certified_distance(lhs, rhs) -> int | float:
     return min(s.norm_valuation() if isinstance(s, PadicNumber) else s for s in sides)
 
 
-def _suite_exp_log(cfg: RunConfig) -> dict:
-    rng = random.Random(cfg.seed)
-    primes = [cfg.p] if cfg.p is not None else [2, 3, 5, 7]
-    total = cfg.checks if cfg.checks is not None else 2000
-    N = cfg.precision
+def _tally(suite: str, total: int, outcomes) -> dict:
+    """A suite's report from its checks' ``(ok, detail)`` outcomes, in order.
+
+    ``detail()`` renders one check; it is called only for the first three
+    passes, which are the samples, and for the first failure, and before the
+    next outcome is drawn, so it may read the generator's loop variables.
+    """
     passed = 0
     first_failure = None
     samples = []
-    for i in range(total):
-        p = primes[i % len(primes)]
-        kind = i % 5
-        x = PadicNumber.from_fraction(_random_exp_argument(rng, p), p, N)
-        y = PadicNumber.from_fraction(_random_exp_argument(rng, p), p, N)
-        ok = True
-        detail = ""
-        if kind == 0:
-            d = exp_p(x + y).distance_valuation(exp_p(x) * exp_p(y))
-            ok = d >= N - 2
-            detail = f"additive homomorphism distance {render_valuation(d)}"
-        elif kind == 1:
-            z, w = exp_p(x), exp_p(y)
-            d = _certified_distance(lambda: log_p(z * w), lambda: log_p(z) + log_p(w))
-            ok = d >= N - 2
-            detail = f"multiplicative homomorphism distance {render_valuation(d)}"
-        elif kind == 2:
-            d = log_p(exp_p(x)).distance_valuation(x)
-            ok = d >= N - 2
-            detail = f"log-exp round trip distance {render_valuation(d)}"
-        elif kind == 3:
-            z = exp_p(x)
-            d = exp_p(log_p(z)).distance_valuation(z)
-            ok = d >= N - 2
-            detail = f"exp-log round trip distance {render_valuation(d)}"
-        else:
-            lhs, rhs = (exp_p(x) - PadicNumber.one(p, N)).norm_valuation(), x.norm_valuation()
-            ok = lhs == rhs
-            detail = f"isometry valuations {render_valuation(lhs)} vs {render_valuation(rhs)}"
+    for i, (ok, detail) in enumerate(outcomes):
         if ok:
             passed += 1
             if len(samples) < 3:
-                samples.append({"p": p, "x": x.render(), "check": detail})
+                samples.append(detail())
         elif first_failure is None:
-            first_failure = {"index": i, "p": p, "x": x.render(), "check": detail}
+            first_failure = {"index": i, **detail()}
     return {
-        "suite": "exp-log",
+        "suite": suite,
         "checks": total,
         "passed": passed,
         "first_failure": first_failure,
@@ -276,91 +211,107 @@ def _suite_exp_log(cfg: RunConfig) -> dict:
     }
 
 
-def _suite_product_distance(cfg: RunConfig) -> dict:
-    rng = random.Random(cfg.seed)
-    primes = [cfg.p] if cfg.p is not None else [2, 3, 5, 7]
-    total = cfg.checks if cfg.checks is not None else 500
-    N = cfg.precision
-    passed = 0
-    first_failure = None
-    samples = []
-    for i in range(total):
-        p = primes[i % len(primes)]
-        m = rng.randrange(1, 9)
-        a = [PadicNumber.from_fraction(_random_unit(rng, p), p, N) for _ in range(m)]
-        b = [PadicNumber.from_fraction(_random_unit(rng, p), p, N) for _ in range(m)]
-        prod_a = PadicNumber.one(p, N)
-        prod_b = PadicNumber.one(p, N)
-        for u, w in zip(a, b):
-            prod_a, prod_b = prod_a * u, prod_b * w
-        lhs = prod_a.distance_valuation(prod_b)
-        rhs = min(u.distance_valuation(w) for u, w in zip(a, b))
-        ok = lhs >= rhs
-        if ok:
-            passed += 1
-            if len(samples) < 3:
-                samples.append({"p": p, "factors": m, "bound": render_valuation(rhs),
-                                "got": render_valuation(lhs)})
-        elif first_failure is None:
-            first_failure = {"index": i, "p": p, "factors": m, "bound": render_valuation(rhs),
-                             "got": render_valuation(lhs)}
-    return {
-        "suite": "product-distance",
-        "checks": total,
-        "passed": passed,
-        "first_failure": first_failure,
-        "samples": samples,
-    }
+def _suite_exp_log(args) -> dict:
+    rng = random.Random(args.seed)
+    primes = [args.p] if args.p is not None else [2, 3, 5, 7]
+    total = args.checks or 2000
+    N = args.precision
+
+    def outcomes():
+        for i in range(total):
+            p = primes[i % len(primes)]
+            kind = i % 5
+            x = PadicNumber.from_fraction(_random_exp_argument(rng, p), p, N)
+            y = PadicNumber.from_fraction(_random_exp_argument(rng, p), p, N)
+            if kind == 4:
+                lhs, rhs = (exp_p(x) - PadicNumber.one(p, N)).norm_valuation(), x.norm_valuation()
+                ok = lhs == rhs
+                check = f"isometry valuations {render_valuation(lhs)} vs {render_valuation(rhs)}"
+            else:
+                if kind == 0:
+                    what = "additive homomorphism"
+                    d = exp_p(x + y).distance_valuation(exp_p(x) * exp_p(y))
+                elif kind == 1:
+                    what = "multiplicative homomorphism"
+                    z, w = exp_p(x), exp_p(y)
+                    d = _certified_distance(lambda: log_p(z * w), lambda: log_p(z) + log_p(w))
+                elif kind == 2:
+                    what = "log-exp round trip"
+                    d = log_p(exp_p(x)).distance_valuation(x)
+                else:
+                    what = "exp-log round trip"
+                    z = exp_p(x)
+                    d = exp_p(log_p(z)).distance_valuation(z)
+                ok = d >= N - 2
+                check = f"{what} distance {render_valuation(d)}"
+            yield ok, lambda: {"p": p, "x": x.render(), "check": check}
+
+    return _tally("exp-log", total, outcomes())
 
 
-def _suite_contraction(cfg: RunConfig) -> dict:
-    rng = random.Random(cfg.seed)
-    p = cfg.prime()
-    q = cfg.states(default=2)
-    k = cfg.branching()
+def _suite_product_distance(args) -> dict:
+    rng = random.Random(args.seed)
+    primes = [args.p] if args.p is not None else [2, 3, 5, 7]
+    total = args.checks or 500
+    N = args.precision
+
+    def outcomes():
+        for i in range(total):
+            p = primes[i % len(primes)]
+            m = rng.randrange(1, 9)
+            a = [PadicNumber.from_fraction(_random_unit(rng, p), p, N) for _ in range(m)]
+            b = [PadicNumber.from_fraction(_random_unit(rng, p), p, N) for _ in range(m)]
+            prod_a = PadicNumber.one(p, N)
+            prod_b = PadicNumber.one(p, N)
+            for u, w in zip(a, b):
+                prod_a, prod_b = prod_a * u, prod_b * w
+            lhs = prod_a.distance_valuation(prod_b)
+            rhs = min(u.distance_valuation(w) for u, w in zip(a, b))
+            yield lhs >= rhs, lambda: {"p": p, "factors": m, "bound": render_valuation(rhs),
+                                       "got": render_valuation(lhs)}
+
+    return _tally("product-distance", total, outcomes())
+
+
+def _suite_contraction(args) -> dict:
+    rng = random.Random(args.seed)
+    p = args.p or 3
+    q = args.q or 2
     if q % p == 0:
         raise ConfigError("the contraction suite needs q not divisible by p")
-    n = cfg.n if cfg.n >= 1 else 4
-    total = cfg.checks if cfg.checks is not None else 25
+    n = args.n or 4
+    total = args.checks or 25
+    N = args.precision
     J = _default_coupling(p, q)
-    shape = TreeShape(k)
+    shape = TreeShape(args.k or 2)
 
     class RandomLaws:
         # a fresh law for each sphere vertex the recursion reads, in its
-        # reading order, so nothing is drawn before its guard has passed
+        # reading order, so nothing is drawn before its guard has passed;
+        # each component is 1 + p**e * num/den, drawn as one fraction
         def __getitem__(self, vertex) -> tuple[PadicNumber, ...]:
             comps = []
             for _ in range(q - 1):
-                off = Fraction(p ** (1 + rng.randrange(0, 3))) * _random_unit(rng, p)
-                comps.append(PadicNumber.from_fraction(1 + off, p, cfg.precision))
+                pe = p ** (1 + rng.randrange(0, 3))
+                num = _p_free(rng, p, p**8)
+                den = _p_free(rng, p, p**5)
+                comps.append(PadicNumber.from_fraction(Fraction(den + pe * num, den), p, N))
             return tuple(comps)
 
-    passed = 0
-    first_failure = None
-    samples = []
-    for i in range(total):
-        res = recursion_backward(shape, RandomLaws(), J, n, cfg.precision)
-        offs = res.per_level_offset
-        ok = all(offs[m] >= offs[m + 1] + 1 for m in range(n))
-        if ok:
-            passed += 1
-            if len(samples) < 3:
-                samples.append({"offsets": [render_valuation(v) for v in offs]})
-        elif first_failure is None:
-            first_failure = {"index": i, "offsets": [render_valuation(v) for v in offs]}
-    return {
-        "suite": "contraction",
-        "checks": total,
-        "passed": passed,
-        "first_failure": first_failure,
-        "samples": samples,
-    }
+    def outcomes():
+        for _ in range(total):
+            offs = recursion_backward(shape, RandomLaws(), J, n, N).per_level_offset
+            ok = all(offs[m] >= offs[m + 1] + 1 for m in range(n))
+            yield ok, lambda: {"offsets": [render_valuation(v) for v in offs]}
+
+    return _tally("contraction", total, outcomes())
 
 
-def _suite_compat(cfg: RunConfig) -> dict:
+def _suite_compat(args) -> dict:
     # fixed canonical instances; global flags are deliberately ignored so the
-    # suite always exercises the same two measure computations
-    N = cfg.precision
+    # suite always exercises the same two measure computations, and its
+    # samples are all of its checks
+    N = args.precision
     checks = []
 
     shape2 = TreeShape(2)
@@ -412,96 +363,97 @@ _SUITE_RUNNERS = {
 }
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    reports = [_SUITE_RUNNERS[name](cfg) for name in names]
+def cmd_verify(args) -> int:
+    names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    reports = [_SUITE_RUNNERS[name](args) for name in names]
     ok = all(r["passed"] == r["checks"] for r in reports)
     doc = {
         "command": "verify",
-        "seed": cfg.seed,
-        "precision": cfg.precision,
+        "seed": args.seed,
+        "precision": args.precision,
         "ok": ok,
         "suites": reports,
     }
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     if not ok:
         print("suite violation; see first_failure entries", file=sys.stderr)
         return EXIT_CONFIG_OR_VIOLATION
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    J = cfg.coupling()
-    k = cfg.branching()
-    report = classify_phase(k, J, cfg.precision)
+def cmd_classify(args) -> int:
+    J = _coupling(args)
+    k = args.k or 2
+    report = classify_phase(k, J, args.precision)
     doc = {
         "command": "classify",
         "p": J.prime.value,
         "q": J.q,
         "k": k,
-        "precision": cfg.precision,
+        "precision": args.precision,
         "report": report.to_json(),
     }
-    _emit(doc, cfg.out)
+    _emit(doc, args.out)
     return EXIT_OK
 
 
-def cmd_compat_check(cfg: RunConfig) -> int:
-    if cfg.n < 1:
-        raise ConfigError("compat-check needs n >= 1")
-    J = cfg.coupling()
-    field = cfg.boundary_field(J)
-    k = cfg.branching()
-    shape = TreeShape(k)
+def _measure(args, run) -> tuple:
+    """``run`` on the shape, field, coupling, n and precision the flags give,
+    with the head of the document that reports it."""
+    J = _coupling(args)
+    field = _boundary_field(args, J)
+    k = args.k or 2
     try:
-        report = compatibility_check(shape, field, J, cfg.n, cfg.precision)
+        result = run(TreeShape(k), field, J, args.n, args.precision)
     except KeyError as exc:  # a per-edge coupling table that misses an edge of the ball
         raise ConfigError(exc.args[0]) from exc
-    doc = {
-        "command": "compat-check",
+    head = {
+        "command": args.command,
         "p": J.prime.value,
         "q": J.q,
         "k": k,
-        "n": cfg.n,
-        "precision": cfg.precision,
-        "holds": report.holds,
-        "max_discrepancy_valuation": render_valuation(report.max_discrepancy_valuation),
-        "threshold": report.threshold,
-        "resolved": report.resolved,
-        "terms": report.terms_enumerated,
+        "n": args.n,
+        "precision": args.precision,
     }
-    _emit(doc, cfg.out)
+    return result, head
+
+
+def cmd_compat_check(args) -> int:
+    if args.n < 1:
+        raise ConfigError("compat-check needs n >= 1")
+    report, doc = _measure(args, compatibility_check)
+    doc.update(
+        holds=report.holds,
+        max_discrepancy_valuation=render_valuation(report.max_discrepancy_valuation),
+        threshold=report.threshold,
+        resolved=report.resolved,
+        terms=report.terms_enumerated,
+    )
+    _emit(doc, args.out)
     return EXIT_OK if report.holds else EXIT_CONFIG_OR_VIOLATION
 
 
-def cmd_norm_profile(cfg: RunConfig) -> int:
-    J = cfg.coupling()
-    field = cfg.boundary_field(J)
-    k = cfg.branching()
-    shape = TreeShape(k)
-    try:
-        rows = measure_norm_profile(shape, field, J, cfg.n, cfg.precision)
-    except KeyError as exc:  # a per-edge coupling table that misses an edge of the ball
-        raise ConfigError(exc.args[0]) from exc
-    doc = {
-        "command": "norm-profile",
-        "p": J.prime.value,
-        "q": J.q,
-        "k": k,
-        "n": cfg.n,
-        "precision": cfg.precision,
-        "rows": [
-            {
-                "level": r.level,
-                "min_valuation": str(r.min_valuation),
-                "max_valuation": str(r.max_valuation),
-            }
-            for r in rows
-        ],
-        "bounded_so_far": all(r.min_valuation >= 0 for r in rows),
-    }
-    _emit(doc, cfg.out)
+def cmd_norm_profile(args) -> int:
+    rows, doc = _measure(args, measure_norm_profile)
+    doc["rows"] = [
+        {
+            "level": r.level,
+            "min_valuation": str(r.min_valuation),
+            "max_valuation": str(r.max_valuation),
+        }
+        for r in rows
+    ]
+    doc["bounded_so_far"] = all(r.min_valuation >= 0 for r in rows)
+    _emit(doc, args.out)
     return EXIT_OK
+
+
+_COMMANDS = {
+    "verify": cmd_verify,
+    "classify": cmd_classify,
+    "compat-check": cmd_compat_check,
+    "norm-profile": cmd_norm_profile,
+}
 
 
 @functools.cache
@@ -521,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or J = 4 at p = 2)",
     )
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    common.set_defaults(checks=None, field=None)  # read by every subcommand
 
     parser = argparse.ArgumentParser(
         prog="padic-potts",
@@ -550,16 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "compat-check":
-            return cmd_compat_check(cfg)
-        if args.command == "norm-profile":
-            return cmd_norm_profile(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        _check_flags(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_OR_VIOLATION

@@ -53,26 +53,9 @@ VERDICT_NO_EXTRA_PERIODIC = "no_periodic_beyond_translation_invariant"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-def h_to_hprime(h: tuple[PadicNumber, ...]) -> tuple[PadicNumber, ...]:
-    """Componentwise complement sum: output i is the sum of h_j over j != i.
-
-    Total for every q; the two-state case has a one-component vector whose
-    complement sum is empty, so the image is exactly zero.
-    """
-    if len(h) == 1:
-        return (PadicNumber.zero(h[0].prime, h[0].precision),)
-    out = []
-    for i in range(len(h)):
-        acc = None
-        for j, c in enumerate(h):
-            if j != i:
-                acc = c if acc is None else acc + c
-        out.append(acc)
-    return tuple(out)
-
-
 def hprime_to_h(hprime: tuple[PadicNumber, ...]) -> tuple[PadicNumber, ...]:
-    """Inverse of the complement-sum map; defined only for q >= 3.
+    """Inverse of the complement-sum map h'_i = sum of h_j over j != i;
+    defined only for q >= 3.
 
     q is one more than the vector's length.  For q = 2 the complement sum
     is identically zero and carries no information, so inversion is refused

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cayley_tree import TreeShape, TreeVertex, ball_with_edges, edges, vertex_parity
+from .cayley_tree import TreeShape, TreeVertex, ball_with_edges, vertex_parity
 from .errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -238,28 +238,14 @@ def spin_pairing(h: tuple[PadicNumber, ...], s: SpinLabel) -> PadicNumber:
     return total
 
 
-def hamiltonian(
-    shape: TreeShape,
-    cfg: dict[TreeVertex, SpinLabel],
-    J: CouplingField,
-    n: int,
-    precision: int = DEFAULT_PRECISION,
-) -> PadicNumber:
-    """Minus the coupling sum over agreeing edges of the n-ball, exactly."""
-    total = Fraction(0)
-    for x, y in edges(shape, n):
-        if cfg[x] == cfg[y]:
-            total += J.coupling_for_edge(x, y)
-    return PadicNumber.from_fraction(-total, J.prime, precision)
-
-
 # ---------------------------------------------------------------------------
 # Measure engine
 
 
 def _guard(q: int, shape: TreeShape, n: int, configurations: bool = True) -> None:
-    """Refuse to touch more than ENUMERATION_GUARD terms: q**|B_n| of them in a
-    sum over the configurations of the n-ball, q*|B_n| in the tree pass.
+    """Refuse to touch more than ENUMERATION_GUARD terms: q*|B_n| in the tree
+    pass, or q**|B_n| configurations, a count that only compatibility_check
+    still makes, on its (n-1)-ball.
 
     A refused size with more than the d digits an int may print is named by
     its depth instead, and from n = 4d on (k > 1, so |B_n| > 2**n > 10**d)
@@ -428,25 +414,6 @@ def _residue_quotient(w_res: int, z_res: int, zeta: int, system: _LevelWeights) 
     v = rational_valuation(value, prime)
     n_rel = max(1, known - (0 if v is None else v))
     return PadicNumber(value, prime, n_rel, known_abs=known)
-
-
-def finite_measure_table(
-    shape: TreeShape,
-    h: BoundaryField,
-    J: CouplingField,
-    n: int,
-    precision: int = DEFAULT_PRECISION,
-):
-    """All configuration weights at once: list of (spins tuple, measure).
-
-    It returns one entry per configuration, so it visits all q**|B_n| of them.
-    """
-    _guard(J.q, shape, n)
-    system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
-    return [
-        (cfg, _residue_quotient(system.weight(cfg), z_res, zeta, system))
-        for cfg in itertools.product(range(1, system.q + 1), repeat=len(system.vertices))
-    ]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from padic_potts.cayley_tree import TreeShape, sphere
+from padic_potts.cayley_tree import TreeShape, ball_with_edges
 from padic_potts.gibbs_solver import (
     VERDICT_MULTIPLE_TI,
     _offset_valuation,
@@ -94,7 +94,7 @@ def test_03_recursion_contracts():
     t0 = time.monotonic()
     shape = TreeShape(2)
     J = CouplingField.homogeneous(Fraction(3), 3, 2)
-    leaves = sphere(shape, 6)
+    leaves = ball_with_edges(shape, 6)[0][-shape.sphere_size(6):]
     for _ in range(50):
         boundary = {}
         for x in leaves:

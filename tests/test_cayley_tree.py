@@ -5,11 +5,8 @@ import pytest
 from padic_potts.cayley_tree import (
     TreeShape,
     TreeVertex,
-    ball,
     ball_with_edges,
     direct_successors,
-    edges,
-    sphere,
     vertex_parity,
 )
 
@@ -27,40 +24,40 @@ class TestShape:
     def test_counts_match_closed_forms(self):
         for k in (1, 2, 3):
             shape = TreeShape(k)
-            assert len(sphere(shape, 0)) == 1
+            assert ball_with_edges(shape, 0) == ([TreeVertex.root()], [])
             for n in range(1, 9):
                 want = (k + 1) * k ** (n - 1)
-                assert len(sphere(shape, n)) == want == shape.sphere_size(n)
-                assert len(ball(shape, n)) == shape.ball_size(n)
+                vertices = ball_with_edges(shape, n)[0]
+                assert sum(v.level == n for v in vertices) == want == shape.sphere_size(n)
+                assert len(vertices) == shape.ball_size(n)
                 assert shape.ball_size(n) == sum(shape.sphere_size(m) for m in range(n + 1))
             # the walk's order against a separate enumeration of the addresses
             for n in range(6):
-                got = ball(shape, n)
-                assert [v.address for v in got] == _addresses_in_level_order(k, n)
-                assert sphere(shape, n) == got[-shape.sphere_size(n):]
-                assert edges(shape, n) == [(v.parent(), v) for v in got[1:]]
                 vertices, pairs = ball_with_edges(shape, n)
-                assert vertices == got
-                assert [(vertices[i], vertices[j]) for i, j in pairs] == edges(shape, n)
+                assert [v.address for v in vertices] == _addresses_in_level_order(k, n)
+                # the n-th sphere is the ball's tail
+                assert {v.level for v in vertices[-shape.sphere_size(n):]} == {n}
+                assert [(vertices[i], vertices[j]) for i, j in pairs] == [
+                    (v.parent(), v) for v in vertices[1:]
+                ]
 
     def test_k2_small_values(self):
         shape = TreeShape(2)
-        assert len(sphere(shape, 2)) == 6
-        assert len(ball(shape, 2)) == 10
-        assert len(edges(shape, 2)) == 9  # tree on 10 vertices
+        vertices, pairs = ball_with_edges(shape, 2)
+        assert sum(v.level == 2 for v in vertices) == 6
+        assert len(vertices) == 10
+        assert len(pairs) == 9  # tree on 10 vertices
 
     def test_line_is_two_sided(self):
         shape = TreeShape(1)
-        assert len(sphere(shape, 3)) == 2
+        assert sum(v.level == 3 for v in ball_with_edges(shape, 3)[0]) == 2
         assert len(direct_successors(shape, TreeVertex.root())) == 2
 
     def test_depth_guard(self):
         shape = TreeShape(2)
-        for query in (sphere, ball, edges, ball_with_edges):
+        for query in (ball_with_edges, TreeShape.sphere_size, TreeShape.ball_size):
             with pytest.raises(ValueError):
                 query(shape, -1)
-        with pytest.raises(ValueError):
-            shape.ball_size(-1)
 
     def test_invalid_branching(self):
         with pytest.raises(ValueError):
@@ -96,7 +93,7 @@ class TestVertex:
 
     def test_successors_are_children_at_next_level(self):
         shape = TreeShape(3)
-        for x in sphere(shape, 2):
+        for x in ball_with_edges(shape, 2)[0][shape.ball_size(1):]:
             for y in direct_successors(shape, x):
                 assert y.parent() == x
                 assert y.level == 3
@@ -115,7 +112,9 @@ class TestVertex:
 class TestEdges:
     def test_every_edge_joins_adjacent_levels(self):
         shape = TreeShape(2)
-        for parent, child in edges(shape, 3):
+        vertices, pairs = ball_with_edges(shape, 3)
+        for i, j in pairs:
+            parent, child = vertices[i], vertices[j]
             assert child.parent() == parent
             assert child.level == parent.level + 1
 
@@ -123,7 +122,7 @@ class TestEdges:
         for k in (1, 2, 3):
             shape = TreeShape(k)
             for n in (1, 2, 3):
-                assert len(edges(shape, n)) == shape.ball_size(n) - 1
+                assert len(ball_with_edges(shape, n)[1]) == shape.ball_size(n) - 1
 
 
 class TestWords:
@@ -136,5 +135,6 @@ class TestWords:
 
     def test_edges_are_bipartite(self):
         shape = TreeShape(2)
-        for parent, child in edges(shape, 4):
-            assert vertex_parity(parent) != vertex_parity(child)
+        vertices, pairs = ball_with_edges(shape, 4)
+        for i, j in pairs:
+            assert vertex_parity(vertices[i]) != vertex_parity(vertices[j])

@@ -3,15 +3,18 @@ import io
 import json
 import os
 import tempfile
+import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padic_potts import potts_model
-from padic_potts.cayley_tree import TreeShape, ball
+from padic_potts import cli, potts_model
+from padic_potts.cayley_tree import TreeShape, ball_with_edges
 from padic_potts.cli import SUITES, main
 from padic_potts.padic_analytic import exp_p
+from padic_potts.padic_core import DEFAULT_PRECISION, PadicNumber
 
 
 def run(capsys, *argv):
@@ -124,6 +127,89 @@ class TestVerify:
         da, db = parse(a), parse(b)
         assert da["ok"] and db["ok"]
         assert da["seed"] != db["seed"]
+
+    # A failing check: the report keeps its first three passes as samples and
+    # names the first failure by its index; the run exits 1.
+
+    def test_exp_log_reports_its_first_failure(self, capsys, monkeypatch):
+        # the fourth log_p call is check 2's log(exp(x)); off by p, the round
+        # trip misses x at the first digit
+        real, calls = cli.log_p, []
+
+        def log_p(z):
+            calls.append(z)
+            got = real(z)
+            return got + z.prime.value if len(calls) == 4 else got
+
+        monkeypatch.setattr(cli, "log_p", log_p)
+        code, out, err = run(
+            capsys, "verify", "--suite", "exp-log", "--p", "3", "--checks", "6",
+            "--precision", "16",
+        )
+        assert (code, err) == (1, "suite violation; see first_failure entries\n")
+        assert out == (
+            '{"command":"verify","ok":false,"precision":16,"seed":0,"suites":[{"checks":6,'
+            '"first_failure":{"check":"log-exp round trip distance 1","index":2,"p":3,'
+            '"x":"3^1 * (1 + 2*3 + 2*3^2 + 1*3^3 + 1*3^4 + 2*3^5 + 2*3^6 + 1*3^7 + 2*3^8 '
+            '+ 2*3^10 + 1*3^11 + 1*3^12 + 1*3^15) + O(3^17)"},"passed":5,"samples":['
+            '{"check":"additive homomorphism distance 20","p":3,"x":"3^2 * (1 + 1*3 + 1*3^3 '
+            '+ 1*3^4 + 1*3^5 + 2*3^6 + 1*3^8 + 2*3^10 + 1*3^11 + 2*3^12 + 1*3^14) + O(3^18)"},'
+            '{"check":"multiplicative homomorphism distance 19","p":3,"x":"3^2 * (1 + 1*3 '
+            '+ 1*3^2 + 2*3^3 + 1*3^4 + 1*3^5 + 1*3^7 + 1*3^10 + 2*3^11 + 2*3^14 + 1*3^15) '
+            '+ O(3^18)"},{"check":"exp-log round trip distance 20","p":3,"x":"3^2 * (1 + 1*3 '
+            '+ 1*3^2 + 2*3^3 + 2*3^4 + 2*3^7 + 2*3^8 + 2*3^11 + 2*3^12 + 2*3^15) + O(3^18)"}],'
+            '"suite":"exp-log"}]}\n'
+        )
+
+    def test_product_distance_reports_its_first_failure(self, capsys, monkeypatch):
+        # each check starts both products from PadicNumber.one; the third call
+        # (check 1's first product) starts from 1/p, a distance of valuation -1
+        real, calls = PadicNumber.one.__func__, []
+
+        def one(cls, p, precision=DEFAULT_PRECISION):
+            calls.append(p)
+            got = real(cls, p, precision)
+            if len(calls) == 3:
+                return got * PadicNumber.from_fraction(Fraction(1, 3), p, precision)
+            return got
+
+        monkeypatch.setattr(PadicNumber, "one", classmethod(one))
+        code, out, err = run(
+            capsys, "verify", "--suite", "product-distance", "--p", "3", "--checks", "5",
+            "--precision", "16",
+        )
+        assert (code, err) == (1, "suite violation; see first_failure entries\n")
+        assert out == (
+            '{"command":"verify","ok":false,"precision":16,"seed":0,"suites":[{"checks":5,'
+            '"first_failure":{"bound":"0","factors":3,"got":"-1","index":1,"p":3},"passed":4,'
+            '"samples":[{"bound":"0","factors":7,"got":"0","p":3},'
+            '{"bound":"0","factors":4,"got":"0","p":3},{"bound":"1","factors":1,"got":"1","p":3}],'
+            '"suite":"product-distance"}]}\n'
+        )
+
+    def test_contraction_reports_its_first_failure(self, capsys, monkeypatch):
+        # the second recursion's offsets flattened to their leaf value: no
+        # level contracts
+        real, calls = cli.recursion_backward, []
+
+        def recursion_backward(*args):
+            res = real(*args)
+            calls.append(res)
+            if len(calls) == 2:
+                return types.SimpleNamespace(
+                    per_level_offset=[res.per_level_offset[-1]] * len(res.per_level_offset)
+                )
+            return res
+
+        monkeypatch.setattr(cli, "recursion_backward", recursion_backward)
+        code, out, err = run(capsys, "verify", "--suite", "contraction", "--checks", "5", "--n", "3")
+        assert (code, err) == (1, "suite violation; see first_failure entries\n")
+        assert out == (
+            '{"command":"verify","ok":false,"precision":32,"seed":0,"suites":[{"checks":5,'
+            '"first_failure":{"index":1,"offsets":["1","1","1","1"]},"passed":4,"samples":['
+            '{"offsets":["4","3","2","1"]},{"offsets":["6","3","2","1"]},'
+            '{"offsets":["5","3","2","1"]}],"suite":"contraction"}]}\n'
+        )
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -346,7 +432,7 @@ class TestCompatCheck:
             return exp_p(x, precision)
 
         monkeypatch.setattr(potts_model, "exp_p", counting_exp)
-        addresses = [str(v) for v in ball(TreeShape(2), 2)]
+        addresses = [str(v) for v in ball_with_edges(TreeShape(2), 2)[0]]
         field = tmp_path / "field.json"
         field.write_text(json.dumps({a: ["3", "9/2"] for a in addresses}))
         code, out, err = run(capsys, "compat-check", "--k", "2", "--n", "2", "--field", str(field))

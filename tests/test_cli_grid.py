@@ -1,0 +1,46 @@
+"""The byte-equivalence grid tool runs on the present tree."""
+
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "cli_grid.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_grid", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_grid_covers_every_subcommand_and_workload():
+    invocations = _tool().grid()
+    assert len(invocations) >= 462
+    argvs = [argv for argv, _ in invocations]
+    assert {"verify", "classify", "compat-check", "norm-profile"} <= {a[0] for a in argvs if a}
+    suites = {a[a.index("--suite") + 1] for a in argvs if "--suite" in a}
+    assert {"exp-log", "product-distance", "contraction", "compat", "all"} <= suites
+    # workload inputs are written under relative names, so no record names a path
+    for argv, files in invocations:
+        assert all(not name.startswith("/") for name in files)
+        assert all(not arg.startswith("/") for arg in argv)
+
+
+def test_reduced_grid_records_every_invocation_the_same_way_twice():
+    tool = _tool()
+    reduced = tool.grid()[::10]
+    records = tool.run(str(ROOT), reduced)
+    assert tool.run(str(ROOT), reduced) == records
+    assert [(r["argv"], r["files"]) for r in records] == [(a, f) for a, f in reduced]
+    for r in records:
+        assert set(r) == {"argv", "files", "exit", "stdout", "stderr", "written"}
+        assert r["exit"] in range(5), r
+        assert isinstance(r["stdout"], str) and isinstance(r["stderr"], str)
+        if r["stdout"] and "--help" not in r["argv"]:
+            assert r["stdout"].endswith("\n")
+            json.loads(r["stdout"])
+        if r["exit"] in (2, 3, 4) and "--help" not in r["argv"]:
+            assert r["stdout"] == "" and r["stderr"]
+    assert {r["exit"] for r in records} >= {0, 1}

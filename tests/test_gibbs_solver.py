@@ -6,7 +6,7 @@ import pytest
 from conftest import exp_domain_fraction
 
 from padic_potts import gibbs_solver
-from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges, edges, sphere
+from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
 from padic_potts.errors import (
     DenominatorDegenerate,
     DomainViolation,
@@ -24,7 +24,6 @@ from padic_potts.gibbs_solver import (
     _offset_valuation,
     classify_phase,
     f_map_z,
-    h_to_hprime,
     hprime_to_h,
     period2_k2_analysis,
     recursion_backward,
@@ -56,6 +55,22 @@ def pvec(values, p=3, n=N):
 
 def edge_weight(J, p=3, n=N):
     return exp_p(num(J, p, n))
+
+
+def h_to_hprime(h):
+    """The complement-sum map that ``hprime_to_h`` inverts: output i is the
+    sum of h_j over j != i.  The two-state case has a one-component vector
+    whose complement sum is empty, so the image is exactly zero."""
+    if len(h) == 1:
+        return (PadicNumber.zero(h[0].prime, h[0].precision),)
+    out = []
+    for i in range(len(h)):
+        acc = None
+        for j, c in enumerate(h):
+            if j != i:
+                acc = c if acc is None else acc + c
+        out.append(acc)
+    return tuple(out)
 
 
 class TestFieldCoordinates:
@@ -166,7 +181,7 @@ class TestBackwardRecursion:
     def test_all_ones_boundary_stays_trivial(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
-        boundary = {x: pvec([1]) for x in sphere(shape, 3)}
+        boundary = {x: pvec([1]) for x in ball_with_edges(shape, 3)[0][-shape.sphere_size(3):]}
         got = recursion_backward(shape, boundary, J, 3, N)
         assert isinstance(got, RecursionResult)
         assert all(c == num(1) for c in got.root_z)
@@ -178,7 +193,7 @@ class TestBackwardRecursion:
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
         z0 = (num(4),)
-        boundary = {x: z0 for x in sphere(shape, 4)}
+        boundary = {x: z0 for x in ball_with_edges(shape, 4)[0][-shape.sphere_size(4):]}
         got = recursion_backward(shape, boundary, J, 4, N)
         assert [int(v) for v in got.per_level_offset] == [6, 4, 3, 2, 1]
 
@@ -199,7 +214,7 @@ class TestBackwardRecursion:
         # the reported offset per level is the worst over the sphere
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), 3, 2)
-        leaves = sphere(shape, 2)
+        leaves = ball_with_edges(shape, 2)[0][-shape.sphere_size(2):]
         boundary = {x: (num(4),) for x in leaves[:-1]}
         boundary[leaves[-1]] = (num(10),)  # offset 2 instead of 1
         got = recursion_backward(shape, boundary, J, 2, N)
@@ -232,7 +247,9 @@ def _random_coupling(rng, pattern, shape, n, p, q):
     if pattern == "bipartite":
         return CouplingField.bipartite(draw(), draw(), p, q)
     values = [draw() for _ in range(3)]
-    return CouplingField.per_edge({edge: rng.choice(values) for edge in edges(shape, n)}, p, q)
+    vertices, pairs = ball_with_edges(shape, n)
+    table = {(vertices[i], vertices[j]): rng.choice(values) for i, j in pairs}
+    return CouplingField.per_edge(table, p, q)
 
 
 def _fold_outcome(fold, *args):
@@ -288,7 +305,7 @@ class TestIntegerFold:
         # further up
         shape, p = TreeShape(2), 3
         J = CouplingField.homogeneous(Fraction(3), p, 2)
-        leaves = sphere(shape, 3)
+        leaves = ball_with_edges(shape, 3)[0][-shape.sphere_size(3):]
         laws = [(PadicNumber(1 + 3 * (i + 1), p, 16),) for i in range(len(leaves))]
         laws[2] = (PadicNumber(1 + 3**9, p, 16, known_abs=7),)
         laws[5] = (PadicNumber(1 + 3**9, p, 16, known_abs=8),)
@@ -302,7 +319,7 @@ class TestIntegerFold:
     def test_reads_each_sphere_law_once_in_address_order(self, in_regime, monkeypatch):
         shape, p = TreeShape(2), 3
         J = CouplingField.homogeneous(Fraction(3), p, 2 if in_regime else 3)
-        leaves = sphere(shape, 3)
+        leaves = ball_with_edges(shape, 3)[0][-shape.sphere_size(3):]
         laws = _CountingLaws({x: (PadicNumber(1 + 3 * (i + 1), p),) * (J.q - 1)
                               for i, x in enumerate(leaves)})
         folds = []
@@ -356,7 +373,8 @@ class TestIntegerFold:
                 for i in range(shape.sphere_size(n))]
         ball = ball_with_edges(shape, n)
         assert _integer_fold(shape, ball, laws, J, n, 16) is None
-        got = recursion_backward(shape, dict(zip(sphere(shape, n), laws)), J, n, 16)
+        leaves = ball[0][-shape.sphere_size(n):]
+        got = recursion_backward(shape, dict(zip(leaves, laws)), J, n, 16)
         assert [str(c) for c in got.root_z] == rendered
         assert [c.known_abs for c in got.root_z] == known
         assert got.per_level_offset == offsets
@@ -374,13 +392,14 @@ class TestIntegerFold:
             shape = TreeShape(k)
             J = CouplingField.homogeneous(exp_domain_fraction(rng, p), p, q)
             h = BoundaryField.zero(q, p)
-            for x in sphere(shape, n):
+            leaves = ball_with_edges(shape, n)[0][-shape.sphere_size(n):]
+            for x in leaves:
                 h.assign(x, tuple(PadicNumber(exp_domain_fraction(rng, p), p, N)
                                   for _ in range(q - 1)))
             system = _LevelWeights(shape, h, J, n, N)
             B, mod = system.modulus_exponent, system.modulus
             laws = {}
-            for x in sphere(shape, n):
+            for x in leaves:
                 sites = h.site_exponentials(x, N)
                 laws[x] = tuple(w / sites[-1] for w in sites[:-1])
             root = recursion_backward(shape, laws, J, n, N).root_z

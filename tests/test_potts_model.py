@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import exp_domain_fraction
 
-from padic_potts.cayley_tree import TreeShape, TreeVertex, ball, edges, sphere
+from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
 from padic_potts.errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -25,11 +25,11 @@ from padic_potts.potts_model import (
     compatibility_check,
     coupling_from_json,
     finite_measure,
-    finite_measure_table,
-    hamiltonian,
     measure_norm_profile,
     _LevelWeights,
+    _residue_quotient,
     _shift_hint,
+    _weights_resolving_partition,
     spin_pairing,
 )
 
@@ -63,11 +63,32 @@ class TestSpinPairing:
                 spin_pairing(h, bad)
 
 
+def hamiltonian(shape, cfg, J, n, precision):
+    """Minus the coupling sum over agreeing edges of the n-ball, exactly."""
+    vertices, pairs = ball_with_edges(shape, n)
+    total = Fraction(0)
+    for i, j in pairs:
+        x, y = vertices[i], vertices[j]
+        if cfg[x] == cfg[y]:
+            total += J.coupling_for_edge(x, y)
+    return PadicNumber.from_fraction(-total, J.prime, precision)
+
+
+def finite_measure_table(shape, h, J, n, precision):
+    """Every configuration of the n-ball with its measure: all q**|B_n| of
+    them, over the partition sum of one tree pass."""
+    system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
+    return [
+        (cfg, _residue_quotient(system.weight(cfg), z_res, zeta, system))
+        for cfg in itertools.product(range(1, system.q + 1), repeat=len(system.vertices))
+    ]
+
+
 class TestHamiltonian:
     def test_constant_configuration_counts_every_edge(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        cfg = {v: 1 for v in ball(shape, 1)}
+        cfg = {v: 1 for v in ball_with_edges(shape, 1)[0]}
         got = hamiltonian(shape, cfg, J, 1, N)
         assert got == PadicNumber.from_fraction(Fraction(-9), P, N)  # -3J, J=3
 
@@ -75,7 +96,7 @@ class TestHamiltonian:
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(5), 5, 5)
         spins = {}
-        for i, v in enumerate(ball(shape, 1)):
+        for i, v in enumerate(ball_with_edges(shape, 1)[0]):
             spins[v] = i + 1  # 4 vertices, labels 1..4, never equal on an edge
         assert hamiltonian(shape, spins, J, 1, N).is_zero
 
@@ -83,9 +104,11 @@ class TestHamiltonian:
         shape = TreeShape(2)
         J = CouplingField.bipartite(Fraction(3), Fraction(9, 2), P, 3)
         for _ in range(25):
-            spins = {v: rng.randrange(1, 4) for v in ball(shape, 2)}
+            vertices = ball_with_edges(shape, 2)[0]
+            spins = {v: rng.randrange(1, 4) for v in vertices}
             total = Fraction(0)
-            for parent, child in edges(shape, 2):
+            for child in vertices[1:]:
+                parent = child.parent()
                 if spins[parent] == spins[child]:
                     total -= J.coupling_for_edge(parent, child)
             got = hamiltonian(shape, spins, J, 2, N)
@@ -99,9 +122,27 @@ class TestHamiltonian:
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         for _ in range(10):
-            spins = {v: rng.randrange(1, 4) for v in ball(shape, 1)}
+            spins = {v: rng.randrange(1, 4) for v in ball_with_edges(shape, 1)[0]}
             h = hamiltonian(shape, spins, J, 1, N)
             assert h.is_zero or h.norm_valuation() >= 1
+
+
+    @pytest.mark.parametrize("pattern", ("homogeneous", "bipartite", "per_edge"))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_zero_field_weight_is_exp_of_minus_hamiltonian(self, k, pattern):
+        # every site factor of the zero field is exp(0) = 1, so a weight is
+        # the product of theta over the agreeing edges: exp(-H) mod p**B
+        rng = random.Random(f"weight-{k}-{pattern}")
+        shape = TreeShape(k)
+        for p, q in ((2, 2), (3, 3), (5, 2), (3, 4)):
+            for n in (0, 1, 2):
+                J = _coupling(pattern, shape, n, q, p, rng)
+                system = _LevelWeights(shape, BoundaryField.zero(q, p), J, n, N)
+                B = system.modulus_exponent
+                for _ in range(4):
+                    cfg = tuple(rng.randrange(1, q + 1) for _ in system.vertices)
+                    H = hamiltonian(shape, dict(zip(system.vertices, cfg)), J, n, N)
+                    assert system.weight(cfg) == exp_p(-H, precision=B).residue(B)
 
 
 class TestFiniteMeasure:
@@ -124,7 +165,7 @@ class TestFiniteMeasure:
         J = CouplingField.homogeneous(Fraction(3), P, 2)
         h = BoundaryField.zero(2, P)
         theta = J.theta_for_edge(TreeVertex.root(), TreeVertex.root().child(0), N)
-        verts = ball(shape, 1)
+        verts = ball_with_edges(shape, 1)[0]
         all_same = {v: 1 for v in verts}
         spins = {v: 1 for v in verts}
         spins[verts[-1]] = 2
@@ -145,7 +186,7 @@ class TestFiniteMeasure:
         h_swapped = BoundaryField.constant(swapped_vec)
         swap = {1: 2, 2: 1, 3: 3}
         for spins in itertools.product((1, 2, 3), repeat=3):
-            verts = ball(shape, 1)
+            verts = ball_with_edges(shape, 1)[0]
             cfg = dict(zip(verts, spins))
             cfg_swapped = dict(zip(verts, (swap[s] for s in spins)))
             a = finite_measure(shape, cfg, h, J, 1, N)
@@ -187,7 +228,7 @@ def _field(kind, shape, n, q, p, rng, spread=3):
         return BoundaryField.constant(draw())
     if kind == "parity":
         return BoundaryField.by_parity(draw(), draw())
-    return BoundaryField(q, p, {x: draw() for x in ball(shape, n)})
+    return BoundaryField(q, p, {x: draw() for x in ball_with_edges(shape, n)[0]})
 
 
 def _brute_sums(system, inner_count):
@@ -235,7 +276,9 @@ def _coupling(kind, shape, n, q, p, rng):
         return CouplingField.bipartite(
             exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q
         )
-    return CouplingField.per_edge({e: exp_domain_fraction(rng, p) for e in edges(shape, n)}, p, q)
+    vertices, pairs = ball_with_edges(shape, n)
+    table = {(vertices[i], vertices[j]): exp_domain_fraction(rng, p) for i, j in pairs}
+    return CouplingField.per_edge(table, p, q)
 
 
 def _brute_compatibility(shape, h, J, n, precision):
@@ -585,7 +628,8 @@ class TestBoundaryField:
 def _direct_site_rows(system, h, J, shape, n, work):
     """The site residues and modulus exponent of ``system`` computed the
     uncached way: one exp_p per sphere site and spin, and per edge."""
-    thetas = [J.theta_for_edge(x, y, work) for x, y in edges(shape, n)]
+    vertices, pairs = ball_with_edges(shape, n)
+    thetas = [J.theta_for_edge(vertices[i], vertices[j], work) for i, j in pairs]
     tables = {
         i: [exp_p(spin_pairing(h.field_at(v), s), precision=work) for s in range(1, h.q + 1)]
         for i, v in enumerate(system.vertices)
@@ -621,7 +665,8 @@ class TestSiteTableCache:
 
         even, odd = draw(), draw()
         h = BoundaryField.by_parity(even, odd)
-        for i, v in enumerate(ball(shape, n)):
+        vertices = ball_with_edges(shape, n)[0]
+        for i, v in enumerate(vertices):
             pick = i % 6
             if pick == 0:
                 h.assign(v, copy(even))
@@ -643,13 +688,15 @@ class TestSiteTableCache:
 
         check_every_level()
         # entries assigned after the tables were cached must be read afresh
-        for v in sphere(shape, n)[:3] + sphere(shape, n - 1)[:2]:
+        inner = shape.ball_size(n - 1)
+        for v in vertices[inner:][:3] + vertices[inner - shape.sphere_size(n - 1):inner][:2]:
             h.assign(v, draw() if rng.random() < 0.5 else copy(odd))
         check_every_level()
 
     def test_one_table_per_distinct_vector_and_precision(self):
         h = BoundaryField.by_parity(vec([3, 9]), vec([0, 3]))
-        for x in sphere(TreeShape(2), 2):
+        shape = TreeShape(2)
+        for x in ball_with_edges(shape, 2)[0][-shape.sphere_size(2):]:
             h.assign(x, vec([3, 9]))
         root, entry, odd = (TreeVertex.from_string(a) for a in ("", "1.1", "0"))
         assert h.site_exponentials(entry, N) is h.site_exponentials(root, N)
