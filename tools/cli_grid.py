@@ -36,7 +36,8 @@ import contextlib, io, json, os, sys
 src = sys.argv[1]
 sys.path.insert(0, src)
 from padic_potts import cli
-assert os.path.dirname(os.path.abspath(cli.__file__)).startswith(src), cli.__file__
+if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+    sys.exit(f"padic_potts imported from {cli.__file__}, not from {src}")
 for line in sys.stdin:
     argv, files = json.loads(line)
     for name, text in files.items():
