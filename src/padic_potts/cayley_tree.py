@@ -70,9 +70,15 @@ class TreeVertex:
 
     @classmethod
     def from_string(cls, text: str) -> "TreeVertex":
+        """The vertex at dot-joined child indices ("0.1.0"); the root is ""."""
         if text == "":
             return cls(())
-        return cls(tuple(int(part) for part in text.split(".")))
+        try:
+            address = tuple(int(part) for part in text.split("."))
+        except ValueError:
+            raise ValueError(f"vertex address {text!r} is not dot-joined child indices "
+                             f"like '0.1' (the root is '')") from None
+        return cls(address)
 
     @property
     def level(self) -> int:

@@ -13,6 +13,11 @@ inverse (Newton-lifted, ``padic_core._inverse_mod``): the same sum mod p**k
 as a term-by-term loop.
 Truncation bounds use v(n!) = (n - digitsum_p(n)) / (p - 1), estimated from
 above by (n - 1) / (p - 1), and v(n) <= log_p(n).
+
+The Hensel root search walks the residues of a disk on integers: the
+coefficients over one common denominator, each branch's polynomial its
+parent's under an integer Taylor shift (von zur Gathen and Gerhard, ISSAC
+1997), and each root's residual valuation read off the walk.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ from .padic_core import (
     _inverse_mod,
     _vp,
     as_prime,
-    rational_valuation,
-    residue_of_rational,
 )
 
 # residual digits a root may miss at the working precision and still verify
@@ -168,25 +171,33 @@ def _blocked_sum(u: int, y: int, plan: tuple, pv: int, k: int) -> int:
     return y * first * num * _inverse_mod(den, pv, k) % modulus
 
 
-def _shifted_coefficients(
-    coeffs: list[Fraction], a: Fraction, b: Fraction
-) -> list[Fraction]:
-    """Coefficients of f(a + b*w) given those of f(z)."""
+def _shifted(coeffs: list[int], a: int, b: int) -> list[int]:
+    """Coefficients of P(a + b*w) given those of P(z), integers: a Taylor
+    shift by a (the Horner scheme, d(d+1)/2 multiply-adds; von zur Gathen
+    and Gerhard, ISSAC 1997), then w scaled by b."""
+    out = list(coeffs)
+    deg = len(out) - 1
+    if a:
+        for i in range(deg):
+            for j in range(deg - 1, i - 1, -1):
+                out[j] += a * out[j + 1]
+    return [c * b**j for j, c in enumerate(out)]
+
+
+def _cleared(coeffs: list[Fraction], d: int) -> tuple[list[int], int]:
+    """Integers P_i and K with sum P_i * y**i = K * sum c_i * (y/d)**i:
+    the coefficients over one common denominator, and d cleared."""
+    den = math.lcm(*(c.denominator for c in coeffs))
     deg = len(coeffs) - 1
-    out = [Fraction(0)] * (deg + 1)
-    for i, ci in enumerate(coeffs):
-        if ci == 0:
-            continue
-        ai = [ci * math.comb(i, j) * a ** (i - j) * b**j for j in range(i + 1)]
-        for j, t in enumerate(ai):
-            out[j] += t
-    return out
+    ints = [c.numerator * (den // c.denominator) * d ** (deg - i) for i, c in enumerate(coeffs)]
+    return ints, den * d**deg
 
 
-def _poly_eval_fraction(coeffs: list[Fraction], z: Fraction) -> Fraction:
-    out = Fraction(0)
+def _horner(coeffs: list[int], x: int) -> int:
+    """The integer polynomial at x, exactly."""
+    out = 0
     for c in reversed(coeffs):
-        out = out * z + c
+        out = out * x + c
     return out
 
 
@@ -197,140 +208,131 @@ def hensel_roots_in_disk(
 
     ``f`` is the tuple of coefficients in ascending degree order; the roots
     carry the least precision among them, and the least ``known_abs`` blurs
-    them.  Walks residues digit by digit: a residue where the reduced
-    derivative is a unit is lifted by the Newton step, a repeated residue is
-    refined one digit deeper.  A branch that neither separates nor
-    terminates within depth 2N raises LiftStall.  Returned roots are
-    verified to push the residual valuation to at least
-    N - ROOT_RESIDUAL_MARGIN and are deduplicated at that same threshold.
+    them.  Walks residues digit by digit on integers: the disk is
+    z = center + p**offset * t with denominators cleared once, and each
+    branch holds an integer polynomial in its next digits, its parent's
+    shifted by the branch digit with w scaled by p.  A residue where the
+    reduced derivative is a unit is lifted by the Newton step, a repeated
+    residue is refined one digit deeper.  A branch that neither separates nor
+    terminates within depth 2N raises LiftStall.  A root's residual valuation
+    is the branch content plus the lift's, read off the walk; returned roots
+    push it to at least N - ROOT_RESIDUAL_MARGIN and are deduplicated at that
+    same threshold.
 
     Raises:
-        ValueError: if f is empty, mixes primes, or has degree >= 1 and an
-            exact-zero leading coefficient.
+        ValueError: if f is empty, mixes primes, is the zero polynomial, or
+            has degree >= 1 and an exact-zero leading coefficient.
     """
     if not f:
         raise ValueError("a polynomial needs at least one coefficient")
     p = f[0].prime
     if any(c.prime != p for c in f):
         raise ValueError("coefficients mix primes")
-    if len(f) > 1 and f[-1].is_zero:
-        raise ValueError("leading coefficient is zero; drop it first")
+    if f[-1].is_zero:
+        raise ValueError("the zero polynomial vanishes on the whole disk" if len(f) == 1
+                         else "leading coefficient is zero; drop it first")
     pv = p.value
     n_rel = min(c.precision for c in f)
     k_f = min((c.known_abs for c in f if c.known_abs is not None), default=None)
     target = n_rel - ROOT_RESIDUAL_MARGIN
     depth_cap = 2 * n_rel
-    base_coeffs, c0 = [c.value for c in f], center.value
-    found: list[tuple[Fraction, int | None]] = []  # (value, digits known past offset)
+    m, c0 = min_valuation_offset, center.value
+    # z = center + p**m * t = (a + b*t) / d, all three integers
+    a = c0.numerator * pv ** max(0, -m)
+    b, d = c0.denominator * pv ** max(0, m), c0.denominator * pv ** max(0, -m)
+    base, scale = _cleared([c.value for c in f], d)
+    found: list[tuple] = []  # (t, depth, content, residual of the lift or None if exact)
 
     # Depth-first over residue branches, children in residue order, on an
     # explicit stack: a repeated residue refines one digit per level down to
     # depth 2N, which at high precision is past the interpreter's frame limit.
-    work: list[tuple] = [("branch", 0, 0)]  # ("branch", prefix, depth) | ("root", value, known)
+    # A branch at t = prefix + p**depth * w holds an integer g(w) that is f
+    # over p**above times a unit.
+    work: list[tuple] = [("branch", 0, 0, -_vp(scale, pv), _shifted(base, a, b))]
     while work:
         item = work.pop()
         if item[0] == "root":
             found.append(item[1:])
             continue
-        _, prefix, depth = item
-        a = c0 + Fraction(pv) ** min_valuation_offset * prefix
-        b = Fraction(pv) ** (min_valuation_offset + depth)
-        g = _shifted_coefficients(base_coeffs, a, b)
-        content = min(v for c in g if (v := rational_valuation(c, p)) is not None)
-        norm = [c / Fraction(pv) ** content for c in g]
-        norm_mod_p = [residue_of_rational(c, p, 1) for c in norm]
+        _, prefix, depth, above, g = item
+        content = _vp(math.gcd(*g), pv)
+        norm = [c // pv**content for c in g]
+        content += above
+        norm_mod_p = [c % pv for c in norm]
         deriv_mod_p = [(j * c) % pv for j, c in enumerate(norm_mod_p)][1:] or [0]
+        step = pv**depth
         children = []
         for r in range(pv):
-            if _poly_eval_int(norm_mod_p, r, pv) != 0:
+            if _horner(norm_mod_p, r) % pv:
                 continue
-            if _poly_eval_int(deriv_mod_p, r, pv) != 0:
-                w = _newton_lift(norm, r, p, n_rel + min_valuation_offset + depth + 8)
-                res = _lift_digits(norm, w, p)
-                known = None if res is None else min_valuation_offset + depth + res
-                children.append(("root", a + b * w, known))
+            if _horner(deriv_mod_p, r) % pv:
+                digits = n_rel + m + depth + 8
+                w = _newton_lift(norm, r, p, digits)
+                rest = _horner(norm, w) // pv**digits  # norm(w) = 0 mod p**digits
+                res = digits + _vp(rest, pv) if rest else None
+                children.append(("root", prefix + step * w, depth, content, res))
             elif depth + 1 > depth_cap:
                 raise LiftStall(
-                    f"residue branch at digits {prefix + r * pv**depth} "
+                    f"residue branch at digits {prefix + r * step} "
                     f"did not separate within depth {depth_cap}"
                 )
             else:
-                children.append(("branch", prefix + r * pv**depth, depth + 1))
+                children.append(("branch", prefix + r * step, depth + 1, content,
+                                 _shifted(norm, r, pv)))
         work.extend(reversed(children))
 
+    def order(root):  # by the offset's valuation, then its unit mod p**12
+        v = _vp(root[0], pv) if root[0] else None
+        return (1, 0, 0) if v is None else (0, m + v, root[0] // pv**v % pv**12)
+
+    if k_f is not None and found:
+        # f' with each inexact coefficient times i reduced mod its own bound,
+        # which c.value * i would not be
+        slope, slope_scale = _cleared([(c * i).value for i, c in enumerate(f) if i], d)
     roots: list[PadicNumber] = []
-    seen: list[Fraction] = []
-    # f' with each inexact coefficient times i reduced mod its own bound, which
-    # c.value * i would not be
-    slope_coeffs = None if k_f is None else [(c * i).value for i, c in enumerate(f) if i]
-    for value, lift_known in sorted(found, key=lambda rv: _root_sort_key(rv[0], c0, p)):
-        residual = rational_valuation(_poly_eval_fraction(base_coeffs, value), p)
-        if residual is not None and residual < target:
+    seen: list[int] = []
+    for t, depth, content, res in sorted(found, key=order):
+        if res is not None and content + res < target:
             continue
-        if any(_agree(value, s, p, target) for s in seen):
+        if any(t == s or m + _vp(t - s, pv) >= target for s in seen):
             continue
-        seen.append(value)
-        known = lift_known
+        seen.append(t)
+        y, known = a + b * t, None if res is None else m + depth + res
         if k_f is not None:
             # fuzzy coefficients blur the root by their own uncertainty
-            slope = rational_valuation(_poly_eval_fraction(slope_coeffs, value), p)
-            coeff_known = k_f - (slope if slope is not None else 0)
+            at_y = _horner(slope, y)
+            coeff_known = k_f - (_vp(at_y, pv) - _vp(slope_scale, pv) if at_y else 0)
             known = coeff_known if known is None else min(known, coeff_known)
-        if value == 0 and known is not None:
+        if y == 0 and known is not None:
             raise PrecisionExhausted(
                 "root indistinguishable from zero at working precision", bound=known
             )
-        roots.append(PadicNumber(value, p, n_rel, known_abs=known))
+        roots.append(PadicNumber(Fraction(y, d), p, n_rel, known_abs=known))
     return roots
 
 
-def _poly_eval_int(coeffs: list[int], x: int, mod: int) -> int:
-    """Horner evaluation of integer coefficients at x, mod ``mod``."""
-    out = 0
-    for c in reversed(coeffs):
-        out = (out * x + c) % mod
-    return out
-
-
-def _newton_lift(norm: list[Fraction], r: int, p: Prime, digits: int) -> int:
-    """Lift a simple residue root of a content-free polynomial to Z/p**digits.
+def _newton_lift(norm: list[int], r: int, p: Prime, digits: int) -> int:
+    """Lift a simple residue root of a content-free integer polynomial to
+    Z/p**digits.
 
     The coefficients and their derivative are reduced mod p**digits once;
-    each doubling step then evaluates both by Horner mod p**prec.  The
+    each doubling step then evaluates both at w by Horner, mod p**prec.  The
     derivative's inverse is lifted alongside: one inverse mod p, then
     inv <- inv(2 - f'(w) inv) per step.  A step that doubles w's digits needs
     f'(w)**-1 only to w's old digits, which inv, one step behind w, has.  The
     result is the unique root mod p**digits over r.
     """
     pv = p.value
-    coeffs = [residue_of_rational(c, p, digits) for c in norm]
+    top = pv**digits
+    coeffs = [c % top for c in norm]
     deriv = [j * c for j, c in enumerate(coeffs)][1:]
     w = r
-    inv = pow(_poly_eval_int(deriv, r, pv), -1, pv)
+    inv = pow(_horner(deriv, r), -1, pv)
     prec = 1
     while prec < digits:
         prec = min(2 * prec, digits)
         mod = pv**prec
-        fw, dw = _poly_eval_int(coeffs, w, mod), _poly_eval_int(deriv, w, mod)
+        fw, dw = _horner(coeffs, w) % mod, _horner(deriv, w) % mod
         inv = inv * (2 - dw * inv) % mod
         w = (w - fw * inv) % mod
     return w
-
-
-def _lift_digits(norm: list[Fraction], w: int, p: Prime) -> int | None:
-    """Residual valuation of the lift; None when w is an exact root."""
-    return rational_valuation(_poly_eval_fraction(norm, Fraction(w)), p)
-
-
-def _agree(a: Fraction, b: Fraction, p: Prime, digits: int) -> bool:
-    v = rational_valuation(a - b, p)
-    return v is None or v >= digits
-
-
-def _root_sort_key(value: Fraction, center: Fraction, p: Prime):
-    diff = value - center
-    v = rational_valuation(diff, p)
-    if v is None:
-        return (1, 0, 0)
-    unit = diff / Fraction(p.value) ** v
-    return (0, v, residue_of_rational(unit, p, 12))

@@ -190,19 +190,6 @@ def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
     return _vp(x.numerator, pv) or -_vp(x.denominator, pv)
 
 
-def residue_of_rational(x: Fraction | int, p: int | Prime, k: int) -> int:
-    """The unique integer r in [0, p**k) with x == r mod p**k.
-
-    Requires valuation(x) >= 0 (the denominator must be prime to p).
-    """
-    pv = as_prime(p).value
-    x = Fraction(x)
-    mod = pv**k
-    if x.denominator % pv == 0:
-        raise ValueError("rational has negative valuation, no residue mod p**k")
-    return x.numerator * pow(x.denominator, -1, mod) % mod
-
-
 class PadicNumber:
     """A p-adic number carried to N significant base-p digits.
 

@@ -587,15 +587,14 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
     if not isinstance(raw, kind):
         shape = "an array" if kind is list else "an object"
         raise ValueError(f"{pattern} coupling values must be a JSON {shape}, got {raw!r}")
-    if pattern == "homogeneous":
-        return CouplingField.homogeneous(_fraction_from_text(raw["J"]), p, q)
-    if pattern == "bipartite":
-        return CouplingField.bipartite(
-            _fraction_from_text(raw["even_to_odd"]),
-            _fraction_from_text(raw["odd_to_even"]),
-            p,
-            q,
-        )
+    if pattern != "per_edge":
+        keys = ("J",) if pattern == "homogeneous" else ("even_to_odd", "odd_to_even")
+        try:
+            values = [_fraction_from_text(raw[key]) for key in keys]
+        except KeyError as missing:
+            raise ValueError(f"{pattern} coupling values lack field {missing}") from None
+        make = CouplingField.homogeneous if pattern == "homogeneous" else CouplingField.bipartite
+        return make(*values, p, q)
     table = {}
     for x, y, value in raw:
         if not (isinstance(x, str) and isinstance(y, str)):

@@ -14,7 +14,8 @@ def test_every_layer_entry_runs_once():
     entries = tool._entries()
     names = {name for name, _, _ in entries}
     assert {
-        "PadicNumber.inverse", "exp_p", "f_map_z", "hensel_roots_in_disk", "exp_p.cold_plan",
+        "PadicNumber.inverse", "exp_p", "f_map_z", "hensel_roots_in_disk",
+        "hensel_roots_in_disk.quadratic", "exp_p.cold_plan",
         "log_p.cold_plan", "_LevelWeights", "_LevelWeights.partition_residue",
         "PadicNumber.mul.exact", "PadicNumber.distance_valuation.exact",
         "PadicNumber.from_fraction", "solve_k1_bipartite", "recursion_backward",

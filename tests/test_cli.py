@@ -416,6 +416,28 @@ class TestCompatCheck:
         assert err.startswith("config error:")
         assert "'7.3'" in err and "k=1" in err
 
+    @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
+    def test_malformed_field_address_names_the_format(self, capsys, tmp_path, command):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"default": ["3", "0"]}))
+        code, out, err = run(capsys, command, "--n", "1", "--field", str(field))
+        assert (code, out) == (1, "")
+        assert err == (
+            "config error: field file invalid: vertex address 'default' is not dot-joined "
+            "child indices like '0.1' (the root is '')\n"
+        )
+
+    @pytest.mark.parametrize("command", ["compat-check", "norm-profile", "classify"])
+    def test_malformed_per_edge_address_names_the_format(self, capsys, command):
+        values = [["", "0", "3"], ["", "1", "3"], ["0", "0.x", "3"]]
+        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": values}
+        code, out, err = run(capsys, command, "--k", "1", "--couplings", json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == (
+            "config error: couplings field invalid: vertex address '0.x' is not dot-joined "
+            "child indices like '0.1' (the root is '')\n"
+        )
+
     def test_field_address_past_the_ball_is_accepted(self, capsys, tmp_path):
         field = tmp_path / "field.json"
         field.write_text(json.dumps({"1.0.0.0": ["3", "0"]}))
@@ -518,6 +540,24 @@ def test_malformed_documents_are_config_errors(capsys, tmp_path, couplings, fiel
     assert code == 1
     assert out == ""
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "pattern, values, key",
+    [
+        ("homogeneous", {}, "J"),
+        ("homogeneous", {"j": "3"}, "J"),
+        ("bipartite", {"odd_to_even": "3"}, "even_to_odd"),
+        ("bipartite", {"even_to_odd": "3"}, "odd_to_even"),
+    ],
+)
+def test_missing_coupling_value_is_named(capsys, pattern, values, key):
+    doc = {"pattern": pattern, "p": 3, "q": 3, "values": values}
+    code, out, err = run(capsys, "classify", "--couplings", json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"config error: couplings field invalid: {pattern} coupling values lack field {key!r}\n"
+    )
 
 
 @pytest.mark.parametrize("n", ["20000", str(10**9)])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,22 +7,42 @@ import pytest
 from padic_potts.errors import DomainViolation, LiftStall, PrecisionExhausted
 from padic_potts.padic_analytic import (
     PLAN_CACHE_SIZE,
+    ROOT_RESIDUAL_MARGIN,
     _MIN_BLOCK,
     _newton_lift,
-    _poly_eval_fraction,
     _series_plan,
     exp_domain_min_valuation,
     exp_p,
     hensel_roots_in_disk,
     log_p,
 )
-from padic_potts.padic_core import PadicNumber, _vp, as_prime, residue_of_rational
+from padic_potts.padic_core import PadicNumber, Prime, _vp, as_prime, rational_valuation
 
 from conftest import exp_domain_fraction
 
 
 def num(x, p, n=32):
     return PadicNumber.from_fraction(Fraction(x), p, n)
+
+
+def residue_of_rational(x: Fraction | int, p: int | Prime, k: int) -> int:
+    """The unique integer r in [0, p**k) with x == r mod p**k.
+
+    Requires valuation(x) >= 0 (the denominator must be prime to p).
+    """
+    pv = as_prime(p).value
+    x = Fraction(x)
+    mod = pv**k
+    if x.denominator % pv == 0:
+        raise ValueError("rational has negative valuation, no residue mod p**k")
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def _poly_eval_fraction(coeffs: list[Fraction], z: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
 
 
 class TestDomains:
@@ -404,8 +425,9 @@ class TestHensel:
             ((), "at least one coefficient"),
             ((num(1, 3), num(1, 5)), "mix primes"),
             ((num(1, 3), num(0, 3)), "leading coefficient is zero"),
+            ((num(0, 3),), "^the zero polynomial vanishes on the whole disk$"),
         ],
-        ids=["empty", "mixed-primes", "zero-leading"],
+        ids=["empty", "mixed-primes", "zero-leading", "zero-polynomial"],
     )
     def test_refusals(self, coeffs, match):
         with pytest.raises(ValueError, match=match):
@@ -506,7 +528,7 @@ def test_carried_inverse_lift_matches_the_per_step_inverse(p):
     while digits <= 600:
         norm, roots = _simple_roots(rng, p, rng.randrange(1, 8))
         for r in roots[: 601 - digits]:
-            w = _newton_lift(norm, r, prime, digits)
+            w = _newton_lift([residue_of_rational(c, p, digits) for c in norm], r, prime, digits)
             assert w == _newton_lift_inverting_per_step(norm, r, prime, digits), (norm, r)
             digits += 1
 
@@ -523,9 +545,197 @@ def test_newton_lift_matches_the_fraction_evaluation(p):
             norm, roots = _simple_roots(rng, p, degree)
             for r in roots:
                 for digits in (1, 2, 3, 8, 33, 130):
-                    w = _newton_lift(norm, r, prime, digits)
+                    reduced = [residue_of_rational(c, p, digits) for c in norm]
+                    w = _newton_lift(reduced, r, prime, digits)
                     assert w == _newton_lift_on_fractions(norm, r, prime, digits)
                     at_w = _poly_eval_fraction(norm, Fraction(w))
                     assert residue_of_rational(at_w, p, digits) == 0
                 lifted += 1
     assert lifted >= 20
+
+
+# -- the Hensel root search as first written, walking its branches on
+# Fractions: the oracle of the integer walk
+
+
+def _shifted_coefficients(
+    coeffs: list[Fraction], a: Fraction, b: Fraction
+) -> list[Fraction]:
+    """Coefficients of f(a + b*w) given those of f(z)."""
+    deg = len(coeffs) - 1
+    out = [Fraction(0)] * (deg + 1)
+    for i, ci in enumerate(coeffs):
+        if ci == 0:
+            continue
+        ai = [ci * math.comb(i, j) * a ** (i - j) * b**j for j in range(i + 1)]
+        for j, t in enumerate(ai):
+            out[j] += t
+    return out
+
+
+def _poly_eval_int(coeffs: list[int], x: int, mod: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = (out * x + c) % mod
+    return out
+
+
+def _lift_digits(norm: list[Fraction], w: int, p: Prime) -> int | None:
+    """Residual valuation of the lift; None when w is an exact root."""
+    return rational_valuation(_poly_eval_fraction(norm, Fraction(w)), p)
+
+
+def _agree(a: Fraction, b: Fraction, p: Prime, digits: int) -> bool:
+    v = rational_valuation(a - b, p)
+    return v is None or v >= digits
+
+
+def _root_sort_key(value: Fraction, center: Fraction, p: Prime):
+    diff = value - center
+    v = rational_valuation(diff, p)
+    if v is None:
+        return (1, 0, 0)
+    unit = diff / Fraction(p.value) ** v
+    return (0, v, residue_of_rational(unit, p, 12))
+
+
+def _hensel_roots_on_fractions(f, center, min_valuation_offset):
+    if not f:
+        raise ValueError("a polynomial needs at least one coefficient")
+    p = f[0].prime
+    if any(c.prime != p for c in f):
+        raise ValueError("coefficients mix primes")
+    if len(f) > 1 and f[-1].is_zero:
+        raise ValueError("leading coefficient is zero; drop it first")
+    pv = p.value
+    n_rel = min(c.precision for c in f)
+    k_f = min((c.known_abs for c in f if c.known_abs is not None), default=None)
+    target = n_rel - ROOT_RESIDUAL_MARGIN
+    depth_cap = 2 * n_rel
+    base_coeffs, c0 = [c.value for c in f], center.value
+    found = []  # (value, digits known past offset)
+    work = [("branch", 0, 0)]  # ("branch", prefix, depth) | ("root", value, known)
+    while work:
+        item = work.pop()
+        if item[0] == "root":
+            found.append(item[1:])
+            continue
+        _, prefix, depth = item
+        a = c0 + Fraction(pv) ** min_valuation_offset * prefix
+        b = Fraction(pv) ** (min_valuation_offset + depth)
+        g = _shifted_coefficients(base_coeffs, a, b)
+        content = min(v for c in g if (v := rational_valuation(c, p)) is not None)
+        norm = [c / Fraction(pv) ** content for c in g]
+        norm_mod_p = [residue_of_rational(c, p, 1) for c in norm]
+        deriv_mod_p = [(j * c) % pv for j, c in enumerate(norm_mod_p)][1:] or [0]
+        children = []
+        for r in range(pv):
+            if _poly_eval_int(norm_mod_p, r, pv) != 0:
+                continue
+            if _poly_eval_int(deriv_mod_p, r, pv) != 0:
+                digits = n_rel + min_valuation_offset + depth + 8
+                w = _newton_lift([residue_of_rational(c, p, digits) for c in norm], r, p, digits)
+                res = _lift_digits(norm, w, p)
+                known = None if res is None else min_valuation_offset + depth + res
+                children.append(("root", a + b * w, known))
+            elif depth + 1 > depth_cap:
+                raise LiftStall(
+                    f"residue branch at digits {prefix + r * pv**depth} "
+                    f"did not separate within depth {depth_cap}"
+                )
+            else:
+                children.append(("branch", prefix + r * pv**depth, depth + 1))
+        work.extend(reversed(children))
+
+    roots = []
+    seen = []
+    slope_coeffs = None if k_f is None else [(c * i).value for i, c in enumerate(f) if i]
+    for value, lift_known in sorted(found, key=lambda rv: _root_sort_key(rv[0], c0, p)):
+        residual = rational_valuation(_poly_eval_fraction(base_coeffs, value), p)
+        if residual is not None and residual < target:
+            continue
+        if any(_agree(value, s, p, target) for s in seen):
+            continue
+        seen.append(value)
+        known = lift_known
+        if k_f is not None:
+            slope = rational_valuation(_poly_eval_fraction(slope_coeffs, value), p)
+            coeff_known = k_f - (slope if slope is not None else 0)
+            known = coeff_known if known is None else min(known, coeff_known)
+        if value == 0 and known is not None:
+            raise PrecisionExhausted(
+                "root indistinguishable from zero at working precision", bound=known
+            )
+        roots.append(PadicNumber(value, p, n_rel, known_abs=known))
+    return roots
+
+
+def _hensel_outcome(search, f, center, offset):
+    """The roots as (value, precision, known_abs) in order, or the error's
+    type, message and bound."""
+    try:
+        return [(r.value, r.precision, r.known_abs) for r in search(f, center, offset)]
+    except (LiftStall, PrecisionExhausted) as exc:
+        return type(exc), str(exc), getattr(exc, "bound", None)
+
+
+def _p_free(rng, p, top):
+    n = rng.randrange(1, top)
+    return n + 1 if n % p == 0 else n
+
+
+def _hensel_case(rng, p):
+    """A random search: polynomial, center and offset, planting simple,
+    exact (a nonnegative integer offset t) and double roots in the disk."""
+    n_rel = rng.randrange(6, 30)
+    offset = rng.randrange(3)
+    rational = rng.random() < 0.5
+    center = Fraction(rng.randrange(-30, 30))
+    if rational and rng.random() < 0.5:
+        center /= _p_free(rng, p, 40)
+    degree = rng.randrange(1, 6)
+    roots = []
+    while len(roots) < degree and rng.random() < 0.8:
+        kind = rng.choice(("simple", "exact", "double"))
+        t = Fraction(rng.randrange(0, p**4))
+        if kind == "simple":
+            t = Fraction(rng.randrange(-(p**6), p**6), _p_free(rng, p, 50) if rational else 1)
+        roots += [center + p**offset * t] * (2 if kind == "double" else 1)
+    roots = roots[:degree]
+    coeffs = [Fraction(1)]
+    for r in roots:  # times (z - r)
+        coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    for _ in range(degree - len(roots)):  # times a random linear factor
+        c, lead = rng.randrange(-(p**5), p**5), rng.choice((1, p, _p_free(rng, p, 20)))
+        coeffs = [lead * a + c * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    scale = Fraction(_p_free(rng, p, 30) * p ** rng.randrange(0, 4))
+    if rational:
+        # a deep denominator leaves some lifts short of the residual target
+        scale /= _p_free(rng, p, 30) * p ** rng.choice((0, 1, 3, 6, 9, 12, 15, 18))
+    inexact = rng.random() < 0.4
+    f = []
+    for c in coeffs:
+        c *= scale
+        known = None
+        if inexact and c and rng.random() < 0.8:
+            known = rational_valuation(c, p) + rng.randrange(1, n_rel + 10)
+        f.append(PadicNumber(c, p, n_rel + rng.randrange(3), known_abs=known))
+    return tuple(f), PadicNumber(center, p, n_rel), offset
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_integer_walk_matches_the_fraction_walk(p):
+    """130 random searches per prime: the same roots in the same order, with
+    the same precision and known_abs, or the same error, message and bound."""
+    rng = random.Random(f"hensel:{p}")
+    kinds = set()
+    for _ in range(130):
+        f, center, offset = _hensel_case(rng, p)
+        got = _hensel_outcome(hensel_roots_in_disk, f, center, offset)
+        assert got == _hensel_outcome(_hensel_roots_on_fractions, f, center, offset), (
+            f, center, offset)
+        if isinstance(got, tuple):
+            kinds.add(got[0].__name__)
+        else:
+            kinds.update("exact root" if known is None else "root" for _, _, known in got)
+    assert kinds >= {"root", "exact root", "LiftStall"}

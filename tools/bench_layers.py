@@ -152,6 +152,32 @@ def _entries():
         ("hensel_roots_in_disk", {"p": 3, "q": 3, "k": 2, "J": 3, "N": 512},
          lambda: hensel_roots_in_disk(cubic, PadicNumber(1, 3, 512), 1))
     )
+    # classify's alternating-pair search at k = 2, p = q = 5, J = 5, N = 512:
+    # the quadratic a z**2 + b z + c, built as period2_k2_analysis builds it
+    # from the theta classify_phase makes, over the disk around 1
+    theta = CouplingField.homogeneous(Fraction(5), 5, 5).theta_for_edge(
+        TreeVertex.root(), TreeVertex.root().child(0), 512
+    )
+    def Q(n):
+        return PadicNumber.from_fraction(n, 5, theta.precision)
+
+    q = 5
+    quad_a = (theta * theta + theta + Q(q - 2)) ** 2
+    quad_b = (
+        theta**4
+        + Q(4 * (q - 1)) * theta**3
+        + Q(q * q + 6 * q - 12) * theta * theta
+        + Q(2 * (5 * q * q - 18 * q + 16)) * theta
+        + Q(2 * q**3 - 13 * q * q + 26 * q - 17)
+    )
+    quad_c = (theta * Q(q - 1) + (theta + Q(q - 2)) ** 2) ** 2
+    quadratic = (quad_c, quad_b, quad_a)
+    if hasattr(padic_analytic, "PadicPolynomial"):
+        quadratic = padic_analytic.PadicPolynomial(quadratic)
+    out.append(
+        ("hensel_roots_in_disk.quadratic", {"p": 5, "q": 5, "k": 2, "J": 5, "N": 512},
+         lambda: hensel_roots_in_disk(quadratic, PadicNumber.one(5, 512), 1))
+    )
     # classify's dearest shape, the alternating line at k = 1, p = 5, q = 10,
     # J = 5, N = 512, with its two thetas built as classify_phase builds them
     J5 = CouplingField.homogeneous(Fraction(5), 5, 10)
