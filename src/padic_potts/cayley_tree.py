@@ -70,15 +70,18 @@ class TreeVertex:
 
     @classmethod
     def from_string(cls, text: str) -> "TreeVertex":
-        """The vertex at dot-joined child indices ("0.1.0"); the root is ""."""
+        """The vertex at dot-joined child indices ("0.1.0"); the root is "".
+
+        Each index is ASCII digits only: no sign, space, underscore or other
+        script's digits, which ``int`` would read as another vertex.
+        """
         if text == "":
             return cls(())
-        try:
-            address = tuple(int(part) for part in text.split("."))
-        except ValueError:
+        parts = text.split(".")
+        if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"vertex address {text!r} is not dot-joined child indices "
-                             f"like '0.1' (the root is '')") from None
-        return cls(address)
+                             f"like '0.1' (the root is '')")
+        return cls(tuple(map(int, parts)))
 
     @property
     def level(self) -> int:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gibbs_solver import classify_phase, recursion_backward
 from .padic_analytic import exp_domain_min_valuation, exp_p, log_p
-from .padic_core import DEFAULT_PRECISION, PadicNumber, as_prime, render_valuation
+from .padic_core import DEFAULT_PRECISION, PadicNumber, Prime, as_prime, render_valuation
 from .potts_model import (
     BoundaryField,
     CouplingField,
@@ -150,17 +150,31 @@ def _p_free(rng: random.Random, p: int, top: int) -> int:
     return x
 
 
-def _random_exp_argument(rng: random.Random, p: int, extra: int = 3) -> Fraction:
-    """A nonzero rational in the exponential domain at p."""
-    v = exp_domain_min_valuation(p) + rng.randrange(0, extra)
+def _random_exp_argument(rng: random.Random, prime: Prime, N: int) -> PadicNumber:
+    """A nonzero exact value in the exponential domain at p, to N digits:
+    +-p**v * num/den, v up to two past the least, num < p**6, den < p**4."""
+    p = prime.value
+    v = exp_domain_min_valuation(prime) + rng.randrange(0, 3)
     num = _p_free(rng, p, p**6)
     den = _p_free(rng, p, p**4)
     sign = -1 if rng.random() < 0.5 else 1
-    return Fraction(sign * num * p**v, den)
+    return PadicNumber.from_ratio(sign * num * p**v, den, prime, N)
 
 
-def _random_unit(rng: random.Random, p: int) -> Fraction:
-    return Fraction(_p_free(rng, p, p**8), _p_free(rng, p, p**5))
+def _random_unit(rng: random.Random, prime: Prime, N: int) -> PadicNumber:
+    """An exact unit a/b at p, a < p**8 and b < p**5, to N digits."""
+    p = prime.value
+    return PadicNumber.from_ratio(_p_free(rng, p, p**8), _p_free(rng, p, p**5), prime, N)
+
+
+def _random_law_component(rng: random.Random, prime: Prime, N: int) -> PadicNumber:
+    """1 + p**e * num/den = (den + p**e * num)/den for e in 1..3, num < p**8
+    and den < p**5 p-free, to N digits: a component of a contraction law."""
+    p = prime.value
+    pe = p ** (1 + rng.randrange(0, 3))
+    num = _p_free(rng, p, p**8)
+    den = _p_free(rng, p, p**5)
+    return PadicNumber.from_ratio(den + pe * num, den, prime, N)
 
 
 def _certified_distance(lhs, rhs) -> int | float:
@@ -213,16 +227,17 @@ def _tally(suite: str, total: int, outcomes) -> dict:
 
 def _suite_exp_log(args) -> dict:
     rng = random.Random(args.seed)
-    primes = [args.p] if args.p is not None else [2, 3, 5, 7]
+    primes = [as_prime(p) for p in ([args.p] if args.p is not None else [2, 3, 5, 7])]
     total = args.checks or 2000
     N = args.precision
 
     def outcomes():
         for i in range(total):
-            p = primes[i % len(primes)]
+            prime = primes[i % len(primes)]
+            p = prime.value
             kind = i % 5
-            x = PadicNumber.from_fraction(_random_exp_argument(rng, p), p, N)
-            y = PadicNumber.from_fraction(_random_exp_argument(rng, p), p, N)
+            x = _random_exp_argument(rng, prime, N)
+            y = _random_exp_argument(rng, prime, N)
             if kind == 4:
                 lhs, rhs = (exp_p(x) - PadicNumber.one(p, N)).norm_valuation(), x.norm_valuation()
                 ok = lhs == rhs
@@ -251,18 +266,19 @@ def _suite_exp_log(args) -> dict:
 
 def _suite_product_distance(args) -> dict:
     rng = random.Random(args.seed)
-    primes = [args.p] if args.p is not None else [2, 3, 5, 7]
+    primes = [as_prime(p) for p in ([args.p] if args.p is not None else [2, 3, 5, 7])]
     total = args.checks or 500
     N = args.precision
 
     def outcomes():
         for i in range(total):
-            p = primes[i % len(primes)]
+            prime = primes[i % len(primes)]
+            p = prime.value
             m = rng.randrange(1, 9)
-            a = [PadicNumber.from_fraction(_random_unit(rng, p), p, N) for _ in range(m)]
-            b = [PadicNumber.from_fraction(_random_unit(rng, p), p, N) for _ in range(m)]
-            prod_a = PadicNumber.one(p, N)
-            prod_b = PadicNumber.one(p, N)
+            a = [_random_unit(rng, prime, N) for _ in range(m)]
+            b = [_random_unit(rng, prime, N) for _ in range(m)]
+            prod_a = PadicNumber.one(prime, N)
+            prod_b = PadicNumber.one(prime, N)
             for u, w in zip(a, b):
                 prod_a, prod_b = prod_a * u, prod_b * w
             lhs = prod_a.distance_valuation(prod_b)
@@ -276,6 +292,7 @@ def _suite_product_distance(args) -> dict:
 def _suite_contraction(args) -> dict:
     rng = random.Random(args.seed)
     p = args.p or 3
+    prime = as_prime(p)
     q = args.q or 2
     if q % p == 0:
         raise ConfigError("the contraction suite needs q not divisible by p")
@@ -287,16 +304,9 @@ def _suite_contraction(args) -> dict:
 
     class RandomLaws:
         # a fresh law for each sphere vertex the recursion reads, in its
-        # reading order, so nothing is drawn before its guard has passed;
-        # each component is 1 + p**e * num/den, drawn as one fraction
+        # reading order, so nothing is drawn before its guard has passed
         def __getitem__(self, vertex) -> tuple[PadicNumber, ...]:
-            comps = []
-            for _ in range(q - 1):
-                pe = p ** (1 + rng.randrange(0, 3))
-                num = _p_free(rng, p, p**8)
-                den = _p_free(rng, p, p**5)
-                comps.append(PadicNumber.from_fraction(Fraction(den + pe * num, den), p, N))
-            return tuple(comps)
+            return tuple(_random_law_component(rng, prime, N) for _ in range(q - 1))
 
     def outcomes():
         for _ in range(total):

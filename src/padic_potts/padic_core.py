@@ -286,6 +286,20 @@ class PadicNumber:
         return cls._ratio(x.numerator, x.denominator, 0, prime, precision)
 
     @classmethod
+    def from_ratio(
+        cls, num: int, den: int, p: int | Prime, precision: int = DEFAULT_PRECISION
+    ) -> "PadicNumber":
+        """The exact value num/den for integers num and den > 0, with no
+        ``Fraction`` in between: one gcd, then p is stripped."""
+        prime = as_prime(p)
+        if den <= 0:
+            raise ValueError(f"denominator must be a positive integer, got {den}")
+        if precision < 1:
+            raise ValueError("precision must be a positive digit count")
+        g = gcd(num, den)
+        return cls._ratio(num // g, den // g, 0, prime, precision)
+
+    @classmethod
     def from_residue(
         cls, residue: int, p: int | Prime, known_abs: int, precision: int = DEFAULT_PRECISION
     ) -> "PadicNumber":

@@ -18,7 +18,7 @@ def test_every_layer_entry_runs_once():
         "hensel_roots_in_disk.quadratic", "exp_p.cold_plan",
         "log_p.cold_plan", "_LevelWeights", "_LevelWeights.partition_residue",
         "PadicNumber.mul.exact", "PadicNumber.distance_valuation.exact",
-        "PadicNumber.from_fraction", "solve_k1_bipartite", "recursion_backward",
+        "PadicNumber.from_fraction", "PadicNumber.from_ratio", "solve_k1_bipartite", "recursion_backward",
         "recursion_backward.fallback",
     } <= names
     # the inverse on both sides of the pow / Newton crossover

@@ -78,6 +78,19 @@ class TestVertex:
         assert TreeVertex.from_string(str(v)) == v
         assert TreeVertex.from_string("") == TreeVertex.root()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0", "0.1_0", "\u0663", "0.\u0663", " +1", "+1", "-1", "1 ", " 1", "0..1", ".0", "0.",
+         "\u00b2", "\uff11", "x", "0.x"],
+    )
+    def test_only_ascii_digit_indices_are_addresses(self, text):
+        # int() reads '1_0' as 10, the Arabic-Indic '\u0663' as 3 and ' +1' as 1
+        with pytest.raises(ValueError, match="is not dot-joined child indices"):
+            TreeVertex.from_string(text)
+
+    def test_leading_zeros_name_the_same_index(self):
+        assert TreeVertex.from_string("01.002") == TreeVertex((1, 2))
+
     def test_parent_child(self):
         v = TreeVertex.root().child(2).child(0)
         assert v.parent() == TreeVertex.root().child(2)

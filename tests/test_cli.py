@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 import types
 from fractions import Fraction
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from padic_potts import cli, potts_model
 from padic_potts.cayley_tree import TreeShape, ball_with_edges
 from padic_potts.cli import SUITES, main
-from padic_potts.padic_analytic import exp_p
-from padic_potts.padic_core import DEFAULT_PRECISION, PadicNumber
+from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
+from padic_potts.padic_core import DEFAULT_PRECISION, PadicNumber, as_prime
 
 
 def run(capsys, *argv):
@@ -217,6 +218,51 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+# The verify draws as first written, each a Fraction that from_fraction then
+# took apart: the oracles of the draw helpers, which must give the same
+# values from the same rng calls.
+
+
+def _exp_argument_as_fraction(rng, p):
+    v = exp_domain_min_valuation(p) + rng.randrange(0, 3)
+    num = cli._p_free(rng, p, p**6)
+    den = cli._p_free(rng, p, p**4)
+    sign = -1 if rng.random() < 0.5 else 1
+    return Fraction(sign * num * p**v, den)
+
+
+def _unit_as_fraction(rng, p):
+    return Fraction(cli._p_free(rng, p, p**8), cli._p_free(rng, p, p**5))
+
+
+def _law_component_as_fraction(rng, p):
+    pe = p ** (1 + rng.randrange(0, 3))
+    num = cli._p_free(rng, p, p**8)
+    den = cli._p_free(rng, p, p**5)
+    return Fraction(den + pe * num, den)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize(
+    "draw,oracle",
+    [
+        (cli._random_exp_argument, _exp_argument_as_fraction),
+        (cli._random_unit, _unit_as_fraction),
+        (cli._random_law_component, _law_component_as_fraction),
+    ],
+    ids=["exp-argument", "unit", "law-component"],
+)
+def test_draws_match_the_fraction_draws(p, draw, oracle):
+    prime = as_prime(p)
+    for seed in range(200):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = draw(rng, prime, 24)
+            want = PadicNumber.from_fraction(oracle(twin, p), p, 24)
+            assert (got._key(), got.precision) == (want._key(), want.precision)
+        assert rng.getstate() == twin.getstate()
+
+
 class TestClassify:
     def test_default_run(self, capsys):
         code, out, _ = run(capsys, "classify")
@@ -416,14 +462,20 @@ class TestCompatCheck:
         assert err.startswith("config error:")
         assert "'7.3'" in err and "k=1" in err
 
-    @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
-    def test_malformed_field_address_names_the_format(self, capsys, tmp_path, command):
+    # int() would read '1_0' as 10, a child of the root at k = 10
+    @pytest.mark.parametrize(
+        "command,address",
+        [("compat-check", "default"), ("norm-profile", "default"),
+         ("compat-check", "1_0"), ("norm-profile", "1_0")],
+        ids=["compat-check", "norm-profile", "compat-check-1_0", "norm-profile-1_0"],
+    )
+    def test_malformed_field_address_names_the_format(self, capsys, tmp_path, command, address):
         field = tmp_path / "field.json"
-        field.write_text(json.dumps({"default": ["3", "0"]}))
-        code, out, err = run(capsys, command, "--n", "1", "--field", str(field))
+        field.write_text(json.dumps({address: ["3", "0"]}))
+        code, out, err = run(capsys, command, "--k", "10", "--n", "1", "--field", str(field))
         assert (code, out) == (1, "")
         assert err == (
-            "config error: field file invalid: vertex address 'default' is not dot-joined "
+            f"config error: field file invalid: vertex address {address!r} is not dot-joined "
             "child indices like '0.1' (the root is '')\n"
         )
 

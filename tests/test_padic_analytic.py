@@ -16,7 +16,14 @@ from padic_potts.padic_analytic import (
     hensel_roots_in_disk,
     log_p,
 )
-from padic_potts.padic_core import PadicNumber, Prime, _vp, as_prime, rational_valuation
+from padic_potts.padic_core import (
+    PadicNumber,
+    Prime,
+    _inverse_mod,
+    _vp,
+    as_prime,
+    rational_valuation,
+)
 
 from conftest import exp_domain_fraction
 
@@ -341,6 +348,62 @@ def test_blocked_series_at_block_boundaries(p, log):
             x = PadicNumber(Fraction(p) ** v * unit, p, 8)
             arg = x + 1 if log else x
             assert _outcome(f, arg, k - v - 2) == _outcome(oracle, arg, k - v - 2)
+
+
+def _series_plan_per_term(log: bool, pv: int, v: int, k: int) -> tuple:
+    """The series plan as first built, one term at a time (a ``_vp`` call per
+    term, the term count found by the loop), with each block's own W and
+    p**E of the first block: the oracle of ``_series_plan``."""
+    terms = []  # (e_n, the unit that term n brings into D_n)
+    if log:
+        n = digits = 1
+        while True:
+            while pv**digits <= n:
+                digits += 1
+            if n * v - (digits - 1) >= k:
+                break
+            j = _vp(n, pv)
+            terms.append((n * v - j, n // pv**j if n % 2 else -(n // pv**j)))
+            n += 1
+    else:
+        terms.append((0, 1))
+        while (len(terms) * v - k) * (pv - 1) < len(terms) - 1:
+            n = len(terms)
+            j = _vp(n, pv)
+            terms.append((terms[-1][0] + v - j, n // pv**j))
+    m = max(_MIN_BLOCK, math.isqrt(len(terms)))
+    blocks, least, above = [], k, None
+    for s in reversed(range(0, len(terms), m)):
+        chunk = terms[s:s + m]
+        least = min(least, *(e for e, _ in chunk))
+        w = rest = math.prod(d for _, d in chunk)
+        coeffs = []
+        for e, d in chunk:
+            rest = w // d if log else rest // d
+            coeffs.append(rest * pv ** (e - least))
+        f = 1 if above is None else pv ** (above - least) * (w if log else 1)
+        blocks.append((tuple(coeffs), w, f))
+        above = least
+    return pv**least, tuple(blocks)
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["exp", "log"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_sieved_plan_matches_the_per_term_plan(p, log):
+    # every k up to 79 and the N = 128/256/512 plan sizes, at v = 1..4 (at
+    # p = 2 the exponential starts at v = 2)
+    for v in range(exp_domain_min_valuation(p) if not log else 1, 5):
+        for k in [*range(1, 80), 131, 259, 260, 515, 520]:
+            first, blocks = _series_plan.__wrapped__(log, p, v, k)
+            old_first, old_blocks = _series_plan_per_term(log, p, v, k)
+            modulus = p**k
+            assert [c for c, _, _ in blocks] == [c for c, _, _ in old_blocks]
+            assert [f for _, _, f in blocks] == [f for _, _, f in old_blocks]
+            den = 1  # the product of the W folded before each block
+            for (_, running, _), (_, w, _) in zip(blocks, old_blocks):
+                assert running == den
+                den = den * w % modulus
+            assert first == old_first * _inverse_mod(den, p, k) % modulus
 
 
 def test_plan_cache_is_bounded_by_a_fixed_constant():

@@ -102,6 +102,42 @@ class TestFromRational:
         assert (1 + sum(d * 3**i for i, d in enumerate(x.unit_digits))) % 3**4 == 0
 
 
+class TestFromRatio:
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (12, 18),  # reduced by their gcd to 2/3
+            (-35, 14),  # a common factor that is p itself at p = 7
+            (7 * 49 * 4, 9),  # p in the numerator only
+            (5, 7**3 * 10),  # p in the denominator only
+            (0, 5),
+            (1, 1),
+        ],
+    )
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_equals_from_fraction(self, p, num, den):
+        got = PadicNumber.from_ratio(num, den, p, 12)
+        want = PadicNumber.from_fraction(Fraction(num, den), p, 12)
+        assert (got._key(), got.precision, got.prime) == (want._key(), want.precision, want.prime)
+        assert got.value == Fraction(num, den)
+
+    def test_strips_p_from_either_side(self):
+        x = PadicNumber.from_ratio(2 * 7**3, 6, 7, 8)
+        assert (x.norm_valuation(), x.value) == (3, Fraction(7**3, 3))
+        y = PadicNumber.from_ratio(6, 4 * 7**2, 7, 8)
+        assert (y.norm_valuation(), y.value) == (-2, Fraction(3, 2 * 7**2))
+
+    @pytest.mark.parametrize("den", [0, -3])
+    def test_refuses_a_denominator_below_one(self, den):
+        with pytest.raises(ValueError, match="denominator"):
+            PadicNumber.from_ratio(1, den, 3, 8)
+
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_refuses_a_precision_below_one(self, precision):
+        with pytest.raises(ValueError, match="precision"):
+            PadicNumber.from_ratio(1, 2, 3, precision)
+
+
 class TestLeadingDigits:
     @pytest.mark.parametrize(
         "x",

@@ -87,6 +87,10 @@ def _entries():
                 lambda: prod_a.distance_valuation(prod_b)))
     out.append(("PadicNumber.from_fraction", {"p": 7, "N": n_rel, "x": str(draws[0])},
                 lambda: PadicNumber.from_fraction(draws[0], 7, n_rel)))
+    if hasattr(PadicNumber, "from_ratio"):  # the same draw as two integers
+        num, den = draws[0].numerator, draws[0].denominator
+        out.append(("PadicNumber.from_ratio", {"p": 7, "N": n_rel, "x": str(draws[0])},
+                    lambda: PadicNumber.from_ratio(num, den, 7, n_rel)))
     for n_rel in (32, 128, 512):
         x = PadicNumber(Fraction(3 * 12345, 678), p, n_rel)
         out.append(("exp_p", {"p": p, "N": n_rel, "x": "3 * 12345/678"}, lambda x=x: exp_p(x)))
