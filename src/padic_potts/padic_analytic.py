@@ -122,8 +122,8 @@ def _series_plan(log: bool, pv: int, v: int, k: int) -> tuple:
     of the next block.  W is the product of the block's new units, c_r is
     p**(e_(s+r) - E) times W over the units up to s+r (log: over that of
     s+r alone) and F = p**(E' - E), times W for log.  Folded last block
-    first, the sum is num over the product of every W.  None of that depends
-    on u, so the plan pays the one modular inverse: it returns p**E of the
+    first, the sum is num over the product of every W.  That product does
+    not depend on u, so the plan pays its inverse: it returns p**E of the
     first block over that product, mod p**k, and each block's (c, P, F),
     the last block first, with P the product mod p**k of the W of the blocks
     before it in that order.
