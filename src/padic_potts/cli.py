@@ -239,7 +239,7 @@ def _suite_exp_log(args) -> dict:
             x = _random_exp_argument(rng, prime, N)
             y = _random_exp_argument(rng, prime, N)
             if kind == 4:
-                lhs, rhs = (exp_p(x) - PadicNumber.one(p, N)).norm_valuation(), x.norm_valuation()
+                lhs, rhs = (exp_p(x) - 1).norm_valuation(), x.norm_valuation()
                 ok = lhs == rhs
                 check = f"isometry valuations {render_valuation(lhs)} vs {render_valuation(rhs)}"
             else:

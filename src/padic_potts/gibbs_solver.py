@@ -87,35 +87,23 @@ def f_map_z(z: tuple[PadicNumber, ...], theta: PadicNumber, q: int) -> tuple[Pad
     a unit so is D, and the offset from 1 gains at least the valuation of
     theta - 1.
     """
-    return _edge_map(theta, q)(z)
-
-
-def _edge_map(theta: PadicNumber, q: int):
-    """``f_map_z`` at one theta, as a function of z: 1, theta - 1 and
-    theta - 1 + q are made once, for every edge that shares theta."""
-    p = theta.prime
-    one = PadicNumber.one(p, theta.precision)
+    one = PadicNumber.one(theta.prime, theta.precision)
     th_offset = theta - one
-    shift = th_offset + PadicNumber.from_fraction(q, p, theta.precision)
-
-    def factor(z: tuple[PadicNumber, ...]) -> tuple[PadicNumber, ...]:
-        if len(z) != q - 1:
-            raise ValueError(f"boundary law needs {q - 1} components for q={q}")
-        offsets = [c - one for c in z]
-        denom = shift
-        for off in offsets:
-            denom = denom + off
-        try:
-            scale = th_offset * denom.inverse()
-        except DivisionByZero as exc:
-            raise DenominatorDegenerate("recursion denominator is exactly zero") from exc
-        except PrecisionExhausted as exc:
-            raise DenominatorDegenerate(
-                "recursion denominator is indistinguishable from zero at working precision"
-            ) from exc
-        return tuple(one + scale * off for off in offsets)
-
-    return factor
+    denom = th_offset + q
+    if len(z) != q - 1:
+        raise ValueError(f"boundary law needs {q - 1} components for q={q}")
+    offsets = [c - one for c in z]
+    for off in offsets:
+        denom = denom + off
+    try:
+        scale = th_offset * denom.inverse()
+    except DivisionByZero as exc:
+        raise DenominatorDegenerate("recursion denominator is exactly zero") from exc
+    except PrecisionExhausted as exc:
+        raise DenominatorDegenerate(
+            "recursion denominator is indistinguishable from zero at working precision"
+        ) from exc
+    return tuple(one + scale * off for off in offsets)
 
 
 @dataclass(frozen=True)
@@ -180,21 +168,16 @@ def recursion_backward(
 
 def _object_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
                  precision: int) -> RecursionResult:
-    """The recursion on PadicNumbers, one edge map per coupling value, for
-    the n-ball ``ball`` (as ``ball_with_edges`` lists it) and the sphere's
-    ``laws`` in address order."""
+    """The recursion on PadicNumbers, ``f_map_z`` per edge, for the n-ball
+    ``ball`` (as ``ball_with_edges`` lists it) and the sphere's ``laws`` in
+    address order."""
     vertices, pairs = ball
     folded: list = [None] * shape.ball_size(n - 1) + laws
     # a ball lists parents before children, so the edges taken in reverse
-    # fold every child's law before its parent's; theta, and so the edge map,
-    # is one per distinct coupling value
-    edge_maps: dict = {}
+    # fold every child's law before its parent's
     for i, j in reversed(pairs):
-        coupling = J.coupling_for_edge(vertices[i], vertices[j])
-        if coupling not in edge_maps:
-            theta = J.theta_for_edge(vertices[i], vertices[j], precision)
-            edge_maps[coupling] = _edge_map(theta, J.q)
-        factor = edge_maps[coupling](folded[j])
+        theta = J.theta_for_edge(vertices[i], vertices[j], precision)
+        factor = f_map_z(folded[j], theta, J.q)
         if folded[i] is not None:
             factor = tuple(a * b for a, b in zip(factor, folded[i]))
         folded[i] = factor
@@ -422,29 +405,31 @@ class PhaseReport:
         }
 
 
+def _witness_sort_key(z: tuple[PadicNumber, ...]) -> list:
+    """(offset valuation, first 8 digits) per component of a law."""
+    one = PadicNumber.one(z[0].prime)
+    return [(c.distance_valuation(one), c.leading_digits(8)) for c in z]
+
+
 def _witness_json(z: tuple[PadicNumber, ...]) -> dict:
-    one = PadicNumber.one(z[0].prime)
-    comps = []
-    for c in z:
-        comps.append(
-            {
-                "offset_valuation": render_valuation(c.distance_valuation(one)),
-                "digits": list(c.leading_digits(8)),
-            }
-        )
-    return {"components": comps}
+    return {
+        "components": [
+            {"offset_valuation": render_valuation(v), "digits": list(digits)}
+            for v, digits in _witness_sort_key(z)
+        ]
+    }
 
 
-def _witness_sort_key(z: tuple[PadicNumber, ...]):
-    one = PadicNumber.one(z[0].prime)
-    key = []
-    for c in z:
-        key.append((c.distance_valuation(one), c.leading_digits(8)))
-    return key
-
-
-def _residual_offset(a: tuple[PadicNumber, ...], b: tuple[PadicNumber, ...]) -> int | float:
-    return min(x.distance_valuation(y) for x, y in zip(a, b))
+def _report(p, q: int, witnesses: list, diag: dict, multiple: str, trivial: str) -> PhaseReport:
+    """The verdict on a branch's sorted ``witnesses``: more than one is
+    ``multiple`` (the certificate text), else the contraction certificate
+    decides between unique and inconclusive (``trivial`` the text then)."""
+    if len(witnesses) > 1:
+        return PhaseReport(VERDICT_MULTIPLE_TI, witnesses, multiple, diag)
+    cert = uniqueness_certificate(p, q)
+    if cert.applies:
+        return PhaseReport(VERDICT_UNIQUE, witnesses, cert.reason, diag)
+    return PhaseReport(VERDICT_INCONCLUSIVE, witnesses, trivial, diag)
 
 
 def _law_from_first_component(z: PadicNumber, q: int, precision: int) -> tuple[PadicNumber, ...]:
@@ -454,9 +439,7 @@ def _law_from_first_component(z: PadicNumber, q: int, precision: int) -> tuple[P
 
 def _mobius_step(z: PadicNumber, theta: PadicNumber, q: int) -> PadicNumber:
     """(theta*z + q - 1) / (z + theta + q - 2), the scalar one-child step."""
-    p = theta.prime
-    num = theta * z + PadicNumber.from_fraction(q - 1, p, theta.precision)
-    den = z + theta + PadicNumber.from_fraction(q - 2, p, theta.precision)
+    num, den = theta * z + (q - 1), z + theta + (q - 2)
     try:
         return num / den
     except (DivisionByZero, PrecisionExhausted) as exc:
@@ -478,8 +461,7 @@ def solve_k1_bipartite(
     which for 1-q means exactly that p divides q.
     """
     p = theta1.prime
-    alpha_num = theta1 * theta2 + PadicNumber.from_fraction(q - 1, p, theta1.precision)
-    alpha_den = theta1 + theta2 + PadicNumber.from_fraction(q - 2, p, theta1.precision)
+    alpha_num, alpha_den = theta1 * theta2 + (q - 1), theta1 + theta2 + (q - 2)
     try:
         alpha = alpha_num / alpha_den
     except (DivisionByZero, PrecisionExhausted) as exc:
@@ -501,7 +483,7 @@ def solve_k1_bipartite(
             partner = tuple(_mobius_step(c, theta2, q) for c in vec)
             # one full period must return the root
             back = tuple(_mobius_step(c, theta1, q) for c in partner)
-            residual = _residual_offset(back, vec)
+            residual = min(x.distance_valuation(y) for x, y in zip(back, vec))
             if residual < precision - ROOT_RESIDUAL_MARGIN:
                 raise DomainViolation(
                     f"fixed-point residual only reaches valuation {render_valuation(residual)}"
@@ -517,23 +499,12 @@ def solve_k1_bipartite(
         "rejected_roots": [_witness_json(r) for r in rejected],
         "paired_laws": [_witness_json(pairs[i]) for i in sorted(pairs)],
     }
-    cert = uniqueness_certificate(p, q)
-    if len(witnesses) > 1:
-        return PhaseReport(
-            VERDICT_MULTIPLE_TI,
-            witnesses,
-            "two distinct period-two boundary laws verified as fixed points of the "
-            "composed alternating step",
-            diag,
-        )
-    if cert.applies:
-        return PhaseReport(VERDICT_UNIQUE, witnesses, cert.reason, diag)
-    return PhaseReport(
-        VERDICT_INCONCLUSIVE,
-        witnesses,
+    return _report(
+        p, q, witnesses, diag,
+        "two distinct period-two boundary laws verified as fixed points of the "
+        "composed alternating step",
         "only the trivial law arises on this branch (a coupling vanishes or every "
         "nontrivial root leaves the disk) and no uniqueness certificate applies",
-        diag,
     )
 
 
@@ -553,8 +524,8 @@ def translation_invariant_cubic(
     one = PadicNumber.one(p, theta.precision)
     u = theta - one  # offset of the edge weight from 1
     c3 = PadicNumber.one(p, theta.precision)
-    c2 = PadicNumber.from_fraction(2 * q - 3, p, theta.precision) - u * u
-    c1 = u * u + PadicNumber.from_fraction(q * q - 4 * q + 3, p, theta.precision)
+    c2 = (2 * q - 3) - u * u
+    c1 = u * u + (q * q - 4 * q + 3)
     c0 = PadicNumber.from_fraction(-((q - 1) ** 2), p, theta.precision)
     roots = hensel_roots_in_disk((c0, c1, c2, c3), PadicNumber.one(p, precision), 1)
 
@@ -569,22 +540,11 @@ def translation_invariant_cubic(
         "disk_root_count": len(roots),
         "value_at_one_valuation": at_one,
     }
-    cert = uniqueness_certificate(p, q)
-    if len(witnesses) >= 2:
-        return PhaseReport(
-            VERDICT_MULTIPLE_TI,
-            witnesses,
-            "the reduced cubic has more than one root in the unit disk around 1, each "
-            "a verified constant boundary law",
-            diag,
-        )
-    if cert.applies:
-        return PhaseReport(VERDICT_UNIQUE, witnesses, cert.reason, diag)
-    return PhaseReport(
-        VERDICT_INCONCLUSIVE,
-        witnesses,
+    return _report(
+        p, q, witnesses, diag,
+        "the reduced cubic has more than one root in the unit disk around 1, each "
+        "a verified constant boundary law",
         "only the trivial constant law was found yet no uniqueness certificate applies",
-        diag,
     )
 
 
@@ -608,17 +568,16 @@ def period2_k2_analysis(
         raise DomainViolation("the alternating-pair analysis needs an odd prime")
     if q % p.value != 0:
         raise DomainViolation("the alternating-pair analysis targets q divisible by p")
-    P = lambda n: PadicNumber.from_fraction(n, p, theta.precision)  # noqa: E731
 
-    a = (theta * theta + theta + P(q - 2)) ** 2
+    a = (theta * theta + theta + (q - 2)) ** 2
     b = (
         theta**4
-        + P(4 * (q - 1)) * theta**3
-        + P(q * q + 6 * q - 12) * theta * theta
-        + P(2 * (5 * q * q - 18 * q + 16)) * theta
-        + P(2 * q**3 - 13 * q * q + 26 * q - 17)
+        + 4 * (q - 1) * theta**3
+        + (q * q + 6 * q - 12) * theta * theta
+        + 2 * (5 * q * q - 18 * q + 16) * theta
+        + (2 * q**3 - 13 * q * q + 26 * q - 17)
     )
-    c = (theta * P(q - 1) + (theta + P(q - 2)) ** 2) ** 2
+    c = (theta * (q - 1) + (theta + (q - 2)) ** 2) ** 2
 
     va, vb, vc = (x.norm_valuation() for x in (a, b, c))
     roots = hensel_roots_in_disk((c, b, a), PadicNumber.one(p, precision), 1)

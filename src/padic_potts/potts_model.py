@@ -22,7 +22,6 @@ solver module implements, which is what makes the cross-check meaningful.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -526,24 +525,18 @@ def measure_norm_profile(
 ) -> list[NormProfileRow]:
     """Extremes of the measure's valuation per level, as a boundedness probe.
 
-    A configuration's weight is a product of edge and site residues.  When
-    every one of them is a unit, so is every weight, and each
-    configuration's valuation is minus the partition function's: the min and
-    max of a row coincide.  The profile checks every factor rather than
-    assume it, and takes each partition valuation from the tree pass with the
-    extra working digits ``finite_measure`` takes.
+    A configuration's weight is a product of edge and site residues, each
+    exp_p of an admissible coupling or of field entries checked against the
+    exponential's disk, so each is congruent to 1 mod p.  Every weight is
+    then a unit, and each configuration's valuation is minus the partition
+    function's: the min and max of a row coincide.  The profile relies on
+    that admissibility, and takes each partition valuation from the tree
+    pass with the extra working digits ``finite_measure`` takes.
     """
     _guard(J.q, shape, n_max, configurations=False)
-    pv = J.prime.value
     rows = []
     for n in range(n_max + 1):
-        system, _, zeta = _weights_resolving_partition(shape, h, J, n, precision)
-        edge_factors = (t for _, _, t in system.edge_residues)
-        if any(f % pv == 0 for f in itertools.chain(edge_factors, *system.site_residues.values())):
-            raise PrecisionExhausted(
-                "a configuration weight vanished to the working modulus",
-                bound=system.modulus_exponent,
-            )
+        _, _, zeta = _weights_resolving_partition(shape, h, J, n, precision)
         rows.append(NormProfileRow(level=n, min_valuation=-zeta, max_valuation=-zeta))
     return rows
 

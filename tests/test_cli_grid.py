@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cli_grid.py"
 
@@ -44,3 +46,30 @@ def test_reduced_grid_records_every_invocation_the_same_way_twice():
         if r["exit"] in (2, 3, 4) and "--help" not in r["argv"]:
             assert r["stdout"] == "" and r["stderr"]
     assert {r["exit"] for r in records} >= {0, 1}
+
+
+def _record(argv, exit=0, stdout="{}\n", stderr="", written=None):
+    return {"argv": argv, "files": {}, "exit": exit, "stdout": stdout, "stderr": stderr,
+            "written": written}
+
+
+def test_diff_records_names_each_differing_record_by_argv_and_field():
+    diff = _tool().diff_records
+    old = [_record(["classify"]), _record(["verify", "--suite", "all"]),
+           _record(["compat-check", "--out", "o.json"], written="{}\n"), _record(["bogus"], 2)]
+    new = [_record(["classify"]), _record(["verify", "--suite", "all"], 1, "", "violation\n"),
+           _record(["compat-check", "--out", "o.json"], written="{\"holds\": true}\n"),
+           _record(["bogus"], 2)]
+    assert diff(old, old) == []
+    assert diff(old, new) == [
+        (["verify", "--suite", "all"], ["exit", "stdout", "stderr"]),
+        (["compat-check", "--out", "o.json"], ["written"]),
+    ]
+
+
+def test_diff_records_refuses_lists_out_of_step():
+    diff = _tool().diff_records
+    with pytest.raises(ValueError):
+        diff([_record(["classify"])], [_record(["verify"])])
+    with pytest.raises(ValueError):
+        diff([_record(["classify"])], [])

@@ -269,6 +269,48 @@ def test_tree_pass_matches_brute_force(k, q, n, p, field_kind):
     assert tree == [m % M for m in brute]
 
 
+def _inexact_field(shape, n, q, p, rng):
+    """A parity field of inexact entries, every third vertex of the ball
+    given its own: each equal in value to an exact draw, copied the way
+    ``TestSiteTableCache`` copies them."""
+    def draw(known_abs):
+        return tuple(
+            PadicNumber(exp_domain_fraction(rng, p), p, N + 7, known_abs) for _ in range(q - 1)
+        )
+
+    h = BoundaryField.by_parity(draw(N - 2), draw(N - 1))
+    for i, x in enumerate(ball_with_edges(shape, n)[0]):
+        if i % 3 == 0:
+            h.assign(x, draw(N - 2 - i % 2))
+    return h
+
+
+@pytest.mark.parametrize("field_kind", ("zero", "constant", "parity", "random", "inexact"))
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("k,q,n", list(_oracle_sizes()))
+def test_weights_are_units_and_profile_rows_are_minus_the_partition_valuation(
+    k, q, n, p, field_kind
+):
+    # admissible couplings and fields give edge and site residues = 1 mod p,
+    # which measure_norm_profile relies on: each row's min and max are then
+    # both minus the valuation of the brute-force partition sum
+    rng = random.Random(f"units-{k}-{q}-{n}-{p}-{field_kind}")
+    shape = TreeShape(k)
+    J = CouplingField.bipartite(exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q)
+    if field_kind == "inexact":
+        h = _inexact_field(shape, n, q, p, rng)
+    else:
+        h = _field(field_kind, shape, n, q, p, rng)
+    rows = measure_norm_profile(shape, h, J, n, N)
+    assert [r.level for r in rows] == list(range(n + 1))
+    for m, row in enumerate(rows):
+        system = _weights_resolving_partition(shape, h, J, m, N)[0]
+        assert all(th % p == 1 for _, _, th in system.edge_residues)
+        assert all(w % p == 1 for table in system.site_residues.values() for w in table)
+        zeta = _vp(_brute_sums(system, 0)[0], p)
+        assert (row.min_valuation, row.max_valuation) == (-zeta, -zeta)
+
+
 def _coupling(kind, shape, n, q, p, rng):
     if kind == "homogeneous":
         return CouplingField.homogeneous(exp_domain_fraction(rng, p), p, q)

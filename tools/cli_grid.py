@@ -1,6 +1,7 @@
 """The CLI's exact output over a fixed grid of invocations, for byte-equivalence checks.
 
     python3 tools/cli_grid.py TREE OUT.json
+    python3 tools/cli_grid.py --compare OLD NEW
 
 TREE is a checkout root.  Its ``src`` is imported in one fresh interpreter,
 which runs every invocation of the grid through ``padic_potts.cli.main`` in
@@ -8,7 +9,9 @@ process, from a scratch directory holding the invocations' input files under
 fixed relative names.  OUT.json lists, per invocation, its argv, input files,
 exit code, stdout, stderr and (for ``--out``) the written file.  Nothing in
 it names the tree, so two trees whose CLI behaves alike give byte-identical
-files: compare them with ``cmp``.
+files: compare them with ``cmp``.  ``--compare`` runs the grid on both trees
+and prints how many records differ, names the first few by argv and by field
+(exit, stdout, stderr, written), and exits 1 on any difference.
 
 The grid covers every verify suite over seeds and N = 8 to 128, the
 contraction suite over p, q, k and n, classify, compat-check and
@@ -29,6 +32,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WORKLOAD_SEED = 7
 WORKLOAD_CYCLES = 2
+FIELDS = ("exit", "stdout", "stderr", "written")
+SHOWN = 5  # differing records named by --compare
 
 # one invocation per line of stdin: [argv, files]; one result per line of stdout
 _CHILD = r"""
@@ -235,10 +240,35 @@ def run(tree: str, invocations: list) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+def diff_records(old: list, new: list) -> list:
+    """(argv, differing fields) for each invocation whose records differ, the
+    two lists taken in grid order."""
+    out = []
+    for a, b in zip(old, new, strict=True):
+        if a["argv"] != b["argv"]:
+            raise ValueError(f"records out of step: {a['argv']} vs {b['argv']}")
+        fields = [f for f in FIELDS if a[f] != b[f]]
+        if fields:
+            out.append((a["argv"], fields))
+    return out
+
+
+def compare(old_tree: str, new_tree: str) -> int:
+    invocations = grid()
+    diffs = diff_records(run(old_tree, invocations), run(new_tree, invocations))
+    print(f"{len(invocations)} invocations, {len(diffs)} differ")
+    for argv, fields in diffs[:SHOWN]:
+        print(f"  {json.dumps(argv)}: {', '.join(fields)}")
+    return 1 if diffs else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(args[1], args[2])
+    if len(args) != 2 or args[0].startswith("-"):
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:4]),
+              file=sys.stderr)
         return 2
     tree, out = args
     records = run(tree, grid())
