@@ -3,9 +3,12 @@
 A tree of branching order k has a root with k+1 neighbours while every other
 vertex has k direct successors, so the n-th sphere holds (k+1)*k**(n-1)
 vertices.  Vertices are addressed by their root path (a tuple of child
-indices).  A ball is listed by one level-order walk that makes each level
-from the one before it; nothing is materialised beyond the addresses a query
-touches, which keeps every operation O(size of the answer).
+indices).  A ball is a matter of index arithmetic: in level order, level m
+starts at index |B_{m-1}|, an address read as a base-k numeral (its first
+index may reach k) is its offset there, and the vertex at offset o of level m
+is the child of the one at offset o // k of level m - 1 (of the root, at
+level 1).  Vertex objects are made only for the levels a query names, which
+keeps every operation O(size of the answer).
 
 The parity of a vertex's level splits the tree into the two classes used by
 bipartite couplings and period-two fields.
@@ -13,6 +16,7 @@ bipartite couplings and period-two fields.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -41,6 +45,31 @@ class TreeShape:
         k = self.branching
         # the root, then k + 1 times the geometric sum 1 + k + ... + k**(n-1)
         return 1 + (k + 1) * ((k**n - 1) // (k - 1) if k > 1 else n)
+
+    def successor_count(self, m: int) -> int:
+        """How many direct successors a vertex of level m has: k+1 at the
+        root, k elsewhere."""
+        return self.branching + 1 if m == 0 else self.branching
+
+    def level_start(self, m: int) -> int:
+        """The index of level m's first vertex in level order: |B_{m-1}|."""
+        return self.ball_size(m - 1) if m else 0
+
+    def index_of(self, x: "TreeVertex") -> int:
+        """The index of ``x``, a vertex of this tree, in level order."""
+        offset = 0
+        for i in x.address:
+            offset = offset * self.branching + i
+        return self.level_start(x.level) + offset
+
+    def level_vertices(self, m: int) -> list["TreeVertex"]:
+        """The vertices of level m in level order.  Their addresses are made
+        in range, so they skip the constructor's check."""
+        self._check_level(m)
+        k = self.branching
+        if m == 0:
+            return [TreeVertex.root()]
+        return [_vertex(a) for a in itertools.product(range(k + 1), *[range(k)] * (m - 1))]
 
     def __contains__(self, x: "TreeVertex") -> bool:
         """Whether ``x`` names a vertex of this tree: the root's children are
@@ -106,31 +135,21 @@ class TreeVertex:
         return f"TreeVertex({str(self)!r})"
 
 
-def vertex_parity(x: TreeVertex) -> str:
-    """The parity class of ``x``: "even" or "odd" with its level."""
-    return "even" if x.level % 2 == 0 else "odd"
-
-
-def direct_successors(shape: TreeShape, x: TreeVertex) -> list[TreeVertex]:
-    """The children of ``x``: k+1 of them at the root, k elsewhere."""
-    count = shape.branching + 1 if x.is_root else shape.branching
-    return [x.child(i) for i in range(count)]
+def _vertex(address: tuple[int, ...]) -> TreeVertex:
+    # a TreeVertex at an address known to be valid, past __post_init__'s check
+    x = object.__new__(TreeVertex)
+    object.__setattr__(x, "address", address)
+    return x
 
 
 def ball_with_edges(shape: TreeShape, n: int) -> tuple[list[TreeVertex], list[tuple[int, int]]]:
     """The n-ball in level order, with the (parent index, child index) pair of
-    every edge.
-
-    One walk: the children of the ball's first |B_{n-1}| vertices, taken in
-    order, are its later levels, so each level is made from the one before it
-    and the walk creates one vertex per vertex of the ball.
-    """
+    every edge, each parent found by index arithmetic."""
     shape._check_level(n)
-    vertices = [TreeVertex.root()]
+    vertices = [x for m in range(n + 1) for x in shape.level_vertices(m)]
     pairs: list[tuple[int, int]] = []
-    for i in range(shape.ball_size(n - 1) if n else 0):
-        for y in direct_successors(shape, vertices[i]):
-            pairs.append((i, len(vertices)))
-            vertices.append(y)
+    for m in range(1, n + 1):
+        start, above = shape.level_start(m), shape.level_start(m - 1)
+        step = shape.successor_count(m - 1)
+        pairs += [(above + o // step, start + o) for o in range(shape.sphere_size(m))]
     return vertices, pairs
-

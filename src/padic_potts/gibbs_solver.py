@@ -158,8 +158,10 @@ def recursion_backward(
     if n < 1:
         raise ValueError("recursion needs at least one level")
     _guard(J.q, shape, n, configurations=False)
-    ball = ball_with_edges(shape, n)
-    laws = [boundary_z[x] for x in ball[0][shape.ball_size(n - 1) :]]
+    laws = [boundary_z[x] for x in shape.level_vertices(n)]
+    # only a per-edge table is looked up by vertex; every other coupling
+    # holds one value per level
+    ball = ball_with_edges(shape, n) if J.pattern == "per_edge" else None
     result = _integer_fold(shape, ball, laws, J, n, precision)
     if result is None:
         result = _object_fold(shape, ball, laws, J, n, precision)
@@ -168,25 +170,36 @@ def recursion_backward(
 
 def _object_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
                  precision: int) -> RecursionResult:
-    """The recursion on PadicNumbers, ``f_map_z`` per edge, for the n-ball
-    ``ball`` (as ``ball_with_edges`` lists it) and the sphere's ``laws`` in
-    address order."""
-    vertices, pairs = ball
-    folded: list = [None] * shape.ball_size(n - 1) + laws
-    # a ball lists parents before children, so the edges taken in reverse
-    # fold every child's law before its parent's
-    for i, j in reversed(pairs):
-        theta = J.theta_for_edge(vertices[i], vertices[j], precision)
-        factor = f_map_z(folded[j], theta, J.q)
-        if folded[i] is not None:
-            factor = tuple(a * b for a, b in zip(factor, folded[i]))
-        folded[i] = factor
+    """The recursion on PadicNumbers, ``f_map_z`` per edge, for the sphere's
+    ``laws`` in address order.  A per-edge coupling is looked up on the
+    n-ball ``ball`` (as ``ball_with_edges`` lists it); no other reads it."""
     starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
+    folded: list = [None] * starts[n] + laws
+    # each level folds into the one above it, its edges taken in reverse, so
+    # every child's law is folded before its parent's; the child at offset o
+    # of level m has the parent at offset o // k of level m - 1
+    for m in range(n, 0, -1):
+        value, step = J.level_coupling(m), shape.successor_count(m - 1)
+        theta = None if value is None else J.theta(value, precision)
+        for j in range(starts[m + 1] - 1, starts[m] - 1, -1):
+            i = starts[m - 1] + (j - starts[m]) // step
+            if value is None:
+                theta = J.theta(_listed_coupling(J, ball, j), precision)
+            factor = f_map_z(folded[j], theta, J.q)
+            if folded[i] is not None:
+                factor = tuple(a * b for a, b in zip(factor, folded[i]))
+            folded[i] = factor
     offsets = [
         min(_offset_valuation(law) for law in folded[starts[m] : starts[m + 1]])
         for m in range(n + 1)
     ]
     return RecursionResult(root_z=folded[0], per_level_offset=offsets)
+
+
+def _listed_coupling(J: CouplingField, ball, j: int) -> Fraction:
+    """A per-edge table's coupling on the edge into vertex j of ``ball``."""
+    vertices, pairs = ball
+    return J.coupling_for_edge(vertices[pairs[j - 1][0]], vertices[j])
 
 
 class _Powers(dict):
@@ -252,28 +265,29 @@ def _integer_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
     """The recursion on integers in the regime of claim (i), level by level;
     None outside it (see ``recursion_backward``).  Takes what
     ``_object_fold`` takes."""
-    prime, q, k = J.prime, J.q, shape.branching
+    prime, q = J.prime, J.q
     p = prime.value
     if q % p == 0:
         return None
-    vertices, pairs = ball
     starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
     # terms[m][i]: the theta terms of the edge above vertex i of level m + 1,
     # looked up once per level unless the coupling is per edge
-    per_edge = J.pattern == "per_edge"
     cached: dict = {}
+
+    def edge_terms(coupling: Fraction):
+        if coupling not in cached:
+            cached[coupling] = _theta_terms(J.theta(coupling, precision), q)
+        return cached[coupling]
+
     terms = []
     try:
         for m in range(n):
             lo, hi = starts[m + 1], starts[m + 2]
-            row = []
-            for j in range(lo, hi if per_edge else lo + 1):
-                parent, child = vertices[pairs[j - 1][0]], vertices[j]
-                coupling = J.coupling_for_edge(parent, child)
-                if coupling not in cached:
-                    cached[coupling] = _theta_terms(J.theta_for_edge(parent, child, precision), q)
-                row.append(cached[coupling])
-            terms.append(row if per_edge else row * (hi - lo))
+            value = J.level_coupling(m + 1)
+            if value is None:
+                terms.append([edge_terms(_listed_coupling(J, ball, j)) for j in range(lo, hi)])
+            else:
+                terms.append([edge_terms(value)] * (hi - lo))
     except KeyError:  # a per-edge table missing an edge: the object fold names it
         return None
     if None in cached.values():
@@ -318,7 +332,7 @@ def _integer_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
             acc = acc * t_D % mod
         offsets[m + 1] = least
         inv = _inverse_mod(acc, p, widest)  # of every denominator's product
-        step = k + 1 if m == 0 else k
+        step = shape.successor_count(m)
         parents = [([0] * (q - 1), [inf] * (q - 1)) for _ in range(len(level) // step)]
         precisions = [inf] * len(parents)
         for i, (before, t_D, r_s, P_D, vals) in enumerate(reversed(dens)):

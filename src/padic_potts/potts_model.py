@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
-from .cayley_tree import TreeShape, TreeVertex, ball_with_edges, vertex_parity
+from .cayley_tree import TreeShape, TreeVertex, ball_with_edges
 from .errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -115,12 +116,19 @@ class CouplingField:
         values = {(str(x), str(y)): Fraction(J) for (x, y), J in table.items()}
         return cls("per_edge", as_prime(p), q, values)
 
-    def coupling_for_edge(self, parent: TreeVertex, child: TreeVertex) -> Fraction:
+    def level_coupling(self, m: int) -> Fraction | None:
+        """The coupling on every edge into level m >= 1, chosen by the parity
+        of the parents' level m - 1; None for a per-edge table."""
         if self.pattern == "homogeneous":
             return self.values["J"]
         if self.pattern == "bipartite":
-            key = "even_to_odd" if vertex_parity(parent) == "even" else "odd_to_even"
-            return self.values[key]
+            return self.values["even_to_odd" if m % 2 else "odd_to_even"]
+        return None
+
+    def coupling_for_edge(self, parent: TreeVertex, child: TreeVertex) -> Fraction:
+        J = self.level_coupling(parent.level + 1)
+        if J is not None:
+            return J
         try:
             return self.values[(str(parent), str(child))]
         except KeyError:
@@ -128,15 +136,18 @@ class CouplingField:
                 f"no coupling listed for edge {str(parent)!r} -> {str(child)!r}"
             ) from None
 
-    def theta_for_edge(
-        self, parent: TreeVertex, child: TreeVertex, precision: int = DEFAULT_PRECISION
-    ) -> PadicNumber:
-        """exp of the edge coupling, cached per distinct coupling value."""
-        J = self.coupling_for_edge(parent, child)
+    def theta(self, J: Fraction, precision: int = DEFAULT_PRECISION) -> PadicNumber:
+        """exp of the coupling value ``J``, cached per value and precision."""
         key = (J, precision)
         if key not in self._theta_cache:
             self._theta_cache[key] = exp_p(PadicNumber.from_fraction(J, self.prime, precision))
         return self._theta_cache[key]
+
+    def theta_for_edge(
+        self, parent: TreeVertex, child: TreeVertex, precision: int = DEFAULT_PRECISION
+    ) -> PadicNumber:
+        """exp of the edge coupling, cached per distinct coupling value."""
+        return self.theta(self.coupling_for_edge(parent, child), precision)
 
 
 class BoundaryField:
@@ -211,7 +222,9 @@ class BoundaryField:
     def site_exponentials(self, vertex: TreeVertex, precision: int) -> list[PadicNumber]:
         """exp of ``spin_pairing(field_at(vertex), s)`` for s = 1..q, cached
         per distinct field vector and precision."""
-        vec = self.field_at(vertex)
+        return self._site_table(self.field_at(vertex), precision)
+
+    def _site_table(self, vec: tuple[PadicNumber, ...], precision: int) -> list[PadicNumber]:
         key = (tuple(c._key() for c in vec), precision)
         table = self._site_cache.get(key)
         if table is None:
@@ -266,17 +279,71 @@ def _guard(q: int, shape: TreeShape, n: int, configurations: bool = True) -> Non
     )
 
 
+class _Ball:
+    """What the balls of one computation share, each part found once: the
+    couplings on the edges into every level and the field's entries by
+    level and index.
+
+    A level's couplings are found when a ball first reaches that level: one
+    value per level, or for a per-edge table one lookup per edge in level
+    order, so that a table missing an edge raises where the first ball
+    holding it is built.  Nothing is read until a ball asks, so a guard that
+    refuses the ball runs first.
+    """
+
+    def __init__(self, shape: TreeShape, h: BoundaryField, J: CouplingField):
+        self.shape, self.h, self.J = shape, h, J
+        self._levels: list = []  # level m's couplings at m - 1: one value, or one per edge
+        self._front = [TreeVertex.root()]  # the last level a per-edge table was read on
+        self._entries: dict | None = None
+
+    def couplings(self, n: int) -> list:
+        """The couplings of levels 1..n."""
+        shape, J = self.shape, self.J
+        while len(self._levels) < n:
+            m = len(self._levels) + 1
+            value = J.level_coupling(m)
+            if value is not None:
+                self._levels.append(value)
+                continue
+            parents, children = self._front, shape.level_vertices(m)
+            step = shape.successor_count(m - 1)
+            self._levels.append([J.coupling_for_edge(parents[o // step], y)
+                                 for o, y in enumerate(children)])
+            self._front = children
+        return self._levels[:n]
+
+    def entries(self, m: int) -> dict:
+        """The field's own vectors on level m, by index."""
+        if self._entries is None:
+            self._entries = {}
+            for x, vec in self.h._table.items():
+                if x in self.shape:
+                    self._entries.setdefault(x.level, {})[self.shape.index_of(x)] = vec
+        return self._entries.get(m, {})
+
+
 class _LevelWeights:
-    """Unit residues mod p**B for every edge and boundary site of one ball.
+    """Unit residues mod p**B for every edge and boundary site of one ball,
+    held by index.
+
+    Children and parents are found by index arithmetic (``cayley_tree``), so
+    the pass makes no vertex objects: each level keeps one theta residue (a
+    list of them, one per edge, for a per-edge table) and the sphere one
+    site row per vertex, shared by the vertices that read one vector.  Each
+    distinct coupling and field vector is exponentiated once, by the
+    coupling's and the field's caches, and reduced mod p**B once.  ``ball``
+    is what the balls of one computation share (``_Ball``); without it the
+    weights read a fresh one.
 
     B is clamped to the least absolute precision carried by any of the
-    exponentials involved, so every residue is certain.  The exponentials come
-    from the coupling's and the field's caches, which compute them once per
-    distinct coupling or field vector at the working precision.
+    exponentials involved, so every residue is certain.  The partition sum
+    of a ball loses one factor of |q|_p per vertex, so callers that must
+    resolve quantities past that loss ask for extra working digits up front;
+    ``shift_hint`` provides the standard estimate.
 
-    The partition sum of a ball loses one factor of |q|_p per vertex, so
-    callers that must resolve quantities past that loss ask for extra working
-    digits up front; ``shift_hint`` provides the standard estimate.
+    ``vertices``, ``edge_residues`` and ``site_residues`` list the ball the
+    way a configuration's ``weight`` reads it, made when first read.
     """
 
     def __init__(
@@ -287,6 +354,7 @@ class _LevelWeights:
         n: int,
         precision: int,
         extra_digits: int = 0,
+        ball: _Ball | None = None,
     ):
         if (h.prime, h.q) != (J.prime, J.q):
             raise ValueError(
@@ -297,21 +365,58 @@ class _LevelWeights:
         self.prime = J.prime
         self.q = J.q
         _guard(self.q, shape, n, configurations=False)
-        vertices, pairs = ball_with_edges(shape, n)
-        self.vertices = vertices
-
+        ball = _Ball(shape, h, J) if ball is None else ball
+        self.shape, self.n = shape, n
         work = precision + extra_digits
-        thetas = [(i, j, J.theta_for_edge(vertices[i], vertices[j], work)) for i, j in pairs]
-        sphere = range(len(vertices) - shape.sphere_size(n), len(vertices))
-        site_exps = [(i, h.site_exponentials(vertices[i], work)) for i in sphere]
 
-        exps = [th for _, _, th in thetas] + [w for _, table in site_exps for w in table]
+        couplings = ball.couplings(n)
+        used = {c for row in couplings for c in (row if type(row) is list else (row,))}
+        thetas = {c: J.theta(c, work) for c in used}
+        size, default, entries = shape.sphere_size(n), h._pair[n % 2], ball.entries(n)
+        vectors = {id(vec): vec for vec in entries.values()}
+        if len(entries) < size:
+            vectors[id(default)] = default
+        tables = {key: h._site_table(vec, work) for key, vec in vectors.items()}
+
+        exps = [*thetas.values(), *(w for table in tables.values() for w in table)]
         known = [e.known_abs for e in exps if e.known_abs is not None]
         bound = min([work + MODULUS_HEADROOM, *known])
         self.modulus_exponent = bound
         self.modulus = p**bound
-        self.edge_residues = [(i, j, th.residue(bound)) for i, j, th in thetas]
-        self.site_residues = {i: [w.residue(bound) for w in table] for i, table in site_exps}
+        th = {c: theta.residue(bound) for c, theta in thetas.items()}
+        self._thetas = [[th[c] for c in row] if type(row) is list else th[row]
+                        for row in couplings]
+        reduced: dict = {}  # a table's residues by its identity: equal vectors share one
+        rows = {}
+        for key, table in tables.items():
+            if id(table) not in reduced:
+                reduced[id(table)] = [w.residue(bound) for w in table]
+            rows[key] = reduced[id(table)]
+        start = shape.level_start(n)
+        self._sphere = [rows.get(id(default))] * size
+        for i, vec in entries.items():
+            self._sphere[i - start] = rows[id(vec)]
+
+    @cached_property
+    def _listed(self) -> tuple[list[TreeVertex], list[tuple[int, int]]]:
+        return ball_with_edges(self.shape, self.n)
+
+    @cached_property
+    def vertices(self) -> list[TreeVertex]:
+        return self._listed[0]
+
+    @cached_property
+    def edge_residues(self) -> list[tuple[int, int, int]]:
+        """(parent index, child index, theta residue) of every edge, in level order."""
+        size = self.shape.sphere_size
+        thetas = [th for m, row in enumerate(self._thetas, 1)
+                  for th in (row if type(row) is list else [row] * size(m))]
+        return [(i, j, th) for (i, j), th in zip(self._listed[1], thetas)]
+
+    @cached_property
+    def site_residues(self) -> dict[int, list[int]]:
+        start = self.shape.level_start(self.n)
+        return dict(zip(range(start, start + len(self._sphere)), self._sphere))
 
     def weight(self, cfg: tuple, sites: dict | None = None) -> int:
         """Residue of one configuration's weight; ``sites`` replaces the site tables."""
@@ -329,20 +434,24 @@ class _LevelWeights:
 
         m_v(s) is the weight of the branch below v summed over its spins,
         with v held at spin s: m_v(s) = site_v(s) * prod over children c of
-        (sum_t m_c(t) + (theta_vc - 1) * m_c(s)).  A ball lists parents
-        before children, so the edges taken in reverse fold every child
-        before its parent.
+        (sum_t m_c(t) + (theta_vc - 1) * m_c(s)).  Each level is folded into
+        the one above it, the child at offset o into the parent at offset
+        o // k (every child of level 1 into the root).
         """
         M = self.modulus
         ones = [1] * self.q
-        msg = dict(self.site_residues)
-        for i, j, th in reversed(self.edge_residues):
-            if self.vertices[i].level < level:
-                break
-            child = msg.pop(j)
-            total = sum(child)
-            msg[i] = [m * (total + (th - 1) * c) % M for m, c in zip(msg.get(i, ones), child)]
-        return msg
+        msgs = self._sphere
+        for m in range(self.n, level, -1):
+            step = self.shape.successor_count(m - 1)
+            row = self._thetas[m - 1]
+            shifts = [row - 1] * len(msgs) if type(row) is int else [th - 1 for th in row]
+            folded = [ones] * (len(msgs) // step)
+            for o, (child, t) in enumerate(zip(msgs, shifts)):
+                total, a = sum(child), o // step
+                folded[a] = [f * (total + t * c) % M for f, c in zip(folded[a], child)]
+            msgs = folded
+        start = self.shape.level_start(level)
+        return dict(zip(range(start, start + len(msgs)), msgs))
 
     def partition_residue(self) -> int:
         return sum(self.messages(0)[0]) % self.modulus
@@ -359,6 +468,7 @@ def _weights_resolving_partition(
     J: CouplingField,
     n: int,
     precision: int,
+    ball: _Ball | None = None,
 ) -> tuple[_LevelWeights, int, int]:
     """A weight system together with its partition residue and valuation.
 
@@ -369,7 +479,7 @@ def _weights_resolving_partition(
     """
     extra = 2 * _shift_hint(shape, J.q, J.prime.value, n)
     for _ in range(2):
-        system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra)
+        system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, ball=ball)
         z_res = system.partition_residue()
         if z_res == 0:
             raise PartitionFunctionDegenerate(
@@ -469,9 +579,10 @@ def compatibility_check(
             )
         return _vp(residue, p)
 
+    ball = _Ball(shape, h, J)
     for _ in range(2):
-        outer = _LevelWeights(shape, h, J, n, precision, extra_digits=extra)
-        inner = _LevelWeights(shape, h, J, n - 1, precision, extra_digits=extra)
+        outer = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, ball=ball)
+        inner = _LevelWeights(shape, h, J, n - 1, precision, extra_digits=extra, ball=ball)
         B = min(outer.modulus_exponent, inner.modulus_exponent)
         M = p**B
         z_outer = outer.partition_residue() % M
@@ -505,7 +616,7 @@ def compatibility_check(
         threshold=threshold,
         resolved=worst < B,
         level=n,
-        terms_enumerated=q ** len(outer.vertices),
+        terms_enumerated=q ** shape.ball_size(n),
     )
 
 
@@ -534,9 +645,10 @@ def measure_norm_profile(
     pass with the extra working digits ``finite_measure`` takes.
     """
     _guard(J.q, shape, n_max, configurations=False)
+    ball = _Ball(shape, h, J)
     rows = []
     for n in range(n_max + 1):
-        _, _, zeta = _weights_resolving_partition(shape, h, J, n, precision)
+        _, _, zeta = _weights_resolving_partition(shape, h, J, n, precision, ball)
         rows.append(NormProfileRow(level=n, min_valuation=-zeta, max_valuation=-zeta))
     return rows
 
@@ -613,6 +725,14 @@ def boundary_field_from_json(
     if not isinstance(doc, dict):
         raise ValueError("a field document must map addresses to component lists")
     out = BoundaryField(q, p)
+    parsed: dict = {}  # each distinct component text, read once
+    checked: dict = {}  # each distinct vector, by its components' identities, checked once
+
+    def component(text) -> PadicNumber:
+        if not (isinstance(text, (str, int)) and text in parsed):
+            parsed[text] = PadicNumber.from_fraction(_fraction_from_text(text), out.prime)
+        return parsed[text]
+
     for address, values in doc.items():
         if not isinstance(values, list):
             raise ValueError(f"field at {address!r} must be a list of components, got {values!r}")
@@ -620,7 +740,7 @@ def boundary_field_from_json(
             raise ValueError(
                 f"field at {address!r} must list {q - 1} components, got {len(values)}"
             )
-        vec = tuple(PadicNumber.from_fraction(_fraction_from_text(v), out.prime) for v in values)
+        vec = tuple(component(v) for v in values)
         vertex = TreeVertex.from_string(address)
         if shape is not None and vertex not in shape:
             k = shape.branching
@@ -628,5 +748,8 @@ def boundary_field_from_json(
                 f"field address {address!r} names no vertex of the k={k} tree, whose root "
                 f"has children 0..{k} and every other vertex children 0..{k - 1}"
             )
-        out.assign(vertex, vec)
+        key = tuple(map(id, vec))
+        if key not in checked:
+            checked[key] = out._checked(vec, str(vertex) or "root")
+        out._table[vertex] = checked[key]
     return out

@@ -1,13 +1,12 @@
 import itertools
 
 import pytest
+from conftest import direct_successors, vertex_parity
 
 from padic_potts.cayley_tree import (
     TreeShape,
     TreeVertex,
     ball_with_edges,
-    direct_successors,
-    vertex_parity,
 )
 
 
@@ -40,6 +39,47 @@ class TestShape:
                 assert [(vertices[i], vertices[j]) for i, j in pairs] == [
                     (v.parent(), v) for v in vertices[1:]
                 ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_level_order_is_the_closed_form_index_map(self, k):
+        # level m starts at |B_{m-1}|; an address read as a base-k numeral
+        # (its first index may reach k) is its offset there; the parent of
+        # index j at level m >= 2 is starts[m-1] + (j - starts[m]) // k
+        shape = TreeShape(k)
+        for n in range(7):
+            vertices, pairs = ball_with_edges(shape, n)
+            starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
+            for j, v in enumerate(vertices):
+                offset = 0
+                for a in v.address:
+                    offset = offset * k + a
+                assert j == starts[v.level] + offset
+            assert len(pairs) == len(vertices) - 1
+            for i, j in pairs:
+                m = vertices[j].level
+                assert i == (0 if m == 1 else starts[m - 1] + (j - starts[m]) // k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_index_arithmetic_matches_the_walk(self, k):
+        # the walk that makes each level from the one before it, through
+        # direct_successors, is the oracle for the index arithmetic
+        shape = TreeShape(k)
+        for n in range(6):
+            vertices = [TreeVertex.root()]
+            pairs = []
+            for i in range(shape.ball_size(n - 1) if n else 0):
+                for y in direct_successors(shape, vertices[i]):
+                    pairs.append((i, len(vertices)))
+                    vertices.append(y)
+            assert ball_with_edges(shape, n) == (vertices, pairs)
+            assert [shape.index_of(v) for v in vertices] == list(range(len(vertices)))
+            for m in range(n + 1):
+                level = [v for v in vertices if v.level == m]
+                assert shape.level_vertices(m) == level
+                assert vertices[shape.level_start(m)] == level[0]
+            # vertices made without the address check key the same dict entries
+            laws = {TreeVertex(v.address): i for i, v in enumerate(vertices)}
+            assert [laws[v] for v in ball_with_edges(shape, n)[0]] == list(range(len(vertices)))
 
     def test_k2_small_values(self):
         shape = TreeShape(2)

@@ -433,6 +433,36 @@ class TestCompatCheck:
             f"{row[1]!r} names no edge of the k=1 tree\n"
         )
 
+    @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
+    def test_per_edge_table_missing_two_edges_names_the_first_in_level_order(
+        self, capsys, command
+    ):
+        # '1' -> '1.1' (level 2) comes before '0.1' -> '0.1.0' (level 3) in
+        # level order, though not in the order the rows are listed
+        vertices, pairs = ball_with_edges(TreeShape(2), 3)
+        missing = {("0.1", "0.1.0"), ("1", "1.1")}
+        rows = [[str(vertices[i]), str(vertices[j]), ("3", "6", "9/2")[j % 3]]
+                for i, j in reversed(pairs)
+                if (str(vertices[i]), str(vertices[j])) not in missing]
+        doc = {"pattern": "per_edge", "p": 3, "q": 2, "values": rows}
+        code, out, err = run(capsys, command, "--k", "2", "--n", "3", "--couplings",
+                             json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == "config error: no coupling listed for edge '1' -> '1.1'\n"
+
+    @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
+    @pytest.mark.parametrize("address", ["0", "2.1.0"])
+    def test_inadmissible_entry_off_the_sphere_is_refused(self, capsys, tmp_path, command,
+                                                          address):
+        # no site table of the 2-ball reads an interior vertex's entry, nor
+        # one past the ball, but every entry is checked as it is read in
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"1.1": ["3", "0"], address: ["1", "0"]}))
+        code, out, err = run(capsys, command, "--k", "2", "--n", "2", "--field", str(field))
+        assert (code, out) == (2, "")
+        assert err == (f"domain violation: field at {address} leaves the exponential "
+                       f"domain at p=3\n")
+
     def test_inadmissible_field_is_domain_error(self, capsys, tmp_path):
         field = tmp_path / "field.json"
         field.write_text(json.dumps({"": ["1", "0"]}))

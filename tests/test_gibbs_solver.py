@@ -332,6 +332,22 @@ class TestIntegerFold:
         assert folds == (["_integer_fold"] if in_regime else ["_integer_fold", "_object_fold"])
 
     @pytest.mark.parametrize("q", [2, 3])
+    def test_per_edge_table_missing_two_edges_names_the_object_folds_first(self, q):
+        # the object fold takes the edges in reverse, so of the two missing
+        # edges it meets '0.1' -> '0.1.0' (level 3) before '1' -> '1.1'
+        shape, p = TreeShape(2), 3
+        vertices, pairs = ball_with_edges(shape, 3)
+        missing = {("0.1", "0.1.0"), ("1", "1.1")}
+        table = {(vertices[i], vertices[j]): Fraction(3 * (1 + j % 3)) for i, j in pairs
+                 if (str(vertices[i]), str(vertices[j])) not in missing}
+        J = CouplingField.per_edge(table, p, q)
+        laws = {x: (PadicNumber(1 + 3 * (i + 1), p),) * (q - 1)
+                for i, x in enumerate(vertices[shape.ball_size(2):])}
+        with pytest.raises(KeyError) as err:
+            recursion_backward(shape, laws, J, 3, N)
+        assert err.value.args == ("no coupling listed for edge '0.1' -> '0.1.0'",)
+
+    @pytest.mark.parametrize("q", [2, 3])
     def test_reads_nothing_when_the_guard_refuses(self, q):
         laws = _CountingLaws({})
         with pytest.raises(EnumerationTooLarge):

@@ -599,6 +599,36 @@ class TestJsonIngestion:
         with pytest.raises(DomainViolation):
             boundary_field_from_json({"": ["1", "0"]}, 3, P)
 
+    def test_field_document_names_the_first_of_two_bad_entries(self):
+        # a constant or parity file repeats one vector at every address: the
+        # inadmissible one here first at '1', then again at '0.0'
+        doc = {"0": ["3", "0"], "1": ["1", "0"], "2": ["3", "0"], "0.0": ["1", "0"]}
+        with pytest.raises(DomainViolation, match=r"^field at 1 leaves"):
+            boundary_field_from_json(doc, 3, P, TreeShape(2))
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (["3"], r"^field at '1\.1' must list 2 components, got 1$"),
+            ("3", r"^field at '1\.1' must be a list of components"),
+            (["3", "x"], r"Invalid literal for Fraction: 'x'"),
+            (["3", ["0"]], r"^rationals must be given as strings"),
+            (["3", "1/0"], r"^rational '1/0' has a zero denominator$"),
+        ],
+    )
+    def test_field_document_malformed_entry_after_a_valid_duplicate(self, entry, message):
+        doc = {"": ["3", "0"], "0": ["3", "0"], "1": ["3", "0"], "1.1": entry, "2": ["1", "0"]}
+        with pytest.raises(ValueError, match=message):
+            boundary_field_from_json(doc, 3, P, TreeShape(2))
+
+    def test_field_document_duplicates_read_as_equal_vectors(self):
+        doc = {"": ["3", "0"], "0": ["9/2", "3"], "1": ["3", "0"], "2": ["3", 0]}
+        field = boundary_field_from_json(doc, 3, P, TreeShape(2))
+        want = {"": vec([3, 0]), "0": vec([Fraction(9, 2), 3]), "1": vec([3, 0]),
+                "2": vec([3, 0]), "0.0": vec([0, 0])}
+        for address, v in want.items():
+            assert field.field_at(TreeVertex.from_string(address)) == v
+
     @pytest.mark.parametrize(
         "k,address", [(1, "2"), (1, "7.3"), (1, "0.1"), (2, "3"), (2, "0.2"), (3, "1.0.3")]
     )

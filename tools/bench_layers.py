@@ -46,7 +46,14 @@ def _entries():
     from padic_potts.gibbs_solver import f_map_z, recursion_backward, solve_k1_bipartite
     from padic_potts.padic_analytic import exp_p, hensel_roots_in_disk, log_p
     from padic_potts.padic_core import PadicNumber
-    from padic_potts.potts_model import BoundaryField, CouplingField, _LevelWeights
+    from padic_potts.potts_model import (
+        BoundaryField,
+        CouplingField,
+        _LevelWeights,
+        boundary_field_from_json,
+        compatibility_check,
+        measure_norm_profile,
+    )
 
     out = []
     # inexact N = 128 operands as a computation leaves them: quotients and
@@ -207,6 +214,24 @@ def _entries():
     out.append(("_LevelWeights", params, tables))
     system = tables()
     out.append(("_LevelWeights.partition_residue", params, system.partition_residue))
+    # the whole compat-check op on that ball, and norm-profile's every level
+    # of a zero field at k = 2, q = 2, n = 12 (p = 3, J = 3), each with fresh
+    # caches as one CLI op builds them
+    def compat():
+        h = BoundaryField.by_parity(even, odd)
+        return compatibility_check(shape, h, CouplingField.homogeneous(Fraction(3), 3, 3), 2, 32)
+
+    def profile():
+        h, J2 = BoundaryField.zero(2, 3), CouplingField.homogeneous(Fraction(3), 3, 2)
+        return measure_norm_profile(shape, h, J2, 12, 32)
+
+    out.append(("compatibility_check", params, compat))
+    out.append(("measure_norm_profile",
+                {"p": 3, "q": 2, "k": 2, "n": 12, "N": 32, "field": "zero"}, profile))
+    # a constant field file over the k = 2, n = 2 ball: one vector at every address
+    constant = {".".join(map(str, v.address)): ["3/7", "9"] for v in ball_with_edges(shape, 2)[0]}
+    out.append(("boundary_field_from_json", {"p": 3, "q": 3, "k": 2, "n": 2, "field": "constant"},
+                lambda: boundary_field_from_json(constant, 3, 3, shape)))
     return out
 
 

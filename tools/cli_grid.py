@@ -15,13 +15,15 @@ and prints how many records differ, names the first few by argv and by field
 
 The grid covers every verify suite over seeds and N = 8 to 128, the
 contraction suite over p, q, k and n, classify, compat-check and
-norm-profile over p, q and k, every configuration-error path, and two cycles
+norm-profile over p, q and k, per-edge and bipartite couplings and sparse
+field files at k = 2 and 3, every configuration-error path, and two cycles
 of each benchmark workload (``perfbench/workloads.py``, read only) at a
 non-default seed.  Standard library only.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -134,6 +136,56 @@ def _measures() -> list:
             out.append(([command, "--k", "1", "--n", "2", "--field", f"{name}.json"],
                         {f"{name}.json": doc}))
     out.append((["compat-check", "--out", "compat-out.json"], {}))
+    return out + _deep_tables()
+
+
+def _level(k: int, m: int) -> list:
+    """The addresses of level m of the k tree, in level order."""
+    if m == 0:
+        return [""]
+    return [".".join(map(str, a)) for a in itertools.product(range(k + 1), *[range(k)] * (m - 1))]
+
+
+def _deep_tables() -> list:
+    """Per-edge and bipartite couplings and sparse field files at k = 2 and 3,
+    n = 2 and 3, where a ball's index arithmetic tells the root's k + 1
+    children from every other vertex's k, and even levels from odd ones (at
+    k = 3, n = 3 compat-check meets the guard, norm-profile does not)."""
+    out = []
+    for k in (2, 3):
+        q = 3  # at q = 2 a field shifts both spins alike and cancels
+        for n in (2, 3):
+            edges = [[child.rpartition(".")[0], child] for m in range(1, n + 1)
+                     for child in _level(k, m)]
+            rows = [[x, y, ("3", "6", "9/2", "-3/5")[i % 4]] for i, (x, y) in enumerate(edges)]
+            couplings = {
+                "per-edge": {"pattern": "per_edge", "p": 3, "q": q, "values": rows},
+                "bipartite": {"pattern": "bipartite", "p": 3, "q": q,
+                              "values": {"even_to_odd": "3", "odd_to_even": "-9/2"}},
+            }
+            # every third sphere vertex, one interior vertex and one past the ball
+            picks = _level(k, n)[::3] + [_level(k, n - 1)[-1], _level(k, n + 1)[1]]
+            field = {x: [("3", "9/2", "-6")[(i + c) % 3] for c in range(q - 1)]
+                     for i, x in enumerate(picks)}
+            cases = [("per-edge", None), ("bipartite", None), (None, field),
+                     ("per-edge", field)]
+            for name, doc in cases:
+                files, flags = {}, ["--p", "3", "--q", str(q), "--k", str(k), "--n", str(n)]
+                if name is not None:
+                    files[f"{name}-k{k}n{n}.json"] = json.dumps(couplings[name])
+                    flags += ["--couplings", f"{name}-k{k}n{n}.json"]
+                if doc is not None:
+                    files[f"sparse-k{k}n{n}.json"] = json.dumps(doc)
+                    flags += ["--field", f"sparse-k{k}n{n}.json"]
+                for command in ("compat-check", "norm-profile"):
+                    out.append(([command, *flags], files))
+    # a per-edge table missing two edges, the later one listed first
+    rows = [[x, y, "3"] for m in (3, 2, 1) for y in _level(2, m)
+            for x in [y.rpartition(".")[0]] if y not in ("1.1", "0.1.0")]
+    doc = json.dumps({"pattern": "per_edge", "p": 3, "q": 3, "values": rows})
+    for command in ("compat-check", "norm-profile"):
+        out.append(([command, "--k", "2", "--n", "3", "--couplings", "holes.json"],
+                    {"holes.json": doc}))
     return out
 
 
