@@ -621,6 +621,15 @@ class TestJsonIngestion:
         with pytest.raises(ValueError, match=message):
             boundary_field_from_json(doc, 3, P, TreeShape(2))
 
+    @pytest.mark.parametrize(
+        "address,message",
+        [("1_0", r"^vertex address '1_0' is not dot-joined"), ("0.2", r"^field address '0\.2'")],
+    )
+    def test_field_document_bad_address_after_a_valid_duplicate(self, address, message):
+        doc = {"0": ["3", "0"], address: ["3", "0"], "1": ["1", "0"]}
+        with pytest.raises(ValueError, match=message):
+            boundary_field_from_json(doc, 3, P, TreeShape(2))
+
     def test_field_document_duplicates_read_as_equal_vectors(self):
         doc = {"": ["3", "0"], "0": ["9/2", "3"], "1": ["3", "0"], "2": ["3", 0]}
         field = boundary_field_from_json(doc, 3, P, TreeShape(2))

@@ -151,13 +151,12 @@ def _deep_tables() -> list:
     n = 2 and 3, where a ball's index arithmetic tells the root's k + 1
     children from every other vertex's k, and even levels from odd ones (at
     k = 3, n = 3 compat-check meets the guard, norm-profile does not)."""
-    out = []
+    out, q = [], 3  # at q = 2 a field shifts both spins alike and cancels
     for k in (2, 3):
-        q = 3  # at q = 2 a field shifts both spins alike and cancels
         for n in (2, 3):
-            edges = [[child.rpartition(".")[0], child] for m in range(1, n + 1)
-                     for child in _level(k, m)]
-            rows = [[x, y, ("3", "6", "9/2", "-3/5")[i % 4]] for i, (x, y) in enumerate(edges)]
+            children = [y for m in range(1, n + 1) for y in _level(k, m)]
+            rows = [[y.rpartition(".")[0], y, ("3", "6", "9/2", "-3/5")[i % 4]]
+                    for i, y in enumerate(children)]
             couplings = {
                 "per-edge": {"pattern": "per_edge", "p": 3, "q": q, "values": rows},
                 "bipartite": {"pattern": "bipartite", "p": 3, "q": q,
@@ -180,8 +179,8 @@ def _deep_tables() -> list:
                 for command in ("compat-check", "norm-profile"):
                     out.append(([command, *flags], files))
     # a per-edge table missing two edges, the later one listed first
-    rows = [[x, y, "3"] for m in (3, 2, 1) for y in _level(2, m)
-            for x in [y.rpartition(".")[0]] if y not in ("1.1", "0.1.0")]
+    rows = [[y.rpartition(".")[0], y, "3"] for m in (3, 2, 1) for y in _level(2, m)
+            if y not in ("1.1", "0.1.0")]
     doc = json.dumps({"pattern": "per_edge", "p": 3, "q": 3, "values": rows})
     for command in ("compat-check", "norm-profile"):
         out.append(([command, "--k", "2", "--n", "3", "--couplings", "holes.json"],
