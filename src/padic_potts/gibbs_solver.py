@@ -419,10 +419,20 @@ class PhaseReport:
         }
 
 
+def _per_component(f, z: tuple) -> list:
+    """``f`` of every component of a law, computed once per distinct
+    component: a law (z, 1, ..., 1) shares its one object."""
+    done: dict = {}
+    for c in z:
+        if id(c) not in done:
+            done[id(c)] = f(c)
+    return [done[id(c)] for c in z]
+
+
 def _witness_sort_key(z: tuple[PadicNumber, ...]) -> list:
     """(offset valuation, first 8 digits) per component of a law."""
     one = PadicNumber.one(z[0].prime)
-    return [(c.distance_valuation(one), c.leading_digits(8)) for c in z]
+    return _per_component(lambda c: (c.distance_valuation(one), c.leading_digits(8)), z)
 
 
 def _witness_json(z: tuple[PadicNumber, ...]) -> dict:
@@ -447,8 +457,8 @@ def _report(p, q: int, witnesses: list, diag: dict, multiple: str, trivial: str)
 
 
 def _law_from_first_component(z: PadicNumber, q: int, precision: int) -> tuple[PadicNumber, ...]:
-    """The law (z, 1, ..., 1) with q - 1 components."""
-    return (z, *(PadicNumber.one(z.prime, precision) for _ in range(q - 2)))
+    """The law (z, 1, ..., 1) with q - 1 components, its q - 2 ones one object."""
+    return (z, *(PadicNumber.one(z.prime, precision),) * (q - 2))
 
 
 def _mobius_step(z: PadicNumber, theta: PadicNumber, q: int) -> PadicNumber:
@@ -487,6 +497,11 @@ def solve_k1_bipartite(
     if not degenerate:
         roots.append(PadicNumber.from_fraction(1 - q, p, precision))
 
+    def one_period(c: PadicNumber) -> tuple[PadicNumber, int | float]:
+        """A component's partner, and how close one full period returns it."""
+        partner = _mobius_step(c, theta2, q)
+        return partner, _mobius_step(partner, theta1, q).distance_valuation(c)
+
     witnesses = []
     rejected = []
     pairs = {}
@@ -494,10 +509,9 @@ def solve_k1_bipartite(
         offset = root.distance_valuation(PadicNumber.one(p, precision))
         vec = _law_from_first_component(root, q, precision)
         if offset >= 1:
-            partner = tuple(_mobius_step(c, theta2, q) for c in vec)
-            # one full period must return the root
-            back = tuple(_mobius_step(c, theta1, q) for c in partner)
-            residual = min(x.distance_valuation(y) for x, y in zip(back, vec))
+            period = _per_component(one_period, vec)
+            partner = tuple(x for x, _ in period)
+            residual = min(r for _, r in period)
             if residual < precision - ROOT_RESIDUAL_MARGIN:
                 raise DomainViolation(
                     f"fixed-point residual only reaches valuation {render_valuation(residual)}"

@@ -12,17 +12,23 @@ valuation is certain unless stated as a lower bound.
 
 A weight is a product of edge and boundary-site factors, so sums over
 configurations factorise along the tree: one leaf-to-root sum-product pass
-gives the partition sum, and the same pass stopped one sphere short gives the
-marginal of the n-ball measure on the (n-1)-ball.  The compatibility checker
-compares those marginals with the smaller ball's measure at one base
-configuration and its one-spin changes, where the worst discrepancy lies.
-The pass is exact integer arithmetic, not the boundary-law recursion the
-solver module implements, which is what makes the cross-check meaningful.
+gives the partition sum, and the same pass read one sphere short gives the
+marginal of the n-ball measure on the (n-1)-ball.  A message depends only on
+its subtree's couplings and fields, so the pass holds a level as its distinct
+rows and folds one row per distinct signature: a zero, constant or parity
+field under homogeneous or bipartite couplings costs O(n*q) per pass, and
+only vertices a field entry or a per-edge coupling sets apart cost more.
+The compatibility checker compares the marginals with the smaller ball's
+measure at one base configuration and its one-spin changes, where the worst
+discrepancy lies.  The pass is exact integer arithmetic, not the
+boundary-law recursion the solver module implements, which is what makes the
+cross-check meaningful.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -138,7 +144,7 @@ class CouplingField:
 
     def theta(self, J: Fraction, precision: int = DEFAULT_PRECISION) -> PadicNumber:
         """exp of the coupling value ``J``, cached per value and precision."""
-        key = (J, precision)
+        key = (J.numerator, J.denominator, precision)  # a Fraction's own hash is slow
         if key not in self._theta_cache:
             self._theta_cache[key] = exp_p(PadicNumber.from_fraction(J, self.prime, precision))
         return self._theta_cache[key]
@@ -228,7 +234,11 @@ class BoundaryField:
         key = (tuple(c._key() for c in vec), precision)
         table = self._site_cache.get(key)
         if table is None:
-            table = [exp_p(spin_pairing(vec, s), precision=precision) for s in range(1, self.q + 1)]
+            # spins 1..q-1 pair to their own components and spin q to their
+            # sum, which at q = 2 is h[0] itself: its exp_p is not run twice
+            table = [exp_p(c, precision=precision) for c in vec]
+            last = spin_pairing(vec, self.q)
+            table.append(table[0] if last is vec[0] else exp_p(last, precision=precision))
             self._site_cache[key] = table
         return table
 
@@ -279,37 +289,61 @@ def _guard(q: int, shape: TreeShape, n: int, configurations: bool = True) -> Non
     )
 
 
+def _sparse(listed: dict, default: int | None) -> tuple[int, dict]:
+    """A map from the offsets of a level to ids, as (default id, {offset: id}
+    for the offsets off it).  ``listed`` holds every offset whose id may
+    differ from ``default``; with no ``default`` it holds every offset, and
+    its first id becomes the default: a level that lists every offset costs
+    what was read to list it, and one id throughout leaves nothing off."""
+    if default is None:
+        default = next(iter(listed.values()))
+    return default, {o: i for o, i in listed.items() if i != default}
+
+
 class _Ball:
     """What the balls of one computation share, each part found once: the
     couplings on the edges into every level and the field's entries by
     level and index.
 
-    A level's couplings are found when a ball first reaches that level: one
-    value per level, or for a per-edge table one lookup per edge in level
-    order, so that a table missing an edge raises where the first ball
-    holding it is built.  Nothing is read until a ball asks, so a guard that
+    Each distinct coupling value gets an id, its index in ``values``, so
+    that the tree pass keys its work by small integers.  Level m's
+    couplings map each offset to an id (``_sparse``): one id for a
+    homogeneous or bipartite level, or for a per-edge table one lookup per
+    edge in level order, so that a table missing an edge raises where the
+    first ball holding it is built.  A level is found when a ball first
+    reaches it, and nothing is read until a ball asks, so a guard that
     refuses the ball runs first.
     """
 
     def __init__(self, shape: TreeShape, h: BoundaryField, J: CouplingField):
         self.shape, self.h, self.J = shape, h, J
-        self._levels: list = []  # level m's couplings at m - 1: one value, or one per edge
+        self.values: list[Fraction] = []  # the coupling values, by id
+        self._ids: dict = {}  # a value's id by its (numerator, denominator)
+        self._levels: list = []  # level m's couplings at m - 1
         self._front = [TreeVertex.root()]  # the last level a per-edge table was read on
         self._entries: dict | None = None
 
+    def _id(self, value: Fraction) -> int:
+        key = (value.numerator, value.denominator)
+        if key not in self._ids:
+            self._ids[key] = len(self.values)
+            self.values.append(value)
+        return self._ids[key]
+
     def couplings(self, n: int) -> list:
-        """The couplings of levels 1..n."""
+        """The couplings of levels 1..n, each as (default id, {offset: id})."""
         shape, J = self.shape, self.J
         while len(self._levels) < n:
             m = len(self._levels) + 1
             value = J.level_coupling(m)
             if value is not None:
-                self._levels.append(value)
+                self._levels.append((self._id(value), {}))
                 continue
             parents, children = self._front, shape.level_vertices(m)
             step = shape.successor_count(m - 1)
-            self._levels.append([J.coupling_for_edge(parents[o // step], y)
-                                 for o, y in enumerate(children)])
+            ids = {o: self._id(J.coupling_for_edge(parents[o // step], y))
+                   for o, y in enumerate(children)}
+            self._levels.append(_sparse(ids, None))
             self._front = children
         return self._levels[:n]
 
@@ -325,16 +359,23 @@ class _Ball:
 
 class _LevelWeights:
     """Unit residues mod p**B for every edge and boundary site of one ball,
-    held by index.
+    and the sum-product pass over them, held level by level.
 
-    Children and parents are found by index arithmetic (``cayley_tree``), so
-    the pass makes no vertex objects: each level keeps one theta residue (a
-    list of them, one per edge, for a per-edge table) and the sphere one
-    site row per vertex, shared by the vertices that read one vector.  Each
-    distinct coupling and field vector is exponentiated once, by the
-    coupling's and the field's caches, and reduced mod p**B once.  ``ball``
-    is what the balls of one computation share (``_Ball``); without it the
-    weights read a fresh one.
+    A level is its distinct rows and the map from vertex offset to row: a
+    default row and the offsets off it (``_sparse``).  Children and parents
+    are found by index arithmetic (``cayley_tree``), so the pass makes no
+    vertex objects, and it folds one row per distinct signature, not per
+    vertex: a parent's message depends only on the (row, coupling) pairs of
+    its children.  A zero, constant or parity field under homogeneous or
+    bipartite couplings is then one row per level, a sparse field file the
+    default row plus the rows its entries reach, and a per-edge table or a
+    random field a row per vertex, all through the one fold.  Each distinct
+    coupling and field vector is exponentiated once, by the coupling's and
+    the field's caches, and reduced mod p**B once.  ``ball`` is what the
+    balls of one computation share (``_Ball``); without it the weights read
+    a fresh one.  With ``inner`` the weights also hold the site rows of
+    sphere n - 1, the boundary of the (n-1)-ball, on the same modulus: the
+    compatibility check's two balls in one system.
 
     B is clamped to the least absolute precision carried by any of the
     exponentials involved, so every residue is certain.  The partition sum
@@ -355,6 +396,7 @@ class _LevelWeights:
         precision: int,
         extra_digits: int = 0,
         ball: _Ball | None = None,
+        inner: bool = False,
     ):
         if (h.prime, h.q) != (J.prime, J.q):
             raise ValueError(
@@ -369,33 +411,35 @@ class _LevelWeights:
         self.shape, self.n = shape, n
         work = precision + extra_digits
 
-        couplings = ball.couplings(n)
-        used = {c for row in couplings for c in (row if type(row) is list else (row,))}
-        thetas = {c: J.theta(c, work) for c in used}
-        size, default, entries = shape.sphere_size(n), h._pair[n % 2], ball.entries(n)
-        vectors = {id(vec): vec for vec in entries.values()}
-        if len(entries) < size:
-            vectors[id(default)] = default
-        tables = {key: h._site_table(vec, work) for key, vec in vectors.items()}
+        self._couplings = ball.couplings(n)
+        used = {i for default, off in self._couplings for i in (default, *off.values())}
+        thetas = {i: J.theta(ball.values[i], work) for i in used}
+        sites = {}  # each sphere's default vector, entries and tables by vector identity
+        for m in (n, n - 1) if inner else (n,):
+            default, entries = h._pair[m % 2], ball.entries(m)
+            vectors = {id(vec): vec for vec in entries.values()}
+            if len(entries) < shape.sphere_size(m):
+                vectors[id(default)] = default
+            sites[m] = default, entries, {key: h._site_table(vec, work) for key, vec in vectors.items()}
 
-        exps = [*thetas.values(), *(w for table in tables.values() for w in table)]
+        exps = [*thetas.values(),
+                *(w for _, _, tables in sites.values() for table in tables.values() for w in table)]
         known = [e.known_abs for e in exps if e.known_abs is not None]
         bound = min([work + MODULUS_HEADROOM, *known])
         self.modulus_exponent = bound
         self.modulus = p**bound
-        th = {c: theta.residue(bound) for c, theta in thetas.items()}
-        self._thetas = [[th[c] for c in row] if type(row) is list else th[row]
-                        for row in couplings]
-        reduced: dict = {}  # a table's residues by its identity: equal vectors share one
-        rows = {}
-        for key, table in tables.items():
-            if id(table) not in reduced:
-                reduced[id(table)] = [w.residue(bound) for w in table]
-            rows[key] = reduced[id(table)]
-        start = shape.level_start(n)
-        self._sphere = [rows.get(id(default))] * size
-        for i, vec in entries.items():
-            self._sphere[i - start] = rows[id(vec)]
+        self._theta = {i: theta.residue(bound) for i, theta in thetas.items()}
+        self._spheres = {}  # each sphere's rows, one per distinct table: equal vectors share one
+        for m, (default, entries, tables) in sites.items():
+            rows, by_table, by_vector = [], {}, {}
+            for key, table in tables.items():
+                if id(table) not in by_table:
+                    by_table[id(table)] = len(rows)
+                    rows.append([w.residue(bound) for w in table])
+                by_vector[key] = by_table[id(table)]
+            start = shape.level_start(m)
+            listed = {i - start: by_vector[id(vec)] for i, vec in entries.items()}
+            self._spheres[m] = (rows, *_sparse(listed, by_vector.get(id(default))))
 
     @cached_property
     def _listed(self) -> tuple[list[TreeVertex], list[tuple[int, int]]]:
@@ -408,15 +452,20 @@ class _LevelWeights:
     @cached_property
     def edge_residues(self) -> list[tuple[int, int, int]]:
         """(parent index, child index, theta residue) of every edge, in level order."""
-        size = self.shape.sphere_size
-        thetas = [th for m, row in enumerate(self._thetas, 1)
-                  for th in (row if type(row) is list else [row] * size(m))]
-        return [(i, j, th) for (i, j), th in zip(self._listed[1], thetas)]
+        size, th = self.shape.sphere_size, self._theta
+        thetas = [th[off.get(o, default)] for m, (default, off) in enumerate(self._couplings, 1)
+                  for o in range(size(m))]
+        return [(i, j, t) for (i, j), t in zip(self._listed[1], thetas)]
 
     @cached_property
     def site_residues(self) -> dict[int, list[int]]:
-        start = self.shape.level_start(self.n)
-        return dict(zip(range(start, start + len(self._sphere)), self._sphere))
+        return self._by_index(self.n, self._spheres[self.n])
+
+    def _by_index(self, m: int, level: tuple) -> dict[int, list[int]]:
+        """Level m's rows keyed by vertex index."""
+        rows, default, off = level
+        start = self.shape.level_start(m)
+        return {start + o: rows[off.get(o, default)] for o in range(self.shape.sphere_size(m))}
 
     def weight(self, cfg: tuple, sites: dict | None = None) -> int:
         """Residue of one configuration's weight; ``sites`` replaces the site tables."""
@@ -429,32 +478,68 @@ class _LevelWeights:
             w = w * table[cfg[i] - 1] % M
         return w
 
+    def _fold(self, level: tuple, m: int) -> tuple:
+        """Level m's messages folded into level m - 1's.
+
+        m_v(s) = site_v(s) * prod over children c of (sum_t m_c(t) +
+        (theta_vc - 1) * m_c(s)), the site factor being 1 inside the ball.
+        A parent's signature is the sorted tuple of its children's (row,
+        coupling) pairs.  Each distinct signature's row is computed once,
+        with one power per distinct pair, and only the parents of children
+        off the level's defaults are looked at: the others share the
+        signature of k default children.  The child at offset o folds into
+        the parent at offset o // k (every child of level 1 into the root).
+        """
+        rows, default, off = level
+        theta_default, theta_off = self._couplings[m - 1]
+        step, size = self.shape.successor_count(m - 1), self.shape.sphere_size(m - 1)
+        M, theta, folded, made = self.modulus, self._theta, [], {}
+
+        def row_of(signature: tuple) -> int:
+            if signature not in made:
+                made[signature] = len(folded)
+                row = None
+                for pair in dict.fromkeys(signature):
+                    child, shift, count = rows[pair[0]], theta[pair[1]] - 1, signature.count(pair)
+                    total = sum(child)
+                    factor = [pow(total + shift * c, count, M) for c in child]
+                    row = factor if row is None else [f * g % M for f, g in zip(row, factor)]
+                folded.append(row)
+            return made[signature]
+
+        parents = {}
+        for a in {o // step for o in (*off, *theta_off)}:
+            parents[a] = row_of(tuple(sorted(
+                (off.get(o, default), theta_off.get(o, theta_default))
+                for o in range(a * step, a * step + step))))
+        common = row_of(((default, theta_default),) * step) if len(parents) < size else None
+        return (folded, *_sparse(parents, common))
+
+    def _levels(self, sphere: int | None = None):
+        """(m, level m's messages) from a sphere the weights hold (n unless
+        told) down to m = 0: one pass from that sphere to the root."""
+        m = self.n if sphere is None else sphere
+        level = self._spheres[m]
+        yield m, level
+        for m in range(m, 0, -1):
+            level = self._fold(level, m)
+            yield m - 1, level
+
     def messages(self, level: int) -> dict:
         """Sum-product messages of the vertices at ``level``, keyed by index.
 
         m_v(s) is the weight of the branch below v summed over its spins,
-        with v held at spin s: m_v(s) = site_v(s) * prod over children c of
-        (sum_t m_c(t) + (theta_vc - 1) * m_c(s)).  Each level is folded into
-        the one above it, the child at offset o into the parent at offset
-        o // k (every child of level 1 into the root).
+        with v held at spin s.
         """
-        M = self.modulus
-        ones = [1] * self.q
-        msgs = self._sphere
-        for m in range(self.n, level, -1):
-            step = self.shape.successor_count(m - 1)
-            row = self._thetas[m - 1]
-            shifts = [row - 1] * len(msgs) if type(row) is int else [th - 1 for th in row]
-            folded = [ones] * (len(msgs) // step)
-            for o, (child, t) in enumerate(zip(msgs, shifts)):
-                total, a = sum(child), o // step
-                folded[a] = [f * (total + t * c) % M for f, c in zip(folded[a], child)]
-            msgs = folded
-        start = self.shape.level_start(level)
-        return dict(zip(range(start, start + len(msgs)), msgs))
+        for m, folded in self._levels():
+            if m == level:
+                return self._by_index(level, folded)
+        raise ValueError(f"level {level} outside the {self.n}-ball")
 
-    def partition_residue(self) -> int:
-        return sum(self.messages(0)[0]) % self.modulus
+    def partition_residue(self, sphere: int | None = None) -> int:
+        """The partition sum of the ball out to ``sphere`` (n unless told)."""
+        *_, (_, (rows, default, _)) = self._levels(sphere)  # the root's level
+        return sum(rows[default]) % self.modulus
 
 
 def _shift_hint(shape: TreeShape, q: int, p: int, n: int) -> int:
@@ -581,12 +666,14 @@ def compatibility_check(
 
     ball = _Ball(shape, h, J)
     for _ in range(2):
-        outer = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, ball=ball)
-        inner = _LevelWeights(shape, h, J, n - 1, precision, extra_digits=extra, ball=ball)
-        B = min(outer.modulus_exponent, inner.modulus_exponent)
-        M = p**B
-        z_outer = outer.partition_residue() % M
-        z_inner = inner.partition_residue() % M
+        system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, ball=ball, inner=True)
+        B, M = system.modulus_exponent, system.modulus
+        for m, level in system._levels():  # one pass: sphere n - 1's messages, then Z_n
+            if m == n - 1:
+                folded = level
+        rows, default, _ = level
+        z_outer = sum(rows[default]) % M
+        z_inner = system.partition_residue(n - 1)
         shift = _zeta(z_outer, "outer") + _zeta(z_inner, "inner")
         if B - shift >= threshold:
             break
@@ -601,13 +688,21 @@ def compatibility_check(
     def cap(x: int) -> int:
         return B if x % M == 0 else _vp(x, p)
 
+    # sphere n - 1's vertices by their (message row, site row) pair: r_v
+    # depends on nothing else
+    rows, default, off = folded
+    sites, site_default, site_off = system._spheres[n - 1]
+    listed = off.keys() | site_off.keys()
+    pairs = Counter((off.get(o, default), site_off.get(o, site_default)) for o in listed)
+    if len(listed) < shape.sphere_size(n - 1):
+        pairs[default, site_default] += shape.sphere_size(n - 1) - len(listed)
     # base is x(s0) and base_val its valuation; base_val + least_flip is the
     # least valuation of x(s) - x(s0) over the one-vertex changes s of s0
     base, base_val, least_flip = z_inner, cap(z_inner), B
-    for i, msg in outer.messages(n - 1).items():
-        r = [m * pow(site, -1, M) % M for m, site in zip(msg, inner.site_residues[i])]
+    for (a, b), count in pairs.items():
+        r = [m * pow(site, -1, M) % M for m, site in zip(rows[a], sites[b])]
         r0 = min(r, key=cap)
-        base, base_val = base * r0 % M, base_val + cap(r0)
+        base, base_val = base * pow(r0, count, M) % M, base_val + count * cap(r0)
         least_flip = min(least_flip, *(cap(x - r0) - cap(r0) for x in r))
     worst = min(cap(base - z_outer), base_val + least_flip)
     return CompatibilityReport(

@@ -269,6 +269,66 @@ def test_tree_pass_matches_brute_force(k, q, n, p, field_kind):
     assert tree == [m % M for m in brute]
 
 
+def _per_vertex_levels(system, h, J, shape, n, work):
+    """Every level's messages by the plain per-vertex fold, one row per
+    vertex, from theta and site residues read edge by edge and vertex by
+    vertex: the oracle for the tree pass, which folds one row per signature."""
+    B, M, q = system.modulus_exponent, system.modulus, system.q
+    vertices, pairs = ball_with_edges(shape, n)
+    thetas = [J.theta_for_edge(vertices[i], vertices[j], work).residue(B) for i, j in pairs]
+    msgs = [[w.residue(B) for w in h.site_exponentials(x, work)]
+            for x in vertices[shape.level_start(n):]]
+    levels = {n: msgs}
+    for m in range(n, 0, -1):
+        step = shape.successor_count(m - 1)
+        first = shape.level_start(m) - 1  # the edge into level m's first vertex
+        folded = [[1] * q for _ in range(len(msgs) // step)]
+        for o, child in enumerate(msgs):
+            t, total, a = thetas[first + o] - 1, sum(child), o // step
+            folded[a] = [f * (total + t * c) % M for f, c in zip(folded[a], child)]
+        msgs = levels[m - 1] = folded
+    return levels
+
+
+def _pooled_per_edge(shape, n, q, p, rng):
+    """A per-edge table of two values, the second on about one edge in ten."""
+    pool = [exp_domain_fraction(rng, p) for _ in range(2)]
+    vertices, pairs = ball_with_edges(shape, n)
+    table = {(vertices[i], vertices[j]): pool[rng.random() < 0.1] for i, j in pairs}
+    return CouplingField.per_edge(table, p, q)
+
+
+# every ball of k = 1..3 up to n = 10 that the per-vertex oracle affords
+COLLAPSE_SIZES = [(k, n) for k in (1, 2, 3) for n in range(11)
+                  if TreeShape(k).ball_size(n) <= 3100]
+
+
+@pytest.mark.parametrize("coupling_kind", ("homogeneous", "bipartite", "per_edge", "pooled"))
+@pytest.mark.parametrize("k,n", COLLAPSE_SIZES)
+def test_collapsed_pass_matches_the_per_vertex_fold(k, n, coupling_kind):
+    # the partition residue and the messages at every level, under zero,
+    # constant and parity fields (one row per level), a sparse one (one
+    # sphere entry off its parity pair) and a random one (a row per vertex)
+    shape = TreeShape(k)
+    for i, field_kind in enumerate(("zero", "constant", "parity", "sparse", "random")):
+        p, q = ((3, 3), (2, 2), (5, 3), (3, 2), (2, 3))[(i + k + n) % 5]
+        rng = random.Random(f"collapse-{k}-{n}-{coupling_kind}-{field_kind}")
+        if coupling_kind == "pooled":
+            J = _pooled_per_edge(shape, n, q, p, rng)
+        else:
+            J = _coupling(coupling_kind, shape, n, q, p, rng)
+        h = _field("parity" if field_kind == "sparse" else field_kind, shape, n, q, p, rng)
+        if field_kind == "sparse":
+            sphere = ball_with_edges(shape, n)[0][shape.level_start(n):]
+            h.assign(rng.choice(sphere), tuple(
+                PadicNumber.from_fraction(exp_domain_fraction(rng, p), p, N) for _ in range(q - 1)))
+        system = _LevelWeights(shape, h, J, n, N)
+        levels = _per_vertex_levels(system, h, J, shape, n, N)
+        assert system.partition_residue() == sum(levels[0][0]) % system.modulus
+        for m in range(n + 1):
+            assert system.messages(m) == dict(enumerate(levels[m], shape.level_start(m)))
+
+
 def _inexact_field(shape, n, q, p, rng):
     """A parity field of inexact entries, every third vertex of the ball
     given its own: each equal in value to an exact draw, copied the way

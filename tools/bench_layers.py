@@ -228,6 +228,22 @@ def _entries():
     out.append(("compatibility_check", params, compat))
     out.append(("measure_norm_profile",
                 {"p": 3, "q": 2, "k": 2, "n": 12, "N": 32, "field": "zero"}, profile))
+    # at depth: norm-profile's deepest k = 2, q = 2 ball the guard admits, and
+    # compat-check on a constant field at n = 8, which the guard admits at
+    # k = 1 (2**15 configurations of the 7-ball; at k = 2 it refuses n >= 5)
+    def deep_profile():
+        h, J2 = BoundaryField.zero(2, 3), CouplingField.homogeneous(Fraction(3), 3, 2)
+        return measure_norm_profile(shape, h, J2, 20, 32)
+
+    def deep_compat():
+        h = BoundaryField.constant(vec(Fraction(3, 7)))
+        return compatibility_check(TreeShape(1), h, CouplingField.homogeneous(Fraction(3), 3, 2),
+                                   8, 32)
+
+    out.append(("measure_norm_profile",
+                {"p": 3, "q": 2, "k": 2, "n": 20, "N": 32, "field": "zero"}, deep_profile))
+    out.append(("compatibility_check",
+                {"p": 3, "q": 2, "k": 1, "n": 8, "N": 32, "field": "constant"}, deep_compat))
     # a constant field file over the k = 2, n = 2 ball: one vector at every address
     constant = {".".join(map(str, v.address)): ["3/7", "9"] for v in ball_with_edges(shape, 2)[0]}
     out.append(("boundary_field_from_json", {"p": 3, "q": 3, "k": 2, "n": 2, "field": "constant"},

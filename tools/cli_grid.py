@@ -16,7 +16,8 @@ and prints how many records differ, names the first few by argv and by field
 The grid covers every verify suite over seeds and N = 8 to 128, the
 contraction suite over p, q, k and n, classify, compat-check and
 norm-profile over p, q and k, per-edge and bipartite couplings and sparse
-field files at k = 2 and 3, every configuration-error path, and two cycles
+field files at k = 2 and 3, constant, parity and sparse field files at depth
+(k = 2, n up to 10), every configuration-error path, and two cycles
 of each benchmark workload (``perfbench/workloads.py``, read only) at a
 non-default seed.  Standard library only.
 """
@@ -136,7 +137,7 @@ def _measures() -> list:
             out.append(([command, "--k", "1", "--n", "2", "--field", f"{name}.json"],
                         {f"{name}.json": doc}))
     out.append((["compat-check", "--out", "compat-out.json"], {}))
-    return out + _deep_tables()
+    return out + _deep_tables() + _depth()
 
 
 def _level(k: int, m: int) -> list:
@@ -185,6 +186,40 @@ def _deep_tables() -> list:
     for command in ("compat-check", "norm-profile"):
         out.append(([command, "--k", "2", "--n", "3", "--couplings", "holes.json"],
                     {"holes.json": doc}))
+    return out
+
+
+def _depth() -> list:
+    """Constant, parity and sparse field files at k = 2, q = 2 and 3, deep
+    enough that the tree pass folds many vertices into each row: norm-profile
+    at n = 6 to 10, and compat-check at every n from 2 that its guard admits
+    (4 at q = 2, 3 at q = 3) and at n = 6, which it refuses.  A sparse file
+    sets the root and the last vertex of every level, and runs under the
+    default and a bipartite coupling."""
+    out, k = [], 2
+    values = ("3", "9/2", "-6")
+    bipartite = json.dumps({"pattern": "bipartite", "p": 3, "q": 3,
+                            "values": {"even_to_odd": "3", "odd_to_even": "-9/2"}})
+    for q in (2, 3):
+        compat = [2, 3, 4, 6] if q == 2 else [2, 3, 6]
+        for n in sorted({*compat, *range(6, 11)}):
+            ball = [(m, x) for m in range(n + 1) for x in _level(k, m)]
+            fields = {
+                "constant": {x: list(values[:q - 1]) for _, x in ball},
+                "parity": {x: list(values[m % 2:m % 2 + q - 1]) for m, x in ball},
+                "sparse": {x: [values[(m + c) % 3] for c in range(q - 1)]
+                           for m in range(n + 1) for x in _level(k, m)[-1:]},
+            }
+            commands = ["norm-profile"] * (n >= 6) + ["compat-check"] * (n in compat)
+            for name, doc in fields.items():
+                files = {f"{name}-q{q}n{n}.json": json.dumps(doc)}
+                flags = ["--q", str(q), "--k", str(k), "--n", str(n), "--field",
+                         f"{name}-q{q}n{n}.json"]
+                runs = [flags]
+                if name == "sparse" and q == 3:
+                    runs.append(flags + ["--couplings", bipartite])
+                for command in commands:
+                    out += [([command, *run], files) for run in runs]
     return out
 
 
