@@ -194,8 +194,8 @@ def _depth() -> list:
     enough that the tree pass folds many vertices into each row: norm-profile
     at n = 6 to 10, and compat-check at every n from 2 that its guard admits
     (4 at q = 2, 3 at q = 3) and at n = 6, which it refuses.  A sparse file
-    sets the root and the last vertex of every level, and runs under the
-    default and a bipartite coupling."""
+    sets the last vertex of every level, the root included, and at q = 3
+    runs under a bipartite coupling too."""
     out, k = [], 2
     values = ("3", "9/2", "-6")
     bipartite = json.dumps({"pattern": "bipartite", "p": 3, "q": 3,
