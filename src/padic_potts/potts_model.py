@@ -184,13 +184,14 @@ class BoundaryField:
         self.prime = as_prime(p)
         zero = (PadicNumber.zero(self.prime),) * (q - 1)
         self._pair = (zero, zero)
-        self._table: dict[TreeVertex, tuple[PadicNumber, ...]] = {}
+        self._table: dict[int, dict[TreeVertex, tuple]] = {}  # each level's entries
         self._site_cache: dict[tuple, list[PadicNumber]] = {}
         for vertex, vec in (assignment or {}).items():
             self.assign(vertex, vec)
 
     def assign(self, vertex: TreeVertex, vec) -> None:
-        self._table[vertex] = self._checked(vec, str(vertex) or "root")
+        vec = self._checked(vec, str(vertex) or "root")
+        self._table.setdefault(vertex.level, {})[vertex] = vec
 
     def _checked(self, vec, where) -> tuple[PadicNumber, ...]:
         vec = tuple(vec)
@@ -222,7 +223,7 @@ class BoundaryField:
         return out
 
     def field_at(self, vertex: TreeVertex) -> tuple[PadicNumber, ...]:
-        got = self._table.get(vertex)
+        got = self._table.get(vertex.level, {}).get(vertex)
         return self._pair[vertex.level % 2] if got is None else got
 
     def site_exponentials(self, vertex: TreeVertex, precision: int) -> list[PadicNumber]:
@@ -300,61 +301,33 @@ def _sparse(listed: dict, default: int | None) -> tuple[int, dict]:
     return default, {o: i for o, i in listed.items() if i != default}
 
 
-class _Ball:
-    """What the balls of one computation share, each part found once: the
-    couplings on the edges into every level and the field's entries by
-    level and index.
+def _level_couplings(shape: TreeShape, J: CouplingField, n: int) -> tuple[list, list]:
+    """The couplings on the edges into levels 1..n, as (values, levels).
 
     Each distinct coupling value gets an id, its index in ``values``, so
     that the tree pass keys its work by small integers.  Level m's
     couplings map each offset to an id (``_sparse``): one id for a
     homogeneous or bipartite level, or for a per-edge table one lookup per
-    edge in level order, so that a table missing an edge raises where the
-    first ball holding it is built.  A level is found when a ball first
-    reaches it, and nothing is read until a ball asks, so a guard that
-    refuses the ball runs first.
+    edge in level order, so that a table missing an edge names the first
+    edge it misses.
     """
+    ids: dict = {}  # a value's id by its (numerator, denominator)
+    levels: list = []  # level m's couplings at m - 1
 
-    def __init__(self, shape: TreeShape, h: BoundaryField, J: CouplingField):
-        self.shape, self.h, self.J = shape, h, J
-        self.values: list[Fraction] = []  # the coupling values, by id
-        self._ids: dict = {}  # a value's id by its (numerator, denominator)
-        self._levels: list = []  # level m's couplings at m - 1
-        self._front = [TreeVertex.root()]  # the last level a per-edge table was read on
-        self._entries: dict | None = None
+    def id_of(value: Fraction) -> int:
+        return ids.setdefault((value.numerator, value.denominator), len(ids))
 
-    def _id(self, value: Fraction) -> int:
-        key = (value.numerator, value.denominator)
-        if key not in self._ids:
-            self._ids[key] = len(self.values)
-            self.values.append(value)
-        return self._ids[key]
-
-    def couplings(self, n: int) -> list:
-        """The couplings of levels 1..n, each as (default id, {offset: id})."""
-        shape, J = self.shape, self.J
-        while len(self._levels) < n:
-            m = len(self._levels) + 1
-            value = J.level_coupling(m)
-            if value is not None:
-                self._levels.append((self._id(value), {}))
-                continue
-            parents, children = self._front, shape.level_vertices(m)
-            step = shape.successor_count(m - 1)
-            ids = {o: self._id(J.coupling_for_edge(parents[o // step], y))
-                   for o, y in enumerate(children)}
-            self._levels.append(_sparse(ids, None))
-            self._front = children
-        return self._levels[:n]
-
-    def entries(self, m: int) -> dict:
-        """The field's own vectors on level m, by index."""
-        if self._entries is None:
-            self._entries = {}
-            for x, vec in self.h._table.items():
-                if x in self.shape:
-                    self._entries.setdefault(x.level, {})[self.shape.index_of(x)] = vec
-        return self._entries.get(m, {})
+    parents = [TreeVertex.root()]
+    for m in range(1, n + 1):
+        value = J.level_coupling(m)
+        if value is not None:
+            levels.append((id_of(value), {}))
+            continue
+        children, step = shape.level_vertices(m), shape.successor_count(m - 1)
+        levels.append(_sparse({o: id_of(J.coupling_for_edge(parents[o // step], y))
+                               for o, y in enumerate(children)}, None))
+        parents = children
+    return [Fraction(*key) for key in ids], levels
 
 
 class _LevelWeights:
@@ -371,17 +344,19 @@ class _LevelWeights:
     default row plus the rows its entries reach, and a per-edge table or a
     random field a row per vertex, all through the one fold.  Each distinct
     coupling and field vector is exponentiated once, by the coupling's and
-    the field's caches, and reduced mod p**B once.  ``ball`` is what the
-    balls of one computation share (``_Ball``); without it the weights read
-    a fresh one.  With ``inner`` the weights also hold the site rows of
-    sphere n - 1, the boundary of the (n-1)-ball, on the same modulus: the
-    compatibility check's two balls in one system.
+    the field's caches, and reduced mod p**B once.  ``couplings`` is
+    ``_level_couplings`` read to depth n or more, which the balls of one
+    computation share; without it the weights read their own.  Sphere m's
+    field entries are the field's own on level m.  With ``inner`` the
+    weights also hold the site rows of sphere n - 1, the boundary of the
+    (n-1)-ball, on the same modulus: the compatibility check's two balls in
+    one system.
 
     B is clamped to the least absolute precision carried by any of the
     exponentials involved, so every residue is certain.  The partition sum
     of a ball loses one factor of |q|_p per vertex, so callers that must
     resolve quantities past that loss ask for extra working digits up front;
-    ``shift_hint`` provides the standard estimate.
+    ``_shift_hint`` provides the standard estimate.
 
     ``vertices``, ``edge_residues`` and ``site_residues`` list the ball the
     way a configuration's ``weight`` reads it, made when first read.
@@ -395,7 +370,7 @@ class _LevelWeights:
         n: int,
         precision: int,
         extra_digits: int = 0,
-        ball: _Ball | None = None,
+        couplings: tuple[list, list] | None = None,
         inner: bool = False,
     ):
         if (h.prime, h.q) != (J.prime, J.q):
@@ -407,16 +382,18 @@ class _LevelWeights:
         self.prime = J.prime
         self.q = J.q
         _guard(self.q, shape, n, configurations=False)
-        ball = _Ball(shape, h, J) if ball is None else ball
+        values, levels = _level_couplings(shape, J, n) if couplings is None else couplings
         self.shape, self.n = shape, n
         work = precision + extra_digits
 
-        self._couplings = ball.couplings(n)
+        self._couplings = levels[:n]
         used = {i for default, off in self._couplings for i in (default, *off.values())}
-        thetas = {i: J.theta(ball.values[i], work) for i in used}
-        sites = {}  # each sphere's default vector, entries and tables by vector identity
+        thetas = {i: J.theta(values[i], work) for i in used}
+        sites = {}  # each sphere's default vector, entries by offset and tables by vector id
         for m in (n, n - 1) if inner else (n,):
-            default, entries = h._pair[m % 2], ball.entries(m)
+            start, default = shape.level_start(m), h._pair[m % 2]
+            entries = {shape.index_of(x) - start: vec
+                       for x, vec in h._table.get(m, {}).items() if x in shape}
             vectors = {id(vec): vec for vec in entries.values()}
             if len(entries) < shape.sphere_size(m):
                 vectors[id(default)] = default
@@ -437,8 +414,7 @@ class _LevelWeights:
                     by_table[id(table)] = len(rows)
                     rows.append([w.residue(bound) for w in table])
                 by_vector[key] = by_table[id(table)]
-            start = shape.level_start(m)
-            listed = {i - start: by_vector[id(vec)] for i, vec in entries.items()}
+            listed = {o: by_vector[id(vec)] for o, vec in entries.items()}
             self._spheres[m] = (rows, *_sparse(listed, by_vector.get(id(default))))
 
     @cached_property
@@ -553,7 +529,7 @@ def _weights_resolving_partition(
     J: CouplingField,
     n: int,
     precision: int,
-    ball: _Ball | None = None,
+    couplings: tuple[list, list] | None = None,
 ) -> tuple[_LevelWeights, int, int]:
     """A weight system together with its partition residue and valuation.
 
@@ -564,7 +540,7 @@ def _weights_resolving_partition(
     """
     extra = 2 * _shift_hint(shape, J.q, J.prime.value, n)
     for _ in range(2):
-        system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, ball=ball)
+        system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, couplings=couplings)
         z_res = system.partition_residue()
         if z_res == 0:
             raise PartitionFunctionDegenerate(
@@ -664,9 +640,10 @@ def compatibility_check(
             )
         return _vp(residue, p)
 
-    ball = _Ball(shape, h, J)
+    _guard(q, shape, n, configurations=False)  # before the couplings of the n-ball are read
+    couplings = _level_couplings(shape, J, n)
     for _ in range(2):
-        system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, ball=ball, inner=True)
+        system = _LevelWeights(shape, h, J, n, precision, extra, couplings, inner=True)
         B, M = system.modulus_exponent, system.modulus
         for m, level in system._levels():  # one pass: sphere n - 1's messages, then Z_n
             if m == n - 1:
@@ -740,10 +717,10 @@ def measure_norm_profile(
     pass with the extra working digits ``finite_measure`` takes.
     """
     _guard(J.q, shape, n_max, configurations=False)
-    ball = _Ball(shape, h, J)
+    couplings = _level_couplings(shape, J, n_max)
     rows = []
     for n in range(n_max + 1):
-        _, _, zeta = _weights_resolving_partition(shape, h, J, n, precision, ball)
+        _, _, zeta = _weights_resolving_partition(shape, h, J, n, precision, couplings)
         rows.append(NormProfileRow(level=n, min_valuation=-zeta, max_valuation=-zeta))
     return rows
 
@@ -753,7 +730,7 @@ def measure_norm_profile(
 
 
 def _fraction_from_text(text) -> Fraction:
-    if isinstance(text, (str, int)):
+    if isinstance(text, (str, int)) and not isinstance(text, bool):
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -775,7 +752,7 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
         pattern = doc["pattern"]
         p = as_prime(doc["p"])
         q = doc["q"]
-        if isinstance(q, float):  # int() would truncate it, or overflow at infinity
+        if isinstance(q, (float, bool)):  # int() would truncate a float, or read a bool as 0 or 1
             raise ValueError(f"q must be an integer, got {q!r}")
         q = int(q)
         raw = doc["values"]
@@ -785,8 +762,8 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
     if kind is None:
         raise ValueError(f"unknown coupling pattern {pattern!r}")
     if not isinstance(raw, kind):
-        shape = "an array" if kind is list else "an object"
-        raise ValueError(f"{pattern} coupling values must be a JSON {shape}, got {raw!r}")
+        what = "an array" if kind is list else "an object"
+        raise ValueError(f"{pattern} coupling values must be a JSON {what}, got {raw!r}")
     if pattern != "per_edge":
         keys = ("J",) if pattern == "homogeneous" else ("even_to_odd", "odd_to_even")
         try:
@@ -824,7 +801,8 @@ def boundary_field_from_json(
     checked: dict = {}  # each distinct vector, by its components' identities, checked once
 
     def component(text) -> PadicNumber:
-        if not (isinstance(text, (str, int)) and text in parsed):
+        # a bool equals and hashes as 0 or 1, so it would hit their entry: refused first
+        if isinstance(text, bool) or not (isinstance(text, (str, int)) and text in parsed):
             parsed[text] = PadicNumber.from_fraction(_fraction_from_text(text), out.prime)
         return parsed[text]
 
@@ -846,5 +824,5 @@ def boundary_field_from_json(
         key = tuple(map(id, vec))
         if key not in checked:
             checked[key] = out._checked(vec, str(vertex) or "root")
-        out._table[vertex] = checked[key]
+        out._table.setdefault(vertex.level, {})[vertex] = checked[key]
     return out

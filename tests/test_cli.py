@@ -642,6 +642,39 @@ def test_missing_coupling_value_is_named(capsys, pattern, values, key):
     )
 
 
+RATIONAL_TEXT = "rationals must be given as strings like '3/4', got"
+
+
+@pytest.mark.parametrize(
+    "couplings, field, error",
+    [
+        (None, {"": [False, False]}, f"field file invalid: {RATIONAL_TEXT} False"),
+        # an earlier 0 must not hand false its cached value
+        (None, {"": ["3", 0], "0": [0, False]}, f"field file invalid: {RATIONAL_TEXT} False"),
+        ({"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": False}}, None,
+         f"couplings field invalid: {RATIONAL_TEXT} False"),
+        ({"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": True}}, None,
+         f"couplings field invalid: {RATIONAL_TEXT} True"),
+        ({"pattern": "per_edge", "p": 3, "q": 3, "values": [["", "0", True]]}, None,
+         f"couplings field invalid: {RATIONAL_TEXT} True"),
+        ({"pattern": "homogeneous", "p": 3, "q": True, "values": {"J": "3"}}, None,
+         "couplings field invalid: q must be an integer, got True"),
+    ],
+    ids=["field false", "field false after 0", "J false", "J true", "per-edge true", "q true"],
+)
+def test_json_booleans_are_config_errors(capsys, tmp_path, couplings, field, error):
+    # JSON true and false are Python ints, equal to and hashing as 1 and 0
+    argv = ["compat-check", "--p", "3", "--q", "3", "--n", "1"]
+    if couplings is not None:
+        argv += ["--couplings", json.dumps(couplings)]
+    if field is not None:
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field))
+        argv += ["--field", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"config error: {error}\n")
+
+
 @pytest.mark.parametrize("n", ["20000", str(10**9)])
 @pytest.mark.parametrize(
     "command",

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -571,6 +572,59 @@ class TestNormProfile:
         assert rows[0].level == 0
 
 
+def _counting_lookups(monkeypatch):
+    """Count every ``coupling_for_edge`` call by its (parent, child) addresses."""
+    lookups = Counter()
+    lookup = CouplingField.coupling_for_edge
+
+    def counted(self, parent, child):
+        lookups[str(parent), str(child)] += 1
+        return lookup(self, parent, child)
+
+    monkeypatch.setattr(CouplingField, "coupling_for_edge", counted)
+    return lookups
+
+
+def _every_edge(shape, n, value):
+    vertices, pairs = ball_with_edges(shape, n)
+    return {(str(vertices[i]), str(vertices[j])): value for i, j in pairs}
+
+
+class TestCouplingsReadOnce:
+    # a per-edge lookup formats two addresses, so a computation reads each
+    # edge of its largest ball once, however many balls share the read
+
+    @pytest.mark.parametrize("k,n", [(1, 6), (2, 4)])
+    def test_norm_profile_reads_each_edge_once(self, monkeypatch, k, n):
+        shape = TreeShape(k)
+        table = _every_edge(shape, n, Fraction(3))
+        J = CouplingField.per_edge(table, P, 2)
+        lookups = _counting_lookups(monkeypatch)
+        rows = measure_norm_profile(shape, BoundaryField.zero(2, P), J, n, N)
+        assert len(rows) == n + 1
+        assert lookups == Counter(table.keys())
+
+    def test_compatibility_reads_each_edge_once_when_it_widens(self, monkeypatch):
+        # J = 6 has unit residue -1 at p = 3, q = 3: the partition valuations
+        # outgrow the estimate, so the check builds its weights twice
+        shape, n = TreeShape(1), 5
+        table = _every_edge(shape, n, Fraction(6))
+        J = CouplingField.per_edge(table, P, 3)
+        built = []
+        init = _LevelWeights.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_LevelWeights, "__init__", counted_init)
+        lookups = _counting_lookups(monkeypatch)
+        rep = compatibility_check(shape, BoundaryField.zero(3, P), J, n, N)
+        assert rep.holds
+        assert len(built) == 2
+        assert lookups == Counter(table.keys())
+
+
 class TestCouplingField:
     def test_admissibility_enforced(self):
         with pytest.raises(DomainViolation):
@@ -709,6 +763,35 @@ class TestJsonIngestion:
         deep = "1.0.0.0.0.0"
         field = boundary_field_from_json({deep: ["3", "0"]}, 3, P, TreeShape(1))
         assert field.field_at(TreeVertex.from_string(deep)) == vec([3, 0])
+
+
+    # JSON true and false are ints to Python, equal to and hashing as 1 and 0:
+    # every place that reads a number refuses them
+
+    @pytest.mark.parametrize("doc", [{"": [False, False]}, {"": ["3", 0], "0": [0, False]},
+                                     {"": [True, "0"]}])
+    def test_field_document_refuses_booleans(self, doc):
+        with pytest.raises(ValueError, match=r"^rationals must be given as strings like "
+                                             r"'3/4', got (False|True)$"):
+            boundary_field_from_json(doc, 3, P, TreeShape(1))
+
+    @pytest.mark.parametrize("pattern,values", [
+        ("homogeneous", {"J": False}),
+        ("homogeneous", {"J": True}),
+        ("bipartite", {"even_to_odd": "3", "odd_to_even": False}),
+        ("per_edge", [["", "0", True]]),
+    ])
+    def test_coupling_document_refuses_boolean_values(self, pattern, values):
+        doc = {"pattern": pattern, "p": 3, "q": 3, "values": values}
+        with pytest.raises(ValueError, match=r"^rationals must be given as strings like "
+                                             r"'3/4', got (False|True)$"):
+            coupling_from_json(doc, TreeShape(1))
+
+    @pytest.mark.parametrize("q", [True, False])
+    def test_coupling_document_refuses_a_boolean_q(self, q):
+        doc = {"pattern": "homogeneous", "p": 3, "q": q, "values": {"J": "3"}}
+        with pytest.raises(ValueError, match=rf"^q must be an integer, got {q}$"):
+            coupling_from_json(doc)
 
 
 class TestBoundaryField:

@@ -244,6 +244,20 @@ def _entries():
                 {"p": 3, "q": 2, "k": 2, "n": 20, "N": 32, "field": "zero"}, deep_profile))
     out.append(("compatibility_check",
                 {"p": 3, "q": 2, "k": 1, "n": 8, "N": 32, "field": "constant"}, deep_compat))
+    # norm-profile's every level over a per-edge table (p = 3, q = 2, values
+    # cycling 3, 6, 9 in level order), where the levels share one read of
+    # the table: a fresh coupling per call, as one CLI op builds it
+    for k, n_edge in ((1, 100), (2, 8)):
+        vertices, pairs = ball_with_edges(TreeShape(k), n_edge)
+        table = {(str(vertices[i]), str(vertices[j])): Fraction(3 * (e % 3 + 1))
+                 for e, (i, j) in enumerate(pairs)}
+        def edge_profile(k=k, n_edge=n_edge, table=table):
+            h, J2 = BoundaryField.zero(2, 3), CouplingField.per_edge(table, 3, 2)
+            return measure_norm_profile(TreeShape(k), h, J2, n_edge, 32)
+
+        out.append(("measure_norm_profile",
+                    {"p": 3, "q": 2, "k": k, "n": n_edge, "N": 32, "field": "zero",
+                     "couplings": "per-edge 3/6/9"}, edge_profile))
     # a constant field file over the k = 2, n = 2 ball: one vector at every address
     constant = {".".join(map(str, v.address)): ["3/7", "9"] for v in ball_with_edges(shape, 2)[0]}
     out.append(("boundary_field_from_json", {"p": 3, "q": 3, "k": 2, "n": 2, "field": "constant"},

@@ -271,6 +271,15 @@ def _errors() -> list:
         ["compat-check", "--k", "1", "--n", "1", "--couplings",
          '{"pattern":"per_edge","p":3,"q":3,"values":[["","0","3"],["","1","3"],["7","7.3","9"]]}'],
         ["compat-check", "--field", "missing-field.json"],
+        # JSON booleans, which Python reads as the ints 0 and 1
+        ["compat-check", "--p", "3", "--q", "3", "--n", "1", "--couplings",
+         '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":false}}'],
+        ["compat-check", "--p", "3", "--q", "3", "--n", "1", "--couplings",
+         '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":true}}'],
+        ["compat-check", "--p", "3", "--q", "3", "--n", "1", "--couplings",
+         '{"pattern":"per_edge","p":3,"q":3,"values":[["","0",true]]}'],
+        ["compat-check", "--p", "3", "--q", "3", "--n", "1", "--couplings",
+         '{"pattern":"homogeneous","p":3,"q":true,"values":{"J":"3"}}'],
     )]
     bad_fields = {
         "syntax": "{not json",
@@ -281,6 +290,8 @@ def _errors() -> list:
         "off-tree": '{"7.3": ["3", "0"]}',
         "domain": '{"": ["1", "0"]}',
         "big": '{"": ["' + "9" * 5000 + '", "0"]}',
+        "bool": '{"": [false, false]}',
+        "bool-after-zero": '{"": ["3", 0], "0": [0, false]}',
     }
     for name, doc in bad_fields.items():
         for command in ("compat-check", "norm-profile"):
