@@ -764,7 +764,6 @@ class TestJsonIngestion:
         field = boundary_field_from_json({deep: ["3", "0"]}, 3, P, TreeShape(1))
         assert field.field_at(TreeVertex.from_string(deep)) == vec([3, 0])
 
-
     # JSON true and false are ints to Python, equal to and hashing as 1 and 0:
     # every place that reads a number refuses them
 
