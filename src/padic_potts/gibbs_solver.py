@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cayley_tree import TreeShape, TreeVertex, ball_with_edges
+from .cayley_tree import TreeShape
 from .errors import (
     DenominatorDegenerate,
     DivisionByZero,
@@ -45,7 +45,7 @@ from .padic_core import (
     rational_valuation,
     render_valuation,
 )
-from .potts_model import BoundaryField, CouplingField, _guard
+from .potts_model import BoundaryField, CouplingField, _guard, _level_couplings
 
 VERDICT_UNIQUE = "unique_by_contraction"
 VERDICT_MULTIPLE_TI = "multiple_translation_invariant"
@@ -152,40 +152,39 @@ def recursion_backward(
     inverse (Montgomery's trick).  Every other input -- p dividing q, a law
     off the disk, a zero coupling, a component of another prime or a law of
     the wrong length -- takes the per-object fold (``_object_fold``),
-    unchanged.  Both raise the same errors in the same order: edges in
-    reverse, deepest level first.
+    unchanged.  Both take the coupling ids ``_level_couplings`` reads for
+    levels n..1 after the sphere's laws and before any fold, and raise the
+    same errors in the same order: edges in reverse, deepest level first.
     """
     if n < 1:
         raise ValueError("recursion needs at least one level")
     _guard(J.q, shape, n, configurations=False)
     laws = [boundary_z[x] for x in shape.level_vertices(n)]
-    # only a per-edge table is looked up by vertex; every other coupling
-    # holds one value per level
-    ball = ball_with_edges(shape, n) if J.pattern == "per_edge" else None
-    result = _integer_fold(shape, ball, laws, J, n, precision)
+    couplings = _level_couplings(shape, J, range(n, 0, -1))
+    result = _integer_fold(shape, couplings, laws, J, n, precision)
     if result is None:
-        result = _object_fold(shape, ball, laws, J, n, precision)
+        result = _object_fold(shape, couplings, laws, J, n, precision)
     return result
 
 
-def _object_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
+def _object_fold(shape: TreeShape, couplings: tuple, laws: list, J: CouplingField, n: int,
                  precision: int) -> RecursionResult:
     """The recursion on PadicNumbers, ``f_map_z`` per edge, for the sphere's
-    ``laws`` in address order.  A per-edge coupling is looked up on the
-    n-ball ``ball`` (as ``ball_with_edges`` lists it); no other reads it."""
+    ``laws`` in address order.  ``couplings`` is ``_level_couplings`` read
+    for levels n..1: one theta per coupling id, and the edge into offset o
+    of level m takes the theta of its id, ``off.get(o, default)``."""
+    values, levels = couplings
+    thetas = [J.theta(value, precision) for value in values]
     starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
     folded: list = [None] * starts[n] + laws
     # each level folds into the one above it, its edges taken in reverse, so
     # every child's law is folded before its parent's; the child at offset o
     # of level m has the parent at offset o // k of level m - 1
     for m in range(n, 0, -1):
-        value, step = J.level_coupling(m), shape.successor_count(m - 1)
-        theta = None if value is None else J.theta(value, precision)
+        (default, off), step = levels[m], shape.successor_count(m - 1)
         for j in range(starts[m + 1] - 1, starts[m] - 1, -1):
             i = starts[m - 1] + (j - starts[m]) // step
-            if value is None:
-                theta = J.theta(_listed_coupling(J, ball, j), precision)
-            factor = f_map_z(folded[j], theta, J.q)
+            factor = f_map_z(folded[j], thetas[off.get(j - starts[m], default)], J.q)
             if folded[i] is not None:
                 factor = tuple(a * b for a, b in zip(factor, folded[i]))
             folded[i] = factor
@@ -194,12 +193,6 @@ def _object_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
         for m in range(n + 1)
     ]
     return RecursionResult(root_z=folded[0], per_level_offset=offsets)
-
-
-def _listed_coupling(J: CouplingField, ball, j: int) -> Fraction:
-    """A per-edge table's coupling on the edge into vertex j of ``ball``."""
-    vertices, pairs = ball
-    return J.coupling_for_edge(vertices[pairs[j - 1][0]], vertices[j])
 
 
 class _Powers(dict):
@@ -260,7 +253,7 @@ def _law_offsets(law, prime, q: int):
     return ts, ks, P, B
 
 
-def _integer_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
+def _integer_fold(shape: TreeShape, couplings: tuple, laws: list, J: CouplingField, n: int,
                   precision: int) -> RecursionResult | None:
     """The recursion on integers in the regime of claim (i), level by level;
     None outside it (see ``recursion_backward``).  Takes what
@@ -269,31 +262,12 @@ def _integer_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
     p = prime.value
     if q % p == 0:
         return None
-    starts = [0] + [shape.ball_size(m) for m in range(n + 1)]
-    # terms[m][i]: the theta terms of the edge above vertex i of level m + 1,
-    # looked up once per level unless the coupling is per edge
-    cached: dict = {}
-
-    def edge_terms(coupling: Fraction):
-        if coupling not in cached:
-            cached[coupling] = _theta_terms(J.theta(coupling, precision), q)
-        return cached[coupling]
-
-    terms = []
-    try:
-        for m in range(n):
-            lo, hi = starts[m + 1], starts[m + 2]
-            value = J.level_coupling(m + 1)
-            if value is None:
-                terms.append([edge_terms(_listed_coupling(J, ball, j)) for j in range(lo, hi)])
-            else:
-                terms.append([edge_terms(value)] * (hi - lo))
-    except KeyError:  # a per-edge table missing an edge: the object fold names it
-        return None
-    if None in cached.values():
+    values, levels = couplings
+    terms = [_theta_terms(J.theta(value, precision), q) for value in values]  # by coupling id
+    if None in terms:
         return None
     # each denominator is inverted mod p**widest, widest >= its r_s
-    widest = max(K - v_t for _, v_t, K, _, _ in cached.values())
+    widest = max(K - v_t for _, v_t, K, _, _ in terms)
     level = [_law_offsets(law, prime, q) for law in laws]
     if None in level:
         return None
@@ -302,7 +276,10 @@ def _integer_fold(shape: TreeShape, ball, laws: list, J: CouplingField, n: int,
     mod = pw[widest]
     offsets: list = [inf] * (n + 1)
     for m in range(n - 1, -1, -1):
-        row = terms[m]
+        default, off = levels[m + 1]  # row[i]: the edge above vertex i of level m + 1
+        row = [terms[default]] * len(level)
+        for o, i in off.items():
+            row[o] = terms[i]
         # each child's denominator D = t_D / B and its bounds, the children
         # taken in the object fold's order so that the first cancelled
         # offset raises where it raises there; acc is the product of the
@@ -676,10 +653,8 @@ def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION)
         return PhaseReport(VERDICT_UNIQUE, [], cert.reason, {"q_unit": True})
 
     if k == 1 and J.pattern in ("homogeneous", "bipartite"):
-        root, child = TreeVertex.root(), TreeVertex.root().child(0)
-        odd_child = child.child(0)
-        theta1 = J.theta_for_edge(root, child, precision)
-        theta2 = J.theta_for_edge(child, odd_child, precision)
+        theta1 = J.theta(J.level_coupling(1), precision)
+        theta2 = J.theta(J.level_coupling(2), precision)
         return solve_k1_bipartite(theta1, theta2, q, precision)
 
     if k == 2 and J.pattern == "homogeneous":
@@ -700,7 +675,7 @@ def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION)
                 "outside the two-adic threshold table nothing is certified",
                 diag,
             )
-        theta = J.theta_for_edge(TreeVertex.root(), TreeVertex.root().child(0), precision)
+        theta = J.theta(J.level_coupling(1), precision)
         constant = translation_invariant_cubic(theta, q, precision)
         alternating = period2_k2_analysis(theta, q, precision)
         merged = dict(constant.diagnostics)

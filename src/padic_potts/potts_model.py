@@ -94,7 +94,8 @@ class CouplingField:
             raise ValueError(f"need at least two spin states, got q={self.q}")
         if self.pattern not in ("homogeneous", "bipartite", "per_edge"):
             raise ValueError(f"unknown coupling pattern {self.pattern!r}")
-        for value in self._all_values():
+        # each distinct value once, in table order (a Fraction's own hash is slow)
+        for value in {(J.numerator, J.denominator): J for J in self._all_values()}.values():
             _check_coupling_admissible(value, self.prime)
 
     def _all_values(self):
@@ -119,7 +120,8 @@ class CouplingField:
 
     @classmethod
     def per_edge(cls, table, p, q: int) -> "CouplingField":
-        values = {(str(x), str(y)): Fraction(J) for (x, y), J in table.items()}
+        values = {(str(x), str(y)): J if type(J) is Fraction else Fraction(J)  # kept, not copied
+                  for (x, y), J in table.items()}
         return cls("per_edge", as_prime(p), q, values)
 
     def level_coupling(self, m: int) -> Fraction | None:
@@ -301,33 +303,33 @@ def _sparse(listed: dict, default: int | None) -> tuple[int, dict]:
     return default, {o: i for o, i in listed.items() if i != default}
 
 
-def _level_couplings(shape: TreeShape, J: CouplingField, n: int) -> tuple[list, list]:
-    """The couplings on the edges into levels 1..n, as (values, levels).
-
-    Each distinct coupling value gets an id, its index in ``values``, so
-    that the tree pass keys its work by small integers.  Level m's
-    couplings map each offset to an id (``_sparse``): one id for a
-    homogeneous or bipartite level, or for a per-edge table one lookup per
-    edge in level order, so that a table missing an edge names the first
-    edge it misses.
+def _level_couplings(shape: TreeShape, J: CouplingField, levels) -> tuple[list, dict]:
+    """The couplings on the edges into each of ``levels``, read in the order
+    given (1..n for the tree pass, n..1 for the recursion, as each folds),
+    as (values, {m: (default id, {offset: id})}): the one reader of which
+    coupling sits on which edge.  Each distinct value gets an id, its index
+    in ``values``.  Level m maps each offset to an id (``_sparse``): one id
+    for a homogeneous or bipartite level, or for a per-edge table one
+    lookup per edge in offset order, so that a table missing an edge names
+    the first edge it misses on the first level read that misses one.
     """
     ids: dict = {}  # a value's id by its (numerator, denominator)
-    levels: list = []  # level m's couplings at m - 1
+    read: dict = {}
+    listed: dict = {}  # the last two levels' vertices: a level next to it reuses one
 
     def id_of(value: Fraction) -> int:
         return ids.setdefault((value.numerator, value.denominator), len(ids))
 
-    parents = [TreeVertex.root()]
-    for m in range(1, n + 1):
+    for m in levels:
         value = J.level_coupling(m)
         if value is not None:
-            levels.append((id_of(value), {}))
+            read[m] = (id_of(value), {})
             continue
-        children, step = shape.level_vertices(m), shape.successor_count(m - 1)
-        levels.append(_sparse({o: id_of(J.coupling_for_edge(parents[o // step], y))
-                               for o, y in enumerate(children)}, None))
-        parents = children
-    return [Fraction(*key) for key in ids], levels
+        listed = {l: listed.get(l) or shape.level_vertices(l) for l in (m - 1, m)}
+        parents, step = listed[m - 1], shape.successor_count(m - 1)
+        read[m] = _sparse({o: id_of(J.coupling_for_edge(parents[o // step], y))
+                           for o, y in enumerate(listed[m])}, None)
+    return [Fraction(*key) for key in ids], read
 
 
 class _LevelWeights:
@@ -345,9 +347,10 @@ class _LevelWeights:
     random field a row per vertex, all through the one fold.  Each distinct
     coupling and field vector is exponentiated once, by the coupling's and
     the field's caches, and reduced mod p**B once.  ``couplings`` is
-    ``_level_couplings`` read to depth n or more, which the balls of one
-    computation share; without it the weights read their own.  Sphere m's
-    field entries are the field's own on level m.  With ``inner`` the
+    ``_level_couplings`` read for levels 1..n or more, which the balls of
+    one computation share (only levels 1..n are exponentiated, so a deeper
+    read leaves B as it is); without it the weights read their own.  Sphere
+    m's field entries are the field's own on level m.  With ``inner`` the
     weights also hold the site rows of sphere n - 1, the boundary of the
     (n-1)-ball, on the same modulus: the compatibility check's two balls in
     one system.
@@ -370,7 +373,7 @@ class _LevelWeights:
         n: int,
         precision: int,
         extra_digits: int = 0,
-        couplings: tuple[list, list] | None = None,
+        couplings: tuple[list, dict] | None = None,
         inner: bool = False,
     ):
         if (h.prime, h.q) != (J.prime, J.q):
@@ -382,11 +385,11 @@ class _LevelWeights:
         self.prime = J.prime
         self.q = J.q
         _guard(self.q, shape, n, configurations=False)
-        values, levels = _level_couplings(shape, J, n) if couplings is None else couplings
+        values, levels = couplings or _level_couplings(shape, J, range(1, n + 1))
         self.shape, self.n = shape, n
         work = precision + extra_digits
 
-        self._couplings = levels[:n]
+        self._couplings = [levels[m] for m in range(1, n + 1)]  # level m's at m - 1
         used = {i for default, off in self._couplings for i in (default, *off.values())}
         thetas = {i: J.theta(values[i], work) for i in used}
         sites = {}  # each sphere's default vector, entries by offset and tables by vector id
@@ -529,7 +532,7 @@ def _weights_resolving_partition(
     J: CouplingField,
     n: int,
     precision: int,
-    couplings: tuple[list, list] | None = None,
+    couplings: tuple[list, dict] | None = None,
 ) -> tuple[_LevelWeights, int, int]:
     """A weight system together with its partition residue and valuation.
 
@@ -641,7 +644,7 @@ def compatibility_check(
         return _vp(residue, p)
 
     _guard(q, shape, n, configurations=False)  # before the couplings of the n-ball are read
-    couplings = _level_couplings(shape, J, n)
+    couplings = _level_couplings(shape, J, range(1, n + 1))
     for _ in range(2):
         system = _LevelWeights(shape, h, J, n, precision, extra, couplings, inner=True)
         B, M = system.modulus_exponent, system.modulus
@@ -717,7 +720,7 @@ def measure_norm_profile(
     pass with the extra working digits ``finite_measure`` takes.
     """
     _guard(J.q, shape, n_max, configurations=False)
-    couplings = _level_couplings(shape, J, n_max)
+    couplings = _level_couplings(shape, J, range(1, n_max + 1))
     rows = []
     for n in range(n_max + 1):
         _, _, zeta = _weights_resolving_partition(shape, h, J, n, precision, couplings)
@@ -773,7 +776,11 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
         make = CouplingField.homogeneous if pattern == "homogeneous" else CouplingField.bipartite
         return make(*values, p, q)
     table = {}
-    for x, y, value in raw:
+    for index, row in enumerate(raw):
+        if not (isinstance(row, list) and len(row) == 3):
+            raise ValueError(f"per-edge row {index} must be a [parent, child, value] array, "
+                             f"got {row!r}")
+        x, y, value = row
         if not (isinstance(x, str) and isinstance(y, str)):
             raise ValueError(f"edge addresses must be strings like '0.1', got {x!r} -> {y!r}")
         parent, child = TreeVertex.from_string(x), TreeVertex.from_string(y)

@@ -19,7 +19,7 @@ def test_every_layer_entry_runs_once():
         "log_p.cold_plan", "_LevelWeights", "_LevelWeights.partition_residue",
         "PadicNumber.mul.exact", "PadicNumber.distance_valuation.exact",
         "PadicNumber.from_fraction", "PadicNumber.from_ratio", "solve_k1_bipartite", "recursion_backward",
-        "recursion_backward.fallback", "compatibility_check", "measure_norm_profile",
+        "recursion_backward.fallback", "recursion_backward.per_edge", "compatibility_check", "measure_norm_profile",
         "boundary_field_from_json",
     } <= names
     # the inverse on both sides of the pow / Newton crossover

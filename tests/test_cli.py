@@ -433,6 +433,15 @@ class TestCompatCheck:
             f"{row[1]!r} names no edge of the k=1 tree\n"
         )
 
+    @pytest.mark.parametrize("row", ["ab0", "000", ["", "0", "3", "9"], 5],
+                             ids=["string", "digit string", "four", "number"])
+    def test_per_edge_row_of_the_wrong_shape_is_a_config_error(self, capsys, row):
+        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": [row]}
+        code, out, err = run(capsys, "compat-check", "--n", "1", "--couplings", json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == ("config error: couplings field invalid: per-edge row 0 must be a "
+                       f"[parent, child, value] array, got {row!r}\n")
+
     @pytest.mark.parametrize("command", ["compat-check", "norm-profile"])
     def test_per_edge_table_missing_two_edges_names_the_first_in_level_order(
         self, capsys, command

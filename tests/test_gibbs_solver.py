@@ -37,6 +37,7 @@ from padic_potts.padic_core import PadicNumber
 from padic_potts.potts_model import (
     BoundaryField,
     CouplingField,
+    _level_couplings,
     _LevelWeights,
     compatibility_check,
     spin_pairing,
@@ -289,10 +290,10 @@ class TestIntegerFold:
             k, n, n_max = rng.randrange(1, 4), rng.randrange(1, 6), rng.randrange(8, 65)
             shape = TreeShape(k)
             J = _random_coupling(rng, patterns[case % 3], shape, n, p, q)
-            ball = ball_with_edges(shape, n)
+            couplings = _level_couplings(shape, J, range(n, 0, -1))
             laws = [tuple(_regime_component(rng, p, n_max) for _ in range(q - 1))
                     for _ in range(shape.sphere_size(n))]
-            args = (shape, ball, laws, J, n, n_max)
+            args = (shape, couplings, laws, J, n, n_max)
             got = _fold_outcome(_integer_fold, *args)
             assert got is not None, (case, p, q, k, n)
             assert got == _fold_outcome(_object_fold, *args), (case, p, q, k, n, J.pattern)
@@ -309,10 +310,10 @@ class TestIntegerFold:
         laws = [(PadicNumber(1 + 3 * (i + 1), p, 16),) for i in range(len(leaves))]
         laws[2] = (PadicNumber(1 + 3**9, p, 16, known_abs=7),)
         laws[5] = (PadicNumber(1 + 3**9, p, 16, known_abs=8),)
-        ball = ball_with_edges(shape, 3)
+        couplings = _level_couplings(shape, J, range(3, 0, -1))
         for fold in (_integer_fold, _object_fold):
             with pytest.raises(PrecisionExhausted) as err:
-                fold(shape, ball, laws, J, 3, 16)
+                fold(shape, couplings, laws, J, 3, 16)
             assert err.value.bound == 8
 
     @pytest.mark.parametrize("in_regime", [True, False])
@@ -388,7 +389,8 @@ class TestIntegerFold:
                       for c in range(J.q - 1))
                 for i in range(shape.sphere_size(n))]
         ball = ball_with_edges(shape, n)
-        assert _integer_fold(shape, ball, laws, J, n, 16) is None
+        couplings = _level_couplings(shape, J, range(n, 0, -1))
+        assert _integer_fold(shape, couplings, laws, J, n, 16) is None
         leaves = ball[0][-shape.sphere_size(n):]
         got = recursion_backward(shape, dict(zip(leaves, laws)), J, n, 16)
         assert [str(c) for c in got.root_z] == rendered

@@ -14,8 +14,10 @@ from padic_potts.errors import (
     PartitionFunctionDegenerate,
     PrecisionExhausted,
 )
+from padic_potts.gibbs_solver import recursion_backward
 from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
 from padic_potts.padic_core import PadicNumber, _vp
+from padic_potts import potts_model
 from padic_potts.potts_model import (
     COMPAT_MARGIN,
     MODULUS_HEADROOM,
@@ -624,6 +626,24 @@ class TestCouplingsReadOnce:
         assert len(built) == 2
         assert lookups == Counter(table.keys())
 
+    @pytest.mark.parametrize("off_disk", [False, True], ids=["in the regime", "off the disk"])
+    def test_recursion_reads_each_edge_once(self, monkeypatch, off_disk):
+        # a sphere law off the disk (z - 1 a unit) sends the recursion from
+        # the integer fold to the object fold, which reads no coupling again
+        shape, n = TreeShape(2), 3
+        vertices, pairs = ball_with_edges(shape, n)
+        table = {(str(vertices[i]), str(vertices[j])): Fraction(3 * (1 + e % 3))
+                 for e, (i, j) in enumerate(pairs)}
+        J = CouplingField.per_edge(table, P, 2)
+        leaves = vertices[shape.ball_size(n - 1):]
+        laws = {x: (PadicNumber(1 + 3 * (i + 1), P),) for i, x in enumerate(leaves)}
+        if off_disk:
+            laws[leaves[4]] = (PadicNumber(2, P),)
+        lookups = _counting_lookups(monkeypatch)
+        got = recursion_backward(shape, laws, J, n, N)
+        assert (got.per_level_offset[-1] == 0) == off_disk
+        assert lookups == Counter(table.keys())
+
 
 class TestCouplingField:
     def test_admissibility_enforced(self):
@@ -631,6 +651,21 @@ class TestCouplingField:
             CouplingField.homogeneous(Fraction(1), P, 3)  # valuation 0
         with pytest.raises(DomainViolation):
             CouplingField.homogeneous(Fraction(2), 2, 4)  # p=2 needs >= 2
+
+    def test_admissibility_checked_once_per_distinct_value(self, monkeypatch):
+        checked = []
+        check = potts_model._check_coupling_admissible
+        monkeypatch.setattr(potts_model, "_check_coupling_admissible",
+                            lambda value, p: checked.append(value) or check(value, p))
+        root = TreeVertex.root()
+        values = [Fraction(3), Fraction(6), Fraction(3), Fraction(1, 2), Fraction(6), Fraction(1)]
+        table = {(root, root.child(i)): v for i, v in enumerate(values)}
+        with pytest.raises(DomainViolation, match=r"^coupling 1/2 has valuation 0 "):
+            CouplingField.per_edge(table, P, 3)  # the first inadmissible value in table order
+        assert checked == [3, 6, Fraction(1, 2)]
+        checked.clear()
+        CouplingField.per_edge(dict(list(table.items())[:3]), P, 3)
+        assert checked == [3, 6]
 
     def test_zero_coupling_allowed(self):
         J = CouplingField.homogeneous(Fraction(0), P, 3)
@@ -690,6 +725,16 @@ class TestJsonIngestion:
             coupling_from_json(
                 {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/2"}}
             )
+
+    @pytest.mark.parametrize("shape", [None, TreeShape(2)], ids=["no shape", "k=2"])
+    @pytest.mark.parametrize("row", ["ab0", "000", ["", "1", "3", "9"], ["", "1"], 5, {}],
+                             ids=["string", "digit string", "four", "two", "number", "object"])
+    def test_per_edge_row_of_the_wrong_shape_is_named(self, shape, row):
+        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": [["", "0", "3"], row]}
+        with pytest.raises(ValueError) as err:
+            coupling_from_json(doc, shape)
+        assert str(err.value) == (
+            f"per-edge row 1 must be a [parent, child, value] array, got {row!r}")
 
     def test_per_edge_rows_checked_against_a_shape(self):
         values = [["", "3", "3"], ["3", "3.1", "6"]]

@@ -139,6 +139,18 @@ def _entries():
         ("recursion_backward.fallback", {"p": p, "q": 3, "k": 2, "n": n2, "N": 32},
          lambda: recursion_backward(shape2, laws3, J3, n2, 32))
     )
+    # the k = 3 fold's laws at k = 2, n = 6 over a per-edge table (values
+    # cycling 3, 6, 9 in level order), each edge's coupling looked up by address
+    shape4, n4 = TreeShape(2), 6
+    vertices, pairs = ball_with_edges(shape4, n4)
+    J4 = CouplingField.per_edge({(vertices[i], vertices[j]): Fraction(3 * (e % 3 + 1))
+                                 for e, (i, j) in enumerate(pairs)}, p, q)
+    laws4 = {v: law() for v in vertices[shape4.ball_size(n4 - 1):]}
+    out.append(
+        ("recursion_backward.per_edge",
+         {"p": p, "q": q, "k": 2, "n": n4, "N": 32, "couplings": "per-edge 3/6/9"},
+         lambda: recursion_backward(shape4, laws4, J4, n4, 32))
+    )
     # one child's factor where the contraction suite's k = 2, n = 6 run meets
     # it, at the sphere (p = 5, q = 3, J = 5): drawn laws 1 + 5**j * unit
     theta5 = exp_p(PadicNumber(5, 5, 32))

@@ -281,6 +281,10 @@ def _errors() -> list:
         ["compat-check", "--p", "3", "--q", "3", "--n", "1", "--couplings",
          '{"pattern":"homogeneous","p":3,"q":true,"values":{"J":"3"}}'],
     )]
+    # per-edge rows that are not [parent, child, value] arrays
+    out += [(["compat-check", "--n", "1", "--couplings",
+              '{"pattern":"per_edge","p":3,"q":3,"values":[' + row + "]}"], {})
+            for row in ('"ab0"', '"000"', '["","0","3","9"]', "5")]
     bad_fields = {
         "syntax": "{not json",
         "list": '["3", "0"]',
