@@ -17,6 +17,7 @@ bipartite couplings and period-two fields.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -62,14 +63,19 @@ class TreeShape:
             offset = offset * self.branching + i
         return self.level_start(x.level) + offset
 
-    def level_vertices(self, m: int) -> list["TreeVertex"]:
-        """The vertices of level m in level order.  Their addresses are made
-        in range, so they skip the constructor's check."""
+    def level_addresses(self, m: int) -> Iterator[tuple[int, ...]]:
+        """The addresses of level m's vertices in level order, offset 0 first:
+        the one place that knows that order."""
         self._check_level(m)
         k = self.branching
         if m == 0:
-            return [TreeVertex.root()]
-        return [_vertex(a) for a in itertools.product(range(k + 1), *[range(k)] * (m - 1))]
+            return iter([()])
+        return itertools.product(range(k + 1), *[range(k)] * (m - 1))
+
+    def level_vertices(self, m: int) -> list["TreeVertex"]:
+        """The vertices of level m in level order.  Their addresses are made
+        in range, so they skip the constructor's check."""
+        return [_vertex(a) for a in self.level_addresses(m)]
 
     def __contains__(self, x: "TreeVertex") -> bool:
         """Whether ``x`` names a vertex of this tree: the root's children are

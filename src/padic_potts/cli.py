@@ -40,6 +40,7 @@ from .potts_model import (
     compatibility_check,
     coupling_from_json,
     measure_norm_profile,
+    _INTEGER_TEXT,
 )
 
 SUITES = ("exp-log", "product-distance", "contraction", "compat", "all")
@@ -466,16 +467,27 @@ _COMMANDS = {
 }
 
 
+def _int_flag(text: str) -> int:
+    """An int flag's value in the input number grammar: an optional '-' and
+    ASCII digits, refused in argparse's words for int."""
+    try:
+        if _INTEGER_TEXT.fullmatch(text):
+            return int(text)
+    except ValueError:  # past the int-string digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None, help="prime modulus")
-    common.add_argument("--q", type=int, default=None, help="number of spin states")
-    common.add_argument("--k", type=int, default=None, help="tree branching order")
-    common.add_argument("--n", type=int, default=2, help="ball depth")
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--p", type=_int_flag, default=None, help="prime modulus")
+    common.add_argument("--q", type=_int_flag, default=None, help="number of spin states")
+    common.add_argument("--k", type=_int_flag, default=None, help="tree branching order")
+    common.add_argument("--n", type=_int_flag, default=2, help="ball depth")
+    common.add_argument("--precision", type=_int_flag, default=DEFAULT_PRECISION)
+    common.add_argument("--seed", type=_int_flag, default=0)
     common.add_argument(
         "--couplings",
         default=None,
@@ -493,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", parents=[common], help="run an invariant suite")
     v.add_argument("--suite", choices=SUITES, required=True)
-    v.add_argument("--checks", type=int, default=None, help="override the suite's count")
+    v.add_argument("--checks", type=_int_flag, default=None, help="override the suite's count")
 
     sub.add_parser("classify", parents=[common], help="phase classification report")
 

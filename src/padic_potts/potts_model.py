@@ -27,13 +27,13 @@ cross-check meaningful.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
-from .cayley_tree import TreeShape, TreeVertex, ball_with_edges
+from .cayley_tree import TreeShape, TreeVertex
 from .errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -77,9 +77,9 @@ class CouplingField:
 
     Three patterns: a single value everywhere, a value per edge direction of
     the bipartition (chosen by the parent's parity), or an explicit per-edge
-    table keyed by (parent address, child address) strings.  Every value must
-    lie in the exponential's convergence disk; zero is accepted as the
-    degenerate coupling (its exponential is exactly one).
+    table held by each edge's child address.  Every value must lie in the
+    exponential's convergence disk; zero is accepted as the degenerate
+    coupling (its exponential is exactly one).
     """
 
     pattern: str
@@ -120,8 +120,30 @@ class CouplingField:
 
     @classmethod
     def per_edge(cls, table, p, q: int) -> "CouplingField":
-        values = {(str(x), str(y)): J if type(J) is Fraction else Fraction(J)  # kept, not copied
-                  for (x, y), J in table.items()}
+        """A coupling per edge from {(parent, child): value}, each end a
+        ``TreeVertex`` or its address string, held by the child's address:
+        the one place that knows how an edge is named.  A key whose child is
+        not a direct successor of its parent names no edge and is refused."""
+        values, read = {}, {}  # read: the address of each address string, by its text
+
+        def address(end) -> tuple[int, ...]:
+            if isinstance(end, TreeVertex):
+                return end.address
+            if end not in read:
+                head, _, last = end.rpartition(".")
+                # a child's text is mostly its parent's, read just before, and one index
+                if head and head in read and last.isascii() and last.isdigit():
+                    read[end] = (*read[head], int(last))
+                else:
+                    read[end] = TreeVertex.from_string(end).address
+            return read[end]
+
+        for (x, y), J in table.items():
+            parent, child = address(x), address(y)
+            if not child or child[:-1] != parent:
+                raise ValueError(f"per-edge key {str(x)!r} -> {str(y)!r} names no edge: "
+                                 f"the child is not a direct successor of the parent")
+            values[child] = J if type(J) is Fraction else Fraction(J)  # kept, not copied
         return cls("per_edge", as_prime(p), q, values)
 
     def level_coupling(self, m: int) -> Fraction | None:
@@ -133,29 +155,12 @@ class CouplingField:
             return self.values["even_to_odd" if m % 2 else "odd_to_even"]
         return None
 
-    def coupling_for_edge(self, parent: TreeVertex, child: TreeVertex) -> Fraction:
-        J = self.level_coupling(parent.level + 1)
-        if J is not None:
-            return J
-        try:
-            return self.values[(str(parent), str(child))]
-        except KeyError:
-            raise KeyError(
-                f"no coupling listed for edge {str(parent)!r} -> {str(child)!r}"
-            ) from None
-
     def theta(self, J: Fraction, precision: int = DEFAULT_PRECISION) -> PadicNumber:
         """exp of the coupling value ``J``, cached per value and precision."""
         key = (J.numerator, J.denominator, precision)  # a Fraction's own hash is slow
         if key not in self._theta_cache:
             self._theta_cache[key] = exp_p(PadicNumber.from_fraction(J, self.prime, precision))
         return self._theta_cache[key]
-
-    def theta_for_edge(
-        self, parent: TreeVertex, child: TreeVertex, precision: int = DEFAULT_PRECISION
-    ) -> PadicNumber:
-        """exp of the edge coupling, cached per distinct coupling value."""
-        return self.theta(self.coupling_for_edge(parent, child), precision)
 
 
 class BoundaryField:
@@ -224,16 +229,9 @@ class BoundaryField:
         out._pair = (out._checked(even, "even levels"), out._checked(odd, "odd levels"))
         return out
 
-    def field_at(self, vertex: TreeVertex) -> tuple[PadicNumber, ...]:
-        got = self._table.get(vertex.level, {}).get(vertex)
-        return self._pair[vertex.level % 2] if got is None else got
-
-    def site_exponentials(self, vertex: TreeVertex, precision: int) -> list[PadicNumber]:
-        """exp of ``spin_pairing(field_at(vertex), s)`` for s = 1..q, cached
-        per distinct field vector and precision."""
-        return self._site_table(self.field_at(vertex), precision)
-
     def _site_table(self, vec: tuple[PadicNumber, ...], precision: int) -> list[PadicNumber]:
+        """exp of ``spin_pairing(vec, s)`` for s = 1..q, cached per distinct
+        vector and precision."""
         key = (tuple(c._key() for c in vec), precision)
         table = self._site_cache.get(key)
         if table is None:
@@ -310,12 +308,12 @@ def _level_couplings(shape: TreeShape, J: CouplingField, levels) -> tuple[list, 
     coupling sits on which edge.  Each distinct value gets an id, its index
     in ``values``.  Level m maps each offset to an id (``_sparse``): one id
     for a homogeneous or bipartite level, or for a per-edge table one
-    lookup per edge in offset order, so that a table missing an edge names
-    the first edge it misses on the first level read that misses one.
+    lookup of each child address in offset order, so that a table missing
+    an edge names the first edge it misses on the first level read that
+    misses one.
     """
     ids: dict = {}  # a value's id by its (numerator, denominator)
     read: dict = {}
-    listed: dict = {}  # the last two levels' vertices: a level next to it reuses one
 
     def id_of(value: Fraction) -> int:
         return ids.setdefault((value.numerator, value.denominator), len(ids))
@@ -325,10 +323,13 @@ def _level_couplings(shape: TreeShape, J: CouplingField, levels) -> tuple[list, 
         if value is not None:
             read[m] = (id_of(value), {})
             continue
-        listed = {l: listed.get(l) or shape.level_vertices(l) for l in (m - 1, m)}
-        parents, step = listed[m - 1], shape.successor_count(m - 1)
-        read[m] = _sparse({o: id_of(J.coupling_for_edge(parents[o // step], y))
-                           for o, y in enumerate(listed[m])}, None)
+        table = J.values  # by child address
+        try:
+            read[m] = _sparse({o: id_of(table[a])
+                               for o, a in enumerate(shape.level_addresses(m))}, None)
+        except KeyError as missing:
+            parent, child = (".".join(map(str, a)) for a in (missing.args[0][:-1], missing.args[0]))
+            raise KeyError(f"no coupling listed for edge {parent!r} -> {child!r}") from None
     return [Fraction(*key) for key in ids], read
 
 
@@ -360,9 +361,6 @@ class _LevelWeights:
     of a ball loses one factor of |q|_p per vertex, so callers that must
     resolve quantities past that loss ask for extra working digits up front;
     ``_shift_hint`` provides the standard estimate.
-
-    ``vertices``, ``edge_residues`` and ``site_residues`` list the ball the
-    way a configuration's ``weight`` reads it, made when first read.
     """
 
     def __init__(
@@ -420,43 +418,6 @@ class _LevelWeights:
             listed = {o: by_vector[id(vec)] for o, vec in entries.items()}
             self._spheres[m] = (rows, *_sparse(listed, by_vector.get(id(default))))
 
-    @cached_property
-    def _listed(self) -> tuple[list[TreeVertex], list[tuple[int, int]]]:
-        return ball_with_edges(self.shape, self.n)
-
-    @cached_property
-    def vertices(self) -> list[TreeVertex]:
-        return self._listed[0]
-
-    @cached_property
-    def edge_residues(self) -> list[tuple[int, int, int]]:
-        """(parent index, child index, theta residue) of every edge, in level order."""
-        size, th = self.shape.sphere_size, self._theta
-        thetas = [th[off.get(o, default)] for m, (default, off) in enumerate(self._couplings, 1)
-                  for o in range(size(m))]
-        return [(i, j, t) for (i, j), t in zip(self._listed[1], thetas)]
-
-    @cached_property
-    def site_residues(self) -> dict[int, list[int]]:
-        return self._by_index(self.n, self._spheres[self.n])
-
-    def _by_index(self, m: int, level: tuple) -> dict[int, list[int]]:
-        """Level m's rows keyed by vertex index."""
-        rows, default, off = level
-        start = self.shape.level_start(m)
-        return {start + o: rows[off.get(o, default)] for o in range(self.shape.sphere_size(m))}
-
-    def weight(self, cfg: tuple, sites: dict | None = None) -> int:
-        """Residue of one configuration's weight; ``sites`` replaces the site tables."""
-        w = 1
-        M = self.modulus
-        for i, j, th in self.edge_residues:
-            if cfg[i] == cfg[j]:
-                w = w * th % M
-        for i, table in (self.site_residues if sites is None else sites).items():
-            w = w * table[cfg[i] - 1] % M
-        return w
-
     def _fold(self, level: tuple, m: int) -> tuple:
         """Level m's messages folded into level m - 1's.
 
@@ -503,17 +464,6 @@ class _LevelWeights:
         for m in range(m, 0, -1):
             level = self._fold(level, m)
             yield m - 1, level
-
-    def messages(self, level: int) -> dict:
-        """Sum-product messages of the vertices at ``level``, keyed by index.
-
-        m_v(s) is the weight of the branch below v summed over its spins,
-        with v held at spin s.
-        """
-        for m, folded in self._levels():
-            if m == level:
-                return self._by_index(level, folded)
-        raise ValueError(f"level {level} outside the {self.n}-ball")
 
     def partition_residue(self, sphere: int | None = None) -> int:
         """The partition sum of the ball out to ``sphere`` (n unless told)."""
@@ -571,7 +521,18 @@ def finite_measure(
     vertex of the ball rather than one per configuration.
     """
     system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
-    w_res = system.weight(tuple(cfg[v] for v in system.vertices))
+    M, w_res = system.modulus, 1
+    above = [cfg[x] for x in shape.level_vertices(0)]
+    for m in range(1, n + 1):  # the theta of each edge whose ends agree
+        spins, step = [cfg[x] for x in shape.level_vertices(m)], shape.successor_count(m - 1)
+        default, off = system._couplings[m - 1]
+        for o, s in enumerate(spins):
+            if s == above[o // step]:
+                w_res = w_res * system._theta[off.get(o, default)] % M
+        above = spins
+    rows, default, off = system._spheres[n]
+    for o, s in enumerate(above):  # and the site row of each sphere vertex
+        w_res = w_res * rows[off.get(o, default)][s - 1] % M
     return _residue_quotient(w_res, z_res, zeta, system)
 
 
@@ -732,7 +693,17 @@ def measure_norm_profile(
 # JSON ingestion
 
 
+# The number grammar of every input text: an optional '-', then ASCII digits;
+# a rational may add one '/' and a second run of them.  int and Fraction also
+# read spaces, '_', '+', '.', exponents and other scripts' digits, so each
+# text is matched here before either reads it.
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _fraction_from_text(text) -> Fraction:
+    if isinstance(text, str) and not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     if isinstance(text, (str, int)) and not isinstance(text, bool):
         try:
             return Fraction(text)
@@ -748,14 +719,17 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
     {"pattern": "bipartite", ..., "values": {"even_to_odd": "3", "odd_to_even": "6"}}
     {"pattern": "per_edge", ..., "values": [["", "0", "3"], ["0", "0.0", "6"]]}
 
-    Given a ``shape``, every per-edge row must name an edge of its tree: the
-    child a vertex of it, and the parent that child's parent.
+    ``q`` is a JSON integer or a string of one, each value a JSON integer or
+    a string like "-6/5" (``_RATIONAL_TEXT``).  Every per-edge row must name
+    an edge, its parent the child's parent; given a ``shape``, the child
+    must also be a vertex of its tree.
     """
     try:
         pattern = doc["pattern"]
         p = as_prime(doc["p"])
         q = doc["q"]
-        if isinstance(q, (float, bool)):  # int() would truncate a float, or read a bool as 0 or 1
+        # int() would truncate a float, read a bool as 0 or 1, or "1_0" as 10
+        if isinstance(q, (float, bool)) or isinstance(q, str) and not _INTEGER_TEXT.fullmatch(q):
             raise ValueError(f"q must be an integer, got {q!r}")
         q = int(q)
         raw = doc["values"]

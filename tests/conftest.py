@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from padic_potts.cayley_tree import TreeShape, TreeVertex
+from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
 
 
 def unit_fraction(rng: random.Random, p: int, size: int = 8) -> Fraction:
@@ -33,6 +34,87 @@ def direct_successors(shape: TreeShape, x: TreeVertex) -> list[TreeVertex]:
     """The children of ``x``: k+1 of them at the root, k elsewhere."""
     count = shape.branching + 1 if x.is_root else shape.branching
     return [x.child(i) for i in range(count)]
+
+
+# Vertex-keyed readings of the library's inputs and weight systems: the
+# oracles the tests compare the index-addressed passes with.
+
+
+def coupling_for_edge(J, parent: TreeVertex, child: TreeVertex) -> Fraction:
+    """The coupling on the edge parent -> child; a KeyError if a per-edge
+    table lists no such edge."""
+    value = J.level_coupling(parent.level + 1)
+    return J.values[child.address] if value is None else value
+
+
+def theta_for_edge(J, parent: TreeVertex, child: TreeVertex, precision: int):
+    """exp of the coupling on the edge parent -> child, from J's cache."""
+    return J.theta(coupling_for_edge(J, parent, child), precision)
+
+
+def field_at(h, vertex: TreeVertex) -> tuple:
+    """The vector ``h`` gives ``vertex``: its own entry, else its level's
+    parity default."""
+    got = h._table.get(vertex.level, {}).get(vertex)
+    return h._pair[vertex.level % 2] if got is None else got
+
+
+def site_exponentials(h, vertex: TreeVertex, precision: int) -> list:
+    """The site table of ``vertex``, from the field's cache."""
+    return h._site_table(field_at(h, vertex), precision)
+
+
+def ball_vertices(system) -> list[TreeVertex]:
+    """The vertices of a weight system's ball, in level order."""
+    return ball_with_edges(system.shape, system.n)[0]
+
+
+def _by_index(system, m: int, level: tuple) -> dict[int, list[int]]:
+    # level m's rows of a weight system, keyed by vertex index
+    rows, default, off = level
+    start = system.shape.level_start(m)
+    return {start + o: rows[off.get(o, default)] for o in range(system.shape.sphere_size(m))}
+
+
+@functools.lru_cache(maxsize=8)  # a brute force weighs every configuration of one system
+def edge_residues(system) -> list[tuple[int, int, int]]:
+    """(parent index, child index, theta residue) of every edge of a weight
+    system's ball, in level order."""
+    size, th = system.shape.sphere_size, system._theta
+    thetas = [th[off.get(o, default)] for m, (default, off) in enumerate(system._couplings, 1)
+              for o in range(size(m))]
+    return [(i, j, t) for (i, j), t in zip(ball_with_edges(system.shape, system.n)[1], thetas)]
+
+
+@functools.lru_cache(maxsize=8)
+def site_residues(system) -> dict[int, list[int]]:
+    """The site rows of a weight system's sphere, keyed by vertex index."""
+    return _by_index(system, system.n, system._spheres[system.n])
+
+
+def weight(system, cfg: tuple, sites: dict | None = None) -> int:
+    """Residue of one configuration's weight (spins in level order);
+    ``sites`` replaces the site rows."""
+    w = 1
+    M = system.modulus
+    for i, j, th in edge_residues(system):
+        if cfg[i] == cfg[j]:
+            w = w * th % M
+    for i, table in (site_residues(system) if sites is None else sites).items():
+        w = w * table[cfg[i] - 1] % M
+    return w
+
+
+def messages(system, level: int) -> dict:
+    """Sum-product messages of the vertices at ``level``, keyed by index.
+
+    m_v(s) is the weight of the branch below v summed over its spins, with
+    v held at spin s.
+    """
+    for m, folded in system._levels():
+        if m == level:
+            return _by_index(system, level, folded)
+    raise ValueError(f"level {level} outside the {system.n}-ball")
 
 
 @pytest.fixture

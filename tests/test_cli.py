@@ -712,6 +712,56 @@ def test_undecodable_files_are_config_errors(capsys, tmp_path, flag, content):
     assert err.startswith("config error:")
 
 
+# int and Fraction read "1_1" as 11, "\u0663" as 3 and " 3_0 " as 30: every
+# number text is an optional '-' and ASCII digits, a rational adding one '/'
+# and a second run of digits
+OFF_GRAMMAR = ["1_1", "\u0663", " 3", "3 ", "+3", "3.0", "3e1"]
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+@pytest.mark.parametrize("flag", ["--p", "--q", "--k", "--n", "--precision", "--seed", "--checks"])
+def test_int_flags_outside_the_number_grammar_are_refused(capsys, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "exp-log", flag, text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: invalid int value: {text!r}\n")
+
+
+def test_grammar_refusal_repros(capsys, tmp_path):
+    # each ran at the parent as another number: p = 11, q = 3; q = 10; J = 30;
+    # and a field that printed the bytes of {"": ["3", "30"]}
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--p", "1_1", "--q", "\u0663"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --p: invalid int value: '1_1'\n")
+    doc = {"pattern": "homogeneous", "p": 3, "q": "1_0", "values": {"J": "3"}}
+    assert run(capsys, "compat-check", "--couplings", json.dumps(doc)) == (
+        1, "", "config error: couplings field invalid: q must be an integer, got '1_0'\n")
+    doc = {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": " 3_0 "}}
+    assert run(capsys, "compat-check", "--couplings", json.dumps(doc)) == (
+        1, "", "config error: couplings field invalid: Invalid literal for Fraction: ' 3_0 '\n")
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"": ["\u0663", "3_0"]}))
+    assert run(capsys, "compat-check", "--field", str(path)) == (
+        1, "", "config error: field file invalid: Invalid literal for Fraction: '\u0663'\n")
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_coupling_q_outside_the_number_grammar_is_a_config_error(capsys, text):
+    doc = {"pattern": "homogeneous", "p": 3, "q": text, "values": {"J": "3"}}
+    assert run(capsys, "classify", "--couplings", json.dumps(doc)) == (
+        1, "", f"config error: couplings field invalid: q must be an integer, got {text!r}\n")
+
+
+def test_coupling_q_as_ascii_digits_is_read():
+    doc = {"pattern": "homogeneous", "p": 3, "q": "3", "values": {"J": "3"}}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compat-check", "--n", "1", "--couplings", json.dumps(doc)]) == 0
+    assert json.loads(out.getvalue())["q"] == 3
+
+
 class TestFlagValidation:
     def test_precision_floor(self, capsys):
         code, _, err = run(capsys, "classify", "--precision", "4")
@@ -730,7 +780,8 @@ _ATOMS = st.one_of(
     st.booleans(),
     st.integers(-10, 40),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(["3", "9", "4", "9/2", "-6/5", "0", "1/0", "1e3", "x", ""]),
+    st.sampled_from(["3", "9", "4", "9/2", "-6/5", "0", "1/0", "1e3", "x", "",
+                     "1_0", " 3_0 ", "\u0663", "+3", "3.0"]),
 )
 _VALUES = st.recursive(
     _ATOMS,

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import exp_domain_fraction
+from conftest import exp_domain_fraction, field_at, messages, site_exponentials
 
 from padic_potts import gibbs_solver
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
@@ -418,10 +418,10 @@ class TestIntegerFold:
             B, mod = system.modulus_exponent, system.modulus
             laws = {}
             for x in leaves:
-                sites = h.site_exponentials(x, N)
+                sites = site_exponentials(h, x, N)
                 laws[x] = tuple(w / sites[-1] for w in sites[:-1])
             root = recursion_backward(shape, laws, J, n, N).root_z
-            m = system.messages(0)[0]
+            m = messages(system, 0)[0]
             for s, z in enumerate(root):
                 assert z.known_abs >= B
                 assert z.residue(B) == m[s] * pow(m[-1], -1, mod) % mod
@@ -698,14 +698,14 @@ class TestWitnessField:
         # one-site weight ratios exp(pairing(h, s) - pairing(h, q))
         z = (num(-2), num(4))
         field = witness_boundary_field(z, precision=48)
-        h = field.field_at(TreeVertex.root())
+        h = field_at(field, TreeVertex.root())
         for i in (1, 2):
             ratio = exp_p(spin_pairing(h, i) - spin_pairing(h, 3))
             assert ratio.distance_valuation(z[i - 1]) >= 25
 
     def test_trivial_witness_gives_zero_field(self):
         field = witness_boundary_field(pvec([1, 1]))
-        h = field.field_at(TreeVertex.root())
+        h = field_at(field, TreeVertex.root())
         assert all(c.is_zero for c in h)
 
     def test_empty_law_refused(self):

@@ -4,7 +4,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import exp_domain_fraction
+from conftest import (
+    ball_vertices,
+    coupling_for_edge,
+    edge_residues,
+    exp_domain_fraction,
+    field_at,
+    messages,
+    site_exponentials,
+    site_residues,
+    theta_for_edge,
+    weight,
+)
 
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
 from padic_potts.errors import (
@@ -73,7 +84,7 @@ def hamiltonian(shape, cfg, J, n, precision):
     for i, j in pairs:
         x, y = vertices[i], vertices[j]
         if cfg[x] == cfg[y]:
-            total += J.coupling_for_edge(x, y)
+            total += coupling_for_edge(J, x, y)
     return PadicNumber.from_fraction(-total, J.prime, precision)
 
 
@@ -82,8 +93,8 @@ def finite_measure_table(shape, h, J, n, precision):
     them, over the partition sum of one tree pass."""
     system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
     return [
-        (cfg, _residue_quotient(system.weight(cfg), z_res, zeta, system))
-        for cfg in itertools.product(range(1, system.q + 1), repeat=len(system.vertices))
+        (cfg, _residue_quotient(weight(system, cfg), z_res, zeta, system))
+        for cfg in itertools.product(range(1, system.q + 1), repeat=len(ball_vertices(system)))
     ]
 
 
@@ -113,7 +124,7 @@ class TestHamiltonian:
             for child in vertices[1:]:
                 parent = child.parent()
                 if spins[parent] == spins[child]:
-                    total -= J.coupling_for_edge(parent, child)
+                    total -= coupling_for_edge(J, parent, child)
             got = hamiltonian(shape, spins, J, 2, N)
             if total == 0:
                 assert got.is_zero
@@ -143,9 +154,9 @@ class TestHamiltonian:
                 system = _LevelWeights(shape, BoundaryField.zero(q, p), J, n, N)
                 B = system.modulus_exponent
                 for _ in range(4):
-                    cfg = tuple(rng.randrange(1, q + 1) for _ in system.vertices)
-                    H = hamiltonian(shape, dict(zip(system.vertices, cfg)), J, n, N)
-                    assert system.weight(cfg) == exp_p(-H, precision=B).residue(B)
+                    cfg = tuple(rng.randrange(1, q + 1) for _ in ball_vertices(system))
+                    H = hamiltonian(shape, dict(zip(ball_vertices(system), cfg)), J, n, N)
+                    assert weight(system, cfg) == exp_p(-H, precision=B).residue(B)
 
 
 class TestFiniteMeasure:
@@ -167,7 +178,7 @@ class TestFiniteMeasure:
         shape = TreeShape(1)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
         h = BoundaryField.zero(2, P)
-        theta = J.theta_for_edge(TreeVertex.root(), TreeVertex.root().child(0), N)
+        theta = theta_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0), N)
         verts = ball_with_edges(shape, 1)[0]
         all_same = {v: 1 for v in verts}
         spins = {v: 1 for v in verts}
@@ -238,9 +249,9 @@ def _brute_sums(system, inner_count):
     """Sums of ``weight`` over every configuration, one per spin assignment
     of the first ``inner_count`` vertices (so one sum in all when it is 0)."""
     spins = range(1, system.q + 1)
-    tails = list(itertools.product(spins, repeat=len(system.vertices) - inner_count))
+    tails = list(itertools.product(spins, repeat=len(ball_vertices(system)) - inner_count))
     return [
-        sum(system.weight(head + tail) for tail in tails) % system.modulus
+        sum(weight(system, head + tail) for tail in tails) % system.modulus
         for head in itertools.product(spins, repeat=inner_count)
     ]
 
@@ -260,14 +271,14 @@ def test_tree_pass_matches_brute_force(k, q, n, p, field_kind):
         assert outer.partition_residue() == _brute_sums(outer, 0)[0]
         return
     inner = _LevelWeights(shape, h, J, n - 1, N)
-    brute = _brute_sums(outer, len(inner.vertices))
+    brute = _brute_sums(outer, len(ball_vertices(inner)))
     assert outer.partition_residue() == sum(brute) % outer.modulus
     M = p ** min(outer.modulus_exponent, inner.modulus_exponent)
-    folded = outer.messages(n - 1)
+    folded = messages(outer, n - 1)
     spins = range(1, q + 1)
     tree = [
-        inner.weight(cfg, folded) % M
-        for cfg in itertools.product(spins, repeat=len(inner.vertices))
+        weight(inner, cfg, folded) % M
+        for cfg in itertools.product(spins, repeat=len(ball_vertices(inner)))
     ]
     assert tree == [m % M for m in brute]
 
@@ -278,8 +289,8 @@ def _per_vertex_levels(system, h, J, shape, n, work):
     vertex: the oracle for the tree pass, which folds one row per signature."""
     B, M, q = system.modulus_exponent, system.modulus, system.q
     vertices, pairs = ball_with_edges(shape, n)
-    thetas = [J.theta_for_edge(vertices[i], vertices[j], work).residue(B) for i, j in pairs]
-    msgs = [[w.residue(B) for w in h.site_exponentials(x, work)]
+    thetas = [theta_for_edge(J, vertices[i], vertices[j], work).residue(B) for i, j in pairs]
+    msgs = [[w.residue(B) for w in site_exponentials(h, x, work)]
             for x in vertices[shape.level_start(n):]]
     levels = {n: msgs}
     for m in range(n, 0, -1):
@@ -329,7 +340,7 @@ def test_collapsed_pass_matches_the_per_vertex_fold(k, n, coupling_kind):
         levels = _per_vertex_levels(system, h, J, shape, n, N)
         assert system.partition_residue() == sum(levels[0][0]) % system.modulus
         for m in range(n + 1):
-            assert system.messages(m) == dict(enumerate(levels[m], shape.level_start(m)))
+            assert messages(system, m) == dict(enumerate(levels[m], shape.level_start(m)))
 
 
 def _inexact_field(shape, n, q, p, rng):
@@ -368,8 +379,8 @@ def test_weights_are_units_and_profile_rows_are_minus_the_partition_valuation(
     assert [r.level for r in rows] == list(range(n + 1))
     for m, row in enumerate(rows):
         system = _weights_resolving_partition(shape, h, J, m, N)[0]
-        assert all(th % p == 1 for _, _, th in system.edge_residues)
-        assert all(w % p == 1 for table in system.site_residues.values() for w in table)
+        assert all(th % p == 1 for _, _, th in edge_residues(system))
+        assert all(w % p == 1 for table in site_residues(system).values() for w in table)
         zeta = _vp(_brute_sums(system, 0)[0], p)
         assert (row.min_valuation, row.max_valuation) == (-zeta, -zeta)
 
@@ -419,11 +430,11 @@ def _brute_compatibility(shape, h, J, n, precision):
             bound=B - shift,
         )
 
-    folded = outer.messages(n - 1)
+    folded = messages(outer, n - 1)
     worst = None
     resolved_worst = True
-    for cfg in itertools.product(range(1, q + 1), repeat=len(inner.vertices)):
-        diff = (inner.weight(cfg, folded) * z_inner - inner.weight(cfg) * z_outer) % M
+    for cfg in itertools.product(range(1, q + 1), repeat=len(ball_vertices(inner))):
+        diff = (weight(inner, cfg, folded) * z_inner - weight(inner, cfg) * z_outer) % M
         val = (B if diff == 0 else _vp(diff, p)) - shift
         if worst is None or val < worst:
             worst, resolved_worst = val, diff != 0
@@ -433,7 +444,7 @@ def _brute_compatibility(shape, h, J, n, precision):
         threshold=threshold,
         resolved=resolved_worst,
         level=n,
-        terms_enumerated=q ** len(outer.vertices),
+        terms_enumerated=q ** len(ball_vertices(outer)),
     )
 
 
@@ -574,17 +585,24 @@ class TestNormProfile:
         assert rows[0].level == 0
 
 
-def _counting_lookups(monkeypatch):
-    """Count every ``coupling_for_edge`` call by its (parent, child) addresses."""
-    lookups = Counter()
-    lookup = CouplingField.coupling_for_edge
+class _CountingTable(dict):
+    """A per-edge table, by child address, that counts every read of an
+    edge by its (parent, child) address strings."""
 
-    def counted(self, parent, child):
-        lookups[str(parent), str(child)] += 1
-        return lookup(self, parent, child)
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = Counter()
 
-    monkeypatch.setattr(CouplingField, "coupling_for_edge", counted)
-    return lookups
+    def __getitem__(self, child):
+        self.reads[".".join(map(str, child[:-1])), ".".join(map(str, child))] += 1
+        return super().__getitem__(child)
+
+
+def _counting_lookups(J):
+    """Install a counting copy of J's per-edge table as its values; return
+    the count of reads."""
+    J.values = _CountingTable(J.values)
+    return J.values.reads
 
 
 def _every_edge(shape, n, value):
@@ -593,15 +611,15 @@ def _every_edge(shape, n, value):
 
 
 class TestCouplingsReadOnce:
-    # a per-edge lookup formats two addresses, so a computation reads each
-    # edge of its largest ball once, however many balls share the read
+    # a computation reads each edge of its largest ball once, however many
+    # balls share the read
 
     @pytest.mark.parametrize("k,n", [(1, 6), (2, 4)])
-    def test_norm_profile_reads_each_edge_once(self, monkeypatch, k, n):
+    def test_norm_profile_reads_each_edge_once(self, k, n):
         shape = TreeShape(k)
         table = _every_edge(shape, n, Fraction(3))
         J = CouplingField.per_edge(table, P, 2)
-        lookups = _counting_lookups(monkeypatch)
+        lookups = _counting_lookups(J)
         rows = measure_norm_profile(shape, BoundaryField.zero(2, P), J, n, N)
         assert len(rows) == n + 1
         assert lookups == Counter(table.keys())
@@ -620,14 +638,14 @@ class TestCouplingsReadOnce:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(_LevelWeights, "__init__", counted_init)
-        lookups = _counting_lookups(monkeypatch)
+        lookups = _counting_lookups(J)
         rep = compatibility_check(shape, BoundaryField.zero(3, P), J, n, N)
         assert rep.holds
         assert len(built) == 2
         assert lookups == Counter(table.keys())
 
     @pytest.mark.parametrize("off_disk", [False, True], ids=["in the regime", "off the disk"])
-    def test_recursion_reads_each_edge_once(self, monkeypatch, off_disk):
+    def test_recursion_reads_each_edge_once(self, off_disk):
         # a sphere law off the disk (z - 1 a unit) sends the recursion from
         # the integer fold to the object fold, which reads no coupling again
         shape, n = TreeShape(2), 3
@@ -639,7 +657,7 @@ class TestCouplingsReadOnce:
         laws = {x: (PadicNumber(1 + 3 * (i + 1), P),) for i, x in enumerate(leaves)}
         if off_disk:
             laws[leaves[4]] = (PadicNumber(2, P),)
-        lookups = _counting_lookups(monkeypatch)
+        lookups = _counting_lookups(J)
         got = recursion_backward(shape, laws, J, n, N)
         assert (got.per_level_offset[-1] == 0) == off_disk
         assert lookups == Counter(table.keys())
@@ -669,7 +687,7 @@ class TestCouplingField:
 
     def test_zero_coupling_allowed(self):
         J = CouplingField.homogeneous(Fraction(0), P, 3)
-        theta = J.theta_for_edge(TreeVertex.root(), TreeVertex.root().child(0), N)
+        theta = theta_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0), N)
         assert theta == PadicNumber.from_fraction(Fraction(1), P, theta.precision)
 
     def test_bipartite_assigns_by_parent_parity(self):
@@ -677,10 +695,10 @@ class TestCouplingField:
         root = TreeVertex.root()
         c = root.child(0)
         cc = c.child(0)
-        assert J.coupling_for_edge(root, c) == Fraction(3)
-        assert J.coupling_for_edge(c, cc) == Fraction(6)
-        t1 = J.theta_for_edge(root, c, N)
-        t2 = J.theta_for_edge(c, cc, N)
+        assert coupling_for_edge(J, root, c) == Fraction(3)
+        assert coupling_for_edge(J, c, cc) == Fraction(6)
+        t1 = theta_for_edge(J, root, c, N)
+        t2 = theta_for_edge(J, c, cc, N)
         x3 = PadicNumber.from_fraction(Fraction(3), P, N)
         x6 = PadicNumber.from_fraction(Fraction(6), P, N)
         assert t1.distance_valuation(exp_p(x3)) >= 30
@@ -688,17 +706,33 @@ class TestCouplingField:
 
     def test_theta_cache_returns_same_object(self):
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        a = J.theta_for_edge(TreeVertex.root(), TreeVertex.root().child(0), N)
-        b = J.theta_for_edge(TreeVertex.root().child(1), TreeVertex.root().child(1).child(0), N)
+        a = theta_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0), N)
+        b = theta_for_edge(J, TreeVertex.root().child(1), TreeVertex.root().child(1).child(0), N)
         assert a is b
+
+    @pytest.mark.parametrize("parent,child", [("0", "1"), ("", ""), ("0", ""), ("1", "0.0"),
+                                              ("", "0.0"), ("0.0", "0")])
+    def test_per_edge_refuses_a_key_that_names_no_edge(self, parent, child):
+        # the table is held by child address: such a key would set another edge
+        text = (f"per-edge key {parent!r} -> {child!r} names no edge: the child is not a "
+                f"direct successor of the parent")
+        x, y = TreeVertex.from_string(parent), TreeVertex.from_string(child)
+        for key in ((parent, child), (x, y), (parent, y)):
+            with pytest.raises(ValueError) as err:
+                CouplingField.per_edge({(TreeVertex.root(), TreeVertex((0,))): 3, key: 6}, P, 3)
+            assert str(err.value) == text
+        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": [["", "0", "3"], [parent, child, "6"]]}
+        with pytest.raises(ValueError) as err:
+            coupling_from_json(doc)  # no shape to check the rows against
+        assert str(err.value) == text
 
     def test_per_edge_lookup(self):
         root = TreeVertex.root()
         c0 = root.child(0)
         J = CouplingField.per_edge({(root, c0): Fraction(3)}, P, 3)
-        assert J.coupling_for_edge(root, c0) == Fraction(3)
+        assert coupling_for_edge(J, root, c0) == Fraction(3)
         with pytest.raises(KeyError):
-            J.coupling_for_edge(root, root.child(1))
+            coupling_for_edge(J, root, root.child(1))
 
 
 class TestJsonIngestion:
@@ -718,7 +752,7 @@ class TestJsonIngestion:
                 "values": {"even_to_odd": "3", "odd_to_even": "6"},
             }
         )
-        assert J.coupling_for_edge(TreeVertex.root(), TreeVertex.root().child(0)) == 3
+        assert coupling_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0)) == 3
 
     def test_inadmissible_rejected_with_diagnostic(self):
         with pytest.raises(DomainViolation):
@@ -740,18 +774,18 @@ class TestJsonIngestion:
         values = [["", "3", "3"], ["3", "3.1", "6"]]
         doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": values}
         J = coupling_from_json(doc)  # no shape: any well-formed rows
-        assert J.coupling_for_edge(TreeVertex.root(), TreeVertex.root().child(3)) == 3
+        assert coupling_for_edge(J, TreeVertex.root(), TreeVertex.root().child(3)) == 3
         J = coupling_from_json(doc, TreeShape(3))  # the root has children 0..3
-        assert J.coupling_for_edge(TreeVertex((3,)), TreeVertex((3, 1))) == 6
+        assert coupling_for_edge(J, TreeVertex((3,)), TreeVertex((3, 1))) == 6
         with pytest.raises(ValueError, match="'' -> '3' names no edge of the k=2 tree"):
             coupling_from_json(doc, TreeShape(2))
 
     def test_field_document(self):
         doc = {"": ["3", "0"], "0": ["9/2", "3"]}
         field = boundary_field_from_json(doc, 3, P)
-        at_root = field.field_at(TreeVertex.root())
+        at_root = field_at(field, TreeVertex.root())
         assert at_root[0] == PadicNumber.from_fraction(Fraction(3), P, N)
-        unlisted = field.field_at(TreeVertex.root().child(2))
+        unlisted = field_at(field, TreeVertex.root().child(2))
         assert all(c.is_zero for c in unlisted)
 
     def test_field_document_rejects_inadmissible(self):
@@ -795,7 +829,7 @@ class TestJsonIngestion:
         want = {"": vec([3, 0]), "0": vec([Fraction(9, 2), 3]), "1": vec([3, 0]),
                 "2": vec([3, 0]), "0.0": vec([0, 0])}
         for address, v in want.items():
-            assert field.field_at(TreeVertex.from_string(address)) == v
+            assert field_at(field, TreeVertex.from_string(address)) == v
 
     @pytest.mark.parametrize(
         "k,address", [(1, "2"), (1, "7.3"), (1, "0.1"), (2, "3"), (2, "0.2"), (3, "1.0.3")]
@@ -807,7 +841,7 @@ class TestJsonIngestion:
     def test_field_address_past_the_ball_is_accepted(self):
         deep = "1.0.0.0.0.0"
         field = boundary_field_from_json({deep: ["3", "0"]}, 3, P, TreeShape(1))
-        assert field.field_at(TreeVertex.from_string(deep)) == vec([3, 0])
+        assert field_at(field, TreeVertex.from_string(deep)) == vec([3, 0])
 
     # JSON true and false are ints to Python, equal to and hashing as 1 and 0:
     # every place that reads a number refuses them
@@ -830,6 +864,26 @@ class TestJsonIngestion:
         with pytest.raises(ValueError, match=r"^rationals must be given as strings like "
                                              r"'3/4', got (False|True)$"):
             coupling_from_json(doc, TreeShape(1))
+
+    @pytest.mark.parametrize("text", ["3_0", " 3", "3 ", "+3", "3.0", "3e1", "\u0663", "1/3_0",
+                                      "3/+1", "3//1", "/3", "3/", "-", "--3", "3/-1"])
+    def test_number_texts_outside_the_grammar_are_refused(self, text):
+        # an optional '-' and ASCII digits, a rational one '/' and more digits
+        doc = {"pattern": "bipartite", "p": 3, "q": 3,
+               "values": {"even_to_odd": "3", "odd_to_even": text}}
+        for read in (lambda: coupling_from_json(doc),
+                     lambda: boundary_field_from_json({"": ["3", text]}, 3, P)):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == f"Invalid literal for Fraction: {text!r}"
+
+    @pytest.mark.parametrize("text,value", [("-6/5", Fraction(-6, 5)), ("0", 0), ("-3", -3),
+                                            ("09/2", Fraction(9, 2)), (27, 27)])
+    def test_number_texts_in_the_grammar_are_read(self, text, value):
+        J = coupling_from_json({"pattern": "homogeneous", "p": 3, "q": "3", "values": {"J": "3"}})
+        assert J.q == 3
+        field = boundary_field_from_json({"": ["3", text]}, 3, P)
+        assert field_at(field, TreeVertex.root())[1] == PadicNumber.from_fraction(value, P, N)
 
     @pytest.mark.parametrize("q", [True, False])
     def test_coupling_document_refuses_a_boolean_q(self, q):
@@ -882,25 +936,25 @@ class TestBoundaryField:
         even, odd, entry = vec([3, 0]), vec([0, 3]), vec([9, 9])
         field = BoundaryField.by_parity(even, odd)
         field.assign(TreeVertex.from_string("0.1"), entry)
-        assert field.field_at(TreeVertex.root()) == even
-        assert field.field_at(TreeVertex.from_string("0")) == odd
-        assert field.field_at(TreeVertex.from_string("1.0")) == even
-        assert field.field_at(TreeVertex.from_string("0.1")) == entry
+        assert field_at(field, TreeVertex.root()) == even
+        assert field_at(field, TreeVertex.from_string("0")) == odd
+        assert field_at(field, TreeVertex.from_string("1.0")) == even
+        assert field_at(field, TreeVertex.from_string("0.1")) == entry
 
     def test_constant_covers_all_vertices(self):
         v = vec([3, 9])
         field = BoundaryField.constant(v)
-        assert field.field_at(TreeVertex.from_string("0.1.0")) == v
+        assert field_at(field, TreeVertex.from_string("0.1.0")) == v
 
 
 def _direct_site_rows(system, h, J, shape, n, work):
     """The site residues and modulus exponent of ``system`` computed the
     uncached way: one exp_p per sphere site and spin, and per edge."""
     vertices, pairs = ball_with_edges(shape, n)
-    thetas = [J.theta_for_edge(vertices[i], vertices[j], work) for i, j in pairs]
+    thetas = [theta_for_edge(J, vertices[i], vertices[j], work) for i, j in pairs]
     tables = {
-        i: [exp_p(spin_pairing(h.field_at(v), s), precision=work) for s in range(1, h.q + 1)]
-        for i, v in enumerate(system.vertices)
+        i: [exp_p(spin_pairing(field_at(h, v), s), precision=work) for s in range(1, h.q + 1)]
+        for i, v in enumerate(ball_vertices(system))
         if v.level == n
     }
     known = [e.known_abs for e in thetas + [w for t in tables.values() for w in t]]
@@ -952,7 +1006,7 @@ class TestSiteTableCache:
                     system = _LevelWeights(shape, h, J, m, N, extra_digits=extra)
                     rows, bound = _direct_site_rows(system, h, J, shape, m, N + extra)
                     assert system.modulus_exponent == bound
-                    assert system.site_residues == rows
+                    assert site_residues(system) == rows
 
         check_every_level()
         # entries assigned after the tables were cached must be read afresh
@@ -967,9 +1021,9 @@ class TestSiteTableCache:
         for x in ball_with_edges(shape, 2)[0][-shape.sphere_size(2):]:
             h.assign(x, vec([3, 9]))
         root, entry, odd = (TreeVertex.from_string(a) for a in ("", "1.1", "0"))
-        assert h.site_exponentials(entry, N) is h.site_exponentials(root, N)
-        assert h.site_exponentials(entry, N) is not h.site_exponentials(entry, N + 1)
-        assert h.site_exponentials(entry, N) is not h.site_exponentials(odd, N)
+        assert site_exponentials(h, entry, N) is site_exponentials(h, root, N)
+        assert site_exponentials(h, entry, N) is not site_exponentials(h, entry, N + 1)
+        assert site_exponentials(h, entry, N) is not site_exponentials(h, odd, N)
 
 
 def test_site_tables_apart_for_a_shared_numerator_or_a_shared_value():
@@ -980,8 +1034,8 @@ def test_site_tables_apart_for_a_shared_numerator_or_a_shared_value():
     h.assign(sites[2], vec([9]))
     h.assign(sites[3], (PadicNumber(9, P, N, known_abs=6),))
     for v in sites:
-        got = h.site_exponentials(v, N)
-        want = [exp_p(spin_pairing(h.field_at(v), s), precision=N) for s in (1, 2)]
+        got = site_exponentials(h, v, N)
+        want = [exp_p(spin_pairing(field_at(h, v), s), precision=N) for s in (1, 2)]
         assert [(w.value, w.known_abs, w.precision) for w in got] == [
             (w.value, w.known_abs, w.precision) for w in want
         ]

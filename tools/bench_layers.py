@@ -42,7 +42,7 @@ def _entries():
     import random
 
     from padic_potts import padic_analytic
-    from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
+    from padic_potts.cayley_tree import TreeShape, ball_with_edges
     from padic_potts.gibbs_solver import f_map_z, recursion_backward, solve_k1_bipartite
     from padic_potts.padic_analytic import exp_p, hensel_roots_in_disk, log_p
     from padic_potts.padic_core import PadicNumber
@@ -159,9 +159,7 @@ def _entries():
     # classify's constant-law search at k = 2, p = q = 3, J = 3, N = 512: the
     # cubic z**3 + (3 - u**2) z**2 + u**2 z - 4 in u = theta - 1, built as
     # translation_invariant_cubic builds it, over the disk around 1
-    theta3 = CouplingField.homogeneous(Fraction(3), 3, 3).theta_for_edge(
-        TreeVertex.root(), TreeVertex.root().child(0), 512
-    )
+    theta3 = CouplingField.homogeneous(Fraction(3), 3, 3).theta(Fraction(3), 512)
     def P(c):
         return PadicNumber(c, 3, theta3.precision)
 
@@ -178,9 +176,7 @@ def _entries():
     # classify's alternating-pair search at k = 2, p = q = 5, J = 5, N = 512:
     # the quadratic a z**2 + b z + c, built as period2_k2_analysis builds it
     # from the theta classify_phase makes, over the disk around 1
-    theta = CouplingField.homogeneous(Fraction(5), 5, 5).theta_for_edge(
-        TreeVertex.root(), TreeVertex.root().child(0), 512
-    )
+    theta = CouplingField.homogeneous(Fraction(5), 5, 5).theta(Fraction(5), 512)
     def Q(n):
         return PadicNumber.from_fraction(n, 5, theta.precision)
 
@@ -204,9 +200,7 @@ def _entries():
     # classify's dearest shape, the alternating line at k = 1, p = 5, q = 10,
     # J = 5, N = 512, with its two thetas built as classify_phase builds them
     J5 = CouplingField.homogeneous(Fraction(5), 5, 10)
-    root = TreeVertex.root()
-    theta_a = J5.theta_for_edge(root, root.child(0), 512)
-    theta_b = J5.theta_for_edge(root.child(0), root.child(0).child(0), 512)
+    theta_a = theta_b = J5.theta(Fraction(5), 512)
     out.append(
         ("solve_k1_bipartite", {"p": 5, "q": 10, "k": 1, "J": 5, "N": 512},
          lambda: solve_k1_bipartite(theta_a, theta_b, 10, 512))

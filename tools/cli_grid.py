@@ -280,6 +280,13 @@ def _errors() -> list:
          '{"pattern":"per_edge","p":3,"q":3,"values":[["","0",true]]}'],
         ["compat-check", "--p", "3", "--q", "3", "--n", "1", "--couplings",
          '{"pattern":"homogeneous","p":3,"q":true,"values":{"J":"3"}}'],
+        # spellings that int and Fraction read as other numbers ("1_1" as 11,
+        # "\u0663" as 3, " 3_0 " as 30), outside the ASCII number grammar
+        ["classify", "--p", "1_1", "--q", "\u0663"],
+        ["compat-check", "--couplings",
+         '{"pattern":"homogeneous","p":3,"q":"1_0","values":{"J":"3"}}'],
+        ["compat-check", "--couplings",
+         '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":" 3_0 "}}'],
     )]
     # per-edge rows that are not [parent, child, value] arrays
     out += [(["compat-check", "--n", "1", "--couplings",
@@ -296,6 +303,7 @@ def _errors() -> list:
         "big": '{"": ["' + "9" * 5000 + '", "0"]}',
         "bool": '{"": [false, false]}',
         "bool-after-zero": '{"": ["3", 0], "0": [0, false]}',
+        "grammar": '{"": ["\u0663", "3_0"]}',
     }
     for name, doc in bad_fields.items():
         for command in ("compat-check", "norm-profile"):
