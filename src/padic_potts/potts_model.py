@@ -129,6 +129,8 @@ class CouplingField:
         def address(end) -> tuple[int, ...]:
             if isinstance(end, TreeVertex):
                 return end.address
+            if not isinstance(end, str):
+                raise TypeError(f"an edge end is a TreeVertex or an address string, got {end!r}")
             if end not in read:
                 head, _, last = end.rpartition(".")
                 # a child's text is mostly its parent's, read just before, and one index
@@ -328,7 +330,8 @@ def _level_couplings(shape: TreeShape, J: CouplingField, levels) -> tuple[list, 
             read[m] = _sparse({o: id_of(table[a])
                                for o, a in enumerate(shape.level_addresses(m))}, None)
         except KeyError as missing:
-            parent, child = (".".join(map(str, a)) for a in (missing.args[0][:-1], missing.args[0]))
+            child = missing.args[0]
+            parent, child = (".".join(map(str, a)) for a in (child[:-1], child))
             raise KeyError(f"no coupling listed for edge {parent!r} -> {child!r}") from None
     return [Fraction(*key) for key in ids], read
 

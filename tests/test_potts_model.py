@@ -721,10 +721,16 @@ class TestCouplingField:
             with pytest.raises(ValueError) as err:
                 CouplingField.per_edge({(TreeVertex.root(), TreeVertex((0,))): 3, key: 6}, P, 3)
             assert str(err.value) == text
-        doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": [["", "0", "3"], [parent, child, "6"]]}
+        doc = {"pattern": "per_edge", "p": 3, "q": 3,
+               "values": [["", "0", "3"], [parent, child, "6"]]}
         with pytest.raises(ValueError) as err:
             coupling_from_json(doc)  # no shape to check the rows against
         assert str(err.value) == text
+
+    def test_per_edge_refuses_an_end_that_is_no_address(self):
+        with pytest.raises(TypeError, match=r"^an edge end is a TreeVertex or an address "
+                                            r"string, got 0$"):
+            CouplingField.per_edge({("", "0"): 3, (0, "0.1"): 6}, P, 3)
 
     def test_per_edge_lookup(self):
         root = TreeVertex.root()
