@@ -133,7 +133,7 @@ class CouplingField:
                 raise TypeError(f"an edge end is a TreeVertex or an address string, got {end!r}")
             if end not in read:
                 head, _, last = end.rpartition(".")
-                # a child's text is mostly its parent's, read just before, and one index
+                # mostly a child: its parent's text, read just before, and one index more
                 if head and head in read and last.isascii() and last.isdigit():
                     read[end] = (*read[head], int(last))
                 else:
