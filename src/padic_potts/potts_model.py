@@ -124,21 +124,14 @@ class CouplingField:
         ``TreeVertex`` or its address string, held by the child's address:
         the one place that knows how an edge is named.  A key whose child is
         not a direct successor of its parent names no edge and is refused."""
-        values, read = {}, {}  # read: the address of each address string, by its text
+        values = {}
 
         def address(end) -> tuple[int, ...]:
             if isinstance(end, TreeVertex):
                 return end.address
             if not isinstance(end, str):
                 raise TypeError(f"an edge end is a TreeVertex or an address string, got {end!r}")
-            if end not in read:
-                head, _, last = end.rpartition(".")
-                # mostly a child: its parent's text, read just before, and one index more
-                if head and head in read and last.isascii() and last.isdigit():
-                    read[end] = (*read[head], int(last))
-                else:
-                    read[end] = TreeVertex.from_string(end).address
-            return read[end]
+            return TreeVertex.from_string(end).address
 
         for (x, y), J in table.items():
             parent, child = address(x), address(y)

@@ -252,10 +252,11 @@ def _entries():
                 {"p": 3, "q": 2, "k": 1, "n": 8, "N": 32, "field": "constant"}, deep_compat))
     # norm-profile's every level over a per-edge table (p = 3, q = 2, values
     # cycling 3, 6, 9 in level order), where the levels share one read of
-    # the table: a fresh coupling per call, as one CLI op builds it
+    # the table: a fresh coupling per call from vertex-keyed ends, as one
+    # CLI op builds it
     for k, n_edge in ((1, 100), (2, 8)):
         vertices, pairs = ball_with_edges(TreeShape(k), n_edge)
-        table = {(str(vertices[i]), str(vertices[j])): Fraction(3 * (e % 3 + 1))
+        table = {(vertices[i], vertices[j]): Fraction(3 * (e % 3 + 1))
                  for e, (i, j) in enumerate(pairs)}
         def edge_profile(k=k, n_edge=n_edge, table=table):
             h, J2 = BoundaryField.zero(2, 3), CouplingField.per_edge(table, 3, 2)
