@@ -17,8 +17,11 @@ bipartite couplings and period-two fields.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+
+_ADDRESS_TEXT = re.compile(r"(?:[0-9]+(?:\.[0-9]+)*)?")  # ASCII digit runs joined by dots
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,12 +59,12 @@ class TreeShape:
         """The index of level m's first vertex in level order: |B_{m-1}|."""
         return self.ball_size(m - 1) if m else 0
 
-    def index_of(self, x: "TreeVertex") -> int:
-        """The index of ``x``, a vertex of this tree, in level order."""
+    def offset_of(self, address: tuple[int, ...]) -> int:
+        """The offset of a vertex of this tree in its level: its address in base k."""
         offset = 0
-        for i in x.address:
+        for i in address:
             offset = offset * self.branching + i
-        return self.level_start(x.level) + offset
+        return offset
 
     def level_addresses(self, m: int) -> Iterator[tuple[int, ...]]:
         """The addresses of level m's vertices in level order, offset 0 first:
@@ -77,11 +80,11 @@ class TreeShape:
         in range, so they skip the constructor's check."""
         return [_vertex(a) for a in self.level_addresses(m)]
 
-    def __contains__(self, x: "TreeVertex") -> bool:
-        """Whether ``x`` names a vertex of this tree: the root's children are
-        0..k, every other vertex's 0..k-1."""
+    def __contains__(self, address: tuple[int, ...]) -> bool:
+        """Whether ``address`` names a vertex of this tree: the root's
+        children are 0..k, every other vertex's 0..k-1."""
         k = self.branching
-        return not x.address or (x.address[0] <= k and all(i < k for i in x.address[1:]))
+        return not address or (address[0] <= k and all(i < k for i in address[1:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,13 +113,10 @@ class TreeVertex:
         Each index is ASCII digits only: no sign, space, underscore or other
         script's digits, which ``int`` would read as another vertex.
         """
-        if text == "":
-            return cls(())
-        parts = text.split(".")
-        if not all(part.isascii() and part.isdigit() for part in parts):
+        if not _ADDRESS_TEXT.fullmatch(text):
             raise ValueError(f"vertex address {text!r} is not dot-joined child indices "
                              f"like '0.1' (the root is '')")
-        return cls(tuple(map(int, parts)))
+        return _vertex(tuple(map(int, text.split("."))) if text else ())
 
     @property
     def level(self) -> int:

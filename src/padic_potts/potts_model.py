@@ -163,10 +163,10 @@ class BoundaryField:
 
     A vector is a tuple of q - 1 PadicNumbers over the field's prime (any
     sequence is accepted and stored as a tuple).  Each vertex reads its own
-    entry if one was assigned, and otherwise the default of its level's
-    parity: an (even levels, odd levels) pair, zero unless set.  So a
-    constant field is a pair of equal vectors, a period-two field a pair of
-    different ones, and a sparse field file is entries over the zero pair.
+    entry, held by its address, if one was assigned, and otherwise its
+    level's parity default: an (even levels, odd levels) pair, zero unless
+    set.  So a constant field is a pair of equal vectors, a period-two field
+    a pair of different ones, and a sparse field file entries over zeros.
     Every vector must lie componentwise in the exponential's convergence
     disk, which is what keeps all weights well-defined units.
 
@@ -186,14 +186,14 @@ class BoundaryField:
         self.prime = as_prime(p)
         zero = (PadicNumber.zero(self.prime),) * (q - 1)
         self._pair = (zero, zero)
-        self._table: dict[int, dict[TreeVertex, tuple]] = {}  # each level's entries
+        self._table: dict[int, dict[tuple[int, ...], tuple]] = {}  # each level's, by address
         self._site_cache: dict[tuple, list[PadicNumber]] = {}
         for vertex, vec in (assignment or {}).items():
             self.assign(vertex, vec)
 
     def assign(self, vertex: TreeVertex, vec) -> None:
         vec = self._checked(vec, str(vertex) or "root")
-        self._table.setdefault(vertex.level, {})[vertex] = vec
+        self._table.setdefault(vertex.level, {})[vertex.address] = vec
 
     def _checked(self, vec, where) -> tuple[PadicNumber, ...]:
         vec = tuple(vec)
@@ -388,9 +388,8 @@ class _LevelWeights:
         thetas = {i: J.theta(values[i], work) for i in used}
         sites = {}  # each sphere's default vector, entries by offset and tables by vector id
         for m in (n, n - 1) if inner else (n,):
-            start, default = shape.level_start(m), h._pair[m % 2]
-            entries = {shape.index_of(x) - start: vec
-                       for x, vec in h._table.get(m, {}).items() if x in shape}
+            default = h._pair[m % 2]
+            entries = {shape.offset_of(a): v for a, v in h._table.get(m, {}).items() if a in shape}
             vectors = {id(vec): vec for vec in entries.values()}
             if len(entries) < shape.sphere_size(m):
                 vectors[id(default)] = default
@@ -715,19 +714,20 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
     {"pattern": "bipartite", ..., "values": {"even_to_odd": "3", "odd_to_even": "6"}}
     {"pattern": "per_edge", ..., "values": [["", "0", "3"], ["0", "0.0", "6"]]}
 
-    ``q`` is a JSON integer or a string of one, each value a JSON integer or
-    a string like "-6/5" (``_RATIONAL_TEXT``).  Every per-edge row must name
-    an edge, its parent the child's parent; given a ``shape``, the child
-    must also be a vertex of its tree.
+    ``p`` (a prime) and ``q`` are JSON integers or strings of one, each value
+    a JSON integer or a string like "-6/5" (``_RATIONAL_TEXT``).  Every
+    per-edge row must name an edge, its parent the child's parent; given a
+    ``shape``, the child must also be a vertex of its tree.
     """
+    def integer(key: str) -> int:
+        value = doc[key]  # int() would truncate a float, read a bool as 0 or 1, or "1_0" as 10
+        if type(value) is int or isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
+            return int(value)
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
     try:
         pattern = doc["pattern"]
-        p = as_prime(doc["p"])
-        q = doc["q"]
-        # int() would truncate a float, read a bool as 0 or 1, or "1_0" as 10
-        if isinstance(q, (float, bool)) or isinstance(q, str) and not _INTEGER_TEXT.fullmatch(q):
-            raise ValueError(f"q must be an integer, got {q!r}")
-        q = int(q)
+        p, q = as_prime(integer("p")), integer("q")
         raw = doc["values"]
     except KeyError as missing:
         raise ValueError(f"coupling document lacks field {missing}") from None
@@ -754,9 +754,8 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
         if not (isinstance(x, str) and isinstance(y, str)):
             raise ValueError(f"edge addresses must be strings like '0.1', got {x!r} -> {y!r}")
         parent, child = TreeVertex.from_string(x), TreeVertex.from_string(y)
-        if shape is not None and (
-            child.is_root or child not in shape or child.parent() != parent
-        ):
+        a = child.address
+        if shape is not None and (not a or a not in shape or a[:-1] != parent.address):
             k = shape.branching
             raise ValueError(f"per-edge row {x!r} -> {y!r} names no edge of the k={k} tree")
         table[parent, child] = _fraction_from_text(value)
@@ -792,7 +791,7 @@ def boundary_field_from_json(
             )
         vec = tuple(component(v) for v in values)
         vertex = TreeVertex.from_string(address)
-        if shape is not None and vertex not in shape:
+        if shape is not None and vertex.address not in shape:
             k = shape.branching
             raise ValueError(
                 f"field address {address!r} names no vertex of the k={k} tree, whose root "
@@ -801,5 +800,5 @@ def boundary_field_from_json(
         key = tuple(map(id, vec))
         if key not in checked:
             checked[key] = out._checked(vec, str(vertex) or "root")
-        out._table.setdefault(vertex.level, {})[vertex] = checked[key]
+        out._table.setdefault(vertex.level, {})[vertex.address] = checked[key]
     return out

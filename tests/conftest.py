@@ -55,7 +55,7 @@ def theta_for_edge(J, parent: TreeVertex, child: TreeVertex, precision: int):
 def field_at(h, vertex: TreeVertex) -> tuple:
     """The vector ``h`` gives ``vertex``: its own entry, else its level's
     parity default."""
-    got = h._table.get(vertex.level, {}).get(vertex)
+    got = h._table.get(vertex.level, {}).get(vertex.address)
     return h._pair[vertex.level % 2] if got is None else got
 
 

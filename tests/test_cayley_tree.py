@@ -72,7 +72,8 @@ class TestShape:
                     pairs.append((i, len(vertices)))
                     vertices.append(y)
             assert ball_with_edges(shape, n) == (vertices, pairs)
-            assert [shape.index_of(v) for v in vertices] == list(range(len(vertices)))
+            assert ([shape.level_start(v.level) + shape.offset_of(v.address) for v in vertices]
+                    == list(range(len(vertices))))
             for m in range(n + 1):
                 level = [v for v in vertices if v.level == m]
                 assert shape.level_vertices(m) == level
@@ -159,7 +160,7 @@ class TestVertex:
             itertools.product(range(k + 2), repeat=m) for m in range(4)
         )
         for address in candidates:
-            assert (TreeVertex(address) in shape) == (address in inside)
+            assert (address in shape) == (address in inside)
 
 
 class TestEdges:

@@ -762,6 +762,38 @@ def test_coupling_q_as_ascii_digits_is_read():
     assert json.loads(out.getvalue())["q"] == 3
 
 
+# the couplings p is read by the rule for q, then checked prime: at the parent
+# "3" was refused as "'3' is not prime" and "x" as "'x' is not prime"
+@pytest.mark.parametrize("key", ["p", "q"])
+@pytest.mark.parametrize("value", ["x", "1_1", True, 3.0, None, [3]])
+def test_coupling_p_and_q_outside_the_integer_rule_are_config_errors(capsys, key, value):
+    doc = {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3"}, key: value}
+    assert run(capsys, "compat-check", "--n", "1", "--couplings", json.dumps(doc)) == (
+        1, "", f"config error: couplings field invalid: {key} must be an integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("p", [4, "4"])
+def test_coupling_p_as_a_composite_integer_is_not_prime(capsys, p):
+    doc = {"pattern": "homogeneous", "p": p, "q": 3, "values": {"J": "3"}}
+    assert run(capsys, "compat-check", "--n", "1", "--couplings", json.dumps(doc)) == (
+        1, "", "config error: couplings field invalid: 4 is not prime\n")
+
+
+def test_coupling_p_as_ascii_digits_is_read(capsys):
+    doc = {"pattern": "homogeneous", "p": "3", "q": 3, "values": {"J": "3"}}
+    code, out, err = run(capsys, "compat-check", "--n", "1", "--couplings", json.dumps(doc))
+    assert (code, err) == (0, "")
+    assert parse(out)["p"] == 3
+
+
+@pytest.mark.parametrize("address", ["0.1", "00.01", "0.001", "000.1"])
+def test_field_error_names_the_canonical_address(capsys, tmp_path, address):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({address: ["1", "0"]}))
+    assert run(capsys, "compat-check", "--k", "2", "--n", "1", "--field", str(path)) == (
+        2, "", "domain violation: field at 0.1 leaves the exponential domain at p=3\n")
+
+
 class TestFlagValidation:
     def test_precision_floor(self, capsys):
         code, _, err = run(capsys, "classify", "--precision", "4")

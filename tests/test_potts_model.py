@@ -849,6 +849,22 @@ class TestJsonIngestion:
         field = boundary_field_from_json({deep: ["3", "0"]}, 3, P, TreeShape(1))
         assert field_at(field, TreeVertex.from_string(deep)) == vec([3, 0])
 
+    def test_library_field_entry_off_the_tree_is_never_read(self):
+        # assign checks no shape, so (0, 2), off the k = 2 tree, is held; read
+        # as a base-2 numeral it would land on vertex 1.0's offset
+        J, shape = CouplingField.homogeneous(3, P, 3), TreeShape(2)
+        field = BoundaryField(3, P, {TreeVertex((0, 2)): vec([3, 9])})
+        report = compatibility_check(shape, field, J, 2)
+        assert report == compatibility_check(shape, BoundaryField.zero(3, P), J, 2)
+        assert (report.holds, report.max_discrepancy_valuation) == (True, 35)
+
+    @pytest.mark.parametrize("spelling", ["0.1", "00.01", "0.001"])
+    def test_field_address_spellings_key_one_entry(self, spelling):
+        field = boundary_field_from_json({spelling: ["3", "0"]}, 3, P, TreeShape(2))
+        assert field_at(field, TreeVertex.from_string("0.1")) == vec([3, 0])
+        with pytest.raises(DomainViolation, match=r"^field at 0\.1 leaves the exponential "):
+            boundary_field_from_json({spelling: ["1", "0"]}, 3, P, TreeShape(2))
+
     # JSON true and false are ints to Python, equal to and hashing as 1 and 0:
     # every place that reads a number refuses them
 

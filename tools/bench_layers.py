@@ -52,6 +52,7 @@ def _entries():
         _LevelWeights,
         boundary_field_from_json,
         compatibility_check,
+        coupling_from_json,
         measure_norm_profile,
     )
 
@@ -269,6 +270,20 @@ def _entries():
     constant = {".".join(map(str, v.address)): ["3/7", "9"] for v in ball_with_edges(shape, 2)[0]}
     out.append(("boundary_field_from_json", {"p": 3, "q": 3, "k": 2, "n": 2, "field": "constant"},
                 lambda: boundary_field_from_json(constant, 3, 3, shape)))
+    # the two JSON readers over the k = 2, n = 8 ball (p = 3, q = 2): the
+    # per-edge document of its 765 edges and a field at its 766 addresses,
+    # each with values cycling 3, 6, 9 in level order
+    vertices, pairs = ball_with_edges(shape, 8)
+    rows = [[str(vertices[i]), str(vertices[j]), str(3 * (e % 3 + 1))]
+            for e, (i, j) in enumerate(pairs)]
+    edge_doc = {"pattern": "per_edge", "p": 3, "q": 2, "values": rows}
+    field_doc = {str(v): [str(3 * (i % 3 + 1))] for i, v in enumerate(vertices)}
+    out.append(("coupling_from_json",
+                {"p": 3, "q": 2, "k": 2, "n": 8, "couplings": "per-edge 3/6/9"},
+                lambda: coupling_from_json(edge_doc, shape)))
+    out.append(("boundary_field_from_json",
+                {"p": 3, "q": 2, "k": 2, "n": 8, "field": "per-vertex 3/6/9"},
+                lambda: boundary_field_from_json(field_doc, 2, 3, shape)))
     return out
 
 

@@ -310,6 +310,16 @@ def _errors() -> list:
             out.append(([command, "--k", "1", "--n", "1", "--field", f"bad-{name}.json"],
                         {f"bad-{name}.json": doc}))
     out.append((["compat-check", "--field", "unicode.json"], {"unicode.json": '{"é": 1}'}))
+    # an error names the address canonically however the field file spells it
+    for command in ("compat-check", "norm-profile"):
+        out.append(([command, "--k", "2", "--n", "1", "--field", "bad-spelling.json"],
+                    {"bad-spelling.json": '{"00.01": ["1", "0"]}'}))
+    # the couplings p follows the integer rule of q, then must be prime
+    for p in ('"3"', '"x"', '"1_1"', "true", "3.0", "4", '"4"', "null"):
+        out.append((["compat-check", "--n", "1", "--couplings",
+                     '{"pattern":"homogeneous","p":' + p + ',"q":3,"values":{"J":"3"}}'], {}))
+    out.append((["compat-check", "--n", "1", "--couplings",
+                 '{"pattern":"homogeneous","p":3,"q":null,"values":{"J":"3"}}'], {}))
     return out
 
 
