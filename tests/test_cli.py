@@ -762,8 +762,8 @@ def test_coupling_q_as_ascii_digits_is_read():
     assert json.loads(out.getvalue())["q"] == 3
 
 
-# the couplings p is read by the rule for q, then checked prime: at the parent
-# "3" was refused as "'3' is not prime" and "x" as "'x' is not prime"
+# the couplings p is read by the rule for q, then checked prime; a p that
+# reached the prime check unread was refused as "'3' is not prime"
 @pytest.mark.parametrize("key", ["p", "q"])
 @pytest.mark.parametrize("value", ["x", "1_1", True, 3.0, None, [3]])
 def test_coupling_p_and_q_outside_the_integer_rule_are_config_errors(capsys, key, value):
