@@ -32,6 +32,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .cayley_tree import TreeShape, TreeVertex
 from .errors import (
@@ -59,7 +60,7 @@ MODULUS_HEADROOM = 3
 # Discrepancies must vanish to this many digits below precision to count as zero.
 COMPAT_MARGIN = 4
 
-SpinLabel = int  # labels 1..q; the vector embedding only ever enters via spin_pairing
+SpinLabel = int  # labels 1..q; a site table holds spin s's factor at index s - 1
 
 
 def _check_coupling_admissible(value: Fraction, p: Prime) -> None:
@@ -170,11 +171,11 @@ class BoundaryField:
     Every vector must lie componentwise in the exponential's convergence
     disk, which is what keeps all weights well-defined units.
 
-    The q site exponentials of a vector are computed once per distinct
-    vector and working precision, as ``CouplingField`` does for edge
-    exponentials.  The cache is keyed by the vector's exact components, never
-    by vertex or level, so an ``assign`` after a measure call cannot serve a
-    stale table.
+    A vector's q site factors, the exponentials of its q - 1 components and
+    their product, are computed once per distinct vector and working
+    precision, as ``CouplingField`` does for edge exponentials.  The cache
+    is keyed by the vector's exact components, never by vertex or level, so
+    an ``assign`` after a measure call cannot serve a stale table.
     """
 
     __slots__ = ("q", "prime", "_pair", "_table", "_site_cache")
@@ -225,35 +226,17 @@ class BoundaryField:
         return out
 
     def _site_table(self, vec: tuple[PadicNumber, ...], precision: int) -> list[PadicNumber]:
-        """exp of ``spin_pairing(vec, s)`` for s = 1..q, cached per distinct
-        vector and precision."""
+        """The site factors of spins 1..q: exp(h_s) for s < q, and for spin q
+        exp(h_1 + ... + h_{q-1}) as the product of those q - 1 factors, so no
+        sum of components is formed (at q = 2 the product is exp(h_1) itself).
+        Cached per distinct vector and precision."""
         key = (tuple(c._key() for c in vec), precision)
         table = self._site_cache.get(key)
         if table is None:
-            # spins 1..q-1 pair to their own components and spin q to their
-            # sum, which at q = 2 is h[0] itself: its exp_p is not run twice
             table = [exp_p(c, precision=precision) for c in vec]
-            last = spin_pairing(vec, self.q)
-            table.append(table[0] if last is vec[0] else exp_p(last, precision=precision))
+            table.append(reduce(PadicNumber.mul, table))
             self._site_cache[key] = table
         return table
-
-
-def spin_pairing(h: tuple[PadicNumber, ...], s: SpinLabel) -> PadicNumber:
-    """One-site boundary exponent for spin ``s``.
-
-    The first q-1 spins read off their own component; the last spin gets the
-    component sum.
-    """
-    q = len(h) + 1
-    if not 1 <= s <= q:
-        raise ValueError(f"spin label {s} outside 1..{q}")
-    if s < q:
-        return h[s - 1]
-    total = h[0]
-    for c in h[1:]:
-        total = total + c
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +515,13 @@ def finite_measure(
 
 
 def _residue_quotient(w_res: int, z_res: int, zeta: int, system: _LevelWeights) -> PadicNumber:
-    # w / Z with both known mod p**B: quotient certain to B - 2*zeta digits.
+    # w / Z with both known mod p**B: p**-zeta * w / u, u = Z / p**zeta a unit,
+    # so the quotient is certain to B - 2*zeta digits
     prime = system.prime
-    p = prime.value
     B = system.modulus_exponent
-    known = B - 2 * zeta
-    unit = z_res // p**zeta
-    inv = pow(unit, -1, p ** (B - zeta))
-    value = Fraction(w_res * inv % p ** (B - zeta), p**zeta)
-    v = rational_valuation(value, prime)
-    n_rel = max(1, known - (0 if v is None else v))
-    return PadicNumber(value, prime, n_rel, known_abs=known)
+    mod = prime.value ** (B - zeta)
+    s = w_res * pow(z_res // prime.value**zeta, -1, mod) % mod
+    return PadicNumber._inexact(s, -zeta, B - 2 * zeta, prime, B)
 
 
 @dataclass(frozen=True)
@@ -696,15 +675,27 @@ _INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _fraction_from_text(text) -> Fraction:
-    if isinstance(text, str) and not _RATIONAL_TEXT.fullmatch(text):
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    if isinstance(text, (str, int)) and not isinstance(text, bool):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"rational {text!r} has a zero denominator") from None
-    raise ValueError(f"rationals must be given as strings like '3/4', got {text!r}")
+def _number_reader(convert=lambda x: x):
+    """One document's reader of number texts: a JSON integer or a string in
+    ``_RATIONAL_TEXT``, each distinct text matched and converted once, to
+    ``convert`` of its Fraction, so equal texts give one object."""
+    read: dict = {}
+
+    def number(text):
+        # a bool equals and hashes as 0 or 1, so it would hit their entry: refused first
+        if isinstance(text, bool) or not isinstance(text, (str, int)):
+            raise ValueError(f"rationals must be given as strings like '3/4', got {text!r}")
+        if text not in read:
+            if isinstance(text, str) and not _RATIONAL_TEXT.fullmatch(text):
+                raise ValueError(f"Invalid literal for Fraction: {text!r}")
+            try:
+                value = Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"rational {text!r} has a zero denominator") from None
+            read[text] = convert(value)
+        return read[text]
+
+    return number
 
 
 def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingField:
@@ -737,10 +728,11 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
     if not isinstance(raw, kind):
         what = "an array" if kind is list else "an object"
         raise ValueError(f"{pattern} coupling values must be a JSON {what}, got {raw!r}")
+    number = _number_reader()
     if pattern != "per_edge":
         keys = ("J",) if pattern == "homogeneous" else ("even_to_odd", "odd_to_even")
         try:
-            values = [_fraction_from_text(raw[key]) for key in keys]
+            values = [number(raw[key]) for key in keys]
         except KeyError as missing:
             raise ValueError(f"{pattern} coupling values lack field {missing}") from None
         make = CouplingField.homogeneous if pattern == "homogeneous" else CouplingField.bipartite
@@ -758,7 +750,7 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
         if shape is not None and (not a or a not in shape or a[:-1] != parent.address):
             k = shape.branching
             raise ValueError(f"per-edge row {x!r} -> {y!r} names no edge of the k={k} tree")
-        table[parent, child] = _fraction_from_text(value)
+        table[parent, child] = number(value)
     return CouplingField.per_edge(table, p, q)
 
 
@@ -773,14 +765,8 @@ def boundary_field_from_json(
     if not isinstance(doc, dict):
         raise ValueError("a field document must map addresses to component lists")
     out = BoundaryField(q, p)
-    parsed: dict = {}  # each distinct component text, read once
+    component = _number_reader(lambda x: PadicNumber.from_fraction(x, out.prime))
     checked: dict = {}  # each distinct vector, by its components' identities, checked once
-
-    def component(text) -> PadicNumber:
-        # a bool equals and hashes as 0 or 1, so it would hit their entry: refused first
-        if isinstance(text, bool) or not (isinstance(text, (str, int)) and text in parsed):
-            parsed[text] = PadicNumber.from_fraction(_fraction_from_text(text), out.prime)
-        return parsed[text]
 
     for address, values in doc.items():
         if not isinstance(values, list):

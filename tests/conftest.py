@@ -59,6 +59,21 @@ def field_at(h, vertex: TreeVertex) -> tuple:
     return h._pair[vertex.level % 2] if got is None else got
 
 
+def spin_pairing(h: tuple, s: int):
+    """One-site boundary exponent of spin ``s`` under the field vector ``h``:
+    spins 1..q-1 read off their own component, spin q gets the component
+    sum, added left to right."""
+    q = len(h) + 1
+    if not 1 <= s <= q:
+        raise ValueError(f"spin label {s} outside 1..{q}")
+    if s < q:
+        return h[s - 1]
+    total = h[0]
+    for c in h[1:]:
+        total = total + c
+    return total
+
+
 def site_exponentials(h, vertex: TreeVertex, precision: int) -> list:
     """The site table of ``vertex``, from the field's cache."""
     return h._site_table(field_at(h, vertex), precision)

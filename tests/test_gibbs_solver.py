@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import exp_domain_fraction, field_at, messages, site_exponentials
+from conftest import exp_domain_fraction, field_at, messages, site_exponentials, spin_pairing
 
 from padic_potts import gibbs_solver
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
@@ -40,7 +40,6 @@ from padic_potts.potts_model import (
     _level_couplings,
     _LevelWeights,
     compatibility_check,
-    spin_pairing,
 )
 
 N = 32
@@ -755,6 +754,24 @@ class TestWitnessField:
             field = witness_boundary_field(witness, precision=deep)
             rep = compatibility_check(shape, field, J, 3, N)
             assert rep.holds
+
+    @pytest.mark.parametrize("p, q", ((3, 6), (5, 5), (7, 7), (5, 10), (3, 9)))
+    def test_every_nontrivial_constant_law_at_q4_and_up_is_compatible(self, p, q):
+        # such a witness's field has h_1 + (q - 3) h_j exactly zero, so a
+        # last site factor taken as exp of the left-to-right component sum
+        # cancels every known digit; the product of the component
+        # exponentials forms no sum.  n = 3 only at q = 5, where the guard
+        # admits 5**10 configurations of the 2-ball
+        deep = 160
+        theta = edge_weight(p, p, deep)
+        report = translation_invariant_cubic(theta, q, deep)
+        nontrivial = [w for w in report.witnesses if _offset_valuation(w) < 100]
+        assert len(nontrivial) == 2
+        J = CouplingField.homogeneous(Fraction(p), p, q)
+        for witness in nontrivial:
+            field = witness_boundary_field(witness, precision=deep)
+            for n in (2, 3) if q == 5 else (2,):
+                assert compatibility_check(TreeShape(2), field, J, n, N).holds
 
     def test_constant_law_fails_at_the_root_marginal(self):
         # the root of the full tree has k + 1 = 3 children while the law

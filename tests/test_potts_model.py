@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
@@ -13,6 +14,7 @@ from conftest import (
     messages,
     site_exponentials,
     site_residues,
+    spin_pairing,
     theta_for_edge,
     weight,
 )
@@ -27,7 +29,7 @@ from padic_potts.errors import (
 )
 from padic_potts.gibbs_solver import recursion_backward
 from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
-from padic_potts.padic_core import PadicNumber, _vp
+from padic_potts.padic_core import PadicNumber, _vp, as_prime, rational_valuation
 from padic_potts import potts_model
 from padic_potts.potts_model import (
     COMPAT_MARGIN,
@@ -44,7 +46,6 @@ from padic_potts.potts_model import (
     _residue_quotient,
     _shift_hint,
     _weights_resolving_partition,
-    spin_pairing,
 )
 
 P = 3
@@ -213,6 +214,50 @@ class TestFiniteMeasure:
         h = BoundaryField.zero(2, P)
         for _, m in finite_measure_table(shape, h, J, 1, N):
             assert m.norm_valuation() == 0
+
+
+def _sum_quotient(w_res, z_res, zeta, prime, B):
+    """w / Z built through a Fraction and the public constructor: the
+    construction ``_residue_quotient`` replaced, kept as its oracle."""
+    p = prime.value
+    known = B - 2 * zeta
+    inv = pow(z_res // p**zeta, -1, p ** (B - zeta))
+    value = Fraction(w_res * inv % p ** (B - zeta), p**zeta)
+    v = rational_valuation(value, prime)
+    n_rel = max(1, known - (0 if v is None else v))
+    return PadicNumber(value, prime, n_rel, known_abs=known)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_residue_quotient_matches_the_fraction_construction(p):
+    """The quotient in capped-relative form equals the Fraction-built one in
+    value, bound and precision, and raises with the same bound, for every
+    partition valuation zeta below the modulus exponent B."""
+    rng, prime = random.Random(f"residue-quotient-{p}"), as_prime(p)
+
+    def unit(r):
+        u = rng.randrange(1, p**r)
+        return u if u % p else u + 1
+
+    outcomes = Counter()
+    for B in (1, 2, 3, 8, 21, 40):
+        system = SimpleNamespace(prime=prime, modulus_exponent=B)
+        for zeta in range(B):
+            z_res = p**zeta * unit(B - zeta) % p**B
+            for j in (0, 0, 1, zeta, B - zeta - 1, B - 1, B, None):
+                w_res = 0 if j is None else p**j * unit(B) % p**B
+                try:
+                    want = _sum_quotient(w_res, z_res, zeta, prime, B)
+                except PrecisionExhausted as raised:
+                    with pytest.raises(PrecisionExhausted) as got:
+                        _residue_quotient(w_res, z_res, zeta, system)
+                    assert got.value.bound == raised.bound
+                    outcomes["raised"] += 1
+                    continue
+                got = _residue_quotient(w_res, z_res, zeta, system)
+                assert (got._key(), got.precision) == (want._key(), want.precision)
+                outcomes["equal"] += 1
+    assert outcomes["raised"] > 100 and outcomes["equal"] > 300
 
 
 # Brute force over every configuration: the oracle for the tree pass.
@@ -1044,6 +1089,40 @@ class TestSiteTableCache:
         assert site_exponentials(h, entry, N) is site_exponentials(h, root, N)
         assert site_exponentials(h, entry, N) is not site_exponentials(h, entry, N + 1)
         assert site_exponentials(h, entry, N) is not site_exponentials(h, odd, N)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_product_site_factor_equals_exp_of_the_sum(p, q):
+    """Spin q's site factor, the product of the component exponentials,
+    gives the rows and modulus exponent of exp_p of the component sum: on
+    random exact vectors, on vectors whose components cancel exactly, and
+    on inexact components whose bounds can set the modulus."""
+    rng = random.Random(f"product-factor-{p}-{q}")
+    shape = TreeShape(2)
+
+    def draw():
+        return tuple(
+            PadicNumber.from_fraction(exp_domain_fraction(rng, p), p, N) for _ in range(q - 1)
+        )
+
+    def inexact(v):
+        return tuple(PadicNumber(c.value, p, N + 7, rng.randrange(N - 6, N + 8)) for c in v)
+
+    def cancelling():
+        v = draw()
+        return (-sum(v[1:], PadicNumber.zero(p)) if q > 2 else PadicNumber.zero(p), *v[1:])
+
+    h = BoundaryField.by_parity(draw(), inexact(draw()))
+    for i, v in enumerate(ball_with_edges(shape, 2)[0]):
+        h.assign(v, (draw, lambda: inexact(draw()), cancelling, draw)[i % 4]())
+    J = CouplingField.homogeneous(exp_domain_fraction(rng, p), p, q)
+    for n in (1, 2):
+        for extra in (0, 5):
+            system = _LevelWeights(shape, h, J, n, N, extra_digits=extra)
+            rows, bound = _direct_site_rows(system, h, J, shape, n, N + extra)
+            assert system.modulus_exponent == bound
+            assert site_residues(system) == rows
 
 
 def test_site_tables_apart_for_a_shared_numerator_or_a_shared_value():

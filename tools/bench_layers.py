@@ -233,6 +233,24 @@ def _entries():
         return measure_norm_profile(shape, h, J2, 12, 32)
 
     out.append(("compatibility_check", params, compat))
+    # the benchmark's measure-enum tail shape: compat-check on a random q = 3
+    # field, a vector 3 * a/b per component at every address of that ball,
+    # read from its document with fresh caches as one CLI op reads it
+    draw = random.Random(28)
+
+    def third_free(top):
+        u = draw.randrange(1, top)
+        return u + 1 if u % 3 == 0 else u
+
+    random_doc = {".".join(map(str, v.address)): [str(Fraction(3 * third_free(27), third_free(9)))
+                                                  for _ in range(2)]
+                  for v in ball_with_edges(shape, 2)[0]}
+
+    def random_compat():
+        h = boundary_field_from_json(random_doc, 3, 3, shape)
+        return compatibility_check(shape, h, CouplingField.homogeneous(Fraction(3), 3, 3), 2, 32)
+
+    out.append(("compatibility_check", {**params, "field": "random"}, random_compat))
     out.append(("measure_norm_profile",
                 {"p": 3, "q": 2, "k": 2, "n": 12, "N": 32, "field": "zero"}, profile))
     # at depth: norm-profile's deepest k = 2, q = 2 ball the guard admits, and
