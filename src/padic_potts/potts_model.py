@@ -123,8 +123,8 @@ class CouplingField:
     def per_edge(cls, table, p, q: int) -> "CouplingField":
         """A coupling per edge from {(parent, child): value}, each end a
         ``TreeVertex`` or its address string, held by the child's address:
-        the one place that knows how an edge is named.  A key whose child is
-        not a direct successor of its parent names no edge and is refused."""
+        the one place that knows how an edge is named.  A key that names no
+        edge (a child off its parent) or an edge named before is refused."""
         values = {}
 
         def address(end) -> tuple[int, ...]:
@@ -139,7 +139,11 @@ class CouplingField:
             if not child or child[:-1] != parent:
                 raise ValueError(f"per-edge key {str(x)!r} -> {str(y)!r} names no edge: "
                                  f"the child is not a direct successor of the parent")
+            edges = len(values)
             values[child] = J if type(J) is Fraction else Fraction(J)  # kept, not copied
+            if len(values) == edges:
+                edge = " -> ".join(repr(".".join(map(str, a))) for a in (parent, child))
+                raise ValueError(f"per-edge table names edge {edge} twice")
         return cls("per_edge", as_prime(p), q, values)
 
     def level_coupling(self, m: int) -> Fraction | None:
@@ -238,6 +242,26 @@ class BoundaryField:
             self._site_cache[key] = table
         return table
 
+    def _sphere(self, shape: TreeShape, m: int, digits: int) -> tuple[list, int, dict]:
+        """Sphere m of ``shape`` as (its distinct site tables at ``digits``,
+        default index, {offset: index} off it) (``_sparse``): level m's
+        entries on the tree over its parity default.  Equal vectors share a
+        cached table, so they share an index."""
+        tables, by_table, by_vector = [], {}, {}  # indices by identity: a vector is looked up once
+
+        def at(vec) -> int:
+            i = by_vector.get(id(vec))
+            if i is None:
+                table = self._site_table(vec, digits)
+                i = by_vector[id(vec)] = by_table.setdefault(id(table), len(tables))
+                if i == len(tables):
+                    tables.append(table)
+            return i
+
+        listed = {shape.offset_of(a): at(v) for a, v in self._table.get(m, {}).items() if a in shape}
+        default = at(self._pair[m % 2]) if len(listed) < shape.sphere_size(m) else None
+        return (tables, *_sparse(listed, default))
+
 
 # ---------------------------------------------------------------------------
 # Measure engine
@@ -327,19 +351,18 @@ class _LevelWeights:
     random field a row per vertex, all through the one fold.  Each distinct
     coupling and field vector is exponentiated once, by the coupling's and
     the field's caches, and reduced mod p**B once.  ``couplings`` is
-    ``_level_couplings`` read for levels 1..n or more, which the balls of
-    one computation share (only levels 1..n are exponentiated, so a deeper
-    read leaves B as it is); without it the weights read their own.  Sphere
-    m's field entries are the field's own on level m.  With ``inner`` the
-    weights also hold the site rows of sphere n - 1, the boundary of the
-    (n-1)-ball, on the same modulus: the compatibility check's two balls in
-    one system.
+    ``_level_couplings`` read by the caller, after its guard, for levels
+    1..n or more, which the balls of one computation share (only levels
+    1..n are exponentiated, so a deeper read leaves B as it is).  Each
+    sphere's site tables come from the field (``BoundaryField._sphere``).
+    With ``inner`` the weights also hold the site rows of sphere n - 1, the
+    boundary of the (n-1)-ball, on the same modulus: the compatibility
+    check's two balls in one system.
 
-    B is clamped to the least absolute precision carried by any of the
-    exponentials involved, so every residue is certain.  The partition sum
-    of a ball loses one factor of |q|_p per vertex, so callers that must
-    resolve quantities past that loss ask for extra working digits up front;
-    ``_shift_hint`` provides the standard estimate.
+    Every exponential is taken to ``digits``, and B is clamped to the least
+    absolute precision carried by any of them, so every residue is certain.
+    The partition sum of a ball loses one factor of |q|_p per vertex
+    (``_shift_hint``), so each caller sets ``digits`` by its own rule.
     """
 
     def __init__(
@@ -348,9 +371,8 @@ class _LevelWeights:
         h: BoundaryField,
         J: CouplingField,
         n: int,
-        precision: int,
-        extra_digits: int = 0,
-        couplings: tuple[list, dict] | None = None,
+        digits: int,
+        couplings: tuple[list, dict],
         inner: bool = False,
     ):
         if (h.prime, h.q) != (J.prime, J.q):
@@ -358,43 +380,21 @@ class _LevelWeights:
                 f"field over p={h.prime}, q={h.q} does not match the coupling's "
                 f"p={J.prime}, q={J.q}"
             )
-        p = J.prime.value
-        self.prime = J.prime
-        self.q = J.q
-        _guard(self.q, shape, n, configurations=False)
-        values, levels = couplings or _level_couplings(shape, J, range(1, n + 1))
+        self.prime, self.q = J.prime, J.q
         self.shape, self.n = shape, n
-        work = precision + extra_digits
-
+        values, levels = couplings
         self._couplings = [levels[m] for m in range(1, n + 1)]  # level m's at m - 1
         used = {i for default, off in self._couplings for i in (default, *off.values())}
-        thetas = {i: J.theta(values[i], work) for i in used}
-        sites = {}  # each sphere's default vector, entries by offset and tables by vector id
-        for m in (n, n - 1) if inner else (n,):
-            default = h._pair[m % 2]
-            entries = {shape.offset_of(a): v for a, v in h._table.get(m, {}).items() if a in shape}
-            vectors = {id(vec): vec for vec in entries.values()}
-            if len(entries) < shape.sphere_size(m):
-                vectors[id(default)] = default
-            sites[m] = default, entries, {key: h._site_table(vec, work) for key, vec in vectors.items()}
-
+        thetas = {i: J.theta(values[i], digits) for i in used}
+        spheres = {m: h._sphere(shape, m, digits) for m in ((n, n - 1) if inner else (n,))}
         exps = [*thetas.values(),
-                *(w for _, _, tables in sites.values() for table in tables.values() for w in table)]
+                *(w for tables, _, _ in spheres.values() for table in tables for w in table)]
         known = [e.known_abs for e in exps if e.known_abs is not None]
-        bound = min([work + MODULUS_HEADROOM, *known])
-        self.modulus_exponent = bound
-        self.modulus = p**bound
+        bound = min([digits + MODULUS_HEADROOM, *known])
+        self.modulus_exponent, self.modulus = bound, J.prime.value**bound
         self._theta = {i: theta.residue(bound) for i, theta in thetas.items()}
-        self._spheres = {}  # each sphere's rows, one per distinct table: equal vectors share one
-        for m, (default, entries, tables) in sites.items():
-            rows, by_table, by_vector = [], {}, {}
-            for key, table in tables.items():
-                if id(table) not in by_table:
-                    by_table[id(table)] = len(rows)
-                    rows.append([w.residue(bound) for w in table])
-                by_vector[key] = by_table[id(table)]
-            listed = {o: by_vector[id(vec)] for o, vec in entries.items()}
-            self._spheres[m] = (rows, *_sparse(listed, by_vector.get(id(default))))
+        self._spheres = {m: ([[w.residue(bound) for w in table] for table in tables], *sparse)
+                         for m, (tables, *sparse) in spheres.items()}
 
     def _fold(self, level: tuple, m: int) -> tuple:
         """Level m's messages folded into level m - 1's.
@@ -449,40 +449,20 @@ class _LevelWeights:
         return sum(rows[default]) % self.modulus
 
 
-def _shift_hint(shape: TreeShape, q: int, p: int, n: int) -> int:
+def _shift_hint(shape: TreeShape, J: CouplingField, n: int) -> int:
     # Expected valuation of the n-ball partition sum: one v_p(q) per vertex.
-    return _vp(q, p) * shape.ball_size(n)
+    return _vp(J.q, J.prime.value) * shape.ball_size(n)
 
 
-def _weights_resolving_partition(
-    shape: TreeShape,
-    h: BoundaryField,
-    J: CouplingField,
-    n: int,
-    precision: int,
-    couplings: tuple[list, dict] | None = None,
-) -> tuple[_LevelWeights, int, int]:
-    """A weight system together with its partition residue and valuation.
-
-    Starts from the standard estimate of the partition valuation and widens
-    the working modulus once if the estimate fell short, so the returned
-    residue always resolves the valuation with the full requested precision
-    to spare.
-    """
-    extra = 2 * _shift_hint(shape, J.q, J.prime.value, n)
-    for _ in range(2):
-        system = _LevelWeights(shape, h, J, n, precision, extra_digits=extra, couplings=couplings)
-        z_res = system.partition_residue()
-        if z_res == 0:
-            raise PartitionFunctionDegenerate(
-                f"partition sum vanishes mod {system.prime}**{system.modulus_exponent}; "
-                "its valuation cannot be resolved at this precision"
-            )
-        zeta = _vp(z_res, system.prime.value)
-        if system.modulus_exponent - 2 * zeta >= precision:
-            return system, z_res, zeta
-        extra = 2 * zeta
-    return system, z_res, zeta
+def _partition_valuation(z_res: int, system: _LevelWeights) -> int:
+    """The valuation of a partition residue of ``system``, certain unless
+    the residue vanishes mod p**B, which is refused."""
+    if z_res == 0:
+        raise PartitionFunctionDegenerate(
+            f"partition sum vanishes mod {system.prime}**{system.modulus_exponent}; "
+            "its valuation cannot be resolved at this precision"
+        )
+    return _vp(z_res, system.prime.value)
 
 
 def finite_measure(
@@ -496,9 +476,20 @@ def finite_measure(
     """The normalized weight of the spins ``cfg`` in the n-ball ensemble.
 
     The partition sum comes from one tree pass, so a call costs q terms per
-    vertex of the ball rather than one per configuration.
+    vertex of the ball rather than one per configuration.  The quotient by
+    Z is certain to B - 2*zeta digits, zeta = v_p(Z), so the pass widens
+    once to 2*zeta past ``precision`` if zeta outgrew twice its estimate.
     """
-    system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
+    _guard(J.q, shape, n, configurations=False)
+    couplings = _level_couplings(shape, J, range(1, n + 1))
+    digits = precision + 2 * _shift_hint(shape, J, n)
+    for _ in range(2):
+        system = _LevelWeights(shape, h, J, n, digits, couplings)
+        z_res = system.partition_residue()
+        zeta = _partition_valuation(z_res, system)
+        if system.modulus_exponent - 2 * zeta >= precision:
+            break
+        digits = precision + 2 * zeta
     M, w_res = system.modulus, 1
     above = [cfg[x] for x in shape.level_vertices(0)]
     for m in range(1, n + 1):  # the theta of each edge whose ends agree
@@ -569,19 +560,11 @@ def compatibility_check(
     q = J.q
     _guard(q, shape, n - 1)
     threshold = precision - COMPAT_MARGIN
-    extra = _shift_hint(shape, q, p, n) + _shift_hint(shape, q, p, n - 1)
-
-    def _zeta(residue: int, which: str) -> int:
-        if residue == 0:
-            raise PartitionFunctionDegenerate(
-                f"{which} partition sum vanishes mod {p}**{B}; valuation unresolved"
-            )
-        return _vp(residue, p)
-
+    digits = precision + _shift_hint(shape, J, n) + _shift_hint(shape, J, n - 1)
     _guard(q, shape, n, configurations=False)  # before the couplings of the n-ball are read
     couplings = _level_couplings(shape, J, range(1, n + 1))
     for _ in range(2):
-        system = _LevelWeights(shape, h, J, n, precision, extra, couplings, inner=True)
+        system = _LevelWeights(shape, h, J, n, digits, couplings, inner=True)
         B, M = system.modulus_exponent, system.modulus
         for m, level in system._levels():  # one pass: sphere n - 1's messages, then Z_n
             if m == n - 1:
@@ -589,10 +572,10 @@ def compatibility_check(
         rows, default, _ = level
         z_outer = sum(rows[default]) % M
         z_inner = system.partition_residue(n - 1)
-        shift = _zeta(z_outer, "outer") + _zeta(z_inner, "inner")
+        shift = _partition_valuation(z_outer, system) + _partition_valuation(z_inner, system)
         if B - shift >= threshold:
             break
-        extra = shift  # estimate fell short; widen once to the exact need
+        digits = precision + shift  # estimate fell short; widen once to the exact need
     else:
         raise PrecisionExhausted(
             f"working modulus {p}**{B} cannot certify discrepancies to valuation "
@@ -651,14 +634,16 @@ def measure_norm_profile(
     exponential's disk, so each is congruent to 1 mod p.  Every weight is
     then a unit, and each configuration's valuation is minus the partition
     function's: the min and max of a row coincide.  The profile relies on
-    that admissibility, and takes each partition valuation from the tree
-    pass with the extra working digits ``finite_measure`` takes.
+    that admissibility.  A nonzero partition residue mod p**B has its
+    exact valuation, so each level takes one tree pass, at the digits
+    ``finite_measure`` first tries, and no wider one.
     """
     _guard(J.q, shape, n_max, configurations=False)
     couplings = _level_couplings(shape, J, range(1, n_max + 1))
     rows = []
     for n in range(n_max + 1):
-        _, _, zeta = _weights_resolving_partition(shape, h, J, n, precision, couplings)
+        system = _LevelWeights(shape, h, J, n, precision + 2 * _shift_hint(shape, J, n), couplings)
+        zeta = _partition_valuation(system.partition_residue(), system)
         rows.append(NormProfileRow(level=n, min_valuation=-zeta, max_valuation=-zeta))
     return rows
 
@@ -707,8 +692,8 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
 
     ``p`` (a prime) and ``q`` are JSON integers or strings of one, each value
     a JSON integer or a string like "-6/5" (``_RATIONAL_TEXT``).  Every
-    per-edge row must name an edge, its parent the child's parent; given a
-    ``shape``, the child must also be a vertex of its tree.
+    per-edge row must name an edge no other row names, its parent the
+    child's; given a ``shape``, the child must also be a vertex of its tree.
     """
     def integer(key: str) -> int:
         value = doc[key]  # int() would truncate a float, read a bool as 0 or 1, or "1_0" as 10
@@ -750,7 +735,13 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
         if shape is not None and (not a or a not in shape or a[:-1] != parent.address):
             k = shape.branching
             raise ValueError(f"per-edge row {x!r} -> {y!r} names no edge of the k={k} tree")
+        edges = len(table)
         table[parent, child] = number(value)
+        if len(table) == edges:  # an earlier row named this edge: find which
+            first = next(i for i, (x, y, _) in enumerate(raw)
+                         if (parent, child) == tuple(map(TreeVertex.from_string, (x, y))))
+            raise ValueError(f"per-edge rows {first} and {index} both name edge "
+                             f"{str(parent)!r} -> {str(child)!r}")
     return CouplingField.per_edge(table, p, q)
 
 
@@ -760,7 +751,8 @@ def boundary_field_from_json(
     """Build a BoundaryField from {"address": ["num/den", ...], ...}.
 
     The root is the empty address "" and unlisted vertices stay at zero.
-    Given a ``shape``, every address must name one of its vertices.
+    Each address must name its own vertex ("0" and "00" name one), and
+    given a ``shape``, one of its vertices.
     """
     if not isinstance(doc, dict):
         raise ValueError("a field document must map addresses to component lists")
@@ -786,5 +778,11 @@ def boundary_field_from_json(
         key = tuple(map(id, vec))
         if key not in checked:
             checked[key] = out._checked(vec, str(vertex) or "root")
-        out._table.setdefault(vertex.level, {})[vertex.address] = checked[key]
+        level = out._table.setdefault(vertex.level, {})
+        entries = len(level)
+        level[vertex.address] = checked[key]
+        if len(level) == entries:  # an earlier address named this vertex: find which
+            first = next(a for a in doc if TreeVertex.from_string(a) == vertex)
+            raise ValueError(f"field addresses {first!r} and {address!r} both name vertex "
+                             f"{str(vertex)!r}")
     return out

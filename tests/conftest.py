@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
+from padic_potts.potts_model import _level_couplings, _LevelWeights
 
 
 def unit_fraction(rng: random.Random, p: int, size: int = 8) -> Fraction:
@@ -72,6 +73,13 @@ def spin_pairing(h: tuple, s: int):
     for c in h[1:]:
         total = total + c
     return total
+
+
+def weights(shape: TreeShape, h, J, n: int, digits: int, inner: bool = False):
+    """The weight system of the n-ball at ``digits``, over its own read of
+    J's couplings for levels 1..n."""
+    return _LevelWeights(shape, h, J, n, digits, _level_couplings(shape, J, range(1, n + 1)),
+                         inner)
 
 
 def site_exponentials(h, vertex: TreeVertex, precision: int) -> list:

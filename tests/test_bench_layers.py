@@ -20,7 +20,7 @@ def test_every_layer_entry_runs_once():
         "PadicNumber.mul.exact", "PadicNumber.distance_valuation.exact",
         "PadicNumber.from_fraction", "PadicNumber.from_ratio", "solve_k1_bipartite", "recursion_backward",
         "recursion_backward.fallback", "recursion_backward.per_edge", "compatibility_check", "measure_norm_profile",
-        "boundary_field_from_json",
+        "boundary_field_from_json", "finite_measure",
     } <= names
     # the inverse on both sides of the pow / Newton crossover
     assert {16, 32, 512} <= {params["N"] for name, params, _ in entries

@@ -986,3 +986,19 @@ def test_random_argv_exits_in_range_and_repeats(argv):
         assert out.startswith("usage:")  # --help
     else:
         assert code in range(5)
+
+
+def test_documents_naming_one_edge_or_vertex_twice_are_config_errors(capsys, tmp_path):
+    # the later entry used to win: norm-profile read level 1 at -4 or -3,
+    # and compat-check its discrepancy at -1 or -3, by the order of the entries
+    rows = [["", "0", "3"], ["", "0", "6"], ["", "1", "3"]]
+    doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": rows}
+    flags = ["--p", "3", "--q", "3", "--k", "1", "--n", "1"]
+    assert run(capsys, "norm-profile", *flags, "--couplings", json.dumps(doc)) == (
+        1, "", "config error: couplings field invalid: per-edge rows 0 and 1 both name edge "
+               "'' -> '0'\n")
+    path = tmp_path / "field.json"
+    path.write_text('{"0": ["3", "0"], "00": ["6", "0"]}')
+    assert run(capsys, "compat-check", *flags, "--field", str(path)) == (
+        1, "", "config error: field file invalid: field addresses '0' and '00' both name "
+               "vertex '0'\n")

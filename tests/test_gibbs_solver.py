@@ -3,7 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import exp_domain_fraction, field_at, messages, site_exponentials, spin_pairing
+from conftest import (
+    exp_domain_fraction,
+    field_at,
+    messages,
+    site_exponentials,
+    spin_pairing,
+    weights,
+)
 
 from padic_potts import gibbs_solver
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
@@ -38,7 +45,6 @@ from padic_potts.potts_model import (
     BoundaryField,
     CouplingField,
     _level_couplings,
-    _LevelWeights,
     compatibility_check,
 )
 
@@ -413,7 +419,7 @@ class TestIntegerFold:
             for x in leaves:
                 h.assign(x, tuple(PadicNumber(exp_domain_fraction(rng, p), p, N)
                                   for _ in range(q - 1)))
-            system = _LevelWeights(shape, h, J, n, N)
+            system = weights(shape, h, J, n, N)
             B, mod = system.modulus_exponent, system.modulus
             laws = {}
             for x in leaves:

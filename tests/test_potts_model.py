@@ -17,6 +17,7 @@ from conftest import (
     spin_pairing,
     theta_for_edge,
     weight,
+    weights,
 )
 
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
@@ -43,9 +44,9 @@ from padic_potts.potts_model import (
     finite_measure,
     measure_norm_profile,
     _LevelWeights,
+    _partition_valuation,
     _residue_quotient,
     _shift_hint,
-    _weights_resolving_partition,
 )
 
 P = 3
@@ -89,10 +90,25 @@ def hamiltonian(shape, cfg, J, n, precision):
     return PadicNumber.from_fraction(-total, J.prime, precision)
 
 
+def _resolved_weights(shape, h, J, n, precision):
+    """finite_measure's weight system with its partition residue and
+    valuation: the pass at twice the standard estimate of zeta past
+    ``precision``, widened once to 2*zeta when B - 2*zeta falls short."""
+    extra = 2 * _shift_hint(shape, J, n)
+    for _ in range(2):
+        system = weights(shape, h, J, n, precision + extra)
+        z_res = system.partition_residue()
+        zeta = _partition_valuation(z_res, system)
+        if system.modulus_exponent - 2 * zeta >= precision:
+            break
+        extra = 2 * zeta
+    return system, z_res, zeta
+
+
 def finite_measure_table(shape, h, J, n, precision):
     """Every configuration of the n-ball with its measure: all q**|B_n| of
     them, over the partition sum of one tree pass."""
-    system, z_res, zeta = _weights_resolving_partition(shape, h, J, n, precision)
+    system, z_res, zeta = _resolved_weights(shape, h, J, n, precision)
     return [
         (cfg, _residue_quotient(weight(system, cfg), z_res, zeta, system))
         for cfg in itertools.product(range(1, system.q + 1), repeat=len(ball_vertices(system)))
@@ -152,7 +168,7 @@ class TestHamiltonian:
         for p, q in ((2, 2), (3, 3), (5, 2), (3, 4)):
             for n in (0, 1, 2):
                 J = _coupling(pattern, shape, n, q, p, rng)
-                system = _LevelWeights(shape, BoundaryField.zero(q, p), J, n, N)
+                system = weights(shape, BoundaryField.zero(q, p), J, n, N)
                 B = system.modulus_exponent
                 for _ in range(4):
                     cfg = tuple(rng.randrange(1, q + 1) for _ in ball_vertices(system))
@@ -311,11 +327,11 @@ def test_tree_pass_matches_brute_force(k, q, n, p, field_kind):
     shape = TreeShape(k)
     J = CouplingField.bipartite(exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q)
     h = _field(field_kind, shape, n, q, p, rng)
-    outer = _LevelWeights(shape, h, J, n, N)
+    outer = weights(shape, h, J, n, N)
     if n == 0:
         assert outer.partition_residue() == _brute_sums(outer, 0)[0]
         return
-    inner = _LevelWeights(shape, h, J, n - 1, N)
+    inner = weights(shape, h, J, n - 1, N)
     brute = _brute_sums(outer, len(ball_vertices(inner)))
     assert outer.partition_residue() == sum(brute) % outer.modulus
     M = p ** min(outer.modulus_exponent, inner.modulus_exponent)
@@ -381,7 +397,7 @@ def test_collapsed_pass_matches_the_per_vertex_fold(k, n, coupling_kind):
             sphere = ball_with_edges(shape, n)[0][shape.level_start(n):]
             h.assign(rng.choice(sphere), tuple(
                 PadicNumber.from_fraction(exp_domain_fraction(rng, p), p, N) for _ in range(q - 1)))
-        system = _LevelWeights(shape, h, J, n, N)
+        system = weights(shape, h, J, n, N)
         levels = _per_vertex_levels(system, h, J, shape, n, N)
         assert system.partition_residue() == sum(levels[0][0]) % system.modulus
         for m in range(n + 1):
@@ -423,7 +439,7 @@ def test_weights_are_units_and_profile_rows_are_minus_the_partition_valuation(
     rows = measure_norm_profile(shape, h, J, n, N)
     assert [r.level for r in rows] == list(range(n + 1))
     for m, row in enumerate(rows):
-        system = _weights_resolving_partition(shape, h, J, m, N)[0]
+        system = _resolved_weights(shape, h, J, m, N)[0]
         assert all(th % p == 1 for _, _, th in edge_residues(system))
         assert all(w % p == 1 for table in site_residues(system).values() for w in table)
         zeta = _vp(_brute_sums(system, 0)[0], p)
@@ -448,18 +464,19 @@ def _brute_compatibility(shape, h, J, n, precision):
     p = J.prime.value
     q = J.q
     threshold = precision - COMPAT_MARGIN
-    extra = _shift_hint(shape, q, p, n) + _shift_hint(shape, q, p, n - 1)
+    extra = _shift_hint(shape, J, n) + _shift_hint(shape, J, n - 1)
 
     def _zeta(residue: int, which: str) -> int:
         if residue == 0:
             raise PartitionFunctionDegenerate(
-                f"{which} partition sum vanishes mod {p}**{B}; valuation unresolved"
+                f"partition sum vanishes mod {p}**{B}; "
+                "its valuation cannot be resolved at this precision"
             )
         return _vp(residue, p)
 
     for _ in range(2):
-        outer = _LevelWeights(shape, h, J, n, precision, extra_digits=extra)
-        inner = _LevelWeights(shape, h, J, n - 1, precision, extra_digits=extra)
+        outer = weights(shape, h, J, n, precision + extra)
+        inner = weights(shape, h, J, n - 1, precision + extra)
         B = min(outer.modulus_exponent, inner.modulus_exponent)
         M = p**B
         z_outer = outer.partition_residue() % M
@@ -601,6 +618,26 @@ class TestCompatibility:
             compatibility_check(shape, BoundaryField.zero(3, P), J, 5, N)
 
 
+@pytest.mark.parametrize("routine", ("finite_measure", "measure_norm_profile",
+                                     "compatibility_check"))
+def test_a_vanishing_partition_residue_is_refused_with_one_message(routine):
+    # a field component known to 2 digits clamps B to 2, and the 1-ball's
+    # partition sum at p = q = 3 vanishes mod 3**2
+    shape, n = TreeShape(2), 1
+    J = CouplingField.homogeneous(Fraction(3), P, 3)
+    h = BoundaryField.constant((PadicNumber(3, P, N, known_abs=2), PadicNumber.zero(P)))
+    cfg = {x: 1 for x in ball_with_edges(shape, n)[0]}
+    run = {
+        "finite_measure": lambda: finite_measure(shape, cfg, h, J, n, N),
+        "measure_norm_profile": lambda: measure_norm_profile(shape, h, J, n, N),
+        "compatibility_check": lambda: compatibility_check(shape, h, J, n, N),
+    }[routine]
+    with pytest.raises(PartitionFunctionDegenerate) as err:
+        run()
+    assert str(err.value) == ("partition sum vanishes mod 3**2; its valuation cannot be "
+                              "resolved at this precision")
+
+
 class TestNormProfile:
     def test_two_states_stay_bounded(self):
         shape = TreeShape(2)
@@ -621,6 +658,19 @@ class TestNormProfile:
             (1, -4, -4),
             (2, -10, -10),
         ]
+
+    def test_one_pass_per_level_where_the_measure_widens(self, monkeypatch):
+        # J = 6 at p = q = 3: finite_measure widens at every level from 1 on,
+        # but a nonzero residue's valuation is exact, so the profile does not
+        shape, n = TreeShape(1), 5
+        J = CouplingField.homogeneous(Fraction(6), P, 3)
+        h = BoundaryField.zero(3, P)
+        want = [-_resolved_weights(shape, h, J, m, N)[2] for m in range(n + 1)]
+        built = _counting_builds(monkeypatch)
+        rows = measure_norm_profile(shape, h, J, n, N)
+        assert len(built) == n + 1
+        assert [(r.min_valuation, r.max_valuation) for r in rows] == list(zip(want, want))
+        assert want == [-1, -5, -9, -13, -17, -21]
 
     def test_single_level_profile(self):
         shape = TreeShape(2)
@@ -650,6 +700,19 @@ def _counting_lookups(J):
     return J.values.reads
 
 
+def _counting_builds(monkeypatch):
+    """Count every weight system built from here on; return the list of them."""
+    built = []
+    init = _LevelWeights.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_LevelWeights, "__init__", counted_init)
+    return built
+
+
 def _every_edge(shape, n, value):
     vertices, pairs = ball_with_edges(shape, n)
     return {(str(vertices[i]), str(vertices[j])): value for i, j in pairs}
@@ -675,19 +738,26 @@ class TestCouplingsReadOnce:
         shape, n = TreeShape(1), 5
         table = _every_edge(shape, n, Fraction(6))
         J = CouplingField.per_edge(table, P, 3)
-        built = []
-        init = _LevelWeights.__init__
-
-        def counted_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(_LevelWeights, "__init__", counted_init)
+        built = _counting_builds(monkeypatch)
         lookups = _counting_lookups(J)
         rep = compatibility_check(shape, BoundaryField.zero(3, P), J, n, N)
         assert rep.holds
         assert len(built) == 2
         assert lookups == Counter(table.keys())
+
+    def test_finite_measure_reads_each_edge_once_when_it_widens(self, monkeypatch):
+        # the same table: Z's valuation outgrows twice the estimate, so the
+        # measure widens its pass once, over the couplings it read once
+        shape, n = TreeShape(1), 5
+        table = _every_edge(shape, n, Fraction(6))
+        J = CouplingField.per_edge(table, P, 3)
+        built = _counting_builds(monkeypatch)
+        lookups = _counting_lookups(J)
+        cfg = {x: 1 for x in ball_with_edges(shape, n)[0]}
+        got = finite_measure(shape, cfg, BoundaryField.zero(3, P), J, n, N)
+        assert len(built) == 2
+        assert lookups == Counter(table.keys())
+        assert got.norm_valuation() == -21 and got.known_abs >= N  # B - 2*zeta >= N
 
     @pytest.mark.parametrize("off_disk", [False, True], ids=["in the regime", "off the disk"])
     def test_recursion_reads_each_edge_once(self, off_disk):
@@ -772,6 +842,17 @@ class TestCouplingField:
             coupling_from_json(doc)  # no shape to check the rows against
         assert str(err.value) == text
 
+    @pytest.mark.parametrize("first,second", [
+        (("", "0"), (TreeVertex.root(), "0")),
+        (("", "0"), ("", "00")),
+        ((TreeVertex.root(), TreeVertex((0,))), ("", "0")),
+    ])
+    def test_per_edge_refuses_two_keys_of_one_edge(self, first, second):
+        # both keys would set the edge's one entry, the later silently
+        with pytest.raises(ValueError) as err:
+            CouplingField.per_edge({first: 3, second: 6}, P, 3)
+        assert str(err.value) == "per-edge table names edge '' -> '0' twice"
+
     def test_per_edge_refuses_an_end_that_is_no_address(self):
         with pytest.raises(TypeError, match=r"^an edge end is a TreeVertex or an address "
                                             r"string, got 0$"):
@@ -830,6 +911,27 @@ class TestJsonIngestion:
         assert coupling_for_edge(J, TreeVertex((3,)), TreeVertex((3, 1))) == 6
         with pytest.raises(ValueError, match="'' -> '3' names no edge of the k=2 tree"):
             coupling_from_json(doc, TreeShape(2))
+
+    @pytest.mark.parametrize("shape", [None, TreeShape(1)], ids=["no shape", "k=1"])
+    @pytest.mark.parametrize("child", ["0", "00"])
+    def test_per_edge_rows_naming_one_edge_twice_are_refused(self, shape, child):
+        # the later row used to win: the norm profile's level 1 read -4 or
+        # -3 by row order
+        doc = {"pattern": "per_edge", "p": 3, "q": 3,
+               "values": [["", "0", "3"], ["", "1", "3"], ["", child, "6"]]}
+        with pytest.raises(ValueError) as err:
+            coupling_from_json(doc, shape)
+        assert str(err.value) == "per-edge rows 0 and 2 both name edge '' -> '0'"
+
+    @pytest.mark.parametrize("first,second,vertex", [
+        ("0", "00", "0"), ("00", "0", "0"), ("0.1", "00.01", "0.1"),
+    ])
+    def test_field_addresses_naming_one_vertex_twice_are_refused(self, first, second, vertex):
+        doc = {first: ["3", "0"], "1": ["3", "0"], second: ["6", "0"]}
+        with pytest.raises(ValueError) as err:
+            boundary_field_from_json(doc, 3, P, TreeShape(2))
+        assert str(err.value) == (
+            f"field addresses {first!r} and {second!r} both name vertex {vertex!r}")
 
     def test_field_document(self):
         doc = {"": ["3", "0"], "0": ["9/2", "3"]}
@@ -1068,7 +1170,7 @@ class TestSiteTableCache:
         def check_every_level():
             for m in range(n + 1):
                 for extra in (0, 5):
-                    system = _LevelWeights(shape, h, J, m, N, extra_digits=extra)
+                    system = weights(shape, h, J, m, N + extra)
                     rows, bound = _direct_site_rows(system, h, J, shape, m, N + extra)
                     assert system.modulus_exponent == bound
                     assert site_residues(system) == rows
@@ -1119,7 +1221,7 @@ def test_product_site_factor_equals_exp_of_the_sum(p, q):
     J = CouplingField.homogeneous(exp_domain_fraction(rng, p), p, q)
     for n in (1, 2):
         for extra in (0, 5):
-            system = _LevelWeights(shape, h, J, n, N, extra_digits=extra)
+            system = weights(shape, h, J, n, N + extra)
             rows, bound = _direct_site_rows(system, h, J, shape, n, N + extra)
             assert system.modulus_exponent == bound
             assert site_residues(system) == rows

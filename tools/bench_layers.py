@@ -49,10 +49,12 @@ def _entries():
     from padic_potts.potts_model import (
         BoundaryField,
         CouplingField,
+        _level_couplings,
         _LevelWeights,
         boundary_field_from_json,
         compatibility_check,
         coupling_from_json,
+        finite_measure,
         measure_norm_profile,
     )
 
@@ -95,21 +97,17 @@ def _entries():
                 lambda: prod_a.distance_valuation(prod_b)))
     out.append(("PadicNumber.from_fraction", {"p": 7, "N": n_rel, "x": str(draws[0])},
                 lambda: PadicNumber.from_fraction(draws[0], 7, n_rel)))
-    if hasattr(PadicNumber, "from_ratio"):  # the same draw as two integers
-        num, den = draws[0].numerator, draws[0].denominator
-        out.append(("PadicNumber.from_ratio", {"p": 7, "N": n_rel, "x": str(draws[0])},
-                    lambda: PadicNumber.from_ratio(num, den, 7, n_rel)))
+    num, den = draws[0].numerator, draws[0].denominator  # the same draw as two integers
+    out.append(("PadicNumber.from_ratio", {"p": 7, "N": n_rel, "x": str(draws[0])},
+                lambda: PadicNumber.from_ratio(num, den, 7, n_rel)))
     for n_rel in (32, 128, 512):
         x = PadicNumber(Fraction(3 * 12345, 678), p, n_rel)
         out.append(("exp_p", {"p": p, "N": n_rel, "x": "3 * 12345/678"}, lambda x=x: exp_p(x)))
         y = x + 1
         out.append(("log_p", {"p": p, "N": n_rel, "x": "1 + 3 * 12345/678"}, lambda y=y: log_p(y)))
-    # the same series with the plan cache cleared inside the call (a tree
-    # without a plan cache computes every call cold)
-    plans = getattr(padic_analytic, "_series_plan", None)
+    # the same series with the plan cache cleared inside the call
     def cold(series, arg):
-        if plans is not None:
-            plans.cache_clear()
+        padic_analytic._series_plan.cache_clear()
         return series(arg)
 
     x = PadicNumber(Fraction(3 * 12345, 678), p, 128)
@@ -166,10 +164,6 @@ def _entries():
 
     u = theta3 - P(1)
     cubic = (P(-4), u * u + P(0), P(3) - u * u, P(1))
-    # trees from before the coefficient tuple take the coefficients wrapped in
-    # their PadicPolynomial class
-    if hasattr(padic_analytic, "PadicPolynomial"):
-        cubic = padic_analytic.PadicPolynomial(cubic)
     out.append(
         ("hensel_roots_in_disk", {"p": 3, "q": 3, "k": 2, "J": 3, "N": 512},
          lambda: hensel_roots_in_disk(cubic, PadicNumber(1, 3, 512), 1))
@@ -192,8 +186,6 @@ def _entries():
     )
     quad_c = (theta * Q(q - 1) + (theta + Q(q - 2)) ** 2) ** 2
     quadratic = (quad_c, quad_b, quad_a)
-    if hasattr(padic_analytic, "PadicPolynomial"):
-        quadratic = padic_analytic.PadicPolynomial(quadratic)
     out.append(
         ("hensel_roots_in_disk.quadratic", {"p": 5, "q": 5, "k": 2, "J": 5, "N": 512},
          lambda: hensel_roots_in_disk(quadratic, PadicNumber.one(5, 512), 1))
@@ -208,14 +200,16 @@ def _entries():
     )
     # the weight tables and the partition sum of a compat-check ball at
     # k = 2, n = 2 (p = q = 3, J = 3, a period-two field), the tables built
-    # with fresh coupling and field caches as one CLI op builds them
+    # over their own read of the couplings with fresh coupling and field
+    # caches, as one CLI op builds them
     def vec(*cs):
         return tuple(PadicNumber(Fraction(c), 3) for c in cs)
 
     even, odd, shape = vec(Fraction(3, 7), 9), vec(Fraction(-6, 5), 3), TreeShape(2)
     def tables():
-        h = BoundaryField.by_parity(even, odd)
-        return _LevelWeights(shape, h, CouplingField.homogeneous(Fraction(3), 3, 3), 2, 32)
+        h, J3 = BoundaryField.by_parity(even, odd), CouplingField.homogeneous(Fraction(3), 3, 3)
+        return _LevelWeights(shape, h, J3, 2, 32,
+                             couplings=_level_couplings(shape, J3, range(1, 3)))
 
     params = {"p": 3, "q": 3, "k": 2, "n": 2, "N": 32, "field": "parity"}
     out.append(("_LevelWeights", params, tables))
@@ -284,6 +278,29 @@ def _entries():
         out.append(("measure_norm_profile",
                     {"p": 3, "q": 2, "k": k, "n": n_edge, "N": 32, "field": "zero",
                      "couplings": "per-edge 3/6/9"}, edge_profile))
+    # where p | q and J = 6 (unit residue -1 at p = q = 3) the partition
+    # valuation outgrows twice its estimate: norm-profile's every level of a
+    # zero field at k = 1, n = 40 and k = 2, n = 8, and finite_measure over a
+    # per-edge J = 6 table at k = 1, n = 5, which widens its pass once
+    for k, n_wide in ((1, 40), (2, 8)):
+        def wide_profile(k=k, n_wide=n_wide):
+            h, J6 = BoundaryField.zero(3, 3), CouplingField.homogeneous(Fraction(6), 3, 3)
+            return measure_norm_profile(TreeShape(k), h, J6, n_wide, 32)
+
+        out.append(("measure_norm_profile",
+                    {"p": 3, "q": 3, "k": k, "n": n_wide, "N": 32, "J": 6, "field": "zero"},
+                    wide_profile))
+    line = TreeShape(1)
+    vertices, pairs = ball_with_edges(line, 5)
+    table6 = {(vertices[i], vertices[j]): Fraction(6) for i, j in pairs}
+    spins = {x: 1 + i % 3 for i, x in enumerate(vertices)}
+
+    def wide_measure():
+        h, J6 = BoundaryField.zero(3, 3), CouplingField.per_edge(table6, 3, 3)
+        return finite_measure(line, spins, h, J6, 5, 32)
+
+    out.append(("finite_measure", {"p": 3, "q": 3, "k": 1, "n": 5, "N": 32, "field": "zero",
+                                   "couplings": "per-edge 6"}, wide_measure))
     # a constant field file over the k = 2, n = 2 ball: one vector at every address
     constant = {".".join(map(str, v.address)): ["3/7", "9"] for v in ball_with_edges(shape, 2)[0]}
     out.append(("boundary_field_from_json", {"p": 3, "q": 3, "k": 2, "n": 2, "field": "constant"},

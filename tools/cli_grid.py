@@ -137,6 +137,12 @@ def _measures() -> list:
             out.append(([command, "--k", "1", "--n", "2", "--field", f"{name}.json"],
                         {f"{name}.json": doc}))
     out.append((["compat-check", "--out", "compat-out.json"], {}))
+    # J = 6 at p = q = 3, where the partition valuations outgrow their
+    # estimate: finite_measure's rule and compat-check widen their pass
+    six = '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":"6"}}'
+    for k, n in ((1, 5), (2, 3)):
+        for command in ("norm-profile", "compat-check"):
+            out.append(([command, "--k", str(k), "--n", str(n), "--couplings", six], {}))
     return out + _deep_tables() + _depth()
 
 
@@ -310,6 +316,15 @@ def _errors() -> list:
             out.append(([command, "--k", "1", "--n", "1", "--field", f"bad-{name}.json"],
                         {f"bad-{name}.json": doc}))
     out.append((["compat-check", "--field", "unicode.json"], {"unicode.json": '{"é": 1}'}))
+    # an edge or a vertex named twice, in either order of its two entries
+    for rows in ('["","0","3"],["","0","6"],["","1","3"]',
+                 '["","0","6"],["","00","3"],["","1","3"]'):
+        out.append((["norm-profile", "--k", "1", "--n", "1", "--couplings",
+                     '{"pattern":"per_edge","p":3,"q":3,"values":[' + rows + "]}"], {}))
+    for name, doc in (("twice", '{"0": ["3", "0"], "00": ["6", "0"]}'),
+                      ("twice-swapped", '{"00": ["6", "0"], "0": ["3", "0"]}')):
+        out.append((["compat-check", "--k", "1", "--n", "1", "--field", f"{name}.json"],
+                    {f"{name}.json": doc}))
     # an error names the address canonically however the field file spells it
     for command in ("compat-check", "norm-profile"):
         out.append(([command, "--k", "2", "--n", "1", "--field", "bad-spelling.json"],
