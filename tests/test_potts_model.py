@@ -466,7 +466,7 @@ def _brute_compatibility(shape, h, J, n, precision):
     threshold = precision - COMPAT_MARGIN
     extra = _shift_hint(shape, J, n) + _shift_hint(shape, J, n - 1)
 
-    def _zeta(residue: int, which: str) -> int:
+    def _zeta(residue: int) -> int:
         if residue == 0:
             raise PartitionFunctionDegenerate(
                 f"partition sum vanishes mod {p}**{B}; "
@@ -481,7 +481,7 @@ def _brute_compatibility(shape, h, J, n, precision):
         M = p**B
         z_outer = outer.partition_residue() % M
         z_inner = inner.partition_residue() % M
-        shift = _zeta(z_outer, "outer") + _zeta(z_inner, "inner")
+        shift = _zeta(z_outer) + _zeta(z_inner)
         if B - shift >= threshold:
             break
         extra = shift
