@@ -208,17 +208,15 @@ class _Powers(dict):
 
 
 def _theta_terms(theta: PadicNumber, q: int):
-    """(theta - 1, v_t, K, P, theta - 1 + q) for an inexact theta =
-    1 + p**v_t * u + O(p**K) with v_t >= 1, as the edge map's PadicNumbers
-    hold them (P is the precision of theta - 1 and of the shift); None for
-    any other theta."""
+    """(t, v_t, K, P, t + q) for theta = exp(J) = 1 + t + O(p**K), J an
+    admissible nonzero coupling (``CouplingField``), so t = p**v_t * u with
+    v_t = v_p(J) >= 1, as the edge map's PadicNumbers hold them (P is the
+    precision of t and of the shift t + q); None for the exact theta of J = 0."""
     K = theta.known_abs
-    if K is None or theta._val != 0:
+    if K is None:
         return None
     p = theta.prime.value
     t = (theta._unit - 1) % p**K
-    if not t or t % p:
-        return None
     v = _vp(t, p)
     return t, v, K, min(theta.precision, K - v), t + q
 
@@ -658,7 +656,7 @@ def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION)
         return solve_k1_bipartite(theta1, theta2, q, precision)
 
     if k == 2 and J.pattern == "homogeneous":
-        j_val = rational_valuation(J.values["J"], prime)
+        j_val = rational_valuation(J.level_coupling(1), prime)
         if prime.value == 2:
             diag = {"coupling_valuation": render_valuation(math.inf if j_val is None else j_val)}
             if _two_adic_threshold(q, j_val):

@@ -181,8 +181,9 @@ def _inverse_mod(a: int, p: int, r: int) -> int:
 def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
     """p-adic valuation of an exact rational; None for zero.
 
-    None, not ``math.inf``: callers test for None to mean "exact" (a Hensel
-    root whose lift leaves no residual gets ``known_abs=None``).
+    None, not ``math.inf``: its callers read None as the zero coupling,
+    which admissibility accepts and the p = 2 threshold table never
+    certifies.
     """
     x, pv = Fraction(x), as_prime(p).value
     if not x:

@@ -77,10 +77,12 @@ class CouplingField:
     """Edge-to-coupling assignment with its admissibility certificate.
 
     Three patterns: a single value everywhere, a value per edge direction of
-    the bipartition (chosen by the parent's parity), or an explicit per-edge
-    table held by each edge's child address.  Every value must lie in the
-    exponential's convergence disk; zero is accepted as the degenerate
-    coupling (its exponential is exactly one).
+    the bipartition, or an explicit per-edge table.  ``values`` holds each
+    edge's value under the key its child's level reads: the child level's
+    parity for the first two ({0: J, 1: J} and {1: even_to_odd, 0:
+    odd_to_even}), the child's address for a table.  Every value must lie
+    in the exponential's convergence disk; zero is accepted as the
+    degenerate coupling (its exponential is exactly one).
     """
 
     pattern: str
@@ -96,28 +98,19 @@ class CouplingField:
         if self.pattern not in ("homogeneous", "bipartite", "per_edge"):
             raise ValueError(f"unknown coupling pattern {self.pattern!r}")
         # each distinct value once, in table order (a Fraction's own hash is slow)
-        for value in {(J.numerator, J.denominator): J for J in self._all_values()}.values():
+        for value in {(J.numerator, J.denominator): J for J in self.values.values()}.values():
             _check_coupling_admissible(value, self.prime)
-
-    def _all_values(self):
-        if self.pattern == "homogeneous":
-            return [self.values["J"]]
-        if self.pattern == "bipartite":
-            return [self.values["even_to_odd"], self.values["odd_to_even"]]
-        return list(self.values.values())
 
     @classmethod
     def homogeneous(cls, J, p, q: int) -> "CouplingField":
-        return cls("homogeneous", as_prime(p), q, {"J": Fraction(J)})
+        J = Fraction(J)
+        return cls("homogeneous", as_prime(p), q, {0: J, 1: J})
 
     @classmethod
     def bipartite(cls, J_even_to_odd, J_odd_to_even, p, q: int) -> "CouplingField":
-        return cls(
-            "bipartite",
-            as_prime(p),
-            q,
-            {"even_to_odd": Fraction(J_even_to_odd), "odd_to_even": Fraction(J_odd_to_even)},
-        )
+        # even_to_odd first, so an inadmissible pair names it first
+        values = {1: Fraction(J_even_to_odd), 0: Fraction(J_odd_to_even)}
+        return cls("bipartite", as_prime(p), q, values)
 
     @classmethod
     def per_edge(cls, table, p, q: int) -> "CouplingField":
@@ -147,13 +140,9 @@ class CouplingField:
         return cls("per_edge", as_prime(p), q, values)
 
     def level_coupling(self, m: int) -> Fraction | None:
-        """The coupling on every edge into level m >= 1, chosen by the parity
-        of the parents' level m - 1; None for a per-edge table."""
-        if self.pattern == "homogeneous":
-            return self.values["J"]
-        if self.pattern == "bipartite":
-            return self.values["even_to_odd" if m % 2 else "odd_to_even"]
-        return None
+        """The coupling on every edge into level m >= 1, keyed by m's parity;
+        None for a per-edge table, whose keys are addresses."""
+        return self.values.get(m % 2)
 
     def theta(self, J: Fraction, precision: int = DEFAULT_PRECISION) -> PadicNumber:
         """exp of the coupling value ``J``, cached per value and precision."""
@@ -531,7 +520,6 @@ class CompatibilityReport:
     max_discrepancy_valuation: int
     threshold: int
     resolved: bool
-    level: int
     terms_enumerated: int
 
 
@@ -608,16 +596,16 @@ def compatibility_check(
         max_discrepancy_valuation=worst - shift,
         threshold=threshold,
         resolved=worst < B,
-        level=n,
         terms_enumerated=q ** shape.ball_size(n),
     )
 
 
 @dataclass(frozen=True)
 class NormProfileRow:
+    """The valuation every configuration's measure has on the ball of radius ``level``."""
+
     level: int
-    min_valuation: int
-    max_valuation: int
+    valuation: int
 
 
 def measure_norm_profile(
@@ -627,14 +615,14 @@ def measure_norm_profile(
     n_max: int,
     precision: int = DEFAULT_PRECISION,
 ) -> list[NormProfileRow]:
-    """Extremes of the measure's valuation per level, as a boundedness probe.
+    """The measure's valuation per level, as a boundedness probe.
 
     A configuration's weight is a product of edge and site residues, each
     exp_p of an admissible coupling or of field entries checked against the
     exponential's disk, so each is congruent to 1 mod p.  Every weight is
     then a unit, and each configuration's valuation is minus the partition
-    function's: the min and max of a row coincide.  The profile relies on
-    that admissibility.  A nonzero partition residue mod p**B has its
+    function's: one valuation per level.  The profile relies on that
+    admissibility.  A nonzero partition residue mod p**B has its
     exact valuation, so each level takes one tree pass, at the digits
     ``finite_measure`` first tries, and no wider one.
     """
@@ -644,7 +632,7 @@ def measure_norm_profile(
     for n in range(n_max + 1):
         system = _LevelWeights(shape, h, J, n, precision + 2 * _shift_hint(shape, J, n), couplings)
         zeta = _partition_valuation(system.partition_residue(), system)
-        rows.append(NormProfileRow(level=n, min_valuation=-zeta, max_valuation=-zeta))
+        rows.append(NormProfileRow(level=n, valuation=-zeta))
     return rows
 
 
@@ -695,6 +683,9 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
     per-edge row must name an edge no other row names, its parent the
     child's; given a ``shape``, the child must also be a vertex of its tree.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a coupling document must be a JSON object, got {doc!r}")
+
     def integer(key: str) -> int:
         value = doc[key]  # int() would truncate a float, read a bool as 0 or 1, or "1_0" as 10
         if type(value) is int or isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):

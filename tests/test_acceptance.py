@@ -231,14 +231,14 @@ def test_08_norm_boundedness_split():
     J3 = CouplingField.homogeneous(Fraction(3), 3, 3)
     rows2 = measure_norm_profile(shape, BoundaryField.zero(2, 3), J2, 2, N)
     rows3 = measure_norm_profile(shape, BoundaryField.zero(3, 3), J3, 2, N)
-    assert all(r.min_valuation >= 0 for r in rows2)
-    assert any(r.min_valuation < 0 for r in rows3)
+    assert all(r.valuation >= 0 for r in rows2)
+    assert any(r.valuation < 0 for r in rows3)
     _report(
         8,
         "norm boundedness split",
         True,
-        f"q=2 minima {[int(r.min_valuation) for r in rows2]}, "
-        f"q=3 minima {[int(r.min_valuation) for r in rows3]}",
+        f"q=2 minima {[int(r.valuation) for r in rows2]}, "
+        f"q=3 minima {[int(r.valuation) for r in rows3]}",
     )
 
 

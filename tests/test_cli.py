@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,12 @@ from hypothesis import strategies as st
 from padic_potts import cli, potts_model
 from padic_potts.cayley_tree import TreeShape, ball_with_edges
 from padic_potts.cli import SUITES, main
+from padic_potts.errors import (
+    DenominatorDegenerate,
+    LiftStall,
+    PartitionFunctionDegenerate,
+    PrecisionExhausted,
+)
 from padic_potts.padic_analytic import exp_domain_min_valuation, exp_p
 from padic_potts.padic_core import DEFAULT_PRECISION, PadicNumber, as_prime
 
@@ -212,6 +219,28 @@ class TestVerify:
             '{"offsets":["5","3","2","1"]}],"suite":"contraction"}]}\n'
         )
 
+    def test_compat_reports_its_first_failure(self, capsys, monkeypatch):
+        # the second check's report turned to "holds": the alternating field
+        # no longer breaks consistency
+        real, calls = cli.compatibility_check, []
+
+        def compatibility_check(*args):
+            calls.append(args)
+            got = real(*args)
+            return dataclasses.replace(got, holds=True) if len(calls) == 2 else got
+
+        monkeypatch.setattr(cli, "compatibility_check", compatibility_check)
+        code, out, err = run(capsys, "verify", "--suite", "compat")
+        assert (code, err) == (1, "suite violation; see first_failure entries\n")
+        assert out == (
+            '{"command":"verify","ok":false,"precision":32,"seed":0,"suites":[{"checks":2,'
+            '"first_failure":{"expected_holds":false,"holds":true,"index":1,'
+            '"name":"alternating field breaks consistency","ok":false,"terms":243,'
+            '"worst_discrepancy":"-3"},"passed":1,"samples":[{"expected_holds":true,'
+            '"holds":true,"name":"zero field stays consistent","ok":true,"terms":59049,'
+            '"worst_discrepancy":"35"}],"suite":"compat"}]}\n'
+        )
+
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "no-such-suite"])
@@ -338,6 +367,11 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--couplings", doc, "--p", "5")
         assert code == 1
         assert "config error" in err
+
+    def test_coupling_q_disagreement(self, capsys):
+        doc = '{"pattern":"homogeneous","p":3,"q":4,"values":{"J":"3"}}'
+        code, out, err = run(capsys, "classify", "--couplings", doc, "--q", "3")
+        assert (code, out, err) == (1, "", "config error: couplings q disagrees with --q\n")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -631,6 +665,40 @@ def test_malformed_documents_are_config_errors(capsys, tmp_path, couplings, fiel
     assert code == 1
     assert out == ""
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("text", ["[1]", '"x"', "3"])
+def test_couplings_document_that_is_not_an_object_is_named(capsys, tmp_path, text):
+    path = tmp_path / "couplings.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", "--couplings", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("config error: couplings field invalid: a coupling document must be a "
+                   f"JSON object, got {json.loads(text)!r}\n")
+
+
+@pytest.mark.parametrize("flag", ["--couplings", "--field"])
+def test_json_syntax_errors_name_their_line(capsys, tmp_path, flag):
+    path = tmp_path / "doc.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, "compat-check", "--n", "1", flag,
+                         "{not json" if flag == "--couplings" else str(path))
+    what = "couplings" if flag == "--couplings" else "field"
+    assert (code, out) == (1, "")
+    assert err == (f"config error: {what} JSON at line 1: Expecting property name enclosed "
+                   "in double quotes\n")
+
+
+@pytest.mark.parametrize(
+    "error", [PartitionFunctionDegenerate, DenominatorDegenerate, LiftStall, PrecisionExhausted]
+)
+def test_degenerate_computations_exit_3(capsys, monkeypatch, error):
+    def classify(args):
+        raise error("nothing left to resolve")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", classify)
+    code, out, err = run(capsys, "classify")
+    assert (code, out, err) == (3, "", "degenerate computation: nothing left to resolve\n")
 
 
 @pytest.mark.parametrize(

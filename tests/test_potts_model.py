@@ -427,8 +427,8 @@ def test_weights_are_units_and_profile_rows_are_minus_the_partition_valuation(
     k, q, n, p, field_kind
 ):
     # admissible couplings and fields give edge and site residues = 1 mod p,
-    # which measure_norm_profile relies on: each row's min and max are then
-    # both minus the valuation of the brute-force partition sum
+    # which measure_norm_profile relies on: each row's valuation is then
+    # minus the valuation of the brute-force partition sum
     rng = random.Random(f"units-{k}-{q}-{n}-{p}-{field_kind}")
     shape = TreeShape(k)
     J = CouplingField.bipartite(exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q)
@@ -443,7 +443,7 @@ def test_weights_are_units_and_profile_rows_are_minus_the_partition_valuation(
         assert all(th % p == 1 for _, _, th in edge_residues(system))
         assert all(w % p == 1 for table in site_residues(system).values() for w in table)
         zeta = _vp(_brute_sums(system, 0)[0], p)
-        assert (row.min_valuation, row.max_valuation) == (-zeta, -zeta)
+        assert row.valuation == -zeta
 
 
 def _coupling(kind, shape, n, q, p, rng):
@@ -505,7 +505,6 @@ def _brute_compatibility(shape, h, J, n, precision):
         max_discrepancy_valuation=worst,
         threshold=threshold,
         resolved=resolved_worst,
-        level=n,
         terms_enumerated=q ** len(ball_vertices(outer)),
     )
 
@@ -617,6 +616,22 @@ class TestCompatibility:
         with pytest.raises(EnumerationTooLarge):
             compatibility_check(shape, BoundaryField.zero(3, P), J, 5, N)
 
+    def test_depth_zero_is_refused(self):
+        J = CouplingField.homogeneous(Fraction(3), P, 3)
+        with pytest.raises(ValueError, match=r"^compatibility needs n >= 1$"):
+            compatibility_check(TreeShape(2), BoundaryField.zero(3, P), J, 0, N)
+
+    def test_a_clamped_modulus_that_widening_cannot_lift_is_exhausted(self):
+        # a field component known to 3**10 clamps B at 10 in both passes, short
+        # of the threshold 28 past the partition valuations
+        J = CouplingField.homogeneous(Fraction(3), P, 2)
+        h = BoundaryField.constant((PadicNumber(3, P, N, known_abs=10),))
+        with pytest.raises(PrecisionExhausted) as err:
+            compatibility_check(TreeShape(2), h, J, 2, N)
+        assert str(err.value) == ("working modulus 3**10 cannot certify discrepancies to "
+                                  "valuation 28 past the partition valuations")
+        assert err.value.bound == 10
+
 
 @pytest.mark.parametrize("routine", ("finite_measure", "measure_norm_profile",
                                      "compatibility_check"))
@@ -643,21 +658,13 @@ class TestNormProfile:
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
         rows = measure_norm_profile(shape, BoundaryField.zero(2, P), J, 2, N)
-        assert [(r.level, int(r.min_valuation), int(r.max_valuation)) for r in rows] == [
-            (0, 0, 0),
-            (1, 0, 0),
-            (2, 0, 0),
-        ]
+        assert [(r.level, int(r.valuation)) for r in rows] == [(0, 0), (1, 0), (2, 0)]
 
     def test_three_states_blow_up(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
         rows = measure_norm_profile(shape, BoundaryField.zero(3, P), J, 2, N)
-        assert [(r.level, int(r.min_valuation), int(r.max_valuation)) for r in rows] == [
-            (0, -1, -1),
-            (1, -4, -4),
-            (2, -10, -10),
-        ]
+        assert [(r.level, int(r.valuation)) for r in rows] == [(0, -1), (1, -4), (2, -10)]
 
     def test_one_pass_per_level_where_the_measure_widens(self, monkeypatch):
         # J = 6 at p = q = 3: finite_measure widens at every level from 1 on,
@@ -669,7 +676,7 @@ class TestNormProfile:
         built = _counting_builds(monkeypatch)
         rows = measure_norm_profile(shape, h, J, n, N)
         assert len(built) == n + 1
-        assert [(r.min_valuation, r.max_valuation) for r in rows] == list(zip(want, want))
+        assert [r.valuation for r in rows] == want
         assert want == [-1, -5, -9, -13, -17, -21]
 
     def test_single_level_profile(self):
@@ -800,6 +807,20 @@ class TestCouplingField:
         CouplingField.per_edge(dict(list(table.items())[:3]), P, 3)
         assert checked == [3, 6]
 
+    def test_bipartite_names_its_first_inadmissible_value(self):
+        with pytest.raises(DomainViolation, match=r"^coupling 1 has valuation 0 "):
+            CouplingField.bipartite(Fraction(1), Fraction(2), P, 3)
+        with pytest.raises(DomainViolation, match=r"^coupling 2 has valuation 0 "):
+            CouplingField.bipartite(Fraction(3), Fraction(2), P, 3)
+
+    def test_one_spin_state_is_refused(self):
+        with pytest.raises(ValueError, match=r"^need at least two spin states, got q=1$"):
+            CouplingField.homogeneous(Fraction(3), P, 1)
+
+    def test_unknown_pattern_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown coupling pattern 'nope'$"):
+            CouplingField("nope", P, 3, {})
+
     def test_zero_coupling_allowed(self):
         J = CouplingField.homogeneous(Fraction(0), P, 3)
         theta = theta_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0), N)
@@ -868,12 +889,18 @@ class TestCouplingField:
 
 
 class TestJsonIngestion:
+    @pytest.mark.parametrize("doc", [[1], "x", 3])
+    def test_document_that_is_not_an_object_is_refused(self, doc):
+        with pytest.raises(ValueError) as err:
+            coupling_from_json(doc)
+        assert str(err.value) == f"a coupling document must be a JSON object, got {doc!r}"
+
     def test_homogeneous(self):
         J = coupling_from_json(
             {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3/1"}}
         )
         assert J.pattern == "homogeneous"
-        assert J.values["J"] == Fraction(3)
+        assert J.level_coupling(1) == Fraction(3)
 
     def test_bipartite(self):
         J = coupling_from_json(
@@ -1060,6 +1087,10 @@ class TestJsonIngestion:
 
 
 class TestBoundaryField:
+    def test_one_spin_state_is_refused(self):
+        with pytest.raises(ValueError, match=r"^need at least two spin states, got q=1$"):
+            BoundaryField(1, P)
+
     def test_assign_validates_dimension(self):
         field = BoundaryField.zero(3, P)
         with pytest.raises(ValueError):

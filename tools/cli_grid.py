@@ -335,6 +335,10 @@ def _errors() -> list:
                      '{"pattern":"homogeneous","p":' + p + ',"q":3,"values":{"J":"3"}}'], {}))
     out.append((["compat-check", "--n", "1", "--couplings",
                  '{"pattern":"homogeneous","p":3,"q":null,"values":{"J":"3"}}'], {}))
+    # couplings documents that are not JSON objects
+    for name, doc in (("array", "[1]"), ("string", '"x"'), ("number", "3")):
+        out.append((["classify", "--couplings", f"couplings-{name}.json"],
+                    {f"couplings-{name}.json": doc}))
     return out
 
 
