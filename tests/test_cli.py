@@ -677,13 +677,11 @@ def test_couplings_document_that_is_not_an_object_is_named(capsys, tmp_path, tex
                    f"JSON object, got {json.loads(text)!r}\n")
 
 
-@pytest.mark.parametrize("flag", ["--couplings", "--field"])
-def test_json_syntax_errors_name_their_line(capsys, tmp_path, flag):
+@pytest.mark.parametrize("flag, what", [("--couplings", "couplings"), ("--field", "field")])
+def test_json_syntax_errors_name_their_line(capsys, tmp_path, flag, what):
     path = tmp_path / "doc.json"
     path.write_text("{not json")
-    code, out, err = run(capsys, "compat-check", "--n", "1", flag,
-                         "{not json" if flag == "--couplings" else str(path))
-    what = "couplings" if flag == "--couplings" else "field"
+    code, out, err = run(capsys, "compat-check", "--n", "1", flag, str(path))
     assert (code, out) == (1, "")
     assert err == (f"config error: {what} JSON at line 1: Expecting property name enclosed "
                    "in double quotes\n")
