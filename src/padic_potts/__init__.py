@@ -1,110 +1,82 @@
-"""Exact p-adic arithmetic and phase analysis for spin systems on trees."""
+"""Exact p-adic arithmetic and phase analysis for spin systems on trees.
 
-from .errors import (
-    DenominatorDegenerate,
-    DivisionByZero,
-    DomainViolation,
-    EnumerationTooLarge,
-    LiftStall,
-    NotInvertible,
-    PadicError,
-    PartitionFunctionDegenerate,
-    PrecisionExhausted,
-)
-from .padic_core import (
-    DEFAULT_PRECISION,
-    PadicNumber,
-    Prime,
-    as_prime,
-    rational_valuation,
-    render_valuation,
-)
-from .padic_analytic import (
-    exp_domain_min_valuation,
-    exp_p,
-    hensel_roots_in_disk,
-    log_p,
-)
-from .cayley_tree import (
-    TreeShape,
-    TreeVertex,
-)
-from .potts_model import (
-    BoundaryField,
-    CompatibilityReport,
-    CouplingField,
-    NormProfileRow,
-    boundary_field_from_json,
-    compatibility_check,
-    coupling_from_json,
-    finite_measure,
-    measure_norm_profile,
-)
-from .gibbs_solver import (
-    VERDICT_INCONCLUSIVE,
-    VERDICT_MULTIPLE_TI,
-    VERDICT_NO_EXTRA_PERIODIC,
-    VERDICT_UNIQUE,
-    PhaseReport,
-    RecursionResult,
-    classify_phase,
-    f_map_z,
-    hprime_to_h,
-    period2_k2_analysis,
-    recursion_backward,
-    solve_k1_bipartite,
-    translation_invariant_cubic,
-    uniqueness_certificate,
-    witness_boundary_field,
-)
+The public names are re-exported lazily (PEP 562): a submodule is imported
+the first time one of its names is read from the package, so a program that
+uses only the scalar kernel never loads the measure engine or the solver.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "errors": (
+        "DenominatorDegenerate",
+        "DivisionByZero",
+        "DomainViolation",
+        "EnumerationTooLarge",
+        "LiftStall",
+        "NotInvertible",
+        "PadicError",
+        "PartitionFunctionDegenerate",
+        "PrecisionExhausted",
+    ),
+    "padic_core": (
+        "DEFAULT_PRECISION",
+        "PadicNumber",
+        "Prime",
+        "as_prime",
+        "rational_valuation",
+        "render_valuation",
+    ),
+    "padic_analytic": (
+        "exp_domain_min_valuation",
+        "exp_p",
+        "hensel_roots_in_disk",
+        "log_p",
+    ),
+    "cayley_tree": (
+        "TreeShape",
+        "TreeVertex",
+    ),
+    "potts_model": (
+        "BoundaryField",
+        "CompatibilityReport",
+        "CouplingField",
+        "NormProfileRow",
+        "boundary_field_from_json",
+        "compatibility_check",
+        "coupling_from_json",
+        "finite_measure",
+        "measure_norm_profile",
+    ),
+    "gibbs_solver": (
+        "VERDICT_INCONCLUSIVE",
+        "VERDICT_MULTIPLE_TI",
+        "VERDICT_NO_EXTRA_PERIODIC",
+        "VERDICT_UNIQUE",
+        "PhaseReport",
+        "RecursionResult",
+        "classify_phase",
+        "f_map_z",
+        "hprime_to_h",
+        "period2_k2_analysis",
+        "recursion_backward",
+        "solve_k1_bipartite",
+        "translation_invariant_cubic",
+        "uniqueness_certificate",
+        "witness_boundary_field",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryField",
-    "CompatibilityReport",
-    "CouplingField",
-    "DEFAULT_PRECISION",
-    "DenominatorDegenerate",
-    "DivisionByZero",
-    "DomainViolation",
-    "EnumerationTooLarge",
-    "LiftStall",
-    "NormProfileRow",
-    "NotInvertible",
-    "PadicError",
-    "PadicNumber",
-    "PartitionFunctionDegenerate",
-    "PhaseReport",
-    "PrecisionExhausted",
-    "Prime",
-    "RecursionResult",
-    "TreeShape",
-    "TreeVertex",
-    "VERDICT_INCONCLUSIVE",
-    "VERDICT_MULTIPLE_TI",
-    "VERDICT_NO_EXTRA_PERIODIC",
-    "VERDICT_UNIQUE",
-    "as_prime",
-    "boundary_field_from_json",
-    "classify_phase",
-    "compatibility_check",
-    "coupling_from_json",
-    "exp_domain_min_valuation",
-    "exp_p",
-    "f_map_z",
-    "finite_measure",
-    "hensel_roots_in_disk",
-    "hprime_to_h",
-    "log_p",
-    "measure_norm_profile",
-    "period2_k2_analysis",
-    "rational_valuation",
-    "recursion_backward",
-    "render_valuation",
-    "solve_k1_bipartite",
-    "translation_invariant_cubic",
-    "uniqueness_certificate",
-    "witness_boundary_field",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value

@@ -20,7 +20,6 @@ import random
 import sys
 from fractions import Fraction
 
-from .cayley_tree import TreeShape
 from .errors import (
     DenominatorDegenerate,
     DomainViolation,
@@ -30,18 +29,19 @@ from .errors import (
     PartitionFunctionDegenerate,
     PrecisionExhausted,
 )
-from .gibbs_solver import classify_phase, recursion_backward
 from .padic_analytic import exp_domain_min_valuation, exp_p, log_p
-from .padic_core import DEFAULT_PRECISION, PadicNumber, Prime, as_prime, render_valuation
-from .potts_model import (
-    BoundaryField,
-    CouplingField,
-    boundary_field_from_json,
-    compatibility_check,
-    coupling_from_json,
-    measure_norm_profile,
+from .padic_core import (
+    DEFAULT_PRECISION,
+    PadicNumber,
+    Prime,
     _INTEGER_TEXT,
+    as_prime,
+    render_valuation,
 )
+
+# The Cayley-tree, measure and solver layers are imported inside the
+# functions that run them, so a command loads only the layers it uses: the
+# exp-log and product-distance suites need none of them.
 
 SUITES = ("exp-log", "product-distance", "contraction", "compat", "all")
 
@@ -83,6 +83,9 @@ def _check_flags(args) -> None:
 
 def _coupling(args) -> CouplingField:
     """The coupling from --couplings, or the default coupling."""
+    from .cayley_tree import TreeShape
+    from .potts_model import coupling_from_json
+
     if args.couplings is None:
         return _default_coupling(args.p or 3, args.q or 3)
     text = args.couplings.strip()
@@ -111,6 +114,9 @@ def _coupling(args) -> CouplingField:
 
 def _boundary_field(args, J: CouplingField) -> BoundaryField:
     """The field from --field on the --k tree, or the zero field."""
+    from .cayley_tree import TreeShape
+    from .potts_model import BoundaryField, boundary_field_from_json
+
     if args.field is None:
         return BoundaryField.zero(J.q, J.prime)
     try:
@@ -131,6 +137,8 @@ def _boundary_field(args, J: CouplingField) -> BoundaryField:
 def _default_coupling(p: int, q: int) -> CouplingField:
     """Homogeneous J = p**v with v the least valuation the exponential admits:
     J = p at odd p, J = 4 at p = 2."""
+    from .potts_model import CouplingField
+
     return CouplingField.homogeneous(Fraction(p ** exp_domain_min_valuation(p)), p, q)
 
 
@@ -139,8 +147,11 @@ def _emit(doc: dict, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 def _p_free(rng: random.Random, p: int, top: int) -> int:
@@ -291,6 +302,9 @@ def _suite_product_distance(args) -> dict:
 
 
 def _suite_contraction(args) -> dict:
+    from .cayley_tree import TreeShape
+    from .gibbs_solver import recursion_backward
+
     rng = random.Random(args.seed)
     p = args.p or 3
     prime = as_prime(p)
@@ -319,6 +333,9 @@ def _suite_contraction(args) -> dict:
 
 
 def _suite_compat(args) -> dict:
+    from .cayley_tree import TreeShape
+    from .potts_model import BoundaryField, CouplingField, compatibility_check
+
     # fixed canonical instances; global flags are deliberately ignored so the
     # suite always exercises the same two measure computations
     N = args.precision
@@ -387,6 +404,8 @@ def _head(args, J: CouplingField, **fields) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from .gibbs_solver import classify_phase
+
     J = _coupling(args)
     report = classify_phase(args.k, J, args.precision)
     _emit(_head(args, J, report=report.to_json()), args.out)
@@ -396,6 +415,8 @@ def cmd_classify(args) -> int:
 def _measure(args, run) -> tuple:
     """``run`` on the shape, field, coupling, n and precision the flags give,
     with the head of the document that reports it."""
+    from .cayley_tree import TreeShape
+
     J = _coupling(args)
     field = _boundary_field(args, J)
     try:
@@ -406,6 +427,8 @@ def _measure(args, run) -> tuple:
 
 
 def cmd_compat_check(args) -> int:
+    from .potts_model import compatibility_check
+
     if args.n < 1:
         raise ConfigError("compat-check needs n >= 1")
     report, doc = _measure(args, compatibility_check)
@@ -421,6 +444,8 @@ def cmd_compat_check(args) -> int:
 
 
 def cmd_norm_profile(args) -> int:
+    from .potts_model import measure_norm_profile
+
     rows, doc = _measure(args, measure_norm_profile)
     # a level's weights all share one valuation, printed as its least and greatest
     doc["rows"] = [

@@ -23,6 +23,7 @@ d0 != 0 is read off u.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,13 @@ from math import gcd
 from .errors import DivisionByZero, PrecisionExhausted
 
 DEFAULT_PRECISION = 32
+
+# The number grammar of every input text: an optional '-', then ASCII digits;
+# a rational may add one '/' and a second run of them.  int and Fraction also
+# read spaces, '_', '+', '.', exponents and other scripts' digits, so each
+# text is matched here before either reads it.
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly

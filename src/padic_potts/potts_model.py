@@ -27,7 +27,6 @@ cross-check meaningful.
 
 from __future__ import annotations
 
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,6 +45,8 @@ from .padic_core import (
     DEFAULT_PRECISION,
     PadicNumber,
     Prime,
+    _INTEGER_TEXT,
+    _RATIONAL_TEXT,
     _vp,
     as_prime,
     rational_valuation,
@@ -350,6 +351,9 @@ class _LevelWeights:
 
     Every exponential is taken to ``digits``, and B is clamped to the least
     absolute precision carried by any of them, so every residue is certain.
+    B below ``digits + MODULUS_HEADROOM`` (``clamped``) is an input's own
+    known_abs, which more digits cannot raise: a wider system would be this
+    one again, so the callers that widen do not.
     The partition sum of a ball loses one factor of |q|_p per vertex
     (``_shift_hint``), so each caller sets ``digits`` by its own rule.
     """
@@ -381,6 +385,7 @@ class _LevelWeights:
         known = [e.known_abs for e in exps if e.known_abs is not None]
         bound = min([digits + MODULUS_HEADROOM, *known])
         self.modulus_exponent, self.modulus = bound, J.prime.value**bound
+        self.clamped = bound < digits + MODULUS_HEADROOM
         self._theta = {i: theta.residue(bound) for i, theta in thetas.items()}
         self._spheres = {m: ([[w.residue(bound) for w in table] for table in tables], *sparse)
                          for m, (tables, *sparse) in spheres.items()}
@@ -467,7 +472,8 @@ def finite_measure(
     The partition sum comes from one tree pass, so a call costs q terms per
     vertex of the ball rather than one per configuration.  The quotient by
     Z is certain to B - 2*zeta digits, zeta = v_p(Z), so the pass widens
-    once to 2*zeta past ``precision`` if zeta outgrew twice its estimate.
+    once to 2*zeta past ``precision`` if zeta outgrew twice its estimate,
+    unless an input's known_abs clamps B.
     """
     _guard(J.q, shape, n, configurations=False)
     couplings = _level_couplings(shape, J, range(1, n + 1))
@@ -476,7 +482,7 @@ def finite_measure(
         system = _LevelWeights(shape, h, J, n, digits, couplings)
         z_res = system.partition_residue()
         zeta = _partition_valuation(z_res, system)
-        if system.modulus_exponent - 2 * zeta >= precision:
+        if system.modulus_exponent - 2 * zeta >= precision or system.clamped:
             break
         digits = precision + 2 * zeta
     M, w_res = system.modulus, 1
@@ -561,10 +567,10 @@ def compatibility_check(
         z_outer = sum(rows[default]) % M
         z_inner = system.partition_residue(n - 1)
         shift = _partition_valuation(z_outer, system) + _partition_valuation(z_inner, system)
-        if B - shift >= threshold:
+        if B - shift >= threshold or system.clamped:
             break
         digits = precision + shift  # estimate fell short; widen once to the exact need
-    else:
+    if B - shift < threshold:
         raise PrecisionExhausted(
             f"working modulus {p}**{B} cannot certify discrepancies to valuation "
             f"{threshold} past the partition valuations",
@@ -638,14 +644,6 @@ def measure_norm_profile(
 
 # ---------------------------------------------------------------------------
 # JSON ingestion
-
-
-# The number grammar of every input text: an optional '-', then ASCII digits;
-# a rational may add one '/' and a second run of them.  int and Fraction also
-# read spaces, '_', '+', '.', exponents and other scripts' digits, so each
-# text is matched here before either reads it.
-_INTEGER_TEXT = re.compile(r"-?[0-9]+")
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _number_reader(convert=lambda x: x):

@@ -7,10 +7,15 @@ import pathlib
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
 
-def test_every_layer_entry_runs_once():
+def _tool():
     spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_every_layer_entry_runs_once():
+    tool = _tool()
     entries = tool._entries()
     names = {name for name, _, _ in entries}
     assert {
@@ -31,3 +36,15 @@ def test_every_layer_entry_runs_once():
         fn()
     assert len(keys) == len(entries)  # no two entries share a record key
     assert tool._speed().sample_ms() > 0  # the reference kernel every record is scaled by
+
+
+def test_every_cold_entry_runs_once_per_tree(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "COLD_REPEATS", 1)
+    measured = tool._measure_cold({"here": str(TOOL.parents[1])})
+    keys = measured["here"]
+    assert len(keys) == len(tool.COLD) == 5  # no two entries share a record key
+    assert {json.loads(key)[1]["argv"] for key in keys} >= {
+        "-c pass", "-I -c pass", "compat-check --n 2", "classify"}
+    for times in keys.values():
+        assert len(times["raw"]) == len(times["scaled"]) == 1 and times["raw"][0] > 0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padic_potts import cli, potts_model
+from padic_potts import cli, gibbs_solver, potts_model
 from padic_potts.cayley_tree import TreeShape, ball_with_edges
 from padic_potts.cli import SUITES, main
 from padic_potts.errors import (
@@ -198,7 +198,7 @@ class TestVerify:
     def test_contraction_reports_its_first_failure(self, capsys, monkeypatch):
         # the second recursion's offsets flattened to their leaf value: no
         # level contracts
-        real, calls = cli.recursion_backward, []
+        real, calls = gibbs_solver.recursion_backward, []
 
         def recursion_backward(*args):
             res = real(*args)
@@ -209,7 +209,7 @@ class TestVerify:
                 )
             return res
 
-        monkeypatch.setattr(cli, "recursion_backward", recursion_backward)
+        monkeypatch.setattr(gibbs_solver, "recursion_backward", recursion_backward)
         code, out, err = run(capsys, "verify", "--suite", "contraction", "--checks", "5", "--n", "3")
         assert (code, err) == (1, "suite violation; see first_failure entries\n")
         assert out == (
@@ -222,14 +222,14 @@ class TestVerify:
     def test_compat_reports_its_first_failure(self, capsys, monkeypatch):
         # the second check's report turned to "holds": the alternating field
         # no longer breaks consistency
-        real, calls = cli.compatibility_check, []
+        real, calls = potts_model.compatibility_check, []
 
         def compatibility_check(*args):
             calls.append(args)
             got = real(*args)
             return dataclasses.replace(got, holds=True) if len(calls) == 2 else got
 
-        monkeypatch.setattr(cli, "compatibility_check", compatibility_check)
+        monkeypatch.setattr(potts_model, "compatibility_check", compatibility_check)
         code, out, err = run(capsys, "verify", "--suite", "compat")
         assert (code, err) == (1, "suite violation; see first_failure entries\n")
         assert out == (
@@ -380,6 +380,13 @@ class TestClassify:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["command"] == "classify"
+
+    def test_out_file_that_cannot_be_written_is_a_config_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "classify", "--p", "3", "--q", "2", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == (f"config error: cannot write output file: [Errno 2] No such file or "
+                       f"directory: {str(target)!r}\n")
 
 
 class TestCompatCheck:

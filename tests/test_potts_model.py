@@ -622,8 +622,8 @@ class TestCompatibility:
             compatibility_check(TreeShape(2), BoundaryField.zero(3, P), J, 0, N)
 
     def test_a_clamped_modulus_that_widening_cannot_lift_is_exhausted(self):
-        # a field component known to 3**10 clamps B at 10 in both passes, short
-        # of the threshold 28 past the partition valuations
+        # a field component known to 3**10 clamps B at 10, short of the
+        # threshold 28 past the partition valuations, and no wider pass lifts it
         J = CouplingField.homogeneous(Fraction(3), P, 2)
         h = BoundaryField.constant((PadicNumber(3, P, N, known_abs=10),))
         with pytest.raises(PrecisionExhausted) as err:
@@ -651,6 +651,25 @@ def test_a_vanishing_partition_residue_is_refused_with_one_message(routine):
         run()
     assert str(err.value) == ("partition sum vanishes mod 3**2; its valuation cannot be "
                               "resolved at this precision")
+
+
+@pytest.mark.parametrize("routine", ("finite_measure", "compatibility_check"))
+def test_a_clamped_modulus_is_built_once(routine, monkeypatch):
+    # a field component known to 3**10 holds B at 10 at any digits, so a
+    # wider pass would build the same weights again
+    shape, n = TreeShape(2), 2
+    J = CouplingField.homogeneous(Fraction(3), P, 2)
+    h = BoundaryField.constant((PadicNumber(3, P, N, known_abs=10),))
+    built = _counting_builds(monkeypatch)
+    if routine == "finite_measure":
+        cfg = {x: 1 + i % 2 for i, x in enumerate(ball_with_edges(shape, n)[0])}
+        got = finite_measure(shape, cfg, h, J, n, N)
+        assert (got.residue(10), got.known_abs, got.precision) == (12436, 10, 10)
+    else:
+        with pytest.raises(PrecisionExhausted) as err:
+            compatibility_check(shape, h, J, n, N)
+        assert err.value.bound == 10
+    assert len(built) == 1
 
 
 class TestNormProfile:

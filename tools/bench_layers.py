@@ -13,7 +13,15 @@ repeats) takes ``speed.REF_MS``, so that records made on different days
 compare.  Each entry of a tree after the first also carries the ratio of
 its scaled median to the first tree's in every round, and their median:
 the spread of those ratios over entries whose code did not change is the
-tool's own A/A band.  Standard library only.
+tool's own A/A band.
+
+The ``cold.*`` entries time whole fresh interpreters: one CLI command run as
+the ``padic-potts`` script runs it, with the tree's ``src`` on PYTHONPATH,
+and two baselines, ``python -c pass`` and ``python -I -c pass``.  Each round
+runs every cold entry COLD_REPEATS times per tree, the trees taking turns run
+by run, and scales each run by the kernel timed just before and after it.
+Whether PYTHONDONTWRITEBYTECODE was set, so that every run recompiled the
+package, is recorded.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,12 +35,24 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 import timeit
 from fractions import Fraction
 
 ROUNDS = 5  # fresh interpreters per tree, taken in turns
 REPEATS = 5  # timeit repeats per round and tree
 KERNEL_SAMPLES = 5  # reference-kernel timings between two timeit repeats
+COLD_REPEATS = 3  # fresh-interpreter runs per round, tree and cold entry
+
+# what the padic-potts script runs
+_SCRIPT = "import sys; from padic_potts.cli import main; sys.exit(main())"
+# (name, params, interpreter arguments) of each fresh-interpreter entry
+COLD = (
+    ("cold.python", {"argv": "-c pass"}, ["-c", "pass"]),
+    ("cold.python", {"argv": "-I -c pass"}, ["-I", "-c", "pass"]),
+    *(("cold.cli", {"argv": argv}, ["-c", _SCRIPT, *argv.split()])
+      for argv in ("verify --suite exp-log --checks 10", "compat-check --n 2", "classify")),
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -358,6 +378,28 @@ def _measure() -> dict:
     return {"kernel_ms": statistics.median(kernel_ms), "entries": result}
 
 
+def _measure_cold(trees: dict) -> dict:
+    """One round of the cold entries: {tree: {key: {"raw", "scaled"}}}, the
+    trees taking turns run by run."""
+    speed = _speed()
+    result: dict = {name: {} for name in trees}
+    for _ in range(COLD_REPEATS):
+        for entry, params, argv in COLD:
+            key = json.dumps([entry, params], sort_keys=True)
+            for name, path in trees.items():
+                env = {**os.environ, "PYTHONPATH": os.path.join(path, "src")}
+                before = [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL,
+                               check=True)
+                t = time.perf_counter() - t0
+                after = [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
+                times = result[name].setdefault(key, {"raw": [], "scaled": []})
+                times["raw"].append(t)
+                times["scaled"].append(t * speed.REF_MS / statistics.median(before + after))
+    return result
+
+
 def _tree_meta(tree: str) -> dict:
     def git(*args):
         run = subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True)
@@ -394,11 +436,14 @@ def main() -> int:
             measured = json.loads(run.stdout)
             kernel_ms[name].append(measured["kernel_ms"])
             rounds[name].append(measured["entries"])
+        for name, entries in _measure_cold(trees).items():
+            rounds[name][-1].update(entries)
     base = next(iter(trees))
     speed = _speed()
     doc = {
         "command": "python3 tools/bench_layers.py " + " ".join(f"--tree {n}=..." for n in trees),
         "python": platform.python_version(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
         "unit": "s per call",
         "median_scaled": f"median at the speed where perfbench/speed.py's kernel takes "

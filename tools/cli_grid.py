@@ -339,6 +339,11 @@ def _errors() -> list:
     for name, doc in (("array", "[1]"), ("string", '"x"'), ("number", "3")):
         out.append((["classify", "--couplings", f"couplings-{name}.json"],
                     {f"couplings-{name}.json": doc}))
+    # --out into a directory that does not exist (an --out path that exists
+    # is read back as the written file, so never an existing directory)
+    for argv in (["verify", "--suite", "exp-log", "--checks", "2"], ["classify"],
+                 ["compat-check"], ["norm-profile"]):
+        out.append(([*argv, "--out", "missing-dir/out.json"], {}))
     return out
 
 
