@@ -19,7 +19,7 @@ The ``cold.*`` entries time whole fresh interpreters: one CLI command run as
 the ``padic-potts`` script runs it, with the tree's ``src`` on PYTHONPATH,
 and two baselines, ``python -c pass`` and ``python -I -c pass``.  Each round
 runs every cold entry COLD_REPEATS times per tree, the trees taking turns run
-by run, and scales each run by the kernel timed just before and after it.
+by run in alternating order, and scales each run by the kernel timed just before and after it.
 Whether PYTHONDONTWRITEBYTECODE was set, so that every run recompiled the
 package, is recorded.  Standard library only.
 """
@@ -42,7 +42,7 @@ from fractions import Fraction
 ROUNDS = 5  # fresh interpreters per tree, taken in turns
 REPEATS = 5  # timeit repeats per round and tree
 KERNEL_SAMPLES = 5  # reference-kernel timings between two timeit repeats
-COLD_REPEATS = 3  # fresh-interpreter runs per round, tree and cold entry
+COLD_REPEATS = 8  # fresh-interpreter runs per round, tree and cold entry
 
 # what the padic-potts script runs
 _SCRIPT = "import sys; from padic_potts.cli import main; sys.exit(main())"
@@ -383,10 +383,12 @@ def _measure_cold(trees: dict) -> dict:
     trees taking turns run by run."""
     speed = _speed()
     result: dict = {name: {} for name in trees}
+    order = list(trees.items())
     for _ in range(COLD_REPEATS):
         for entry, params, argv in COLD:
             key = json.dumps([entry, params], sort_keys=True)
-            for name, path in trees.items():
+            order.reverse()  # no tree always runs first
+            for name, path in order:
                 env = {**os.environ, "PYTHONPATH": os.path.join(path, "src")}
                 before = [speed.sample_ms() for _ in range(KERNEL_SAMPLES)]
                 t0 = time.perf_counter()
