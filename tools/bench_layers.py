@@ -42,7 +42,7 @@ from fractions import Fraction
 ROUNDS = 5  # fresh interpreters per tree, taken in turns
 REPEATS = 5  # timeit repeats per round and tree
 KERNEL_SAMPLES = 5  # reference-kernel timings between two timeit repeats
-COLD_REPEATS = 8  # fresh-interpreter runs per round, tree and cold entry
+COLD_REPEATS = 20  # fresh-interpreter runs per round, tree and cold entry
 
 # what the padic-potts script runs
 _SCRIPT = "import sys; from padic_potts.cli import main; sys.exit(main())"
