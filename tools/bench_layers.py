@@ -19,9 +19,9 @@ The ``cold.*`` entries time whole fresh interpreters: one CLI command run as
 the ``padic-potts`` script runs it, with the tree's ``src`` on PYTHONPATH,
 and two baselines, ``python -c pass`` and ``python -I -c pass``.  Each round
 runs every cold entry COLD_REPEATS times per tree, the trees taking turns run
-by run in alternating order, and scales each run by the kernel timed just before and after it.
-Whether PYTHONDONTWRITEBYTECODE was set, so that every run recompiled the
-package, is recorded.  Standard library only.
+by run in alternating order, and scales each run by the kernel timed just
+before and after it.  Whether PYTHONDONTWRITEBYTECODE was set, so that every
+run recompiled the package, is recorded.  Standard library only.
 """
 
 from __future__ import annotations
