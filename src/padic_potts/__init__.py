@@ -51,7 +51,6 @@ _EXPORTS = {
     "gibbs_solver": (
         "VERDICT_INCONCLUSIVE",
         "VERDICT_MULTIPLE_TI",
-        "VERDICT_NO_EXTRA_PERIODIC",
         "VERDICT_UNIQUE",
         "PhaseReport",
         "RecursionResult",

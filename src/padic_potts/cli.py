@@ -202,8 +202,6 @@ def _certified_distance(lhs, rhs) -> int | float:
         try:
             sides.append(side())
         except PrecisionExhausted as exc:
-            if exc.bound is None:
-                raise
             sides.append(exc.bound)
     a, b = sides
     if isinstance(a, PadicNumber) and isinstance(b, PadicNumber):
@@ -311,7 +309,9 @@ def _suite_contraction(args) -> dict:
     q = args.q or 2
     if q % p == 0:
         raise ConfigError("the contraction suite needs q not divisible by p")
-    n = args.n or 4
+    n = args.n
+    if n < 1:
+        raise ConfigError("the contraction suite needs n >= 1")
     total = args.checks or 25
     N = args.precision
     J = _default_coupling(p, q)
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--field", default=None, help="boundary-field JSON file")
 
     np_ = sub.add_parser(
-        "norm-profile", parents=[common], help="per-level measure norm extremes"
+        "norm-profile", parents=[common], help="per-level measure valuations"
     )
     np_.add_argument("--field", default=None, help="boundary-field JSON file")
 

@@ -49,7 +49,6 @@ from .potts_model import BoundaryField, CouplingField, _guard, _level_couplings
 
 VERDICT_UNIQUE = "unique_by_contraction"
 VERDICT_MULTIPLE_TI = "multiple_translation_invariant"
-VERDICT_NO_EXTRA_PERIODIC = "no_periodic_beyond_translation_invariant"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
@@ -561,8 +560,11 @@ def period2_k2_analysis(
     Eliminating one unknown from the alternating pair system leaves a
     quadratic a*z**2 + b*z + c in the first component.  The classical
     certificate for ruling out extra solutions demands that a and b lose a
-    digit while c stays a unit; this routine measures all three valuations
-    and searches the disk anyway, reporting whatever is actually there.  A
+    digit while c stays a unit.  It never applies to the inputs taken here
+    (an odd p dividing q, theta = exp(J) congruent to 1 mod p): then
+    c = (theta(q - 1) + (theta + q - 2)**2)**2 loses at least two digits.
+    So the routine measures all three valuations, searches the disk and
+    reports whatever is actually there, an inconclusive verdict.  A
     quadratic root is only accepted after the full two-step cycle closes on
     it.
     """
@@ -571,6 +573,8 @@ def period2_k2_analysis(
         raise DomainViolation("the alternating-pair analysis needs an odd prime")
     if q % p.value != 0:
         raise DomainViolation("the alternating-pair analysis targets q divisible by p")
+    if theta.distance_valuation(1) < 1:
+        raise DomainViolation("the alternating-pair analysis needs theta congruent to 1 mod p")
 
     a = (theta * theta + theta + (q - 2)) ** 2
     b = (
@@ -609,16 +613,6 @@ def period2_k2_analysis(
         "disk_root_count": len(roots),
         "cycles": cycles,
     }
-    certificate_holds = vc == 0 and va >= 1 and vb >= 1 and not roots
-    if certificate_holds:
-        return PhaseReport(
-            VERDICT_NO_EXTRA_PERIODIC,
-            [],
-            "the quadratic's constant term is a unit while both other coefficients "
-            "lose a digit, so no root stays in the unit disk around 1; alternating "
-            "laws collapse to constant ones",
-            diag,
-        )
     return PhaseReport(
         VERDICT_INCONCLUSIVE,
         sorted(witnesses, key=_witness_sort_key),

@@ -700,7 +700,7 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
     if kind is None:
         raise ValueError(f"unknown coupling pattern {pattern!r}")
     if not isinstance(raw, kind):
-        what = "an array" if kind is list else "an object"
+        what = "array" if kind is list else "object"
         raise ValueError(f"{pattern} coupling values must be a JSON {what}, got {raw!r}")
     number = _number_reader()
     if pattern != "per_edge":

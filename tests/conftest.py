@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
+from padic_potts.padic_core import PadicNumber
 from padic_potts.potts_model import _level_couplings, _LevelWeights
 
 
@@ -138,6 +140,24 @@ def messages(system, level: int) -> dict:
         if m == level:
             return _by_index(system, level, folded)
     raise ValueError(f"level {level} outside the {system.n}-ball")
+
+
+def zero_field_partitions(shape: TreeShape, J, n: int, digits: int) -> list:
+    """[Z_0, ..., Z_n], the zero field's partition sums on the m-balls, as
+    PadicNumbers over the thetas to ``digits``.  Summing out a leaf gives
+    theta_e + q - 1 whatever its parent's spin, so
+    Z_m = q * prod over the edges e of B_m of (theta_e + q - 1), under any
+    couplings (Baxter, Exactly Solved Models, 1982, ch. 4)."""
+    vertices, edges = ball_with_edges(shape, n)
+    counts = [collections.Counter() for _ in range(n + 1)]  # level m's edges by coupling
+    for i, j in edges:
+        counts[vertices[j].level][coupling_for_edge(J, vertices[i], vertices[j])] += 1
+    z = [PadicNumber(J.q, J.prime, digits)]
+    for level in counts[1:]:
+        z.append(z[-1])
+        for value, count in level.items():
+            z[-1] = z[-1] * (J.theta(value, digits) + (J.q - 1)) ** count
+    return z
 
 
 @pytest.fixture

@@ -106,6 +106,12 @@ class TestVerify:
             '"suite":"contraction"}]}\n'
         )
 
+    def test_contraction_refuses_depth_zero(self, capsys):
+        # --n defaults to 2 in the parser; an explicit 0 is no depth at all
+        code, out, err = run(capsys, "verify", "--suite", "contraction", "--n", "0")
+        assert (code, out) == (1, "")
+        assert err == "config error: the contraction suite needs n >= 1\n"
+
     def test_contraction_refuses_divisible_q(self, capsys):
         code, _, err = run(
             capsys, "verify", "--suite", "contraction", "--q", "3", "--p", "3"
@@ -682,6 +688,17 @@ def test_couplings_document_that_is_not_an_object_is_named(capsys, tmp_path, tex
     assert (code, out) == (1, "")
     assert err == ("config error: couplings field invalid: a coupling document must be a "
                    f"JSON object, got {json.loads(text)!r}\n")
+
+
+@pytest.mark.parametrize("pattern,values,kind", [("homogeneous", ["3"], "object"),
+                                                 ("bipartite", "3", "object"),
+                                                 ("per_edge", {}, "array")])
+def test_couplings_values_of_the_wrong_kind_are_named(capsys, pattern, values, kind):
+    doc = json.dumps({"pattern": pattern, "p": 3, "q": 3, "values": values})
+    code, out, err = run(capsys, "classify", "--couplings", doc)
+    assert (code, out) == (1, "")
+    assert err == (f"config error: couplings field invalid: {pattern} coupling values must "
+                   f"be a JSON {kind}, got {values!r}\n")
 
 
 @pytest.mark.parametrize("flag, what", [("--couplings", "couplings"), ("--field", "field")])

@@ -73,3 +73,28 @@ def test_diff_records_refuses_lists_out_of_step():
         diff([_record(["classify"])], [_record(["verify"])])
     with pytest.raises(ValueError):
         diff([_record(["classify"])], [])
+
+
+def test_every_unrun_line_of_the_package_is_named_with_its_reason(capsys):
+    tool = _tool()
+    run, traced = tool.run, []
+
+    def run_once(*args, **kwargs):  # one traced grid run serves both checks below
+        if not traced:
+            traced.extend(run(*args, **kwargs))
+        return traced
+
+    tool.run = run_once
+    assert tool.coverage(str(ROOT)) == 0, capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith(f"unrun over {len(tool.grid())} invocations, "
+                              f"in {len(lines) - 1} functions")
+    # the same trace against a table that misses one function and names one
+    # whose every line runs
+    missing = lines[0].split()[0]
+    tool.UNRUN = {reason: tuple(f for f in functions if f != missing) + ("cli.main",)
+                  for reason, functions in tool.UNRUN.items()}
+    assert tool.coverage(str(ROOT)) == 1
+    out = capsys.readouterr().out
+    assert f"unrun lines in functions UNRUN does not name: {missing}\n" in out
+    assert "named in UNRUN, yet every line runs: cli.main\n" in out

@@ -592,6 +592,12 @@ class TestAlternatingPairQuadratic:
         with pytest.raises(DomainViolation):
             period2_k2_analysis(theta, 2, N)
 
+    @pytest.mark.parametrize("theta", [2, Fraction(1, 2), 3])
+    def test_needs_theta_congruent_to_one(self, theta):
+        # off 1 mod p the constant term can be a unit, a case no coupling gives
+        with pytest.raises(DomainViolation, match="theta congruent to 1 mod p"):
+            period2_k2_analysis(num(theta), 3, N)
+
     def test_quadratic_divides_composition_condition(self):
         # derive the degree-5 two-cycle condition from the map itself and
         # check it factors as (fixed-point cubic) * (solver quadratic) * const

@@ -18,6 +18,7 @@ from conftest import (
     theta_for_edge,
     weight,
     weights,
+    zero_field_partitions,
 )
 
 from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
@@ -704,6 +705,83 @@ class TestNormProfile:
         rows = measure_norm_profile(shape, BoundaryField.zero(3, P), J, 0, N)
         assert len(rows) == 1
         assert rows[0].level == 0
+
+
+# Depth oracles: the zero field's partition sums in closed form
+# (``zero_field_partitions``) against the tree pass, at depths no brute
+# force reaches.
+
+
+def _drawn_coupling(pattern, shape, n, p, q, rng):
+    """A coupling of ``pattern`` whose values are drawn from p, 2p, p**2,
+    p/2 and -p, one per edge of the n-ball for a per-edge table."""
+    values = [Fraction(p), Fraction(2 * p), Fraction(p * p), Fraction(p, 2), Fraction(-p)]
+    if pattern == "homogeneous":
+        return CouplingField.homogeneous(rng.choice(values), p, q)
+    if pattern == "bipartite":
+        return CouplingField.bipartite(rng.choice(values), rng.choice(values), p, q)
+    vertices, pairs = ball_with_edges(shape, n)
+    return CouplingField.per_edge(
+        {(vertices[i], vertices[j]): rng.choice(values) for i, j in pairs}, p, q)
+
+
+_SPIN_COUNTS = {"p": lambda p: p, "2p": lambda p: 2 * p, "p^2": lambda p: p * p,
+                "2": lambda p: 2, "4": lambda p: 4}
+
+
+@pytest.mark.parametrize("pattern", ("homogeneous", "bipartite", "per_edge"))
+@pytest.mark.parametrize("q_of", _SPIN_COUNTS)
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_zero_field_partition_sums_follow_the_closed_form_at_depth(k, p, q_of, pattern):
+    # every level's partition residue mod p**B, and the profile's rows, are
+    # those of Z_m = q * prod (theta_e + q - 1); where v(Z_m) reaches the
+    # one pass's B the profile refuses that level rather than widen.  Depth
+    # 10 at k = 2, p | q, where a per-edge table's row per vertex over
+    # thousands of digits would take minutes, so it stops at 6 as p | q does not
+    q = _SPIN_COUNTS[q_of](p)
+    n = {1: 8, 2: 10 if q % p == 0 and pattern != "per_edge" else 6, 3: 4}[k]
+    rng = random.Random(f"depth-{k}-{p}-{q}-{pattern}")
+    shape = TreeShape(k)
+    J = _drawn_coupling(pattern, shape, n, p, q, rng)
+    h = BoundaryField.zero(q, p)
+    Z = zero_field_partitions(shape, J, n, N + 2 * _shift_hint(shape, J, n))
+    resolved = []
+    for m, z in enumerate(Z):
+        system = weights(shape, h, J, m, N + 2 * _shift_hint(shape, J, m))  # the profile's pass
+        B = system.modulus_exponent
+        assert system.partition_residue() == z.residue(B)
+        resolved.append(z.norm_valuation() < B)
+    depth = resolved.index(False) if False in resolved else n + 1
+    rows = measure_norm_profile(shape, h, J, depth - 1, N)
+    assert [r.valuation for r in rows] == [-z.norm_valuation() for z in Z[:depth]]
+    if depth <= n:
+        with pytest.raises(PartitionFunctionDegenerate):
+            measure_norm_profile(shape, h, J, depth, N)
+
+
+@pytest.mark.parametrize("pattern", ("homogeneous", "bipartite", "per_edge"))
+@pytest.mark.parametrize("p,q", ((3, 3), (3, 2), (5, 10)))
+@pytest.mark.parametrize("k,n", ((1, 3), (2, 2), (3, 1)))
+def test_finite_measure_of_the_zero_field_follows_the_closed_form(k, n, p, q, pattern):
+    # the weight of a configuration is the product of theta_e over its
+    # agreeing edges, so its measure is that product over Z_n
+    rng = random.Random(f"measure-{k}-{n}-{p}-{q}-{pattern}")
+    shape = TreeShape(k)
+    J = _drawn_coupling(pattern, shape, n, p, q, rng)
+    h = BoundaryField.zero(q, p)
+    digits = N + 4 * _shift_hint(shape, J, n) + 8
+    Z = zero_field_partitions(shape, J, n, digits)[n]
+    vertices, edges = ball_with_edges(shape, n)
+    for _ in range(5):
+        cfg = {x: rng.randrange(1, q + 1) for x in vertices}
+        w = PadicNumber.one(p, digits)
+        for i, j in edges:
+            if cfg[vertices[i]] == cfg[vertices[j]]:
+                w = w * theta_for_edge(J, vertices[i], vertices[j], digits)
+        want, got = w / Z, finite_measure(shape, cfg, h, J, n, N)
+        assert want.known_abs >= got.known_abs
+        assert got.distance_valuation(want) >= got.known_abs
 
 
 class _CountingTable(dict):

@@ -2,6 +2,7 @@
 
     python3 tools/cli_grid.py TREE OUT.json
     python3 tools/cli_grid.py --compare OLD NEW
+    python3 tools/cli_grid.py --coverage TREE
 
 TREE is a checkout root.  Its ``src`` is imported in one fresh interpreter,
 which runs every invocation of the grid through ``padic_potts.cli.main`` in
@@ -12,6 +13,12 @@ it names the tree, so two trees whose CLI behaves alike give byte-identical
 files: compare them with ``cmp``.  ``--compare`` runs the grid on both trees
 and prints how many records differ, names the first few by argv and by field
 (exit, stdout, stderr, written), and exits 1 on any difference.
+``--coverage`` runs the grid on one tree under a line tracer set before the
+package is imported, and prints the package's executable lines (those its
+compiled code objects list) that no invocation runs, by function in source
+order, with the reason ``UNRUN`` gives; it exits 1 when a function keeps
+unrun lines that ``UNRUN`` does not name, or ``UNRUN`` names one whose lines
+all run.
 
 The grid covers every verify suite over seeds and N = 8 to 128, the
 contraction suite over p, q, k and n, classify, compat-check and
@@ -24,12 +31,14 @@ non-default seed.  Standard library only.
 
 from __future__ import annotations
 
+import glob
 import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,11 +47,126 @@ WORKLOAD_CYCLES = 2
 FIELDS = ("exit", "stdout", "stderr", "written")
 SHOWN = 5  # differing records named by --compare
 
-# one invocation per line of stdin: [argv, files]; one result per line of stdout
+# Each function of the package that may keep lines no grid invocation runs,
+# under the reason it may (a function with lines of two kinds is under both).
+UNRUN = {
+    "library API the CLI does not call": (
+        "__init__.__getattr__",  # the CLI imports the submodules themselves
+        "cayley_tree.TreeShape.level_start",
+        "cayley_tree.TreeVertex.__post_init__",
+        "cayley_tree.TreeVertex.root",
+        "cayley_tree.TreeVertex.is_root",
+        "cayley_tree.TreeVertex.child",
+        "cayley_tree.TreeVertex.parent",
+        "cayley_tree.TreeVertex.__repr__",
+        "cayley_tree.ball_with_edges",
+        "padic_core.PadicNumber.__reduce__",
+        "padic_core.PadicNumber.is_exact",
+        "padic_core.PadicNumber.norm",
+        "padic_core.PadicNumber.is_unit",
+        "padic_core.PadicNumber.neg",
+        "padic_core.PadicNumber.inverse",  # of an exact number
+        "padic_core.PadicNumber.__pow__",  # to a negative exponent
+        "padic_core.PadicNumber.__eq__",
+        "padic_core.PadicNumber.__repr__",
+        "potts_model.CouplingField.per_edge.<locals>.address",  # address-string keys
+        "potts_model.BoundaryField.__init__",  # entries given to the constructor
+        "potts_model.BoundaryField.assign",
+    ),
+    "library input the CLI refuses first or never builds: out-of-range or mistyped "
+    "arguments, zero, exact or mixed-prime values, and q prime to p, which classify "
+    "answers before its branches": (
+        "cayley_tree.TreeShape.__post_init__",
+        "cayley_tree.TreeShape._check_level",
+        "gibbs_solver.recursion_backward",
+        "gibbs_solver._report",
+        "gibbs_solver.solve_k1_bipartite",
+        "gibbs_solver.period2_k2_analysis",
+        "padic_analytic.exp_p",
+        "padic_analytic.log_p",
+        "padic_analytic.hensel_roots_in_disk",
+        "padic_core.as_prime",
+        "padic_core.PadicNumber.__new__",
+        "padic_core.PadicNumber._ratio",
+        "padic_core.PadicNumber.from_fraction",
+        "padic_core.PadicNumber.from_ratio",
+        "padic_core.PadicNumber.from_residue",
+        "padic_core.PadicNumber.value",
+        "padic_core.PadicNumber.leading_digits",
+        "padic_core.PadicNumber.residue",
+        "padic_core.PadicNumber._check_same_prime",
+        "padic_core.PadicNumber._coerce",
+        "padic_core.PadicNumber._operator.<locals>.op",
+        "padic_core.PadicNumber.__pow__",
+        "padic_core.PadicNumber.render",
+        "potts_model.CouplingField.__post_init__",
+        "potts_model.CouplingField.per_edge",
+        "potts_model.BoundaryField.__init__",
+        "potts_model.BoundaryField._checked",
+        "potts_model.BoundaryField.by_parity",
+        "potts_model._LevelWeights.__init__",
+        "potts_model.compatibility_check",
+    ),
+    "the witness bridge (a classify witness to its field and finite measures), "
+    "which no command runs yet": (
+        "cayley_tree.TreeShape.level_addresses",  # the root level, read by finite_measure
+        "gibbs_solver.hprime_to_h",
+        "gibbs_solver._offset_valuation",
+        "gibbs_solver.witness_boundary_field",
+        "potts_model.BoundaryField.constant",
+        "potts_model.finite_measure",
+        "potts_model._residue_quotient",
+    ),
+    "the p | q recursion, and the inputs the contraction suite never draws: it refuses "
+    "p | q and draws exact laws off 1 under one nonzero homogeneous coupling": (
+        "gibbs_solver.f_map_z",
+        "gibbs_solver.recursion_backward",
+        "gibbs_solver._object_fold",
+        "gibbs_solver._object_fold.<locals>.<listcomp>",
+        "gibbs_solver._theta_terms",
+        "gibbs_solver._law_offsets",
+        "gibbs_solver._integer_fold",
+        "gibbs_solver._offset_valuation",
+    ),
+    "error exits and branches no CLI input reaches: a degenerate denominator, a root "
+    "candidate the search prunes or cannot tell from zero, or an inexact input, which "
+    "the CLI never builds": (
+        "gibbs_solver._mobius_step",
+        "gibbs_solver.solve_k1_bipartite",
+        "padic_analytic.hensel_roots_in_disk",
+        "padic_core.PadicNumber.__new__",
+        "padic_core.PadicNumber.residue",
+        "padic_core.PadicNumber.inverse",
+        "padic_core.PadicNumber.valuation_at_least",
+        "potts_model.compatibility_check",
+    ),
+    "branches that run only when a check fails": (
+        "cli._tally",
+        "cli.cmd_verify",
+    ),
+    "the python -m entry": (
+        "cli.<module>",
+    ),
+}
+
+# one invocation per line of stdin: [argv, files]; one result per line of
+# stdout.  With a second argument the child traces, before the package is
+# imported, every line the package runs, and ends with {module: [lines run]}.
 _CHILD = r"""
 import contextlib, io, json, os, sys
 src = sys.argv[1]
 sys.path.insert(0, src)
+ran = set()
+if len(sys.argv) > 2:
+    package = os.path.join(src, "padic_potts") + os.sep
+
+    def tracer(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return tracer
+
+    sys.settrace(lambda frame, event, arg:
+                 tracer if frame.f_code.co_filename.startswith(package) else None)
 from padic_potts import cli
 if not os.path.abspath(cli.__file__).startswith(src + os.sep):
     sys.exit(f"padic_potts imported from {cli.__file__}, not from {src}")
@@ -71,6 +195,12 @@ for line in sys.stdin:
               "stderr": err.getvalue(), "written": written}
     sys.__stdout__.write(json.dumps(record, sort_keys=True) + "\n")
     sys.__stdout__.flush()
+if len(sys.argv) > 2:
+    sys.settrace(None)
+    lines = {}
+    for path, number in ran:
+        lines.setdefault(os.path.basename(path)[:-3], []).append(number)
+    sys.__stdout__.write(json.dumps(lines, sort_keys=True) + "\n")
 """
 
 
@@ -99,7 +229,7 @@ def _contraction() -> list:
                     out.append((["verify", "--suite", "contraction", "--p", str(p),
                                  "--q", str(q), "--k", str(k), "--n", str(n),
                                  "--checks", "3", "--seed", str(p + q + k + n)], {}))
-    # n = 0 takes the suite's default depth; N = 8 lets offsets run past it
+    # n = 0 is refused; N = 8 lets offsets run past its depth
     out.append((["verify", "--suite", "contraction", "--n", "0", "--checks", "2"], {}))
     out.append((["verify", "--suite", "contraction", "--precision", "8", "--k", "1",
                  "--n", "10", "--p", "3", "--q", "2", "--seed", "1"], {}))
@@ -143,6 +273,20 @@ def _measures() -> list:
     for k, n in ((1, 5), (2, 3)):
         for command in ("norm-profile", "compat-check"):
             out.append(([command, "--k", str(k), "--n", str(n), "--couplings", six], {}))
+    # classify branches no record above takes: the primality test's
+    # Miller-Rabin squarings, the k = 1 line with a zero coupling (one root,
+    # no certificate), and both rows of the two-adic threshold table
+    zero_line = ('{"pattern":"bipartite","p":3,"q":3,'
+                 '"values":{"even_to_odd":"0","odd_to_even":"3"}}')
+    out.append((["classify", "--p", "1997", "--q", "2"], {}))
+    out.append((["classify", "--p", "3", "--q", "3", "--k", "1", "--couplings", zero_line], {}))
+    out.append((["classify", "--p", "2", "--q", "4", "--couplings",
+                 '{"pattern":"homogeneous","p":2,"q":4,"values":{"J":"0"}}'], {}))
+    out.append((["classify", "--p", "2", "--q", "8"], {}))
+    # J = 0 at k = 2, p | q: the reduced cubic (z - 1)(z + q - 1)**2 has a
+    # double root in the disk, which the root search cannot separate
+    out.append((["classify", "--couplings",
+                 '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":"0"}}'], {}))
     return out + _deep_tables() + _depth()
 
 
@@ -339,6 +483,30 @@ def _errors() -> list:
     for name, doc in (("array", "[1]"), ("string", '"x"'), ("number", "3")):
         out.append((["classify", "--couplings", f"couplings-{name}.json"],
                     {f"couplings-{name}.json": doc}))
+    # values of the wrong JSON kind for their pattern
+    for pattern, values in (("homogeneous", '["3"]'), ("per_edge", "{}")):
+        out.append((["classify", "--couplings",
+                     '{"pattern":"' + pattern + '","p":3,"q":3,"values":' + values + "}"], {}))
+    # past the guard's vertex count, the int-string digit limit (a flag and a
+    # field file's JSON integer) and the primality test's deterministic range
+    out.append((["norm-profile", "--n", "17200"], {}))
+    out.append((["classify", "--p", "9" * 5000], {}))
+    out.append((["compat-check", "--k", "1", "--n", "1", "--field", "bad-int.json"],
+                {"bad-int.json": '{"": [' + "9" * 5000 + ", 0]}"}))
+    out.append((["classify", "--p", "3317044064679887385961983"], {}))
+    # the zero field's partition valuation at J = -3 (3 per edge) outgrows
+    # the one pass norm-profile takes at n = 4
+    out.append((["norm-profile", "--p", "3", "--q", "3", "--k", "2", "--n", "4", "--couplings",
+                 '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":"-3"}}'], {}))
+    # a composite with no factor up to 41, which only Miller-Rabin refuses
+    out.append((["classify", "--p", str(43 * 47)], {}))
+    # a multiplicative exp-log check whose log(z * w) cancels past its digits
+    out.append((["verify", "--suite", "exp-log", "--p", "2", "--checks", "50", "--seed", "61",
+                 "--precision", "8"], {}))
+    # a k = 1 period-two root whose cycle residual misses the precision
+    out.append((["classify", "--p", "3", "--q", "3", "--k", "1", "--precision", "512",
+                 "--couplings", '{"pattern":"bipartite","p":3,"q":3,'
+                 '"values":{"even_to_odd":"15/4","odd_to_even":"-42/5"}}'], {}))
     # --out into a directory that does not exist (an --out path that exists
     # is read back as the written file, so never an existing directory)
     for argv in (["verify", "--suite", "exp-log", "--checks", "2"], ["classify"],
@@ -369,15 +537,17 @@ def grid() -> list:
     return _suites() + _contraction() + _measures() + _errors() + _workloads()
 
 
-def run(tree: str, invocations: list) -> list:
-    """Run the invocations against ``tree``'s ``src`` in one fresh interpreter."""
+def run(tree: str, invocations: list, trace: bool = False) -> list:
+    """Run the invocations against ``tree``'s ``src`` in one fresh interpreter.
+    With ``trace``, the records are followed by {module: [lines run]}."""
     src = os.path.join(os.path.abspath(tree), "src")
     env = {**os.environ, "COLUMNS": "80", "PYTHONHASHSEED": "0"}
     env.pop("PYTHONPATH", None)
     with tempfile.TemporaryDirectory() as work:
         stdin = "".join(json.dumps(inv) + "\n" for inv in invocations)
-        proc = subprocess.run([sys.executable, "-c", _CHILD, src], input=stdin, cwd=work,
-                              env=env, capture_output=True, text=True, check=False)
+        proc = subprocess.run([sys.executable, "-c", _CHILD, src, *["trace"] * trace],
+                              input=stdin, cwd=work, env=env, capture_output=True,
+                              text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"grid interpreter failed:\n{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines()]
@@ -405,12 +575,75 @@ def compare(old_tree: str, new_tree: str) -> int:
     return 1 if diffs else 0
 
 
+def executable_lines(tree: str) -> dict:
+    """{module: {line: function}} over ``tree``'s ``src/padic_potts``: every
+    line its compiled code objects list, nested code included, named
+    ``module.qualname`` by the outermost code object that lists it."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(tree, "src", "padic_potts", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            codes = [compile(fh.read(), path, "exec")]
+        names = out[module] = {}
+        for code in codes:  # outer code before the code it nests
+            for _, _, line in code.co_lines():
+                if line:  # None lists no line, 0 the module's entry
+                    names.setdefault(line, f"{module}.{code.co_qualname}")
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return out
+
+
+def _spans(lines: list) -> str:
+    """Sorted line numbers as comma-separated runs, like 3-5,9."""
+    runs: list = []
+    for line in lines:
+        if runs and runs[-1][1] == line - 1:
+            runs[-1][1] = line
+        else:
+            runs.append([line, line])
+    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
+def coverage(tree: str) -> int:
+    """Print the lines of ``tree``'s package that no grid invocation runs, by
+    function in source order; 1 if a function keeps unrun lines that
+    ``UNRUN`` does not name, or ``UNRUN`` names one whose lines all run."""
+    invocations = grid()
+    ran = run(tree, invocations, trace=True)[-1]
+    unrun: dict = {}  # function -> its unrun lines, in source order
+    total = 0
+    for module, names in executable_lines(tree).items():
+        done = set(ran.get(module, ()))
+        total += len(names)
+        for line in sorted(names):
+            if line not in done:
+                unrun.setdefault(names[line], []).append(line)
+    reasons: dict = {}
+    for reason, functions in UNRUN.items():
+        for function in functions:
+            reasons.setdefault(function, []).append(reason)
+    for function, lines in unrun.items():
+        print(f"{function} {_spans(lines)}: {'; '.join(reasons.get(function, ['NOT NAMED']))}")
+    count = sum(map(len, unrun.values()))
+    print(f"{count} of {total} executable lines unrun over {len(invocations)} "
+          f"invocations, in {len(unrun)} functions")
+    unnamed = [f for f in unrun if f not in reasons]
+    stale = [f for f in reasons if f not in unrun]
+    if unnamed:
+        print(f"unrun lines in functions UNRUN does not name: {', '.join(unnamed)}")
+    if stale:
+        print(f"named in UNRUN, yet every line runs: {', '.join(stale)}")
+    return 1 if unnamed or stale else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 3 and args[0] == "--compare":
         return compare(args[1], args[2])
+    if len(args) == 2 and args[0] == "--coverage":
+        return coverage(args[1])
     if len(args) != 2 or args[0].startswith("-"):
-        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:4]),
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:5]),
               file=sys.stderr)
         return 2
     tree, out = args
