@@ -35,7 +35,6 @@ _EXPORTS = {
     ),
     "cayley_tree": (
         "TreeShape",
-        "TreeVertex",
     ),
     "potts_model": (
         "BoundaryField",

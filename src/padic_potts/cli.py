@@ -320,7 +320,7 @@ def _suite_contraction(args) -> dict:
     class RandomLaws:
         # a fresh law for each sphere vertex the recursion reads, in its
         # reading order, so nothing is drawn before its guard has passed
-        def __getitem__(self, vertex) -> tuple[PadicNumber, ...]:
+        def __getitem__(self, address) -> tuple[PadicNumber, ...]:
             return tuple(_random_law_component(rng, prime, N) for _ in range(q - 1))
 
     def outcomes():

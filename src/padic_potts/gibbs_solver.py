@@ -128,9 +128,9 @@ def recursion_backward(
     """Propagate boundary laws from the n-th sphere down to the root.
 
     Each parent's law is the product over its children of the single-edge
-    factor.  ``boundary_z`` maps every vertex of the n-th sphere to its
-    law, a tuple of q - 1 PadicNumbers; it is read once per vertex, in
-    address order, after the guard on the ball's size has passed.
+    factor.  ``boundary_z`` maps the address of every vertex of the n-th
+    sphere to its law, a tuple of q - 1 PadicNumbers; it is read once per
+    vertex, in address order, after the guard on the ball's size has passed.
 
     In the regime of claim (i) -- q prime to p, every theta - 1 of
     valuation >= 1, and every boundary component exactly 1 or congruent to
@@ -158,7 +158,7 @@ def recursion_backward(
     if n < 1:
         raise ValueError("recursion needs at least one level")
     _guard(J.q, shape, n, configurations=False)
-    laws = [boundary_z[x] for x in shape.level_vertices(n)]
+    laws = [boundary_z[a] for a in shape.level_addresses(n)]
     couplings = _level_couplings(shape, J, range(n, 0, -1))
     result = _integer_fold(shape, couplings, laws, J, n, precision)
     if result is None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .cayley_tree import TreeShape, TreeVertex
+from .cayley_tree import TreeShape, parse_address, render_address
 from .errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -62,6 +62,16 @@ MODULUS_HEADROOM = 3
 COMPAT_MARGIN = 4
 
 SpinLabel = int  # labels 1..q; a site table holds spin s's factor at index s - 1
+
+
+def _is_address(key) -> bool:
+    # a tuple of nonnegative ints, by a loop: all() over a generator costs twice as much
+    if type(key) is not tuple:
+        return False
+    for i in key:
+        if type(i) is not int or i < 0:
+            return False
+    return True
 
 
 def _check_coupling_admissible(value: Fraction, p: Prime) -> None:
@@ -115,29 +125,15 @@ class CouplingField:
 
     @classmethod
     def per_edge(cls, table, p, q: int) -> "CouplingField":
-        """A coupling per edge from {(parent, child): value}, each end a
-        ``TreeVertex`` or its address string, held by the child's address:
-        the one place that knows how an edge is named.  A key that names no
-        edge (a child off its parent) or an edge named before is refused."""
+        """A coupling per edge from {child address: value}: an edge is named
+        by its child.  A key that is not a nonempty tuple of nonnegative ints
+        names no edge and is refused."""
         values = {}
-
-        def address(end) -> tuple[int, ...]:
-            if isinstance(end, TreeVertex):
-                return end.address
-            if not isinstance(end, str):
-                raise TypeError(f"an edge end is a TreeVertex or an address string, got {end!r}")
-            return TreeVertex.from_string(end).address
-
-        for (x, y), J in table.items():
-            parent, child = address(x), address(y)
-            if not child or child[:-1] != parent:
-                raise ValueError(f"per-edge key {str(x)!r} -> {str(y)!r} names no edge: "
-                                 f"the child is not a direct successor of the parent")
-            edges = len(values)
+        for child, J in table.items():
+            if not (child and _is_address(child)):
+                raise ValueError(f"per-edge key {child!r} names no edge: an edge is named by "
+                                 f"its child's address, a nonempty tuple of nonnegative ints")
             values[child] = J if type(J) is Fraction else Fraction(J)  # kept, not copied
-            if len(values) == edges:
-                edge = " -> ".join(repr(".".join(map(str, a))) for a in (parent, child))
-                raise ValueError(f"per-edge table names edge {edge} twice")
         return cls("per_edge", as_prime(p), q, values)
 
     def level_coupling(self, m: int) -> Fraction | None:
@@ -183,12 +179,16 @@ class BoundaryField:
         self._pair = (zero, zero)
         self._table: dict[int, dict[tuple[int, ...], tuple]] = {}  # each level's, by address
         self._site_cache: dict[tuple, list[PadicNumber]] = {}
-        for vertex, vec in (assignment or {}).items():
-            self.assign(vertex, vec)
+        for address, vec in (assignment or {}).items():
+            self.assign(address, vec)
 
-    def assign(self, vertex: TreeVertex, vec) -> None:
-        vec = self._checked(vec, str(vertex) or "root")
-        self._table.setdefault(vertex.level, {})[vertex.address] = vec
+    def assign(self, address: tuple[int, ...], vec) -> None:
+        """Give the vertex at ``address`` (a tuple of child indices) its own vector."""
+        if not _is_address(address):
+            raise ValueError(f"field key {address!r} is not a vertex address: "
+                             f"a tuple of nonnegative ints")
+        vec = self._checked(vec, render_address(address) or "root")
+        self._table.setdefault(len(address), {})[address] = vec
 
     def _checked(self, vec, where) -> tuple[PadicNumber, ...]:
         vec = tuple(vec)
@@ -321,7 +321,7 @@ def _level_couplings(shape: TreeShape, J: CouplingField, levels) -> tuple[list, 
                                for o, a in enumerate(shape.level_addresses(m))}, None)
         except KeyError as missing:
             child = missing.args[0]
-            parent, child = (".".join(map(str, a)) for a in (child[:-1], child))
+            parent, child = map(render_address, (child[:-1], child))
             raise KeyError(f"no coupling listed for edge {parent!r} -> {child!r}") from None
     return [Fraction(*key) for key in ids], read
 
@@ -332,8 +332,8 @@ class _LevelWeights:
 
     A level is its distinct rows and the map from vertex offset to row: a
     default row and the offsets off it (``_sparse``).  Children and parents
-    are found by index arithmetic (``cayley_tree``), so the pass makes no
-    vertex objects, and it folds one row per distinct signature, not per
+    are found by index arithmetic (``cayley_tree``), so the pass reads no
+    addresses, and it folds one row per distinct signature, not per
     vertex: a parent's message depends only on the (row, coupling) pairs of
     its children.  A zero, constant or parity field under homogeneous or
     bipartite couplings is then one row per level, a sparse field file the
@@ -461,13 +461,14 @@ def _partition_valuation(z_res: int, system: _LevelWeights) -> int:
 
 def finite_measure(
     shape: TreeShape,
-    cfg: dict[TreeVertex, SpinLabel],
+    cfg: dict[tuple[int, ...], SpinLabel],
     h: BoundaryField,
     J: CouplingField,
     n: int,
     precision: int = DEFAULT_PRECISION,
 ) -> PadicNumber:
-    """The normalized weight of the spins ``cfg`` in the n-ball ensemble.
+    """The normalized weight in the n-ball ensemble of the spins ``cfg``,
+    {address: label in 1..q}; any other label is refused before any pass.
 
     The partition sum comes from one tree pass, so a call costs q terms per
     vertex of the ball rather than one per configuration.  The quotient by
@@ -476,6 +477,12 @@ def finite_measure(
     unless an input's known_abs clamps B.
     """
     _guard(J.q, shape, n, configurations=False)
+    spins = [[cfg[a] for a in shape.level_addresses(m)] for m in range(n + 1)]  # by level
+    for m, level in enumerate(spins):
+        for a, s in zip(shape.level_addresses(m), level):
+            if not (type(s) is int and 1 <= s <= J.q):
+                raise ValueError(f"spin {s!r} at vertex {render_address(a)!r} is not a "
+                                 f"label in 1..{J.q}")
     couplings = _level_couplings(shape, J, range(1, n + 1))
     digits = precision + 2 * _shift_hint(shape, J, n)
     for _ in range(2):
@@ -486,16 +493,14 @@ def finite_measure(
             break
         digits = precision + 2 * zeta
     M, w_res = system.modulus, 1
-    above = [cfg[x] for x in shape.level_vertices(0)]
     for m in range(1, n + 1):  # the theta of each edge whose ends agree
-        spins, step = [cfg[x] for x in shape.level_vertices(m)], shape.successor_count(m - 1)
+        above, step = spins[m - 1], shape.successor_count(m - 1)
         default, off = system._couplings[m - 1]
-        for o, s in enumerate(spins):
+        for o, s in enumerate(spins[m]):
             if s == above[o // step]:
                 w_res = w_res * system._theta[off.get(o, default)] % M
-        above = spins
     rows, default, off = system._spheres[n]
-    for o, s in enumerate(above):  # and the site row of each sphere vertex
+    for o, s in enumerate(spins[n]):  # and the site row of each sphere vertex
         w_res = w_res * rows[off.get(o, default)][s - 1] % M
     return _residue_quotient(w_res, z_res, zeta, system)
 
@@ -669,7 +674,7 @@ def _number_reader(convert=lambda x: x):
     return number
 
 
-def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingField:
+def coupling_from_json(doc: dict, shape: TreeShape) -> CouplingField:
     """Build a CouplingField from its JSON form.
 
     {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3/1"}}
@@ -678,8 +683,7 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
 
     ``p`` (a prime) and ``q`` are JSON integers or strings of one, each value
     a JSON integer or a string like "-6/5" (``_RATIONAL_TEXT``).  Every
-    per-edge row must name an edge no other row names, its parent the
-    child's; given a ``shape``, the child must also be a vertex of its tree.
+    per-edge row must name an edge of ``shape`` that no other row names.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a coupling document must be a JSON object, got {doc!r}")
@@ -719,29 +723,24 @@ def coupling_from_json(doc: dict, shape: TreeShape | None = None) -> CouplingFie
         x, y, value = row
         if not (isinstance(x, str) and isinstance(y, str)):
             raise ValueError(f"edge addresses must be strings like '0.1', got {x!r} -> {y!r}")
-        parent, child = TreeVertex.from_string(x), TreeVertex.from_string(y)
-        a = child.address
-        if shape is not None and (not a or a not in shape or a[:-1] != parent.address):
+        parent, child = parse_address(x), parse_address(y)
+        if not child or child not in shape or child[:-1] != parent:
             k = shape.branching
             raise ValueError(f"per-edge row {x!r} -> {y!r} names no edge of the k={k} tree")
         edges = len(table)
-        table[parent, child] = number(value)
+        table[child] = number(value)
         if len(table) == edges:  # an earlier row named this edge: find which
-            first = next(i for i, (x, y, _) in enumerate(raw)
-                         if (parent, child) == tuple(map(TreeVertex.from_string, (x, y))))
+            first = next(i for i, (_, y, _) in enumerate(raw) if parse_address(y) == child)
             raise ValueError(f"per-edge rows {first} and {index} both name edge "
-                             f"{str(parent)!r} -> {str(child)!r}")
+                             f"{render_address(parent)!r} -> {render_address(child)!r}")
     return CouplingField.per_edge(table, p, q)
 
 
-def boundary_field_from_json(
-    doc: dict, q: int, p, shape: TreeShape | None = None
-) -> BoundaryField:
+def boundary_field_from_json(doc: dict, q: int, p, shape: TreeShape) -> BoundaryField:
     """Build a BoundaryField from {"address": ["num/den", ...], ...}.
 
     The root is the empty address "" and unlisted vertices stay at zero.
-    Each address must name its own vertex ("0" and "00" name one), and
-    given a ``shape``, one of its vertices.
+    Each address must name its own vertex of ``shape`` ("0" and "00" name one).
     """
     if not isinstance(doc, dict):
         raise ValueError("a field document must map addresses to component lists")
@@ -757,8 +756,8 @@ def boundary_field_from_json(
                 f"field at {address!r} must list {q - 1} components, got {len(values)}"
             )
         vec = tuple(component(v) for v in values)
-        vertex = TreeVertex.from_string(address)
-        if shape is not None and vertex.address not in shape:
+        a = parse_address(address)
+        if a not in shape:
             k = shape.branching
             raise ValueError(
                 f"field address {address!r} names no vertex of the k={k} tree, whose root "
@@ -766,12 +765,11 @@ def boundary_field_from_json(
             )
         key = tuple(map(id, vec))
         if key not in checked:
-            checked[key] = out._checked(vec, str(vertex) or "root")
-        level = out._table.setdefault(vertex.level, {})
-        entries = len(level)
-        level[vertex.address] = checked[key]
-        if len(level) == entries:  # an earlier address named this vertex: find which
-            first = next(a for a in doc if TreeVertex.from_string(a) == vertex)
+            checked[key] = out._checked(vec, render_address(a) or "root")
+        level = out._table.setdefault(len(a), {})
+        if a in level:  # an earlier address named this vertex: find which
+            first = next(x for x in doc if parse_address(x) == a)
             raise ValueError(f"field addresses {first!r} and {address!r} both name vertex "
-                             f"{str(vertex)!r}")
+                             f"{render_address(a)!r}")
+        level[a] = checked[key]
     return out

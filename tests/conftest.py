@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
+from padic_potts.cayley_tree import TreeShape
 from padic_potts.padic_core import PadicNumber
 from padic_potts.potts_model import _level_couplings, _LevelWeights
 
@@ -28,38 +28,56 @@ def exp_domain_fraction(rng: random.Random, p: int, spread: int = 3) -> Fraction
     return unit_fraction(rng, p) * Fraction(p) ** (vmin + rng.randrange(0, spread))
 
 
-def vertex_parity(x: TreeVertex) -> str:
-    """The parity class of ``x``: "even" or "odd" with its level."""
-    return "even" if x.level % 2 == 0 else "odd"
+def vertex_parity(a: tuple[int, ...]) -> str:
+    """The parity class of the vertex at ``a``: "even" or "odd" with its level."""
+    return "even" if len(a) % 2 == 0 else "odd"
 
 
-def direct_successors(shape: TreeShape, x: TreeVertex) -> list[TreeVertex]:
-    """The children of ``x``: k+1 of them at the root, k elsewhere."""
-    count = shape.branching + 1 if x.is_root else shape.branching
-    return [x.child(i) for i in range(count)]
+def direct_successors(shape: TreeShape, a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The children of the vertex at ``a``: k+1 of them at the root, k elsewhere."""
+    count = shape.branching + 1 if not a else shape.branching
+    return [a + (i,) for i in range(count)]
 
 
-# Vertex-keyed readings of the library's inputs and weight systems: the
+def level_start(shape: TreeShape, m: int) -> int:
+    """The index of level m's first vertex in level order: |B_{m-1}|."""
+    return shape.ball_size(m - 1) if m else 0
+
+
+def ball_with_edges(shape: TreeShape, n: int) -> tuple[list, list[tuple[int, int]]]:
+    """The addresses of the n-ball in level order, with the (parent index,
+    child index) pair of every edge, each parent found by index arithmetic."""
+    shape._check_level(n)
+    vertices = [a for m in range(n + 1) for a in shape.level_addresses(m)]
+    pairs: list[tuple[int, int]] = []
+    for m in range(1, n + 1):
+        start, above = level_start(shape, m), level_start(shape, m - 1)
+        step = shape.successor_count(m - 1)
+        pairs += [(above + o // step, start + o) for o in range(shape.sphere_size(m))]
+    return vertices, pairs
+
+
+# Address-keyed readings of the library's inputs and weight systems: the
 # oracles the tests compare the index-addressed passes with.
 
 
-def coupling_for_edge(J, parent: TreeVertex, child: TreeVertex) -> Fraction:
-    """The coupling on the edge parent -> child; a KeyError if a per-edge
+def coupling_for_edge(J, child: tuple[int, ...]) -> Fraction:
+    """The coupling on the edge into ``child``; a KeyError if a per-edge
     table lists no such edge."""
-    value = J.level_coupling(parent.level + 1)
-    return J.values[child.address] if value is None else value
+    value = J.level_coupling(len(child))
+    return J.values[child] if value is None else value
 
 
-def theta_for_edge(J, parent: TreeVertex, child: TreeVertex, precision: int):
-    """exp of the coupling on the edge parent -> child, from J's cache."""
-    return J.theta(coupling_for_edge(J, parent, child), precision)
+def theta_for_edge(J, child: tuple[int, ...], precision: int):
+    """exp of the coupling on the edge into ``child``, from J's cache."""
+    return J.theta(coupling_for_edge(J, child), precision)
 
 
-def field_at(h, vertex: TreeVertex) -> tuple:
-    """The vector ``h`` gives ``vertex``: its own entry, else its level's
-    parity default."""
-    got = h._table.get(vertex.level, {}).get(vertex.address)
-    return h._pair[vertex.level % 2] if got is None else got
+def field_at(h, a: tuple[int, ...]) -> tuple:
+    """The vector ``h`` gives the vertex at ``a``: its own entry, else its
+    level's parity default."""
+    got = h._table.get(len(a), {}).get(a)
+    return h._pair[len(a) % 2] if got is None else got
 
 
 def spin_pairing(h: tuple, s: int):
@@ -84,20 +102,20 @@ def weights(shape: TreeShape, h, J, n: int, digits: int, inner: bool = False):
                          inner)
 
 
-def site_exponentials(h, vertex: TreeVertex, precision: int) -> list:
-    """The site table of ``vertex``, from the field's cache."""
-    return h._site_table(field_at(h, vertex), precision)
+def site_exponentials(h, a: tuple[int, ...], precision: int) -> list:
+    """The site table of the vertex at ``a``, from the field's cache."""
+    return h._site_table(field_at(h, a), precision)
 
 
-def ball_vertices(system) -> list[TreeVertex]:
-    """The vertices of a weight system's ball, in level order."""
+def ball_vertices(system) -> list[tuple[int, ...]]:
+    """The addresses of a weight system's ball, in level order."""
     return ball_with_edges(system.shape, system.n)[0]
 
 
 def _by_index(system, m: int, level: tuple) -> dict[int, list[int]]:
     # level m's rows of a weight system, keyed by vertex index
     rows, default, off = level
-    start = system.shape.level_start(m)
+    start = level_start(system.shape, m)
     return {start + o: rows[off.get(o, default)] for o in range(system.shape.sphere_size(m))}
 
 
@@ -150,8 +168,8 @@ def zero_field_partitions(shape: TreeShape, J, n: int, digits: int) -> list:
     couplings (Baxter, Exactly Solved Models, 1982, ch. 4)."""
     vertices, edges = ball_with_edges(shape, n)
     counts = [collections.Counter() for _ in range(n + 1)]  # level m's edges by coupling
-    for i, j in edges:
-        counts[vertices[j].level][coupling_for_edge(J, vertices[i], vertices[j])] += 1
+    for _, j in edges:
+        counts[len(vertices[j])][coupling_for_edge(J, vertices[j])] += 1
     z = [PadicNumber(J.q, J.prime, digits)]
     for level in counts[1:]:
         z.append(z[-1])

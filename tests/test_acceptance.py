@@ -11,7 +11,9 @@ import random
 import time
 from fractions import Fraction
 
-from padic_potts.cayley_tree import TreeShape, ball_with_edges
+from conftest import ball_with_edges
+
+from padic_potts.cayley_tree import TreeShape
 from padic_potts.gibbs_solver import (
     VERDICT_MULTIPLE_TI,
     _offset_valuation,

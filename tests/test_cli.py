@@ -9,11 +9,12 @@ import types
 from fractions import Fraction
 
 import pytest
+from conftest import ball_with_edges
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padic_potts import cli, gibbs_solver, potts_model
-from padic_potts.cayley_tree import TreeShape, ball_with_edges
+from padic_potts.cayley_tree import TreeShape, render_address
 from padic_potts.cli import SUITES, main
 from padic_potts.errors import (
     DenominatorDegenerate,
@@ -497,9 +498,9 @@ class TestCompatCheck:
         # level order, though not in the order the rows are listed
         vertices, pairs = ball_with_edges(TreeShape(2), 3)
         missing = {("0.1", "0.1.0"), ("1", "1.1")}
-        rows = [[str(vertices[i]), str(vertices[j]), ("3", "6", "9/2")[j % 3]]
-                for i, j in reversed(pairs)
-                if (str(vertices[i]), str(vertices[j])) not in missing]
+        edges = [(render_address(vertices[i]), render_address(vertices[j]), j)
+                 for i, j in reversed(pairs)]
+        rows = [[x, y, ("3", "6", "9/2")[j % 3]] for x, y, j in edges if (x, y) not in missing]
         doc = {"pattern": "per_edge", "p": 3, "q": 2, "values": rows}
         code, out, err = run(capsys, command, "--k", "2", "--n", "3", "--couplings",
                              json.dumps(doc))
@@ -592,7 +593,7 @@ class TestCompatCheck:
             return exp_p(x, precision)
 
         monkeypatch.setattr(potts_model, "exp_p", counting_exp)
-        addresses = [str(v) for v in ball_with_edges(TreeShape(2), 2)[0]]
+        addresses = [render_address(a) for a in ball_with_edges(TreeShape(2), 2)[0]]
         field = tmp_path / "field.json"
         field.write_text(json.dumps({a: ["3", "9/2"] for a in addresses}))
         code, out, err = run(capsys, "compat-check", "--k", "2", "--n", "2", "--field", str(field))

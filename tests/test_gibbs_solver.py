@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    ball_with_edges,
     exp_domain_fraction,
     field_at,
     messages,
@@ -13,7 +14,7 @@ from conftest import (
 )
 
 from padic_potts import gibbs_solver
-from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
+from padic_potts.cayley_tree import TreeShape, render_address
 from padic_potts.errors import (
     DenominatorDegenerate,
     DomainViolation,
@@ -254,7 +255,7 @@ def _random_coupling(rng, pattern, shape, n, p, q):
         return CouplingField.bipartite(draw(), draw(), p, q)
     values = [draw() for _ in range(3)]
     vertices, pairs = ball_with_edges(shape, n)
-    table = {(vertices[i], vertices[j]): rng.choice(values) for i, j in pairs}
+    table = {vertices[j]: rng.choice(values) for _, j in pairs}
     return CouplingField.per_edge(table, p, q)
 
 
@@ -344,8 +345,8 @@ class TestIntegerFold:
         shape, p = TreeShape(2), 3
         vertices, pairs = ball_with_edges(shape, 3)
         missing = {("0.1", "0.1.0"), ("1", "1.1")}
-        table = {(vertices[i], vertices[j]): Fraction(3 * (1 + j % 3)) for i, j in pairs
-                 if (str(vertices[i]), str(vertices[j])) not in missing}
+        table = {vertices[j]: Fraction(3 * (1 + j % 3)) for i, j in pairs
+                 if (render_address(vertices[i]), render_address(vertices[j])) not in missing}
         J = CouplingField.per_edge(table, p, q)
         laws = {x: (PadicNumber(1 + 3 * (i + 1), p),) * (q - 1)
                 for i, x in enumerate(vertices[shape.ball_size(2):])}
@@ -709,14 +710,14 @@ class TestWitnessField:
         # one-site weight ratios exp(pairing(h, s) - pairing(h, q))
         z = (num(-2), num(4))
         field = witness_boundary_field(z, precision=48)
-        h = field_at(field, TreeVertex.root())
+        h = field_at(field, ())
         for i in (1, 2):
             ratio = exp_p(spin_pairing(h, i) - spin_pairing(h, 3))
             assert ratio.distance_valuation(z[i - 1]) >= 25
 
     def test_trivial_witness_gives_zero_field(self):
         field = witness_boundary_field(pvec([1, 1]))
-        h = field_at(field, TreeVertex.root())
+        h = field_at(field, ())
         assert all(c.is_zero for c in h)
 
     def test_empty_law_refused(self):

@@ -47,7 +47,7 @@ def test_a_fresh_interpreter_loads_only_the_layers_a_command_runs(argv, layers):
 
 
 def test_every_public_name_is_its_submodules_object():
-    assert len(padic_potts.__all__) == 45 and padic_potts.__all__[-1] == "__version__"
+    assert len(padic_potts.__all__) == 44 and padic_potts.__all__[-1] == "__version__"
     for module, names in padic_potts._EXPORTS.items():
         owner = importlib.import_module(f"padic_potts.{module}")
         for name in names:

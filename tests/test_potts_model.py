@@ -7,10 +7,12 @@ from types import SimpleNamespace
 import pytest
 from conftest import (
     ball_vertices,
+    ball_with_edges,
     coupling_for_edge,
     edge_residues,
     exp_domain_fraction,
     field_at,
+    level_start,
     messages,
     site_exponentials,
     site_residues,
@@ -21,7 +23,7 @@ from conftest import (
     zero_field_partitions,
 )
 
-from padic_potts.cayley_tree import TreeShape, TreeVertex, ball_with_edges
+from padic_potts.cayley_tree import TreeShape, parse_address, render_address
 from padic_potts.errors import (
     DomainViolation,
     EnumerationTooLarge,
@@ -85,9 +87,8 @@ def hamiltonian(shape, cfg, J, n, precision):
     vertices, pairs = ball_with_edges(shape, n)
     total = Fraction(0)
     for i, j in pairs:
-        x, y = vertices[i], vertices[j]
-        if cfg[x] == cfg[y]:
-            total += coupling_for_edge(J, x, y)
+        if cfg[vertices[i]] == cfg[vertices[j]]:
+            total += coupling_for_edge(J, vertices[j])
     return PadicNumber.from_fraction(-total, J.prime, precision)
 
 
@@ -140,9 +141,8 @@ class TestHamiltonian:
             spins = {v: rng.randrange(1, 4) for v in vertices}
             total = Fraction(0)
             for child in vertices[1:]:
-                parent = child.parent()
-                if spins[parent] == spins[child]:
-                    total -= coupling_for_edge(J, parent, child)
+                if spins[child[:-1]] == spins[child]:
+                    total -= coupling_for_edge(J, child)
             got = hamiltonian(shape, spins, J, 2, N)
             if total == 0:
                 assert got.is_zero
@@ -196,7 +196,7 @@ class TestFiniteMeasure:
         shape = TreeShape(1)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
         h = BoundaryField.zero(2, P)
-        theta = theta_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0), N)
+        theta = theta_for_edge(J, (0,), N)
         verts = ball_with_edges(shape, 1)[0]
         all_same = {v: 1 for v in verts}
         spins = {v: 1 for v in verts}
@@ -224,6 +224,18 @@ class TestFiniteMeasure:
             a = finite_measure(shape, cfg, h, J, 1, N)
             b = finite_measure(shape, cfg_swapped, h_swapped, J, 1, N)
             assert a == b
+
+    @pytest.mark.parametrize("bad", [0, -1, 4, 2.0, True, "1", None])
+    def test_spin_label_outside_one_to_q_is_refused(self, bad):
+        # read as a site-table index s - 1, 0 and -1 would wrap around to
+        # spins 3 and 2, 4 would overrun the table and 2.0 fail as an index
+        shape = TreeShape(1)
+        J = CouplingField.homogeneous(Fraction(3), P, 3)
+        h = BoundaryField.constant(vec([3, Fraction(9, 2)]))
+        cfg = {(): 1, (0,): 2, (1,): bad}
+        with pytest.raises(ValueError) as err:
+            finite_measure(shape, cfg, h, J, 1, N)
+        assert str(err.value) == f"spin {bad!r} at vertex '1' is not a label in 1..3"
 
     def test_measure_values_unit_norm_when_q_unit(self):
         shape = TreeShape(2)
@@ -351,13 +363,13 @@ def _per_vertex_levels(system, h, J, shape, n, work):
     vertex: the oracle for the tree pass, which folds one row per signature."""
     B, M, q = system.modulus_exponent, system.modulus, system.q
     vertices, pairs = ball_with_edges(shape, n)
-    thetas = [theta_for_edge(J, vertices[i], vertices[j], work).residue(B) for i, j in pairs]
+    thetas = [theta_for_edge(J, vertices[j], work).residue(B) for _, j in pairs]
     msgs = [[w.residue(B) for w in site_exponentials(h, x, work)]
-            for x in vertices[shape.level_start(n):]]
+            for x in vertices[level_start(shape, n):]]
     levels = {n: msgs}
     for m in range(n, 0, -1):
         step = shape.successor_count(m - 1)
-        first = shape.level_start(m) - 1  # the edge into level m's first vertex
+        first = level_start(shape, m) - 1  # the edge into level m's first vertex
         folded = [[1] * q for _ in range(len(msgs) // step)]
         for o, child in enumerate(msgs):
             t, total, a = thetas[first + o] - 1, sum(child), o // step
@@ -370,7 +382,7 @@ def _pooled_per_edge(shape, n, q, p, rng):
     """A per-edge table of two values, the second on about one edge in ten."""
     pool = [exp_domain_fraction(rng, p) for _ in range(2)]
     vertices, pairs = ball_with_edges(shape, n)
-    table = {(vertices[i], vertices[j]): pool[rng.random() < 0.1] for i, j in pairs}
+    table = {vertices[j]: pool[rng.random() < 0.1] for _, j in pairs}
     return CouplingField.per_edge(table, p, q)
 
 
@@ -395,14 +407,14 @@ def test_collapsed_pass_matches_the_per_vertex_fold(k, n, coupling_kind):
             J = _coupling(coupling_kind, shape, n, q, p, rng)
         h = _field("parity" if field_kind == "sparse" else field_kind, shape, n, q, p, rng)
         if field_kind == "sparse":
-            sphere = ball_with_edges(shape, n)[0][shape.level_start(n):]
+            sphere = ball_with_edges(shape, n)[0][level_start(shape, n):]
             h.assign(rng.choice(sphere), tuple(
                 PadicNumber.from_fraction(exp_domain_fraction(rng, p), p, N) for _ in range(q - 1)))
         system = weights(shape, h, J, n, N)
         levels = _per_vertex_levels(system, h, J, shape, n, N)
         assert system.partition_residue() == sum(levels[0][0]) % system.modulus
         for m in range(n + 1):
-            assert messages(system, m) == dict(enumerate(levels[m], shape.level_start(m)))
+            assert messages(system, m) == dict(enumerate(levels[m], level_start(shape, m)))
 
 
 def _inexact_field(shape, n, q, p, rng):
@@ -455,7 +467,7 @@ def _coupling(kind, shape, n, q, p, rng):
             exp_domain_fraction(rng, p), exp_domain_fraction(rng, p), p, q
         )
     vertices, pairs = ball_with_edges(shape, n)
-    table = {(vertices[i], vertices[j]): exp_domain_fraction(rng, p) for i, j in pairs}
+    table = {vertices[j]: exp_domain_fraction(rng, p) for _, j in pairs}
     return CouplingField.per_edge(table, p, q)
 
 
@@ -722,7 +734,7 @@ def _drawn_coupling(pattern, shape, n, p, q, rng):
         return CouplingField.bipartite(rng.choice(values), rng.choice(values), p, q)
     vertices, pairs = ball_with_edges(shape, n)
     return CouplingField.per_edge(
-        {(vertices[i], vertices[j]): rng.choice(values) for i, j in pairs}, p, q)
+        {vertices[j]: rng.choice(values) for _, j in pairs}, p, q)
 
 
 @pytest.mark.parametrize("pattern", ("homogeneous", "bipartite", "per_edge"))
@@ -772,7 +784,7 @@ def test_finite_measure_of_the_zero_field_follows_the_closed_form(k, n, p, q, pa
         w = PadicNumber.one(p, digits)
         for i, j in edges:
             if cfg[vertices[i]] == cfg[vertices[j]]:
-                w = w * theta_for_edge(J, vertices[i], vertices[j], digits)
+                w = w * theta_for_edge(J, vertices[j], digits)
         want, got = w / Z, finite_measure(shape, cfg, h, J, n, N)
         assert want.known_abs >= got.known_abs
         assert got.distance_valuation(want) >= got.known_abs
@@ -780,14 +792,14 @@ def test_finite_measure_of_the_zero_field_follows_the_closed_form(k, n, p, q, pa
 
 class _CountingTable(dict):
     """A per-edge table, by child address, that counts every read of an
-    edge by its (parent, child) address strings."""
+    edge by its child's address."""
 
     def __init__(self, table):
         super().__init__(table)
         self.reads = Counter()
 
     def __getitem__(self, child):
-        self.reads[".".join(map(str, child[:-1])), ".".join(map(str, child))] += 1
+        self.reads[child] += 1
         return super().__getitem__(child)
 
 
@@ -813,7 +825,7 @@ def _counting_builds(monkeypatch):
 
 def _every_edge(shape, n, value):
     vertices, pairs = ball_with_edges(shape, n)
-    return {(str(vertices[i]), str(vertices[j])): value for i, j in pairs}
+    return {vertices[j]: value for _, j in pairs}
 
 
 class TestCouplingsReadOnce:
@@ -863,8 +875,7 @@ class TestCouplingsReadOnce:
         # the integer fold to the object fold, which reads no coupling again
         shape, n = TreeShape(2), 3
         vertices, pairs = ball_with_edges(shape, n)
-        table = {(str(vertices[i]), str(vertices[j])): Fraction(3 * (1 + e % 3))
-                 for e, (i, j) in enumerate(pairs)}
+        table = {vertices[j]: Fraction(3 * (1 + e % 3)) for e, (_, j) in enumerate(pairs)}
         J = CouplingField.per_edge(table, P, 2)
         leaves = vertices[shape.ball_size(n - 1):]
         laws = {x: (PadicNumber(1 + 3 * (i + 1), P),) for i, x in enumerate(leaves)}
@@ -888,9 +899,8 @@ class TestCouplingField:
         check = potts_model._check_coupling_admissible
         monkeypatch.setattr(potts_model, "_check_coupling_admissible",
                             lambda value, p: checked.append(value) or check(value, p))
-        root = TreeVertex.root()
         values = [Fraction(3), Fraction(6), Fraction(3), Fraction(1, 2), Fraction(6), Fraction(1)]
-        table = {(root, root.child(i)): v for i, v in enumerate(values)}
+        table = {(i,): v for i, v in enumerate(values)}
         with pytest.raises(DomainViolation, match=r"^coupling 1/2 has valuation 0 "):
             CouplingField.per_edge(table, P, 3)  # the first inadmissible value in table order
         assert checked == [3, 6, Fraction(1, 2)]
@@ -914,18 +924,16 @@ class TestCouplingField:
 
     def test_zero_coupling_allowed(self):
         J = CouplingField.homogeneous(Fraction(0), P, 3)
-        theta = theta_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0), N)
+        theta = theta_for_edge(J, (0,), N)
         assert theta == PadicNumber.from_fraction(Fraction(1), P, theta.precision)
 
     def test_bipartite_assigns_by_parent_parity(self):
         J = CouplingField.bipartite(Fraction(3), Fraction(6), P, 3)
-        root = TreeVertex.root()
-        c = root.child(0)
-        cc = c.child(0)
-        assert coupling_for_edge(J, root, c) == Fraction(3)
-        assert coupling_for_edge(J, c, cc) == Fraction(6)
-        t1 = theta_for_edge(J, root, c, N)
-        t2 = theta_for_edge(J, c, cc, N)
+        c, cc = (0,), (0, 0)
+        assert coupling_for_edge(J, c) == Fraction(3)
+        assert coupling_for_edge(J, cc) == Fraction(6)
+        t1 = theta_for_edge(J, c, N)
+        t2 = theta_for_edge(J, cc, N)
         x3 = PadicNumber.from_fraction(Fraction(3), P, N)
         x6 = PadicNumber.from_fraction(Fraction(6), P, N)
         assert t1.distance_valuation(exp_p(x3)) >= 30
@@ -933,62 +941,35 @@ class TestCouplingField:
 
     def test_theta_cache_returns_same_object(self):
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        a = theta_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0), N)
-        b = theta_for_edge(J, TreeVertex.root().child(1), TreeVertex.root().child(1).child(0), N)
+        a = theta_for_edge(J, (0,), N)
+        b = theta_for_edge(J, (1, 0), N)
         assert a is b
 
-    @pytest.mark.parametrize("parent,child", [("0", "1"), ("", ""), ("0", ""), ("1", "0.0"),
-                                              ("", "0.0"), ("0.0", "0")])
-    def test_per_edge_refuses_a_key_that_names_no_edge(self, parent, child):
-        # the table is held by child address: such a key would set another edge
-        text = (f"per-edge key {parent!r} -> {child!r} names no edge: the child is not a "
-                f"direct successor of the parent")
-        x, y = TreeVertex.from_string(parent), TreeVertex.from_string(child)
-        for key in ((parent, child), (x, y), (parent, y)):
-            with pytest.raises(ValueError) as err:
-                CouplingField.per_edge({(TreeVertex.root(), TreeVertex((0,))): 3, key: 6}, P, 3)
-            assert str(err.value) == text
-        doc = {"pattern": "per_edge", "p": 3, "q": 3,
-               "values": [["", "0", "3"], [parent, child, "6"]]}
+    @pytest.mark.parametrize("key", [(), "0.1", "0", 0, (0, -1), (0, "1"), (0, 1.0), (0, True)])
+    def test_per_edge_refuses_a_key_that_is_no_child_address(self, key):
+        # an edge is named by its child, a nonempty tuple of nonnegative ints
         with pytest.raises(ValueError) as err:
-            coupling_from_json(doc)  # no shape to check the rows against
-        assert str(err.value) == text
-
-    @pytest.mark.parametrize("first,second", [
-        (("", "0"), (TreeVertex.root(), "0")),
-        (("", "0"), ("", "00")),
-        ((TreeVertex.root(), TreeVertex((0,))), ("", "0")),
-    ])
-    def test_per_edge_refuses_two_keys_of_one_edge(self, first, second):
-        # both keys would set the edge's one entry, the later silently
-        with pytest.raises(ValueError) as err:
-            CouplingField.per_edge({first: 3, second: 6}, P, 3)
-        assert str(err.value) == "per-edge table names edge '' -> '0' twice"
-
-    def test_per_edge_refuses_an_end_that_is_no_address(self):
-        with pytest.raises(TypeError, match=r"^an edge end is a TreeVertex or an address "
-                                            r"string, got 0$"):
-            CouplingField.per_edge({("", "0"): 3, (0, "0.1"): 6}, P, 3)
+            CouplingField.per_edge({(0,): 3, key: 6}, P, 3)
+        assert str(err.value) == (f"per-edge key {key!r} names no edge: an edge is named by "
+                                  f"its child's address, a nonempty tuple of nonnegative ints")
 
     def test_per_edge_lookup(self):
-        root = TreeVertex.root()
-        c0 = root.child(0)
-        J = CouplingField.per_edge({(root, c0): Fraction(3)}, P, 3)
-        assert coupling_for_edge(J, root, c0) == Fraction(3)
+        J = CouplingField.per_edge({(0,): Fraction(3)}, P, 3)
+        assert coupling_for_edge(J, (0,)) == Fraction(3)
         with pytest.raises(KeyError):
-            coupling_for_edge(J, root, root.child(1))
+            coupling_for_edge(J, (1,))
 
 
 class TestJsonIngestion:
     @pytest.mark.parametrize("doc", [[1], "x", 3])
     def test_document_that_is_not_an_object_is_refused(self, doc):
         with pytest.raises(ValueError) as err:
-            coupling_from_json(doc)
+            coupling_from_json(doc, TreeShape(2))
         assert str(err.value) == f"a coupling document must be a JSON object, got {doc!r}"
 
     def test_homogeneous(self):
         J = coupling_from_json(
-            {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3/1"}}
+            {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "3/1"}}, TreeShape(2)
         )
         assert J.pattern == "homogeneous"
         assert J.level_coupling(1) == Fraction(3)
@@ -1000,45 +981,53 @@ class TestJsonIngestion:
                 "p": 3,
                 "q": 3,
                 "values": {"even_to_odd": "3", "odd_to_even": "6"},
-            }
+            },
+            TreeShape(2),
         )
-        assert coupling_for_edge(J, TreeVertex.root(), TreeVertex.root().child(0)) == 3
+        assert coupling_for_edge(J, (0,)) == 3
 
     def test_inadmissible_rejected_with_diagnostic(self):
         with pytest.raises(DomainViolation):
             coupling_from_json(
-                {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/2"}}
+                {"pattern": "homogeneous", "p": 3, "q": 3, "values": {"J": "1/2"}}, TreeShape(2)
             )
 
-    @pytest.mark.parametrize("shape", [None, TreeShape(2)], ids=["no shape", "k=2"])
     @pytest.mark.parametrize("row", ["ab0", "000", ["", "1", "3", "9"], ["", "1"], 5, {}],
                              ids=["string", "digit string", "four", "two", "number", "object"])
-    def test_per_edge_row_of_the_wrong_shape_is_named(self, shape, row):
+    def test_per_edge_row_of_the_wrong_shape_is_named(self, row):
         doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": [["", "0", "3"], row]}
         with pytest.raises(ValueError) as err:
-            coupling_from_json(doc, shape)
+            coupling_from_json(doc, TreeShape(2))
         assert str(err.value) == (
             f"per-edge row 1 must be a [parent, child, value] array, got {row!r}")
 
     def test_per_edge_rows_checked_against_a_shape(self):
         values = [["", "3", "3"], ["3", "3.1", "6"]]
         doc = {"pattern": "per_edge", "p": 3, "q": 3, "values": values}
-        J = coupling_from_json(doc)  # no shape: any well-formed rows
-        assert coupling_for_edge(J, TreeVertex.root(), TreeVertex.root().child(3)) == 3
         J = coupling_from_json(doc, TreeShape(3))  # the root has children 0..3
-        assert coupling_for_edge(J, TreeVertex((3,)), TreeVertex((3, 1))) == 6
+        assert coupling_for_edge(J, (3,)) == 3
+        assert coupling_for_edge(J, (3, 1)) == 6
         with pytest.raises(ValueError, match="'' -> '3' names no edge of the k=2 tree"):
             coupling_from_json(doc, TreeShape(2))
 
-    @pytest.mark.parametrize("shape", [None, TreeShape(1)], ids=["no shape", "k=1"])
+    @pytest.mark.parametrize("parent,child", [("0", "1"), ("", ""), ("0", ""), ("1", "0.0"),
+                                              ("", "0.0"), ("0.0", "0")])
+    def test_per_edge_row_whose_child_is_off_its_parent_is_refused(self, parent, child):
+        # the table is held by child address: such a row would set another edge
+        doc = {"pattern": "per_edge", "p": 3, "q": 3,
+               "values": [["", "0", "3"], [parent, child, "6"]]}
+        with pytest.raises(ValueError) as err:
+            coupling_from_json(doc, TreeShape(2))
+        assert str(err.value) == f"per-edge row {parent!r} -> {child!r} names no edge of the k=2 tree"
+
     @pytest.mark.parametrize("child", ["0", "00"])
-    def test_per_edge_rows_naming_one_edge_twice_are_refused(self, shape, child):
+    def test_per_edge_rows_naming_one_edge_twice_are_refused(self, child):
         # the later row used to win: the norm profile's level 1 read -4 or
         # -3 by row order
         doc = {"pattern": "per_edge", "p": 3, "q": 3,
                "values": [["", "0", "3"], ["", "1", "3"], ["", child, "6"]]}
         with pytest.raises(ValueError) as err:
-            coupling_from_json(doc, shape)
+            coupling_from_json(doc, TreeShape(1))
         assert str(err.value) == "per-edge rows 0 and 2 both name edge '' -> '0'"
 
     @pytest.mark.parametrize("first,second,vertex", [
@@ -1053,15 +1042,15 @@ class TestJsonIngestion:
 
     def test_field_document(self):
         doc = {"": ["3", "0"], "0": ["9/2", "3"]}
-        field = boundary_field_from_json(doc, 3, P)
-        at_root = field_at(field, TreeVertex.root())
+        field = boundary_field_from_json(doc, 3, P, TreeShape(2))
+        at_root = field_at(field, ())
         assert at_root[0] == PadicNumber.from_fraction(Fraction(3), P, N)
-        unlisted = field_at(field, TreeVertex.root().child(2))
+        unlisted = field_at(field, (2,))
         assert all(c.is_zero for c in unlisted)
 
     def test_field_document_rejects_inadmissible(self):
         with pytest.raises(DomainViolation):
-            boundary_field_from_json({"": ["1", "0"]}, 3, P)
+            boundary_field_from_json({"": ["1", "0"]}, 3, P, TreeShape(2))
 
     def test_field_document_names_the_first_of_two_bad_entries(self):
         # a constant or parity file repeats one vector at every address: the
@@ -1100,7 +1089,7 @@ class TestJsonIngestion:
         want = {"": vec([3, 0]), "0": vec([Fraction(9, 2), 3]), "1": vec([3, 0]),
                 "2": vec([3, 0]), "0.0": vec([0, 0])}
         for address, v in want.items():
-            assert field_at(field, TreeVertex.from_string(address)) == v
+            assert field_at(field, parse_address(address)) == v
 
     @pytest.mark.parametrize(
         "k,address", [(1, "2"), (1, "7.3"), (1, "0.1"), (2, "3"), (2, "0.2"), (3, "1.0.3")]
@@ -1112,13 +1101,13 @@ class TestJsonIngestion:
     def test_field_address_past_the_ball_is_accepted(self):
         deep = "1.0.0.0.0.0"
         field = boundary_field_from_json({deep: ["3", "0"]}, 3, P, TreeShape(1))
-        assert field_at(field, TreeVertex.from_string(deep)) == vec([3, 0])
+        assert field_at(field, parse_address(deep)) == vec([3, 0])
 
     def test_library_field_entry_off_the_tree_is_never_read(self):
         # assign checks no shape, so (0, 2), off the k = 2 tree, is held; read
         # as a base-2 numeral it would land on vertex 1.0's offset
         J, shape = CouplingField.homogeneous(3, P, 3), TreeShape(2)
-        field = BoundaryField(3, P, {TreeVertex((0, 2)): vec([3, 9])})
+        field = BoundaryField(3, P, {(0, 2): vec([3, 9])})
         report = compatibility_check(shape, field, J, 2)
         assert report == compatibility_check(shape, BoundaryField.zero(3, P), J, 2)
         assert (report.holds, report.max_discrepancy_valuation) == (True, 35)
@@ -1126,7 +1115,7 @@ class TestJsonIngestion:
     @pytest.mark.parametrize("spelling", ["0.1", "00.01", "0.001"])
     def test_field_address_spellings_key_one_entry(self, spelling):
         field = boundary_field_from_json({spelling: ["3", "0"]}, 3, P, TreeShape(2))
-        assert field_at(field, TreeVertex.from_string("0.1")) == vec([3, 0])
+        assert field_at(field, parse_address("0.1")) == vec([3, 0])
 
     # JSON true and false are ints to Python, equal to and hashing as 1 and 0:
     # every place that reads a number refuses them
@@ -1156,8 +1145,8 @@ class TestJsonIngestion:
         # an optional '-' and ASCII digits, a rational one '/' and more digits
         doc = {"pattern": "bipartite", "p": 3, "q": 3,
                "values": {"even_to_odd": "3", "odd_to_even": text}}
-        for read in (lambda: coupling_from_json(doc),
-                     lambda: boundary_field_from_json({"": ["3", text]}, 3, P)):
+        for read in (lambda: coupling_from_json(doc, TreeShape(2)),
+                     lambda: boundary_field_from_json({"": ["3", text]}, 3, P, TreeShape(2))):
             with pytest.raises(ValueError) as err:
                 read()
             assert str(err.value) == f"Invalid literal for Fraction: {text!r}"
@@ -1165,16 +1154,40 @@ class TestJsonIngestion:
     @pytest.mark.parametrize("text,value", [("-6/5", Fraction(-6, 5)), ("0", 0), ("-3", -3),
                                             ("09/2", Fraction(9, 2)), (27, 27)])
     def test_number_texts_in_the_grammar_are_read(self, text, value):
-        J = coupling_from_json({"pattern": "homogeneous", "p": 3, "q": "3", "values": {"J": "3"}})
-        assert J.q == 3
-        field = boundary_field_from_json({"": ["3", text]}, 3, P)
-        assert field_at(field, TreeVertex.root())[1] == PadicNumber.from_fraction(value, P, N)
+        doc = {"pattern": "homogeneous", "p": 3, "q": "3", "values": {"J": "3"}}
+        assert coupling_from_json(doc, TreeShape(2)).q == 3
+        field = boundary_field_from_json({"": ["3", text]}, 3, P, TreeShape(2))
+        assert field_at(field, ())[1] == PadicNumber.from_fraction(value, P, N)
 
     @pytest.mark.parametrize("q", [True, False])
     def test_coupling_document_refuses_a_boolean_q(self, q):
         doc = {"pattern": "homogeneous", "p": 3, "q": q, "values": {"J": "3"}}
         with pytest.raises(ValueError, match=rf"^q must be an integer, got {q}$"):
-            coupling_from_json(doc)
+            coupling_from_json(doc, TreeShape(2))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_built_and_read_couplings_and_fields_agree(k):
+    # the library's way in ({address: value}) and the documents' give one
+    # coupling and one field, which every computation reads alike
+    rng = random.Random(f"two-ways-{k}")
+    shape, n, q = TreeShape(k), 3 if k < 3 else 2, 3
+    vertices = ball_with_edges(shape, n)[0]
+    table = {a: exp_domain_fraction(rng, P) for a in vertices[1:]}
+    entries = {a: [exp_domain_fraction(rng, P) for _ in range(q - 1)] for a in vertices[::2]}
+    J = CouplingField.per_edge(table, P, q)
+    h = BoundaryField(q, P, {a: [PadicNumber.from_fraction(x, P) for x in xs]
+                             for a, xs in entries.items()})
+    rows = [[render_address(a[:-1]), render_address(a), str(x)] for a, x in table.items()]
+    J_read = coupling_from_json({"pattern": "per_edge", "p": P, "q": q, "values": rows}, shape)
+    h_read = boundary_field_from_json(
+        {render_address(a): [str(x) for x in xs] for a, xs in entries.items()}, q, P, shape)
+    assert J_read.values == J.values
+    assert all(field_at(h_read, a) == field_at(h, a) for a in vertices)
+    profile, report = measure_norm_profile(shape, h, J, n), compatibility_check(shape, h, J, n)
+    for J_in, h_in in ((J_read, h), (J, h_read)):  # each read one against the built pair
+        assert measure_norm_profile(shape, h_in, J_in, n) == profile
+        assert compatibility_check(shape, h_in, J_in, n) == report
 
 
 class TestBoundaryField:
@@ -1185,12 +1198,23 @@ class TestBoundaryField:
     def test_assign_validates_dimension(self):
         field = BoundaryField.zero(3, P)
         with pytest.raises(ValueError):
-            field.assign(TreeVertex.root(), vec([0, 0, 0]))
+            field.assign((), vec([0, 0, 0]))
+
+    @pytest.mark.parametrize("key", ["0.1", "", 0, (0, -1), (0, "1"), (0, 1.0), (0, True)])
+    def test_assign_refuses_a_key_that_is_no_address(self, key):
+        # "0.1" would be held at level 3 and never read
+        text = f"field key {key!r} is not a vertex address: a tuple of nonnegative ints"
+        with pytest.raises(ValueError) as err:
+            BoundaryField.zero(3, P).assign(key, vec([3, 0]))
+        assert str(err.value) == text
+        with pytest.raises(ValueError) as err:
+            BoundaryField(3, P, {(): vec([3, 0]), key: vec([3, 0])})
+        assert str(err.value) == text
 
     def test_assign_validates_domain(self):
         field = BoundaryField.zero(3, P)
         with pytest.raises(DomainViolation):
-            field.assign(TreeVertex.root(), vec([1, 0]))
+            field.assign((), vec([1, 0]))
 
     def test_parity_vectors_are_validated_like_assigned_ones(self):
         # the odd-level vector lives over 5, the field over 3
@@ -1205,7 +1229,7 @@ class TestBoundaryField:
         # the first component is over the field's prime, the second over 5
         mixed = (vec([3])[0], vec([5], 5)[0])
         with pytest.raises(ValueError, match="prime"):
-            BoundaryField.zero(3, P).assign(TreeVertex.root(), mixed)
+            BoundaryField.zero(3, P).assign((), mixed)
         with pytest.raises(ValueError, match="prime"):
             BoundaryField.constant(mixed)
         with pytest.raises(ValueError, match="prime"):
@@ -1224,27 +1248,27 @@ class TestBoundaryField:
     def test_entries_override_the_parity_pair(self):
         even, odd, entry = vec([3, 0]), vec([0, 3]), vec([9, 9])
         field = BoundaryField.by_parity(even, odd)
-        field.assign(TreeVertex.from_string("0.1"), entry)
-        assert field_at(field, TreeVertex.root()) == even
-        assert field_at(field, TreeVertex.from_string("0")) == odd
-        assert field_at(field, TreeVertex.from_string("1.0")) == even
-        assert field_at(field, TreeVertex.from_string("0.1")) == entry
+        field.assign(parse_address("0.1"), entry)
+        assert field_at(field, ()) == even
+        assert field_at(field, parse_address("0")) == odd
+        assert field_at(field, parse_address("1.0")) == even
+        assert field_at(field, parse_address("0.1")) == entry
 
     def test_constant_covers_all_vertices(self):
         v = vec([3, 9])
         field = BoundaryField.constant(v)
-        assert field_at(field, TreeVertex.from_string("0.1.0")) == v
+        assert field_at(field, parse_address("0.1.0")) == v
 
 
 def _direct_site_rows(system, h, J, shape, n, work):
     """The site residues and modulus exponent of ``system`` computed the
     uncached way: one exp_p per sphere site and spin, and per edge."""
     vertices, pairs = ball_with_edges(shape, n)
-    thetas = [theta_for_edge(J, vertices[i], vertices[j], work) for i, j in pairs]
+    thetas = [theta_for_edge(J, vertices[j], work) for _, j in pairs]
     tables = {
         i: [exp_p(spin_pairing(field_at(h, v), s), precision=work) for s in range(1, h.q + 1)]
         for i, v in enumerate(ball_vertices(system))
-        if v.level == n
+        if len(v) == n
     }
     known = [e.known_abs for e in thetas + [w for t in tables.values() for w in t]]
     bound = min([work + MODULUS_HEADROOM, *(b for b in known if b is not None)])
@@ -1309,7 +1333,7 @@ class TestSiteTableCache:
         shape = TreeShape(2)
         for x in ball_with_edges(shape, 2)[0][-shape.sphere_size(2):]:
             h.assign(x, vec([3, 9]))
-        root, entry, odd = (TreeVertex.from_string(a) for a in ("", "1.1", "0"))
+        root, entry, odd = (parse_address(a) for a in ("", "1.1", "0"))
         assert site_exponentials(h, entry, N) is site_exponentials(h, root, N)
         assert site_exponentials(h, entry, N) is not site_exponentials(h, entry, N + 1)
         assert site_exponentials(h, entry, N) is not site_exponentials(h, odd, N)
@@ -1353,7 +1377,7 @@ def test_site_tables_apart_for_a_shared_numerator_or_a_shared_value():
     """3/2 and 3/5 share their valuation and numerator, 9 and 9 + O(3**6)
     their value: each gets its own table, equal to exp_p computed directly."""
     h = BoundaryField.by_parity(vec([Fraction(3, 2)]), vec([Fraction(3, 5)]))
-    sites = [TreeVertex.from_string(a) for a in ("", "0", "1", "2")]
+    sites = [parse_address(a) for a in ("", "0", "1", "2")]
     h.assign(sites[2], vec([9]))
     h.assign(sites[3], (PadicNumber(9, P, N, known_abs=6),))
     for v in sites:

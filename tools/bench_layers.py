@@ -61,8 +61,8 @@ def _entries():
     """(name, params, callable) for every timed layer; built from fixed inputs."""
     import random
 
-    from padic_potts import padic_analytic
-    from padic_potts.cayley_tree import TreeShape, ball_with_edges
+    from padic_potts import cayley_tree, padic_analytic
+    from padic_potts.cayley_tree import TreeShape
     from padic_potts.gibbs_solver import f_map_z, recursion_backward, solve_k1_bipartite
     from padic_potts.padic_analytic import exp_p, hensel_roots_in_disk, log_p
     from padic_potts.padic_core import PadicNumber
@@ -77,6 +77,25 @@ def _entries():
         finite_measure,
         measure_norm_profile,
     )
+
+    # The inputs' vertices are address tuples, made here from the levels'
+    # addresses so that every tree times the same work.  A tree whose library
+    # still names vertices by TreeVertex takes its keys as TreeVertex objects,
+    # and a per-edge table keyed by (parent, child); this fork goes once no
+    # recorded parent has TreeVertex.
+    vertex_class = getattr(cayley_tree, "TreeVertex", None)
+
+    def ball(shape, n):  # the n-ball's addresses in level order
+        return [a for m in range(n + 1) for a in shape.level_addresses(m)]
+
+    def vertex(a):  # a sphere law's, a spin's or a field entry's key
+        return a if vertex_class is None else vertex_class(a)
+
+    def edge(a):  # the per-edge table's key of the edge into a
+        return a if vertex_class is None else (vertex_class(a[:-1]), vertex_class(a))
+
+    def text(a):  # an address as a document writes it
+        return ".".join(map(str, a))
 
     out = []
     # inexact N = 128 operands as a computation leaves them: quotients and
@@ -138,12 +157,11 @@ def _entries():
     # the contraction suite's recursion at k = 3, n = 5 (p = 3, q = 2, J = 3)
     shape, q, n = TreeShape(3), 2, 5
     rng = random.Random(0)
-    vertices, _ = ball_with_edges(shape, n)
     def law():  # 1 + 3**j * unit, as the contraction suite draws them
         unit = 3 * rng.randrange(10**6) + 1
         return (PadicNumber(1 + 3 ** rng.randrange(1, 4) * unit, p),)
 
-    laws = {v: law() for v in vertices[shape.ball_size(n - 1):]}
+    laws = {vertex(a): law() for a in shape.level_addresses(n)}
     J = CouplingField.homogeneous(Fraction(3), p, q)
     out.append(
         ("recursion_backward", {"p": p, "q": q, "k": 3, "n": n, "N": 32},
@@ -153,7 +171,7 @@ def _entries():
     # integer pass's regime: laws 1 + 3**j * unit, folded on PadicNumbers
     shape2, n2 = TreeShape(2), 4
     J3 = CouplingField.homogeneous(Fraction(3), p, 3)
-    laws3 = {v: law() + law() for v in ball_with_edges(shape2, n2)[0][shape2.ball_size(n2 - 1):]}
+    laws3 = {vertex(a): law() + law() for a in shape2.level_addresses(n2)}
     out.append(
         ("recursion_backward.fallback", {"p": p, "q": 3, "k": 2, "n": n2, "N": 32},
          lambda: recursion_backward(shape2, laws3, J3, n2, 32))
@@ -161,10 +179,9 @@ def _entries():
     # the k = 3 fold's laws at k = 2, n = 6 over a per-edge table (values
     # cycling 3, 6, 9 in level order), each edge's coupling looked up by address
     shape4, n4 = TreeShape(2), 6
-    vertices, pairs = ball_with_edges(shape4, n4)
-    J4 = CouplingField.per_edge({(vertices[i], vertices[j]): Fraction(3 * (e % 3 + 1))
-                                 for e, (i, j) in enumerate(pairs)}, p, q)
-    laws4 = {v: law() for v in vertices[shape4.ball_size(n4 - 1):]}
+    J4 = CouplingField.per_edge({edge(a): Fraction(3 * (e % 3 + 1))
+                                 for e, a in enumerate(ball(shape4, n4)[1:])}, p, q)
+    laws4 = {vertex(a): law() for a in shape4.level_addresses(n4)}
     out.append(
         ("recursion_backward.per_edge",
          {"p": p, "q": q, "k": 2, "n": n4, "N": 32, "couplings": "per-edge 3/6/9"},
@@ -256,9 +273,8 @@ def _entries():
         u = draw.randrange(1, top)
         return u + 1 if u % 3 == 0 else u
 
-    random_doc = {".".join(map(str, v.address)): [str(Fraction(3 * third_free(27), third_free(9)))
-                                                  for _ in range(2)]
-                  for v in ball_with_edges(shape, 2)[0]}
+    random_doc = {text(a): [str(Fraction(3 * third_free(27), third_free(9))) for _ in range(2)]
+                  for a in ball(shape, 2)}
 
     def random_compat():
         h = boundary_field_from_json(random_doc, 3, 3, shape)
@@ -285,12 +301,11 @@ def _entries():
                 {"p": 3, "q": 2, "k": 1, "n": 8, "N": 32, "field": "constant"}, deep_compat))
     # norm-profile's every level over a per-edge table (p = 3, q = 2, values
     # cycling 3, 6, 9 in level order), where the levels share one read of
-    # the table: a fresh coupling per call from vertex-keyed ends, as one
-    # CLI op builds it
+    # the table: a fresh coupling per call from its table, as one CLI op
+    # builds it
     for k, n_edge in ((1, 100), (2, 8)):
-        vertices, pairs = ball_with_edges(TreeShape(k), n_edge)
-        table = {(vertices[i], vertices[j]): Fraction(3 * (e % 3 + 1))
-                 for e, (i, j) in enumerate(pairs)}
+        table = {edge(a): Fraction(3 * (e % 3 + 1))
+                 for e, a in enumerate(ball(TreeShape(k), n_edge)[1:])}
         def edge_profile(k=k, n_edge=n_edge, table=table):
             h, J2 = BoundaryField.zero(2, 3), CouplingField.per_edge(table, 3, 2)
             return measure_norm_profile(TreeShape(k), h, J2, n_edge, 32)
@@ -311,9 +326,8 @@ def _entries():
                     {"p": 3, "q": 3, "k": k, "n": n_wide, "N": 32, "J": 6, "field": "zero"},
                     wide_profile))
     line = TreeShape(1)
-    vertices, pairs = ball_with_edges(line, 5)
-    table6 = {(vertices[i], vertices[j]): Fraction(6) for i, j in pairs}
-    spins = {x: 1 + i % 3 for i, x in enumerate(vertices)}
+    table6 = {edge(a): Fraction(6) for a in ball(line, 5)[1:]}
+    spins = {vertex(a): 1 + i % 3 for i, a in enumerate(ball(line, 5))}
 
     def wide_measure():
         h, J6 = BoundaryField.zero(3, 3), CouplingField.per_edge(table6, 3, 3)
@@ -322,17 +336,16 @@ def _entries():
     out.append(("finite_measure", {"p": 3, "q": 3, "k": 1, "n": 5, "N": 32, "field": "zero",
                                    "couplings": "per-edge 6"}, wide_measure))
     # a constant field file over the k = 2, n = 2 ball: one vector at every address
-    constant = {".".join(map(str, v.address)): ["3/7", "9"] for v in ball_with_edges(shape, 2)[0]}
+    constant = {text(a): ["3/7", "9"] for a in ball(shape, 2)}
     out.append(("boundary_field_from_json", {"p": 3, "q": 3, "k": 2, "n": 2, "field": "constant"},
                 lambda: boundary_field_from_json(constant, 3, 3, shape)))
     # the two JSON readers over the k = 2, n = 8 ball (p = 3, q = 2): the
     # per-edge document of its 765 edges and a field at its 766 addresses,
     # each with values cycling 3, 6, 9 in level order
-    vertices, pairs = ball_with_edges(shape, 8)
-    rows = [[str(vertices[i]), str(vertices[j]), str(3 * (e % 3 + 1))]
-            for e, (i, j) in enumerate(pairs)]
+    vertices = ball(shape, 8)
+    rows = [[text(a[:-1]), text(a), str(3 * (e % 3 + 1))] for e, a in enumerate(vertices[1:])]
     edge_doc = {"pattern": "per_edge", "p": 3, "q": 2, "values": rows}
-    field_doc = {str(v): [str(3 * (i % 3 + 1))] for i, v in enumerate(vertices)}
+    field_doc = {text(a): [str(3 * (i % 3 + 1))] for i, a in enumerate(vertices)}
     out.append(("coupling_from_json",
                 {"p": 3, "q": 2, "k": 2, "n": 8, "couplings": "per-edge 3/6/9"},
                 lambda: coupling_from_json(edge_doc, shape)))
