@@ -1018,7 +1018,8 @@ class TestJsonIngestion:
                "values": [["", "0", "3"], [parent, child, "6"]]}
         with pytest.raises(ValueError) as err:
             coupling_from_json(doc, TreeShape(2))
-        assert str(err.value) == f"per-edge row {parent!r} -> {child!r} names no edge of the k=2 tree"
+        assert str(err.value) == (
+            f"per-edge row {parent!r} -> {child!r} names no edge of the k=2 tree")
 
     @pytest.mark.parametrize("child", ["0", "00"])
     def test_per_edge_rows_naming_one_edge_twice_are_refused(self, child):
