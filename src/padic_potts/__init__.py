@@ -40,7 +40,6 @@ _EXPORTS = {
         "BoundaryField",
         "CompatibilityReport",
         "CouplingField",
-        "NormProfileRow",
         "boundary_field_from_json",
         "compatibility_check",
         "coupling_from_json",

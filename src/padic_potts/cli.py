@@ -43,8 +43,6 @@ from .padic_core import (
 # functions that run them, so a command loads only the layers it uses: the
 # exp-log and product-distance suites need none of them.
 
-SUITES = ("exp-log", "product-distance", "contraction", "compat", "all")
-
 EXIT_OK = 0
 EXIT_CONFIG_OR_VIOLATION = 1
 EXIT_DOMAIN = 2
@@ -81,6 +79,26 @@ def _check_flags(args) -> None:
         raise ConfigError("checks must be positive")
 
 
+def _document(text: str, what: str, inline: bool = False):
+    """The JSON document a flag's ``text`` gives: the UTF-8 file at that path,
+    or with ``inline`` the text itself when it opens with '{' (an inline
+    flag's text is stripped, path or not).  ``what`` names it in errors."""
+    if inline:
+        text = text.strip()
+    if not (inline and text.startswith("{")):
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise ConfigError(f"{what} JSON: {exc}") from exc
+
+
 def _coupling(args) -> CouplingField:
     """The coupling from --couplings, or the default coupling."""
     from .cayley_tree import TreeShape
@@ -88,19 +106,7 @@ def _coupling(args) -> CouplingField:
 
     if args.couplings is None:
         return _default_coupling(args.p or 3, args.q or 3)
-    text = args.couplings.strip()
-    if not text.startswith("{"):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read couplings file: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"couplings JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past the int-string limit
-        raise ConfigError(f"couplings JSON: {exc}") from exc
+    doc = _document(args.couplings, "couplings", inline=True)
     try:
         J = coupling_from_json(doc, TreeShape(args.k))
     except (KeyError, ValueError, TypeError) as exc:
@@ -119,15 +125,7 @@ def _boundary_field(args, J: CouplingField) -> BoundaryField:
 
     if args.field is None:
         return BoundaryField.zero(J.q, J.prime)
-    try:
-        with open(args.field, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read field file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"field JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past the int-string limit, or bad UTF-8
-        raise ConfigError(f"field JSON: {exc}") from exc
+    doc = _document(args.field, "field")
     try:
         return boundary_field_from_json(doc, J.q, J.prime, TreeShape(args.k))
     except (KeyError, ValueError, TypeError) as exc:
@@ -370,6 +368,7 @@ _SUITE_RUNNERS = {
     "contraction": _suite_contraction,
     "compat": _suite_compat,
 }
+SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def cmd_verify(args) -> int:
@@ -446,13 +445,11 @@ def cmd_compat_check(args) -> int:
 def cmd_norm_profile(args) -> int:
     from .potts_model import measure_norm_profile
 
-    rows, doc = _measure(args, measure_norm_profile)
+    profile, doc = _measure(args, measure_norm_profile)
     # a level's weights all share one valuation, printed as its least and greatest
-    doc["rows"] = [
-        {"level": r.level, "min_valuation": str(r.valuation), "max_valuation": str(r.valuation)}
-        for r in rows
-    ]
-    doc["bounded_so_far"] = all(r.valuation >= 0 for r in rows)
+    doc["rows"] = [{"level": n, "min_valuation": str(v), "max_valuation": str(v)}
+                   for n, v in enumerate(profile)]
+    doc["bounded_so_far"] = all(v >= 0 for v in profile)
     _emit(doc, args.out)
     return EXIT_OK
 

@@ -352,27 +352,16 @@ def _offset_valuation(z: tuple[PadicNumber, ...]) -> int | float:
     return min(c.distance_valuation(one) for c in z)
 
 
-@dataclass(frozen=True)
-class UniquenessCertificate:
-    applies: bool
-    reason: str
-
-
-def uniqueness_certificate(p, q: int) -> UniquenessCertificate:
-    """Whether the contraction argument guarantees a unique boundary law."""
-    prime = as_prime(p)
-    if q % prime.value != 0:
-        return UniquenessCertificate(
-            True,
+def uniqueness_certificate(p, q: int) -> str | None:
+    """The certificate text when the contraction argument guarantees a
+    unique boundary law, which it does when q is a unit at p; else None."""
+    if q % as_prime(p).value:
+        return (
             "q is a unit, so every recursion denominator is a unit and each level "
             "contracts the offset from the all-ones law by at least one digit; the "
-            "only law compatible at every depth is the trivial one",
+            "only law compatible at every depth is the trivial one"
         )
-    return UniquenessCertificate(
-        False,
-        "p divides q, so recursion denominators acquire positive valuation and the "
-        "per-level contraction bound fails; uniqueness is not certified",
-    )
+    return None
 
 
 @dataclass(frozen=True)
@@ -425,8 +414,8 @@ def _report(p, q: int, witnesses: list, diag: dict, multiple: str, trivial: str)
     if len(witnesses) > 1:
         return PhaseReport(VERDICT_MULTIPLE_TI, witnesses, multiple, diag)
     cert = uniqueness_certificate(p, q)
-    if cert.applies:
-        return PhaseReport(VERDICT_UNIQUE, witnesses, cert.reason, diag)
+    if cert is not None:
+        return PhaseReport(VERDICT_UNIQUE, witnesses, cert, diag)
     return PhaseReport(VERDICT_INCONCLUSIVE, witnesses, trivial, diag)
 
 
@@ -625,9 +614,7 @@ def period2_k2_analysis(
 
 # p = 2 threshold table for the order-2 tree: (q mod condition, coupling
 # valuation condition) -> multiple constant laws guaranteed.
-def _two_adic_threshold(q: int, j_valuation) -> bool:
-    if j_valuation is None:  # zero coupling
-        return False
+def _two_adic_threshold(q: int, j_valuation: int) -> bool:
     m = _vp(q, 2)
     if m == 2:
         return j_valuation == 2
@@ -638,11 +625,17 @@ def _two_adic_threshold(q: int, j_valuation) -> bool:
 
 def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION) -> PhaseReport:
     """Dispatch to the strongest applicable analysis for branching k and the
-    coupling J, which carries p and q."""
+    coupling J, which carries p and q.  Before any branch, q a unit at p and
+    a homogeneous or bipartite coupling zero on every edge are unique at every
+    k; a per-edge table lists only finitely many edges, so it is not."""
     prime, q = J.prime, J.q
     cert = uniqueness_certificate(prime, q)
-    if cert.applies:
-        return PhaseReport(VERDICT_UNIQUE, [], cert.reason, {"q_unit": True})
+    if cert is not None:
+        return PhaseReport(VERDICT_UNIQUE, [], cert, {"q_unit": True})
+    if J.pattern in ("homogeneous", "bipartite") and not any(J.values.values()):
+        return PhaseReport(VERDICT_UNIQUE, [], "the coupling is zero on every edge, so every "
+                           "recursion factor is exactly 1 and one level sends every law to the "
+                           "all-ones law, the only one", {"zero_coupling": True})
 
     if k == 1 and J.pattern in ("homogeneous", "bipartite"):
         theta1 = J.theta(J.level_coupling(1), precision)
@@ -652,7 +645,7 @@ def classify_phase(k: int, J: CouplingField, precision: int = DEFAULT_PRECISION)
     if k == 2 and J.pattern == "homogeneous":
         j_val = rational_valuation(J.level_coupling(1), prime)
         if prime.value == 2:
-            diag = {"coupling_valuation": render_valuation(math.inf if j_val is None else j_val)}
+            diag = {"coupling_valuation": render_valuation(j_val)}
             if _two_adic_threshold(q, j_val):
                 return PhaseReport(
                     VERDICT_MULTIPLE_TI,

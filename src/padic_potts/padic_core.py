@@ -186,16 +186,11 @@ def _inverse_mod(a: int, p: int, r: int) -> int:
     return x
 
 
-def rational_valuation(x: Fraction | int, p: int | Prime) -> int | None:
-    """p-adic valuation of an exact rational; None for zero.
-
-    None, not ``math.inf``: its callers read None as the zero coupling,
-    which admissibility accepts and the p = 2 threshold table never
-    certifies.
-    """
+def rational_valuation(x: Fraction | int, p: int | Prime) -> int | float:
+    """p-adic valuation of an exact rational: an int, or ``math.inf`` for zero."""
     x, pv = Fraction(x), as_prime(p).value
     if not x:
-        return None
+        return math.inf
     return _vp(x.numerator, pv) or -_vp(x.denominator, pv)
 
 
@@ -343,20 +338,9 @@ class PadicNumber:
         """True only for the exact zero element."""
         return self._val is None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.known_abs is None
-
     def norm_valuation(self) -> int | float:
         """gamma(x) with |x|_p = p**(-gamma(x)): an int, or ``math.inf`` for zero."""
         return math.inf if self._val is None else self._val
-
-    def norm(self) -> Fraction:
-        """|x|_p as an exact rational."""
-        return Fraction(0) if self._val is None else Fraction(self.prime.value) ** -self._val
-
-    def is_unit(self) -> bool:
-        return self._val == 0
 
     @property
     def unit_digits(self) -> tuple[int, ...]:

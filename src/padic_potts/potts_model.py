@@ -77,7 +77,7 @@ def _is_address(key) -> bool:
 def _check_coupling_admissible(value: Fraction, p: Prime) -> None:
     v = rational_valuation(value, p)
     need = exp_domain_min_valuation(p)
-    if v is not None and v < need:
+    if v < need:
         raise DomainViolation(
             f"coupling {value} has valuation {v} < {need} required for exp at p={p}"
         )
@@ -611,22 +611,14 @@ def compatibility_check(
     )
 
 
-@dataclass(frozen=True)
-class NormProfileRow:
-    """The valuation every configuration's measure has on the ball of radius ``level``."""
-
-    level: int
-    valuation: int
-
-
 def measure_norm_profile(
     shape: TreeShape,
     h: BoundaryField,
     J: CouplingField,
     n_max: int,
     precision: int = DEFAULT_PRECISION,
-) -> list[NormProfileRow]:
-    """The measure's valuation per level, as a boundedness probe.
+) -> list[int]:
+    """The measure's valuation on each ball of radius 0..n_max, a boundedness probe.
 
     A configuration's weight is a product of edge and site residues, each
     exp_p of an admissible coupling or of field entries checked against the
@@ -639,12 +631,11 @@ def measure_norm_profile(
     """
     _guard(J.q, shape, n_max, configurations=False)
     couplings = _level_couplings(shape, J, range(1, n_max + 1))
-    rows = []
+    profile = []
     for n in range(n_max + 1):
         system = _LevelWeights(shape, h, J, n, precision + 2 * _shift_hint(shape, J, n), couplings)
-        zeta = _partition_valuation(system.partition_residue(), system)
-        rows.append(NormProfileRow(level=n, valuation=-zeta))
-    return rows
+        profile.append(-_partition_valuation(system.partition_residue(), system))
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -325,14 +325,20 @@ class TestClassify:
         assert report["verdict"] == "multiple_translation_invariant"
         assert report["diagnostics"] == {"coupling_valuation": "2"}
 
-    def test_zero_coupling_at_two_prints_infinite_valuation(self, capsys):
-        doc = json.dumps({"pattern": "homogeneous", "p": 2, "q": 8, "values": {"J": "0"}})
-        code, out, err = run(
-            capsys, "classify", "--p", "2", "--q", "8", "--k", "2", "--couplings", doc
-        )
+    @pytest.mark.parametrize("k", ("1", "2", "3"))
+    @pytest.mark.parametrize("p,q", ((2, 8), (2, 4), (3, 3)))
+    @pytest.mark.parametrize("pattern", ("homogeneous", "bipartite"))
+    def test_zero_coupling_is_unique_at_every_k(self, capsys, pattern, p, q, k):
+        # the dispatcher answers before any branch: at p = 2 before the
+        # threshold table, at k = 2 and odd p before the root search
+        keys = ("J",) if pattern == "homogeneous" else ("even_to_odd", "odd_to_even")
+        values = dict.fromkeys(keys, "0")
+        doc = json.dumps({"pattern": pattern, "p": p, "q": q, "values": values})
+        code, out, err = run(capsys, "classify", "--k", k, "--couplings", doc)
         assert (code, err) == (0, "")
-        assert '"coupling_valuation":"+inf"' in out
-        assert parse(out)["report"]["diagnostics"] == {"coupling_valuation": "+inf"}
+        report = parse(out)["report"]
+        assert report["verdict"] == "unique_by_contraction"
+        assert (report["witnesses"], report["diagnostics"]) == ([], {"zero_coupling": True})
 
     def test_exact_padding_prints_infinite_offset(self, capsys):
         # every witness at p = q = 3 is (z, 1), and the exact 1 has offset +inf
@@ -366,6 +372,17 @@ class TestClassify:
         _, inline_out, _ = run(capsys, "classify", "--couplings", text)
         _, file_out, _ = run(capsys, "classify", "--couplings", str(path))
         assert inline_out == file_out
+
+    @pytest.mark.parametrize("command,flag,what", (("classify", "--couplings", "couplings"),
+                                                    ("compat-check", "--field", "field")))
+    def test_a_file_that_is_not_utf8_cannot_be_read(self, capsys, tmp_path, command, flag,
+                                                     what):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"\u00e9": 1}'.encode("latin-1"))
+        code, out, err = run(capsys, command, flag, str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"config error: cannot read {what} file: 'utf-8' codec can't decode "
+                       "byte 0xe9 in position 2: invalid continuation byte\n")
 
     def test_coupling_flag_disagreement(self, capsys):
         doc = json.dumps(

@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+from padic_potts.cli import SUITES
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cli_grid.py"
 
@@ -23,7 +25,7 @@ def test_grid_covers_every_subcommand_and_workload():
     argvs = [argv for argv, _ in invocations]
     assert {"verify", "classify", "compat-check", "norm-profile"} <= {a[0] for a in argvs if a}
     suites = {a[a.index("--suite") + 1] for a in argvs if "--suite" in a}
-    assert {"exp-log", "product-distance", "contraction", "compat", "all"} <= suites
+    assert set(SUITES) <= suites
     # workload inputs are written under relative names, so no record names a path
     for argv, files in invocations:
         assert all(not name.startswith("/") for name in files)

@@ -118,7 +118,7 @@ class TestFieldCoordinates:
 class TestThetaValue:
     def test_from_coupling(self):
         t = edge_weight(3)
-        assert t.is_unit()
+        assert t.norm_valuation() == 0
         assert int(t.distance_valuation(num(1))) == 1
 
     def test_two_adic_coupling_needs_extra_digit(self):
@@ -434,16 +434,13 @@ class TestIntegerFold:
 
 
 class TestUniquenessCertificate:
-    def test_unit_q_applies(self):
+    def test_unit_q_gives_the_certificate_text(self):
         for p, q in ((3, 2), (2, 3), (5, 12)):
-            cert = uniqueness_certificate(p, q)
-            assert cert.applies
-            assert cert.reason
+            assert uniqueness_certificate(p, q).startswith("q is a unit")
 
-    def test_divisible_q_does_not(self):
+    def test_divisible_q_gives_none(self):
         for p, q in ((3, 3), (2, 6), (5, 10)):
-            cert = uniqueness_certificate(p, q)
-            assert not cert.applies
+            assert uniqueness_certificate(p, q) is None
 
 
 class TestAlternatingLine:
@@ -689,6 +686,43 @@ class TestClassification:
             assert report.verdict == verdict, (q, Jval)
             assert report.witnesses == []
             assert "coupling_valuation" in report.diagnostics
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    @pytest.mark.parametrize("pattern", ("homogeneous", "bipartite"))
+    def test_zero_coupling_is_unique_at_every_k(self, pattern, p, k):
+        # p | q; at k = 2 and odd p the reduced cubic (z - 1)(z + q - 1)**2
+        # has a double root in the disk, which the root search cannot separate
+        if pattern == "homogeneous":
+            J = CouplingField.homogeneous(0, p, p)
+        else:
+            J = CouplingField.bipartite(0, 0, p, p)
+        report = classify_phase(k, J, N)
+        assert (report.verdict, report.witnesses) == (VERDICT_UNIQUE, [])
+        assert report.diagnostics == {"zero_coupling": True}
+        assert report.certificate.startswith("the coupling is zero on every edge")
+
+    def test_zero_coupling_with_unit_q_is_the_contraction_answer(self):
+        report = classify_phase(2, CouplingField.homogeneous(0, 3, 2), N)
+        assert report.diagnostics == {"q_unit": True}
+        assert report.certificate == uniqueness_certificate(3, 2)
+
+    def test_one_zero_coupling_on_the_line_keeps_its_branch(self):
+        J = CouplingField.bipartite(0, 3, 3, 3)
+        report = classify_phase(1, J, N)
+        assert report.verdict == VERDICT_INCONCLUSIVE
+        assert len(report.witnesses) == 1  # the trivial law alone
+        want = solve_k1_bipartite(J.theta(J.level_coupling(1), N),
+                                  J.theta(J.level_coupling(2), N), 3, N)
+        assert report.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_per_edge_zeros_stay_inconclusive(self, k):
+        shape = TreeShape(k)
+        table = {a: Fraction(0) for m in (1, 2) for a in shape.level_addresses(m)}
+        report = classify_phase(k, CouplingField.per_edge(table, 3, 3), N)
+        assert (report.verdict, report.witnesses, report.diagnostics) == (
+            VERDICT_INCONCLUSIVE, [], {})
 
     def test_uncovered_combination(self):
         J = CouplingField.homogeneous(Fraction(3), 3, 3)

@@ -253,7 +253,7 @@ def _sum_quotient(w_res, z_res, zeta, prime, B):
     inv = pow(z_res // p**zeta, -1, p ** (B - zeta))
     value = Fraction(w_res * inv % p ** (B - zeta), p**zeta)
     v = rational_valuation(value, prime)
-    n_rel = max(1, known - (0 if v is None else v))
+    n_rel = max(1, known - v)
     return PadicNumber(value, prime, n_rel, known_abs=known)
 
 
@@ -440,7 +440,7 @@ def test_weights_are_units_and_profile_rows_are_minus_the_partition_valuation(
     k, q, n, p, field_kind
 ):
     # admissible couplings and fields give edge and site residues = 1 mod p,
-    # which measure_norm_profile relies on: each row's valuation is then
+    # which measure_norm_profile relies on: each level's valuation is then
     # minus the valuation of the brute-force partition sum
     rng = random.Random(f"units-{k}-{q}-{n}-{p}-{field_kind}")
     shape = TreeShape(k)
@@ -449,14 +449,14 @@ def test_weights_are_units_and_profile_rows_are_minus_the_partition_valuation(
         h = _inexact_field(shape, n, q, p, rng)
     else:
         h = _field(field_kind, shape, n, q, p, rng)
-    rows = measure_norm_profile(shape, h, J, n, N)
-    assert [r.level for r in rows] == list(range(n + 1))
-    for m, row in enumerate(rows):
+    profile = measure_norm_profile(shape, h, J, n, N)
+    assert len(profile) == n + 1
+    for m, valuation in enumerate(profile):
         system = _resolved_weights(shape, h, J, m, N)[0]
         assert all(th % p == 1 for _, _, th in edge_residues(system))
         assert all(w % p == 1 for table in site_residues(system).values() for w in table)
         zeta = _vp(_brute_sums(system, 0)[0], p)
-        assert row.valuation == -zeta
+        assert valuation == -zeta
 
 
 def _coupling(kind, shape, n, q, p, rng):
@@ -689,14 +689,12 @@ class TestNormProfile:
     def test_two_states_stay_bounded(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 2)
-        rows = measure_norm_profile(shape, BoundaryField.zero(2, P), J, 2, N)
-        assert [(r.level, int(r.valuation)) for r in rows] == [(0, 0), (1, 0), (2, 0)]
+        assert measure_norm_profile(shape, BoundaryField.zero(2, P), J, 2, N) == [0, 0, 0]
 
     def test_three_states_blow_up(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        rows = measure_norm_profile(shape, BoundaryField.zero(3, P), J, 2, N)
-        assert [(r.level, int(r.valuation)) for r in rows] == [(0, -1), (1, -4), (2, -10)]
+        assert measure_norm_profile(shape, BoundaryField.zero(3, P), J, 2, N) == [-1, -4, -10]
 
     def test_one_pass_per_level_where_the_measure_widens(self, monkeypatch):
         # J = 6 at p = q = 3: finite_measure widens at every level from 1 on,
@@ -706,17 +704,15 @@ class TestNormProfile:
         h = BoundaryField.zero(3, P)
         want = [-_resolved_weights(shape, h, J, m, N)[2] for m in range(n + 1)]
         built = _counting_builds(monkeypatch)
-        rows = measure_norm_profile(shape, h, J, n, N)
+        profile = measure_norm_profile(shape, h, J, n, N)
         assert len(built) == n + 1
-        assert [r.valuation for r in rows] == want
+        assert profile == want
         assert want == [-1, -5, -9, -13, -17, -21]
 
     def test_single_level_profile(self):
         shape = TreeShape(2)
         J = CouplingField.homogeneous(Fraction(3), P, 3)
-        rows = measure_norm_profile(shape, BoundaryField.zero(3, P), J, 0, N)
-        assert len(rows) == 1
-        assert rows[0].level == 0
+        assert measure_norm_profile(shape, BoundaryField.zero(3, P), J, 0, N) == [-1]
 
 
 # Depth oracles: the zero field's partition sums in closed form
@@ -759,8 +755,8 @@ def test_zero_field_partition_sums_follow_the_closed_form_at_depth(k, p, q, patt
         assert system.partition_residue() == z.residue(B)
         resolved.append(z.norm_valuation() < B)
     depth = resolved.index(False) if False in resolved else n + 1
-    rows = measure_norm_profile(shape, h, J, depth - 1, N)
-    assert [r.valuation for r in rows] == [-z.norm_valuation() for z in Z[:depth]]
+    profile = measure_norm_profile(shape, h, J, depth - 1, N)
+    assert profile == [-z.norm_valuation() for z in Z[:depth]]
     if depth <= n:
         with pytest.raises(PartitionFunctionDegenerate):
             measure_norm_profile(shape, h, J, depth, N)
@@ -838,8 +834,8 @@ class TestCouplingsReadOnce:
         table = _every_edge(shape, n, Fraction(3))
         J = CouplingField.per_edge(table, P, 2)
         lookups = _counting_lookups(J)
-        rows = measure_norm_profile(shape, BoundaryField.zero(2, P), J, n, N)
-        assert len(rows) == n + 1
+        profile = measure_norm_profile(shape, BoundaryField.zero(2, P), J, n, N)
+        assert len(profile) == n + 1
         assert lookups == Counter(table.keys())
 
     def test_compatibility_reads_each_edge_once_when_it_widens(self, monkeypatch):

@@ -61,7 +61,7 @@ def _entries():
     """(name, params, callable) for every timed layer; built from fixed inputs."""
     import random
 
-    from padic_potts import cayley_tree, padic_analytic
+    from padic_potts import padic_analytic
     from padic_potts.cayley_tree import TreeShape
     from padic_potts.gibbs_solver import f_map_z, recursion_backward, solve_k1_bipartite
     from padic_potts.padic_analytic import exp_p, hensel_roots_in_disk, log_p
@@ -78,21 +78,8 @@ def _entries():
         measure_norm_profile,
     )
 
-    # The inputs' vertices are address tuples, made here from the levels'
-    # addresses so that every tree times the same work.  A tree whose library
-    # still names vertices by TreeVertex takes its keys as TreeVertex objects,
-    # and a per-edge table keyed by (parent, child); this fork goes once no
-    # recorded parent has TreeVertex.
-    vertex_class = getattr(cayley_tree, "TreeVertex", None)
-
     def ball(shape, n):  # the n-ball's addresses in level order
         return [a for m in range(n + 1) for a in shape.level_addresses(m)]
-
-    def vertex(a):  # a sphere law's, a spin's or a field entry's key
-        return a if vertex_class is None else vertex_class(a)
-
-    def edge(a):  # the per-edge table's key of the edge into a
-        return a if vertex_class is None else (vertex_class(a[:-1]), vertex_class(a))
 
     def text(a):  # an address as a document writes it
         return ".".join(map(str, a))
@@ -161,7 +148,7 @@ def _entries():
         unit = 3 * rng.randrange(10**6) + 1
         return (PadicNumber(1 + 3 ** rng.randrange(1, 4) * unit, p),)
 
-    laws = {vertex(a): law() for a in shape.level_addresses(n)}
+    laws = {a: law() for a in shape.level_addresses(n)}
     J = CouplingField.homogeneous(Fraction(3), p, q)
     out.append(
         ("recursion_backward", {"p": p, "q": q, "k": 3, "n": n, "N": 32},
@@ -171,7 +158,7 @@ def _entries():
     # integer pass's regime: laws 1 + 3**j * unit, folded on PadicNumbers
     shape2, n2 = TreeShape(2), 4
     J3 = CouplingField.homogeneous(Fraction(3), p, 3)
-    laws3 = {vertex(a): law() + law() for a in shape2.level_addresses(n2)}
+    laws3 = {a: law() + law() for a in shape2.level_addresses(n2)}
     out.append(
         ("recursion_backward.fallback", {"p": p, "q": 3, "k": 2, "n": n2, "N": 32},
          lambda: recursion_backward(shape2, laws3, J3, n2, 32))
@@ -179,9 +166,9 @@ def _entries():
     # the k = 3 fold's laws at k = 2, n = 6 over a per-edge table (values
     # cycling 3, 6, 9 in level order), each edge's coupling looked up by address
     shape4, n4 = TreeShape(2), 6
-    J4 = CouplingField.per_edge({edge(a): Fraction(3 * (e % 3 + 1))
+    J4 = CouplingField.per_edge({a: Fraction(3 * (e % 3 + 1))
                                  for e, a in enumerate(ball(shape4, n4)[1:])}, p, q)
-    laws4 = {vertex(a): law() for a in shape4.level_addresses(n4)}
+    laws4 = {a: law() for a in shape4.level_addresses(n4)}
     out.append(
         ("recursion_backward.per_edge",
          {"p": p, "q": q, "k": 2, "n": n4, "N": 32, "couplings": "per-edge 3/6/9"},
@@ -304,7 +291,7 @@ def _entries():
     # the table: a fresh coupling per call from its table, as one CLI op
     # builds it
     for k, n_edge in ((1, 100), (2, 8)):
-        table = {edge(a): Fraction(3 * (e % 3 + 1))
+        table = {a: Fraction(3 * (e % 3 + 1))
                  for e, a in enumerate(ball(TreeShape(k), n_edge)[1:])}
         def edge_profile(k=k, n_edge=n_edge, table=table):
             h, J2 = BoundaryField.zero(2, 3), CouplingField.per_edge(table, 3, 2)
@@ -326,8 +313,8 @@ def _entries():
                     {"p": 3, "q": 3, "k": k, "n": n_wide, "N": 32, "J": 6, "field": "zero"},
                     wide_profile))
     line = TreeShape(1)
-    table6 = {edge(a): Fraction(6) for a in ball(line, 5)[1:]}
-    spins = {vertex(a): 1 + i % 3 for i, a in enumerate(ball(line, 5))}
+    table6 = {a: Fraction(6) for a in ball(line, 5)[1:]}
+    spins = {a: 1 + i % 3 for i, a in enumerate(ball(line, 5))}
 
     def wide_measure():
         h, J6 = BoundaryField.zero(3, 3), CouplingField.per_edge(table6, 3, 3)

@@ -53,9 +53,6 @@ UNRUN = {
     "library API the CLI does not call": (
         "__init__.__getattr__",  # the CLI imports the submodules themselves
         "padic_core.PadicNumber.__reduce__",
-        "padic_core.PadicNumber.is_exact",
-        "padic_core.PadicNumber.norm",
-        "padic_core.PadicNumber.is_unit",
         "padic_core.PadicNumber.neg",
         "padic_core.PadicNumber.inverse",  # of an exact number
         "padic_core.PadicNumber.__pow__",  # to a negative exponent
@@ -65,8 +62,8 @@ UNRUN = {
         "potts_model.BoundaryField.assign",
     ),
     "library input the CLI refuses first or never builds: out-of-range or mistyped "
-    "arguments, zero, exact or mixed-prime values, and q prime to p, which classify "
-    "answers before its branches": (
+    "arguments, zero, exact or mixed-prime values, and q prime to p or a coupling zero "
+    "on every edge, which classify answers before its branches": (
         "cayley_tree.TreeShape.__post_init__",
         "cayley_tree.TreeShape._check_level",
         "gibbs_solver.recursion_backward",
@@ -121,8 +118,8 @@ UNRUN = {
         "gibbs_solver._offset_valuation",
     ),
     "error exits and branches no CLI input reaches: a degenerate denominator, a root "
-    "candidate the search prunes or cannot tell from zero, or an inexact input, which "
-    "the CLI never builds": (
+    "candidate the search prunes or cannot tell from zero, a repeated root it cannot "
+    "separate, or an inexact input, which the CLI never builds": (
         "gibbs_solver._mobius_step",
         "gibbs_solver.solve_k1_bipartite",
         "padic_analytic.hensel_roots_in_disk",
@@ -165,7 +162,7 @@ if not os.path.abspath(cli.__file__).startswith(src + os.sep):
 for line in sys.stdin:
     argv, files = json.loads(line)
     for name, text in files.items():
-        with open(name, "w", encoding="utf-8") as fh:
+        with open(name, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -266,8 +263,8 @@ def _measures() -> list:
         for command in ("norm-profile", "compat-check"):
             out.append(([command, "--k", str(k), "--n", str(n), "--couplings", six], {}))
     # classify branches no record above takes: the primality test's
-    # Miller-Rabin squarings, the k = 1 line with a zero coupling (one root,
-    # no certificate), and both rows of the two-adic threshold table
+    # Miller-Rabin squarings, the k = 1 line with one zero coupling (one
+    # root, no certificate), and both rows of the two-adic threshold table
     zero_line = ('{"pattern":"bipartite","p":3,"q":3,'
                  '"values":{"even_to_odd":"0","odd_to_even":"3"}}')
     out.append((["classify", "--p", "1997", "--q", "2"], {}))
@@ -275,10 +272,17 @@ def _measures() -> list:
     out.append((["classify", "--p", "2", "--q", "4", "--couplings",
                  '{"pattern":"homogeneous","p":2,"q":4,"values":{"J":"0"}}'], {}))
     out.append((["classify", "--p", "2", "--q", "8"], {}))
-    # J = 0 at k = 2, p | q: the reduced cubic (z - 1)(z + q - 1)**2 has a
-    # double root in the disk, which the root search cannot separate
+    # a coupling zero on every edge with p | q, which the dispatcher answers
+    # at every k (at k = 2 the reduced cubic (z - 1)(z + q - 1)**2 has a
+    # double root in the disk, which the root search cannot separate)
     out.append((["classify", "--couplings",
                  '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":"0"}}'], {}))
+    out.append((["classify", "--k", "3", "--couplings",
+                 '{"pattern":"homogeneous","p":3,"q":3,"values":{"J":"0"}}'], {}))
+    for k in ("1", "2"):
+        out.append((["classify", "--k", k, "--couplings",
+                     '{"pattern":"bipartite","p":3,"q":3,'
+                     '"values":{"even_to_odd":"0","odd_to_even":"0"}}'], {}))
     return out + _deep_tables() + _depth()
 
 
@@ -452,6 +456,9 @@ def _errors() -> list:
             out.append(([command, "--k", "1", "--n", "1", "--field", f"bad-{name}.json"],
                         {f"bad-{name}.json": doc}))
     out.append((["compat-check", "--field", "unicode.json"], {"unicode.json": '{"é": 1}'}))
+    # a field file that is not UTF-8: the Latin-1 byte 0xe9, written through
+    # the lone surrogate that surrogateescape maps to it
+    out.append((["compat-check", "--field", "latin1.json"], {"latin1.json": '{"\udce9": 1}'}))
     # an edge or a vertex named twice, in either order of its two entries
     for rows in ('["","0","3"],["","0","6"],["","1","3"]',
                  '["","0","6"],["","00","3"],["","1","3"]'):
